@@ -563,6 +563,26 @@ def pair_field(sample: FieldSample, eta: Callable) -> float:
 # Exact pairing windows and the fast sampling path
 # ---------------------------------------------------------------------------
 
+def _bump_taps(halfwidth: float, step: float) -> np.ndarray:
+    """Taps of ``bump(u / halfwidth)`` at ``u = k * step`` for ``|k| <= K``.
+
+    ``K * step`` reaches past the support, where the bump and all its
+    derivatives vanish, so these are trapezoid weights; they are scaled to
+    sum to the exact mass ``halfwidth * BUMP_MASS``.
+    """
+    reach = math.ceil(halfwidth / step)
+    taps = smooth_bump(np.arange(-reach, reach + 1) * step / halfwidth)
+    return taps * (halfwidth * BUMP_MASS / taps.sum())
+
+
+def _correlate_halved(values: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """``out[i] = sum_k taps[k] * values[2 i + k]`` along ``axis``."""
+    windows = np.lib.stride_tricks.sliding_window_view(values, len(taps), axis=axis)
+    every_other = [slice(None)] * values.ndim
+    every_other[axis] = slice(None, None, 2)
+    return windows[tuple(every_other)] @ taps
+
+
 class PairingWindows:
     """Windows ``W_j(s, y)`` pairing test functions with the moving bump.
 
@@ -570,6 +590,24 @@ class PairingWindows:
     position ``(s, y)`` to ``zeta_eps(eta_j)``.  All cumulants of the
     pairings are ``mu E[a^n] int W^n``; sampling reduces to interpolating
     the windows at Poisson points.
+
+    Quadrature: a bump term ``amp * bump_t(u) * bump_x(v)`` contributes
+    ``eps^{3/2} amp int int bump_t(u) bump_x(v) G(s + u, y + v) du dv`` with
+    ``G(sigma, y) = eta(eps^2 sigma, eps y + v_h eps^2 sigma mod 1)``.  The
+    shear depends on ``sigma`` alone, so for every ``v_h`` the window is a
+    separable correlation of ``G`` with the bump.  ``G`` is evaluated once
+    per term on a grid of half the window spacing, offset by the term's
+    centre and extended by its half-widths; the 1-d bump taps
+    (:func:`_bump_taps`) are applied along y, then along s.  The taps sum to
+    the exact bump mass, so ``eta = 1`` gives ``eps^{3/2} int phi`` to
+    rounding.  Against a 64-node Gauss-Legendre product rule at eps = 0.2
+    and ``v_h`` = 0 or 0.7, the largest window error relative to the
+    largest window value is 2.7e-7 for :func:`default_even_model` and
+    2.7e-8 for :func:`default_asymmetric_model`.
+
+    The y grid tiles the periodic strip ``[0, 1/eps)``: ``n_y`` cells of
+    width ``dy = (1/eps) / n_y``, the fewest no wider than ``min_hx /
+    resolution``.
     """
 
     def __init__(
@@ -580,7 +618,6 @@ class PairingWindows:
         t_support: tuple[float, float],
         v_h: float = 0.0,
         resolution: int = 8,
-        quad_nodes: int = 16,
     ):
         self.model = model
         self.eps = eps
@@ -589,32 +626,34 @@ class PairingWindows:
         min_ht = min(t.t_halfwidth for t in model.terms)
         min_hx = min(t.x_halfwidth for t in model.terms)
         ds = min_ht / resolution
-        dy = min_hx / resolution
+        n_y = math.ceil(W / (min_hx / resolution))
         s_lo = t_support[0] / eps ** 2 - model.t_reach
         s_hi = t_support[1] / eps ** 2 + model.t_reach
         self.s_grid = np.arange(s_lo, s_hi + ds, ds)
-        self.y_grid = np.arange(0.0, W, dy)
+        self.y_grid = np.arange(n_y) * (W / n_y)
         self.ds = ds
-        self.dy = self.y_grid[1] - self.y_grid[0]
+        self.dy = W / n_y
         self.strip = W
 
-        ug, uw = _gauss_legendre(quad_nodes, -1.0, 1.0)
         prefactor = eps ** 1.5  # eps^{-3/2} amplitude times the eps^3 Jacobian
-        self.windows = []
-        for eta in etas:
-            total = np.zeros((len(self.s_grid), len(self.y_grid)))
-            for term in model.terms:
-                u = term.t_center + term.t_halfwidth * ug
-                v = term.x_center + term.x_halfwidth * ug
-                wu = smooth_bump(ug) * uw * term.t_halfwidth * term.amplitude
-                wv = smooth_bump(ug) * uw * term.x_halfwidth
-                for uu, cu in zip(u, wu):
-                    tt = eps ** 2 * (self.s_grid[:, None] + uu)
-                    for vv, cv in zip(v, wv):
-                        xx = np.mod(eps * (self.y_grid[None, :] + vv)
-                                    + v_h * tt, 1.0)
-                        total += (cu * cv * prefactor) * eta(tt, xx)
-            self.windows.append(total)
+        n_s = len(self.s_grid)
+        sheared = []  # per term: weight, taps and the (t, x) points of G
+        for term in model.terms:
+            taps_s = _bump_taps(term.t_halfwidth, ds / 2)
+            taps_y = _bump_taps(term.x_halfwidth, self.dy / 2)
+            reach_s, reach_y = len(taps_s) // 2, len(taps_y) // 2
+            sigma = (self.s_grid[0] + term.t_center
+                     + ds / 2 * np.arange(-reach_s, 2 * n_s - 1 + reach_s))
+            y = term.x_center + self.dy / 2 * np.arange(-reach_y, 2 * n_y - 1 + reach_y)
+            tt = eps ** 2 * sigma[:, None]
+            xx = np.mod(eps * y[None, :] + v_h * tt, 1.0)
+            sheared.append((term.amplitude * prefactor, taps_s, taps_y, tt, xx))
+        self.windows = [
+            sum(weight * _correlate_halved(_correlate_halved(eta(tt, xx), taps_y, 1),
+                                           taps_s, 0)
+                for weight, taps_s, taps_y, tt, xx in sheared)
+            for eta in etas
+        ]
 
     def interpolate(self, j: int, s: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of window ``j`` at cloud points."""
@@ -825,9 +864,19 @@ def clt_check(
     """Empirical central-limit report for the rescaled field.
 
     At the smallest scale the covariance of the pairings against an
-    orthonormal pair is compared with the identity; across the scale list
-    the third cumulant of the first test function is compared with its
-    exact value and its decay exponent is fitted on the exact series.
+    orthonormal pair is compared with the identity.  Across the scale list
+    the third and fourth cumulants of the first test function are compared
+    with their exact values, and the decay exponent of the exact fourth
+    cumulant decides the verdict: ``kappa_n ~ eps^{3n/2 - 3}``, so 3 for
+    ``n = 4``.
+
+    The third cumulant cannot decide it.  The first test function is a time
+    bump times ``cos(2 pi x)``, so each window row ``W(s, .)`` is a smoothed
+    cosine over whole periods of the strip, and ``int cos^3`` over a period
+    vanishes: the exact ``kappa_3 = mu E[a^3] int W^3`` is zero up to
+    rounding.  The exact ``kappa_4 = mu E[a^4] int W^4`` is strictly
+    positive.  One set of windows is built per scale; the finest scale's
+    first window serves both the covariance and the cumulant draws.
     """
     eta_cos, eta_sin = make_test_functions(t_window)
     etas = [eta_cos, eta_sin]
@@ -838,17 +887,27 @@ def clt_check(
     pairings = sample_pairings(model, eps_fine, windows, n_samples, seed)
     cov, cov_err = joint_second_cumulants(pairings)
 
-    exact_k3 = []
-    empirical_k3 = []
+    orders = (3, 4)
+    rows = {n: [] for n in orders}
     for i, eps in enumerate(sorted(eps_list, reverse=True)):
-        w = PairingWindows(model, eps, [eta_cos], t_window)
-        exact_k3.append((eps, w.exact_cumulant(3, 0)))
+        # sample_pairings draws the same cloud whatever the number of
+        # windows, so column 0 matches windows built for eta_cos alone
+        w = windows if eps == eps_fine else PairingWindows(model, eps, [eta_cos], t_window)
         draws = sample_pairings(model, eps, w, max(200, n_samples // 10), seed + 1 + i)
-        empirical_k3.append(empirical_cumulants(draws[:, 0], 3))
+        for n in orders:
+            exact = w.exact_cumulant(n, 0)
+            est = empirical_cumulants(draws[:, 0], n)
+            rows[n].append({
+                "eps": eps,
+                "exact": exact,
+                "empirical": est.estimate,
+                "stderr": est.stderr,
+                "consistent": bool(abs(est.estimate - exact) <= 3.0 * est.stderr),
+            })
 
-    eps_arr = np.array([e for e, _ in exact_k3])
-    vals = np.array([abs(v) for _, v in exact_k3])
-    slope = np.polyfit(np.log(eps_arr), np.log(vals), 1)[0]
+    eps_arr = np.array([row["eps"] for row in rows[4]])
+    k4 = np.array([row["exact"] for row in rows[4]])
+    slope = np.polyfit(np.log(eps_arr), np.log(k4), 1)[0]
 
     report = {
         "eps_fine": eps_fine,
@@ -859,20 +918,12 @@ def clt_check(
         "covariance_ok": bool(
             np.all(np.abs(cov - gram) <= 3.0 * cov_err + 1e-12)
         ),
-        "third_cumulant": [
-            {
-                "eps": e,
-                "exact": v,
-                "empirical": est.estimate,
-                "stderr": est.stderr,
-                "consistent": bool(abs(est.estimate - v) <= 3.0 * est.stderr),
-            }
-            for (e, v), est in zip(exact_k3, empirical_k3)
-        ],
-        "third_cumulant_exponent": float(slope),
+        "third_cumulant": rows[3],
+        "fourth_cumulant": rows[4],
+        "fourth_cumulant_exponent": float(slope),
     }
     report["verdict"] = bool(
         report["covariance_ok"]
-        and abs(report["third_cumulant_exponent"] - 1.5) <= 0.2
+        and abs(report["fourth_cumulant_exponent"] - 3.0) <= 0.2
     )
     return report

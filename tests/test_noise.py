@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kpzlab import noise
 from kpzlab.noise import (
     BumpSampler,
     BumpTerm,
@@ -10,6 +11,7 @@ from kpzlab.noise import (
     GridSpec,
     PairingWindows,
     PoissonNoiseModel,
+    clt_check,
     default_asymmetric_model,
     default_even_model,
     empirical_cumulants,
@@ -232,7 +234,9 @@ class TestOraclesAndEstimates:
         est = empirical_cumulants(draws[:, 0], 3)
         exact = w.exact_cumulant(3, 0)
         assert abs(est.estimate - exact) <= 3 * est.stderr
-        assert exact > 0
+        # int cos^3 over a period vanishes: kappa_3 is rounding, kappa_4 is not
+        assert abs(exact) < 1e-12
+        assert w.exact_cumulant(4, 0) > 0
 
     def test_bernoulli_fourth_cumulant(self):
         rng = np.random.default_rng(9)
@@ -277,3 +281,91 @@ class TestOraclesAndEstimates:
         etas = make_test_functions((0.02, 0.18))
         gram = eta_inner_products(list(etas), (0.02, 0.18))
         assert np.allclose(gram, np.eye(2), atol=1e-3)
+
+
+def gauss_legendre_window(model, eps, eta, s, y, v_h, nodes=64):
+    """Pairing window at points ``(s, y)`` by a product Gauss-Legendre rule
+    over each bump term, independent of the windows' grid and taps."""
+    g, wg = np.polynomial.legendre.leggauss(nodes)
+    out = np.zeros(np.broadcast(s, y).shape)
+    for term in model.terms:
+        v = term.x_center + term.x_halfwidth * g
+        wv = smooth_bump(g) * wg * term.x_halfwidth
+        wu = smooth_bump(g) * wg * term.t_halfwidth * term.amplitude
+        for gu, cu in zip(g, wu):
+            tt = eps ** 2 * (s[..., None] + term.t_center + term.t_halfwidth * gu)
+            xx = np.mod(eps * (y[..., None] + v) + v_h * tt, 1.0)
+            out += cu * eps ** 1.5 * (eta(tt, xx) @ wv)
+    return out
+
+
+class TestPairingWindows:
+    @pytest.mark.parametrize("make_model", [default_even_model, default_asymmetric_model])
+    @pytest.mark.parametrize("v_h", [0.0, 0.7])
+    def test_matches_gauss_legendre_oracle(self, make_model, v_h):
+        model = make_model()
+        eps = 0.2
+        etas = make_test_functions((0.02, 0.18))
+        w = PairingWindows(model, eps, etas, (0.02, 0.18), v_h)
+        s, y = np.meshgrid(w.s_grid[::7], w.y_grid[::7], indexing="ij")
+        for j, eta in enumerate(etas):
+            ref = gauss_legendre_window(model, eps, eta, s, y, v_h)
+            err = np.abs(w.windows[j][::7, ::7] - ref).max() / np.abs(ref).max()
+            assert err <= 1e-5
+
+    @pytest.mark.parametrize("make_model", [default_even_model, default_asymmetric_model])
+    def test_constant_eta_integrated_exactly(self, make_model):
+        model = make_model()
+        eps = 0.2
+        w = PairingWindows(model, eps, [lambda t, x: np.ones(np.broadcast(t, x).shape)],
+                           (0.02, 0.18), v_h=0.7)
+        assert np.allclose(w.windows[0], eps ** 1.5 * model.int_phi, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("eps", [0.29, 0.3, 0.31])
+    def test_y_grid_tiles_strip(self, eps):
+        model = default_even_model()
+        eta_cos, _ = make_test_functions((0.02, 0.18))
+        w = PairingWindows(model, eps, [eta_cos], (0.02, 0.18))
+        assert len(w.y_grid) * w.dy == pytest.approx(1 / eps, rel=1e-14)
+        # reference: periodic trapezoid rule in y on a grid that tiles by construction
+        n_ref = 64
+        s, y = np.meshgrid(w.s_grid, np.arange(n_ref) / (eps * n_ref), indexing="ij")
+        ref = gauss_legendre_window(model, eps, eta_cos, s, y, 0.0)
+        k2_ref = model.mu * model.mark_moment(2) * np.sum(ref ** 2) * w.ds / (eps * n_ref)
+        assert w.exact_cumulant(2, 0) == pytest.approx(k2_ref, rel=1e-5)
+
+
+class TestCltCheck:
+    def test_one_window_set_per_scale(self, monkeypatch):
+        model = default_even_model()
+        eps_list, t_window, seed = (0.2, 0.1, 0.05), (0.02, 0.18), 5
+        built = []
+
+        class CountedWindows(PairingWindows):
+            def __init__(self, model, eps, *args, **kwargs):
+                built.append(eps)
+                super().__init__(model, eps, *args, **kwargs)
+
+        monkeypatch.setattr(noise, "PairingWindows", CountedWindows)
+        report = clt_check(model, eps_list, n_samples=2000, seed=seed, t_window=t_window)
+        assert sorted(built) == sorted(eps_list)
+
+        # the finest scale's rows, drawn on windows built for eta_cos alone
+        eta_cos, _ = make_test_functions(t_window)
+        w = PairingWindows(model, 0.05, [eta_cos], t_window)
+        draws = sample_pairings(model, 0.05, w, 200, seed + 3)
+        for key, n in (("third_cumulant", 3), ("fourth_cumulant", 4)):
+            est = empirical_cumulants(draws[:, 0], n)
+            exact = w.exact_cumulant(n, 0)
+            assert report[key][-1] == {
+                "eps": 0.05,
+                "exact": exact,
+                "empirical": est.estimate,
+                "stderr": est.stderr,
+                "consistent": bool(abs(est.estimate - exact) <= 3.0 * est.stderr),
+            }
+
+        # kappa_4 ~ eps^3; the exact kappa_3 of a cosine is rounding
+        assert all(row["exact"] > 0 for row in report["fourth_cumulant"])
+        assert all(abs(row["exact"]) < 1e-12 for row in report["third_cumulant"])
+        assert abs(report["fourth_cumulant_exponent"] - 3.0) <= 0.2
