@@ -1669,8 +1669,8 @@ def _smeared_theta(model: PoissonNoiseModel, kernel: TruncatedKernel,
     cov = model.kappa2(tg[:, None], xg[None, :]) * (wt[:, None] * wx[None, :])
     total = np.zeros(pts.shape[0])
     for i, tv in enumerate(tg):
-        dt = eps ** 2 * (pts[:, 0, None] - tv)
         dx = eps * (pts[:, 1, None] - xg[None, :])
+        dt = np.broadcast_to(eps ** 2 * (pts[:, 0, None] - tv), dx.shape)
         vals = theta_from_table(np.stack([dt, dx], axis=-1), kernel)
         total += vals @ cov[i]
     return -total

@@ -17,7 +17,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,6 +32,8 @@ __all__ = [
     "default_asymmetric_model",
     "GridSpec",
     "FieldSample",
+    "draw_cloud",
+    "field_from_cloud",
     "sample_field",
     "save_field",
     "load_field",
@@ -397,38 +399,56 @@ class FieldSample:
     model_hash: str
 
 
-def sample_field(
+def draw_cloud(
     model: PoissonNoiseModel,
-    eps: float,
-    grid: GridSpec,
-    seed: int,
-    v_h: float = 0.0,
-) -> FieldSample:
-    """Draw the rescaled field on the grid from a periodised Poisson cloud.
+    rng: np.random.Generator,
+    t_lo: float,
+    t_hi: float,
+    half_width: float,
+):
+    """A marked Poisson cloud ``(s, y, a)`` on ``[t_lo, t_hi] x [-half_width, half_width]``.
 
-    The cloud lives on a strip of spatial width ``1/eps`` in unscaled
-    coordinates, extended periodically; the grid must resolve the bump
-    (``dx <= eps/8`` and ``dt <= eps^2/8``).
+    Restricting a uniform cloud to a smaller strip is again uniform, so one
+    cloud on a master domain can feed fields at several scales.
     """
-    if grid.dx > eps / 8 + 1e-12:
-        raise ValueError(f"grid dx={grid.dx:.5g} too coarse for eps={eps}")
-    if grid.dt > eps * eps / 8 + 1e-12:
-        raise ValueError(f"grid dt={grid.dt:.5g} too coarse for eps={eps}")
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF1E1D]))
-    W = 1.0 / eps
-    t_lo = grid.t0 / eps ** 2 - model.t_reach
-    t_hi = (grid.t0 + grid.T) / eps ** 2 + model.t_reach
-    area = (t_hi - t_lo) * W
+    area = (t_hi - t_lo) * 2 * half_width
     n_pts = rng.poisson(model.mu * area)
     s = rng.uniform(t_lo, t_hi, n_pts)
-    y = rng.uniform(-W / 2, W / 2, n_pts)
+    y = rng.uniform(-half_width, half_width, n_pts)
     probs = np.array([p for p, _ in model.marks])
     amps = np.array([a for _, a in model.marks])
     if len(amps) == 1:
         a = np.full(n_pts, amps[0])
     else:
         a = amps[rng.choice(len(amps), size=n_pts, p=probs)]
+    return s, y, a
+
+
+def field_from_cloud(
+    model: PoissonNoiseModel,
+    eps: float,
+    grid: GridSpec,
+    cloud,
+    v_h: float = 0.0,
+) -> FieldSample:
+    """Evaluate the rescaled field of a cloud on the grid.
+
+    Only the points of the strip of spatial width ``1/eps`` in unscaled
+    coordinates that reach the grid's time span are used; the strip is
+    extended periodically.  The grid must resolve the bump (``dx <= eps/8``
+    and ``dt <= eps^2/8``).
+    """
+    if grid.dx > eps / 8 + 1e-12:
+        raise ValueError(f"grid dx={grid.dx:.5g} too coarse for eps={eps}")
+    if grid.dt > eps * eps / 8 + 1e-12:
+        raise ValueError(f"grid dt={grid.dt:.5g} too coarse for eps={eps}")
+
+    s_all, y_all, a_all = cloud
+    W = 1.0 / eps
+    t_lo = grid.t0 / eps ** 2 - model.t_reach
+    t_hi = (grid.t0 + grid.T) / eps ** 2 + model.t_reach
+    keep = (s_all >= t_lo) & (s_all <= t_hi) & (np.abs(y_all) <= W / 2)
+    s, y, a = s_all[keep], y_all[keep], a_all[keep]
 
     values = np.zeros((grid.nt, grid.nx))
     t_hat = grid.times() / eps ** 2
@@ -467,10 +487,29 @@ def sample_field(
         values=values,
         grid=grid,
         eps=eps,
-        seed=seed,
+        seed=-1,
         v_h=v_h,
         model_hash=model.model_hash(),
     )
+
+
+def sample_field(
+    model: PoissonNoiseModel,
+    eps: float,
+    grid: GridSpec,
+    seed: int,
+    v_h: float = 0.0,
+) -> FieldSample:
+    """Draw the rescaled field on the grid from a periodised Poisson cloud.
+
+    The cloud covers exactly the strip and time span that
+    ``field_from_cloud`` reads.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF1E1D]))
+    cloud = draw_cloud(model, rng, grid.t0 / eps ** 2 - model.t_reach,
+                       (grid.t0 + grid.T) / eps ** 2 + model.t_reach,
+                       (1.0 / eps) / 2)
+    return replace(field_from_cloud(model, eps, grid, cloud, v_h), seed=seed)
 
 
 def save_field(sample: FieldSample, path) -> None:

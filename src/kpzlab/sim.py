@@ -15,14 +15,14 @@ a list of noise scales.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .noise import FieldSample, GridSpec, PoissonNoiseModel, sample_field
+from .noise import (FieldSample, GridSpec, PoissonNoiseModel, draw_cloud,
+                    field_from_cloud, sample_field)
 
 __all__ = [
     "SimConfig",
@@ -39,11 +39,11 @@ __all__ = [
     "convergence_study",
     "drift_control_study",
     "noise_grid_for",
-    "save_trajectory",
-    "load_trajectory",
 ]
 
 BLOWUP_THRESHOLD = 1e6
+#: Byte budget of one block of Hopf-Cole normals, shared by all members.
+NORMAL_BLOCK_BYTES = 1 << 20
 
 
 class BlowupError(RuntimeError):
@@ -97,10 +97,7 @@ class SimConfig:
 
     @property
     def v_v(self) -> float:
-        l1, l2, l3, l4, l5 = self.ell
-        lam = self.lam
-        return (lam * l1 + 2 * lam ** 2 * l3 + 4 * lam ** 3 * l4
-                + lam ** 3 * l5 - 4 * lam ** 3 * l2 ** 2)
+        return -_closed_form(self.ell, self.lam)[1]
 
     def describe(self) -> dict:
         return {
@@ -110,35 +107,23 @@ class SimConfig:
         }
 
 
+def _closed_form(ell, lam: float) -> tuple[float, float]:
+    """(transport, constant) counterterms of the five ``ell`` at coupling ``lam``."""
+    # imported on first use: the exact half behind symbols (graphs,
+    # cumulants, power_counting) takes longer to import than the rest of sim
+    from .symbols import RenormMap, renormalised_coefficients_closed_form
+    return renormalised_coefficients_closed_form(RenormMap(*ell), lam)
+
+
 @dataclass
 class Trajectory:
     times: np.ndarray
-    heights: np.ndarray  # (len(times), n_x)
+    heights: np.ndarray  # (len(times), n_x), or (len(times), B, n_x) for a batch
     config: SimConfig
 
     @property
     def final(self) -> np.ndarray:
         return self.heights[-1]
-
-
-def save_trajectory(traj: Trajectory, path) -> None:
-    header = {
-        "config": traj.config.describe(),
-        "times": traj.times.tolist(),
-        "shape": list(traj.heights.shape),
-        "dtype": "float64",
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(traj.heights, dtype=np.float64).tobytes())
-
-
-def load_trajectory(path) -> tuple[dict, np.ndarray, np.ndarray]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        raw = fh.read()
-    heights = np.frombuffer(raw, dtype=np.float64).reshape(header["shape"]).copy()
-    return header["config"], np.array(header["times"]), heights
 
 
 def noise_grid_for(config: SimConfig, nx_noise: int = 512) -> GridSpec:
@@ -157,13 +142,18 @@ def _implicit_multiplier(n_x: int, dt: float) -> np.ndarray:
     return 1.0 / (1.0 - dt * lap)
 
 
-def _gradient(h: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(h, -1, axis=-1) - np.roll(h, 1, axis=-1)) / (2.0 * dx)
+def _neighbours(n_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of each cell's right and left neighbour on the circle."""
+    cells = np.arange(n_x)
+    return (cells + 1) % n_x, (cells - 1) % n_x
 
 
-def _coarse_noise(sample: FieldSample, n_x: int) -> np.ndarray:
+def _coarse_noise(sample: FieldSample, config: SimConfig) -> np.ndarray:
     """Cell-average the noise rows onto the solver grid."""
+    if abs(sample.grid.T - config.T) > 1e-12 or sample.eps != config.eps:
+        raise ValueError("noise sample does not match the configuration")
     values = sample.values
+    n_x = config.n_x
     factor = values.shape[1] // n_x
     if factor * n_x != values.shape[1]:
         raise ValueError("noise grid must be a multiple of the solver grid")
@@ -175,24 +165,31 @@ def _solve_forced(
     forcing: Callable[[float, int], np.ndarray],
     h0: np.ndarray,
 ) -> Trajectory:
-    """Semi-implicit integration with an arbitrary forcing row supplier."""
+    """Semi-implicit integration with an arbitrary forcing row supplier.
+
+    ``h0`` is one profile ``(n_x,)`` or a batch ``(B, n_x)``.  Every
+    operation acts along the last axis, so each member of a batch is
+    integrated exactly as it would be alone.
+    """
     n_x = config.n_x
     dx = 1.0 / n_x
     dt = config.step
+    n_steps = config.n_steps
     mult = _implicit_multiplier(n_x, dt)
+    right, left = _neighbours(n_x)
     h = np.array(h0, dtype=float, copy=True)
     lam, v_h, v_v = config.lam, config.v_h, config.v_v
     times = [0.0]
     frames = [h.copy()]
-    store_every = config.store_every or config.n_steps
-    for step in range(config.n_steps):
+    store_every = config.store_every or n_steps
+    for step in range(n_steps):
         t = step * dt
-        grad = _gradient(h, dx)
+        grad = (np.take(h, right, axis=-1) - np.take(h, left, axis=-1)) / (2.0 * dx)
         rhs = h + dt * (lam * grad ** 2 - v_h * grad - v_v + forcing(t, step))
         h = np.fft.irfft(np.fft.rfft(rhs, axis=-1) * mult, n=n_x, axis=-1)
         if step % 256 == 0 and np.max(np.abs(h)) > BLOWUP_THRESHOLD:
             raise BlowupError(t)
-        if (step + 1) % store_every == 0 or step + 1 == config.n_steps:
+        if (step + 1) % store_every == 0 or step + 1 == n_steps:
             times.append((step + 1) * dt)
             frames.append(h.copy())
     if np.max(np.abs(h)) > BLOWUP_THRESHOLD:
@@ -202,14 +199,17 @@ def _solve_forced(
 
 def solve_renormalised(
     config: SimConfig,
-    noise: FieldSample | None,
+    noise: FieldSample | Iterable[FieldSample] | None,
     h0: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate the counterterm equation driven by a sampled field.
+    """Integrate the counterterm equation driven by sampled fields.
 
-    The noise is piecewise constant between its own time slices and
-    cell-averaged onto the solver grid; ``noise=None`` runs the
-    deterministic part only.
+    ``noise`` is one ``FieldSample`` or an iterable of them, one per
+    member.  A batch of B members is integrated as one ``(B, n_x)`` array
+    and the heights gain a member axis.  Each field is cell-averaged onto
+    the solver grid as it arrives, so one fine field at most is held at a
+    time.  The noise is piecewise constant between its own time slices;
+    ``noise=None`` runs the deterministic part only.
     """
     n_x = config.n_x
     if h0 is None:
@@ -217,10 +217,22 @@ def solve_renormalised(
     if noise is None:
         zero = np.zeros(n_x)
         return _solve_forced(config, lambda t, i: zero, h0)
-    if abs(noise.grid.T - config.T) > 1e-12 or noise.eps != config.eps:
-        raise ValueError("noise sample does not match the configuration")
-    coarse = _coarse_noise(noise, n_x)
-    dt_noise = noise.grid.dt
+    if isinstance(noise, FieldSample):
+        grid, coarse = noise.grid, _coarse_noise(noise, config)
+    else:
+        grid, members = None, []
+        for sample in noise:
+            if grid is not None and sample.grid != grid:
+                raise ValueError("batch members have different noise grids")
+            grid = sample.grid
+            members.append(_coarse_noise(sample, config))
+            del sample  # drop the fine field before the next one is made
+        if not members:
+            raise ValueError("empty batch")
+        coarse = np.stack(members, axis=1)  # (rows, B, n_x)
+        del members
+        h0 = np.broadcast_to(h0, coarse.shape[1:])
+    dt_noise = grid.dt
     n_rows = coarse.shape[0]
 
     def forcing(t: float, step: int) -> np.ndarray:
@@ -230,28 +242,67 @@ def solve_renormalised(
     return _solve_forced(config, forcing, h0)
 
 
-def solve_additive(config: SimConfig, seed: int,
+def _seed_batch(seed, n_x: int, h0):
+    """Seeds as a list, ``h0`` as a ``(B, n_x)`` array, and whether one int was given."""
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    if not seeds:
+        raise ValueError("empty batch")
+    h0 = np.zeros(n_x) if h0 is None else np.asarray(h0, dtype=float)
+    return seeds, np.broadcast_to(h0, (len(seeds), n_x)), single
+
+
+def _normal_rows(seeds, n_x: int, n_steps: int):
+    """Per-step ``(B, n_x)`` standard normals, one stream per member seed.
+
+    Each stream fills a block of k rows at once, which yields the same
+    numbers as k separate ``(n_x,)`` draws.
+    """
+    rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xADD])) for s in seeds]
+    k = max(1, NORMAL_BLOCK_BYTES // (8 * len(rngs) * n_x))
+    block = np.empty((len(rngs), k, n_x))
+    for start in range(0, n_steps, k):
+        rows = min(k, n_steps - start)
+        for rng, out in zip(rngs, block):
+            rng.standard_normal(out=out[:rows])
+        for j in range(rows):
+            yield block[:, j]
+
+
+def _endpoints(config: SimConfig, h0: np.ndarray, h: np.ndarray,
+               single: bool) -> Trajectory:
+    heights = np.stack([h0, h])
+    return Trajectory(np.array([0.0, config.T]),
+                      heights[:, 0] if single else heights, config)
+
+
+def solve_additive(config: SimConfig, seed: int | Sequence[int],
                    h0: np.ndarray | None = None) -> Trajectory:
-    """Heat equation plus discretised space-time white noise (explicit)."""
+    """Heat equation plus discretised space-time white noise (explicit).
+
+    ``seed`` is one int or a sequence of them, one per member of a batch.
+    """
     n_x = config.n_x
     dx = 1.0 / n_x
     dt = config.step
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADD]))
-    h = np.zeros(n_x) if h0 is None else np.array(h0, dtype=float)
+    seeds, h0, single = _seed_batch(seed, n_x, h0)
+    right, left = _neighbours(n_x)
+    h = h0
     amp = math.sqrt(dt / dx)
-    for step in range(config.n_steps):
-        lap = (np.roll(h, -1) - 2 * h + np.roll(h, 1)) / (dx * dx)
-        h = h + dt * lap + amp * rng.standard_normal(n_x)
-    return Trajectory(np.array([0.0, config.T]), np.stack([np.zeros(n_x), h]),
-                      config)
+    for xi in _normal_rows(seeds, n_x, config.n_steps):
+        lap = (np.take(h, right, axis=1) - 2 * h + np.take(h, left, axis=1)) / (dx * dx)
+        h = h + dt * lap + amp * xi
+    return _endpoints(config, h0, h, single)
 
 
-def solve_hopf_cole(config: SimConfig, seed: int,
+def solve_hopf_cole(config: SimConfig, seed: int | Sequence[int],
                     h0: np.ndarray | None = None) -> Trajectory:
     """Exponentiated multiplicative heat equation, Ito stepping.
 
-    For ``lam = 0`` this falls back to the additive equation.  Positivity
-    of the exponentiated field is asserted at every step.
+    ``seed`` is one int or a sequence of them, one per member; a batch is
+    integrated as one ``(B, n_x)`` array, each member on its own noise
+    stream.  For ``lam = 0`` this falls back to the additive equation.
+    Positivity of the exponentiated field is asserted at every step.
     """
     if config.lam == 0.0:
         return solve_additive(config, seed, h0)
@@ -259,87 +310,24 @@ def solve_hopf_cole(config: SimConfig, seed: int,
     dx = 1.0 / n_x
     dt = config.step
     lam = config.lam
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADD]))
-    h0 = np.zeros(n_x) if h0 is None else np.asarray(h0, dtype=float)
+    seeds, h0, single = _seed_batch(seed, n_x, h0)
+    right, left = _neighbours(n_x)
     z = np.exp(lam * h0)
     amp = math.sqrt(dt / dx)
-    for step in range(config.n_steps):
-        lap = (np.roll(z, -1) - 2 * z + np.roll(z, 1)) / (dx * dx)
-        z = z + dt * lap + lam * z * amp * rng.standard_normal(n_x)
+    for step, xi in enumerate(_normal_rows(seeds, n_x, config.n_steps)):
+        lap = (np.take(z, right, axis=1) - 2 * z + np.take(z, left, axis=1)) / (dx * dx)
+        z = z + dt * lap + lam * z * amp * xi
         if z.min() <= 0.0:
             raise PositivityError(step * dt)
-    h = np.log(z) / lam
-    return Trajectory(np.array([0.0, config.T]),
-                      np.stack([h0, h]), config)
+    return _endpoints(config, h0, np.log(z) / lam, single)
 
 
 # ---------------------------------------------------------------------------
 # Ensembles
 # ---------------------------------------------------------------------------
 
-def _member_cloud(model: PoissonNoiseModel, rng: np.random.Generator,
-                  t_lo: float, t_hi: float, half_width: float):
-    """A Poisson cloud on a master domain, reusable across scales.
-
-    Restricting a uniform cloud to a smaller strip is again uniform, so
-    drawing one master cloud per member couples the fields across scales
-    and makes scale-to-scale distance differences much less noisy.
-    """
-    area = (t_hi - t_lo) * 2 * half_width
-    n = rng.poisson(model.mu * area)
-    s = rng.uniform(t_lo, t_hi, n)
-    y = rng.uniform(-half_width, half_width, n)
-    probs = np.array([p for p, _ in model.marks])
-    amps = np.array([a for _, a in model.marks])
-    if len(amps) == 1:
-        a = np.full(n, amps[0])
-    else:
-        a = amps[rng.choice(len(amps), size=n, p=probs)]
-    return s, y, a
-
-
-def sample_field_from_cloud(
-    model: PoissonNoiseModel,
-    eps: float,
-    grid: GridSpec,
-    cloud,
-    v_h: float = 0.0,
-) -> FieldSample:
-    """Evaluate the periodised rescaled field of a given cloud on a grid."""
-    s_all, y_all, a_all = cloud
-    W = 1.0 / eps
-    t_lo = grid.t0 / eps ** 2 - model.t_reach
-    t_hi = (grid.t0 + grid.T) / eps ** 2 + model.t_reach
-    keep = (s_all >= t_lo) & (s_all <= t_hi) & (np.abs(y_all) <= W / 2)
-    s, y, a = s_all[keep], y_all[keep], a_all[keep]
-
-    values = np.zeros((grid.nt, grid.nx))
-    t_hat = grid.times() / eps ** 2
-    dt_hat = grid.dt / eps ** 2
-    dx_hat = grid.dx / eps
-    shift = (v_h * grid.times()) / eps
-    n_rows = int(2 * model.t_reach / dt_hat) + 2
-    n_cols = int(2 * model.x_reach / dx_hat) + 2
-    chunk = max(1, 4_000_000 // max(1, n_rows * n_cols))
-    for start in range(0, len(s), chunk):
-        sl = slice(start, start + chunk)
-        sc, yc, ac = s[sl], y[sl], a[sl]
-        i0 = np.ceil((sc - model.t_reach - t_hat[0]) / dt_hat).astype(int)
-        rows = i0[:, None] + np.arange(n_rows)[None, :]
-        valid_r = (rows >= 0) & (rows < grid.nt)
-        rows_c = np.clip(rows, 0, grid.nt - 1)
-        dt_vals = t_hat[rows_c] - sc[:, None]
-        pos = (yc[:, None] + shift[rows_c]) / dx_hat
-        j0 = np.ceil(pos - model.x_reach / dx_hat).astype(int)
-        cols = j0[:, :, None] + np.arange(n_cols)[None, None, :]
-        dx_vals = cols * dx_hat - pos[:, :, None] * dx_hat
-        vals = (ac[:, None, None] * model.phi(dt_vals[:, :, None], dx_vals)
-                * valid_r[:, :, None])
-        np.add.at(values, (rows_c[:, :, None], np.mod(cols, grid.nx)), vals)
-    mean = model.mu * model.mark_moment(1) * model.int_phi
-    values = (values - mean) * eps ** (-1.5)
-    return FieldSample(values=values, grid=grid, eps=eps, seed=-1, v_h=v_h,
-                       model_hash=model.model_hash())
+def _child_seed(*key: int) -> int:
+    return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
 
 
 def ensemble_renormalised(
@@ -349,27 +337,26 @@ def ensemble_renormalised(
     master_seed: int,
     clouds: list | None = None,
 ) -> np.ndarray:
-    """Final height profiles of an ensemble; (n_members, n_x)."""
+    """Final height profiles of an ensemble, solved as one batch; (n_members, n_x).
+
+    Member m's field comes from ``clouds[m]`` when clouds are given, and
+    from a seed derived from ``master_seed`` otherwise.
+    """
     grid = noise_grid_for(config)
-    out = np.empty((n_members, config.n_x))
-    for m in range(n_members):
-        if clouds is not None:
-            noise = sample_field_from_cloud(model, config.eps, grid, clouds[m],
-                                            config.v_h)
-        else:
-            seed = int(np.random.SeedSequence([master_seed, m]).generate_state(1)[0])
-            noise = sample_field(model, config.eps, grid, seed, config.v_h)
-        out[m] = solve_renormalised(config, noise).final
-    return out
+    if clouds is not None:
+        fields = (field_from_cloud(model, config.eps, grid, clouds[m], config.v_h)
+                  for m in range(n_members))
+    else:
+        fields = (sample_field(model, config.eps, grid,
+                               _child_seed(master_seed, m), config.v_h)
+                  for m in range(n_members))
+    return solve_renormalised(config, fields).final
 
 
 def ensemble_hopf_cole(config: SimConfig, n_members: int,
                        master_seed: int) -> np.ndarray:
-    out = np.empty((n_members, config.n_x))
-    for m in range(n_members):
-        seed = int(np.random.SeedSequence([master_seed, 7, m]).generate_state(1)[0])
-        out[m] = solve_hopf_cole(config, seed).final
-    return out
+    seeds = [_child_seed(master_seed, 7, m) for m in range(n_members)]
+    return solve_hopf_cole(config, seeds).final
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +368,11 @@ def _profile_stats(ensemble: np.ndarray) -> dict:
     var = ensemble.var(axis=0, ddof=1)
     centred = ensemble - mean[None, :]
     n_x = ensemble.shape[1]
-    cov = np.array([
-        np.mean(centred * np.roll(centred, r, axis=1))
-        for r in range(n_x // 2)
-    ])
+    # cov[r] averages c[i] * c[i - r] over members and cells (np.roll by r):
+    # a sum along the r-th circular diagonal of the cell-by-cell Gram matrix
+    cells = np.arange(n_x)
+    shifts = (cells[None, :] - cells[:n_x // 2, None]) % n_x
+    cov = (centred.T @ centred)[cells, shifts].sum(axis=1) / centred.size
     return {"mean": mean, "var": var, "cov": cov, "point": ensemble[:, 0]}
 
 
@@ -451,12 +439,11 @@ def convergence_study(
     eps_min = min(eps_list)
     t_reach = model.t_reach
     rng_master = np.random.SeedSequence([master_seed, 0xC10])
-    clouds = []
-    for m, child in enumerate(rng_master.spawn(n_members)):
-        rng = np.random.default_rng(child)
-        clouds.append(_member_cloud(
-            model, rng, -t_reach, T / eps_min ** 2 + t_reach,
-            0.5 / eps_min))
+    clouds = [
+        draw_cloud(model, np.random.default_rng(child), -t_reach,
+                   T / eps_min ** 2 + t_reach, 0.5 / eps_min)
+        for child in rng_master.spawn(n_members)
+    ]
 
     ref_config = SimConfig(lam=lam, eps=eps_min, n_x=n_x, T=T)
     reference = ensemble_hopf_cole(ref_config, n_members, master_seed)
@@ -465,7 +452,7 @@ def convergence_study(
     for eps in eps_list:
         ell = constants[eps]
         config = SimConfig(lam=lam, eps=eps, n_x=n_x, T=T, ell=tuple(ell),
-                           v_h=4 * lam * lam * ell[1], seed=master_seed)
+                           v_h=-_closed_form(ell, lam)[0], seed=master_seed)
         ensemble = ensemble_renormalised(model, config, n_members, master_seed,
                                          clouds=clouds)
         comp = compare_statistics(ensemble, reference, seed=master_seed)
@@ -502,20 +489,22 @@ def drift_control_study(
     for eps in sorted(eps_list, reverse=True):
         ell = list(constants[eps])
         config = SimConfig(lam=lam, eps=eps, n_x=n_x, T=T, ell=tuple(ell),
-                           v_h=4 * lam * lam * ell[1], seed=master_seed)
+                           v_h=-_closed_form(ell, lam)[0], seed=master_seed)
         ell_control = list(ell)
         ell_control[2] = 0.0
         config_c = SimConfig(lam=lam, eps=eps, n_x=n_x, T=T,
                              ell=tuple(ell_control), v_h=config.v_h,
                              seed=master_seed)
         grid = noise_grid_for(config)
-        gaps = []
-        for m in range(n_members):
-            seed = int(np.random.SeedSequence([master_seed, 5, m]).generate_state(1)[0])
-            noise = sample_field(model, eps, grid, seed, config.v_h)
-            full = solve_renormalised(config, noise).final
-            control = solve_renormalised(config_c, noise).final
-            gaps.append(np.mean(control - full))
+        seeds = [_child_seed(master_seed, 5, m) for m in range(n_members)]
+
+        def fields():
+            # each solve redraws every member's field from its own seed
+            return (sample_field(model, eps, grid, s, config.v_h) for s in seeds)
+
+        full = solve_renormalised(config, fields()).final
+        control = solve_renormalised(config_c, fields()).final
+        gaps = np.mean(control - full, axis=1)
         rows.append({
             "eps": eps,
             "mean_drift": float(np.mean(gaps)),

@@ -1,0 +1,207 @@
+import math
+
+import numpy as np
+import pytest
+
+from kpzlab import sim
+from kpzlab.noise import (
+    BumpTerm,
+    FieldSample,
+    PoissonNoiseModel,
+    default_asymmetric_model,
+    default_even_model,
+    draw_cloud,
+    field_from_cloud,
+    sample_field,
+)
+from kpzlab.symbols import RenormMap, renormalised_coefficients_closed_form
+
+ELL = (0.3, 0.1, 0.7, -0.2, 0.05)
+
+
+def small_config(**kw):
+    base = dict(lam=1.0, eps=0.2, n_x=32, T=0.02)
+    base.update(kw)
+    return sim.SimConfig(**base)
+
+
+def fields(model, config, seeds):
+    grid = sim.noise_grid_for(config)
+    return [sample_field(model, config.eps, grid, s, config.v_h) for s in seeds]
+
+
+class TestBatches:
+    def test_renormalised_batch_matches_single_solves(self):
+        model = default_asymmetric_model()
+        config = small_config(ell=ELL, v_h=0.3, lam=0.8)
+        samples = fields(model, config, (1, 2, 3))
+        batch = sim.solve_renormalised(config, iter(samples))
+        assert batch.heights.shape == (2, 3, config.n_x)
+        for b, sample in enumerate(samples):
+            single = sim.solve_renormalised(config, sample)
+            assert single.heights.shape == (2, config.n_x)
+            assert np.array_equal(batch.heights[:, b], single.heights)
+
+    def test_renormalised_batch_shares_one_h0(self):
+        model = default_even_model()
+        config = small_config(store_every=16)
+        x = np.arange(config.n_x) / config.n_x
+        h0 = 0.1 * np.sin(2 * math.pi * x)
+        samples = fields(model, config, (4, 5))
+        batch = sim.solve_renormalised(config, samples, h0)
+        for b, sample in enumerate(samples):
+            single = sim.solve_renormalised(config, sample, h0)
+            assert np.array_equal(batch.times, single.times)
+            assert np.array_equal(batch.heights[:, b], single.heights)
+
+    @pytest.mark.parametrize("lam", [0.7, 0.0])
+    def test_hopf_cole_batch_matches_single_solves(self, lam):
+        config = small_config(lam=lam)
+        batch = sim.solve_hopf_cole(config, [11, 12, 13])
+        assert batch.heights.shape == (2, 3, config.n_x)
+        for b, seed in enumerate((11, 12, 13)):
+            single = sim.solve_hopf_cole(config, seed)
+            assert single.heights.shape == (2, config.n_x)
+            assert np.array_equal(batch.heights[:, b], single.heights)
+
+    def test_normal_blocks_do_not_change_the_draws(self, monkeypatch):
+        config = small_config(lam=0.7)
+        whole = sim.solve_hopf_cole(config, [11, 12]).final
+        # three steps per block, with a shorter block at the end
+        monkeypatch.setattr(sim, "NORMAL_BLOCK_BYTES", 8 * 2 * config.n_x * 3)
+        assert config.n_steps % 3 != 0
+        assert np.array_equal(sim.solve_hopf_cole(config, [11, 12]).final, whole)
+
+    def test_ensembles_match_member_loops(self):
+        model = default_even_model()
+        config = small_config(ell=ELL, v_h=0.2)
+        grid = sim.noise_grid_for(config)
+        by_seed = sim.ensemble_renormalised(model, config, 3, master_seed=9)
+        rng = np.random.default_rng(0)
+        clouds = [draw_cloud(model, rng, -1.0, config.T / config.eps ** 2 + 1.0,
+                             0.5 / config.eps) for _ in range(3)]
+        by_cloud = sim.ensemble_renormalised(model, config, 3, 9, clouds=clouds)
+        for m in range(3):
+            seed = int(np.random.SeedSequence([9, m]).generate_state(1)[0])
+            noise = sample_field(model, config.eps, grid, seed, config.v_h)
+            assert np.array_equal(by_seed[m],
+                                  sim.solve_renormalised(config, noise).final)
+            noise = field_from_cloud(model, config.eps, grid, clouds[m], config.v_h)
+            assert np.array_equal(by_cloud[m],
+                                  sim.solve_renormalised(config, noise).final)
+        reference = sim.ensemble_hopf_cole(config, 2, master_seed=9)
+        for m in range(2):
+            seed = int(np.random.SeedSequence([9, 7, m]).generate_state(1)[0])
+            assert np.array_equal(reference[m],
+                                  sim.solve_hopf_cole(config, seed).final)
+
+    def test_mismatched_or_empty_batches_rejected(self):
+        model = default_even_model()
+        config = small_config()
+        samples = fields(model, config, (1, 2))
+        with pytest.raises(ValueError, match="empty"):
+            sim.solve_renormalised(config, [])
+        with pytest.raises(ValueError, match="empty"):
+            sim.solve_hopf_cole(config, [])
+        finer = sample_field(model, config.eps,
+                             sim.noise_grid_for(config, nx_noise=1024), 3)
+        with pytest.raises(ValueError, match="different noise grids"):
+            sim.solve_renormalised(config, samples + [finer])
+        other = fields(model, small_config(eps=0.1), (3,))
+        with pytest.raises(ValueError, match="does not match"):
+            sim.solve_renormalised(config, other + samples)
+
+
+class TestFailures:
+    def test_one_blowing_member_fails_the_batch(self):
+        model = default_even_model()
+        config = small_config()
+        samples = fields(model, config, (1, 2, 3))
+        for healthy in samples:
+            sim.solve_renormalised(config, healthy)
+        bad = FieldSample(samples[1].values * 1e12, samples[1].grid,
+                          samples[1].eps, -1, 0.0, samples[1].model_hash)
+        with pytest.raises(sim.BlowupError):
+            sim.solve_renormalised(config, [samples[0], bad, samples[2]])
+
+    def test_one_non_positive_member_fails_the_batch(self):
+        config = sim.SimConfig(lam=2.0, eps=0.2, n_x=16, T=0.05)
+        sim.solve_hopf_cole(config, 0)
+        sim.solve_hopf_cole(config, 2)
+        with pytest.raises(sim.PositivityError) as alone:
+            sim.solve_hopf_cole(config, 1)
+        with pytest.raises(sim.PositivityError) as batch:
+            sim.solve_hopf_cole(config, [0, 1, 2])
+        assert batch.value.time == alone.value.time
+
+
+class TestExactBehaviour:
+    def test_fourier_mode_decays_by_implicit_euler_factor(self):
+        config = sim.SimConfig(lam=0.0, eps=0.2, n_x=64, T=0.02)
+        x = np.arange(config.n_x) / config.n_x
+        mode = 3
+        h0 = np.cos(2 * math.pi * mode * x)
+        final = sim.solve_renormalised(config, None, h0).final
+        symbol = 4 * config.n_x ** 2 * math.sin(math.pi * mode / config.n_x) ** 2
+        decay = (1.0 / (1.0 + config.step * symbol)) ** config.n_steps
+        assert decay < 0.5
+        assert np.max(np.abs(final - decay * h0)) < 1e-12
+
+    def test_hopf_cole_tends_to_additive_linearly_in_lam(self):
+        gaps = []
+        for lam in (0.2, 0.1, 0.05):
+            config = sim.SimConfig(lam=lam, eps=0.2, n_x=32, T=0.05)
+            hc = sim.solve_hopf_cole(config, 21).final
+            add = sim.solve_additive(config, 21).final
+            gaps.append(np.sqrt(np.mean((hc - add) ** 2)))
+        scale = np.sqrt(np.mean(sim.solve_additive(config, 21).final ** 2))
+        assert gaps[0] < 0.2 * scale
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 1.7 < coarse / fine < 2.3
+
+    def test_counterterms_follow_the_closed_form(self):
+        for lam in (0.3, 0.7, 1.0, 1.3, 2.9):
+            config = sim.SimConfig(lam=lam, ell=ELL)
+            l1, l2, l3, l4, l5 = ELL
+            by_hand = (lam * l1 + 2 * lam ** 2 * l3 + 4 * lam ** 3 * l4
+                       + lam ** 3 * l5 - 4 * lam ** 3 * l2 ** 2)
+            assert config.v_v == by_hand
+            transport, _ = renormalised_coefficients_closed_form(RenormMap(*ELL), lam)
+            assert -transport == 4 * lam * lam * l2
+
+
+class TestStatistics:
+    @pytest.mark.parametrize("n_members,n_x", [(5, 16), (40, 64), (7, 32)])
+    def test_two_point_matches_roll_loop(self, n_members, n_x):
+        rng = np.random.default_rng(n_x)
+        ensemble = rng.standard_normal((n_members, n_x)).cumsum(axis=1)
+        centred = ensemble - ensemble.mean(axis=0)
+        loop = np.array([np.mean(centred * np.roll(centred, r, axis=1))
+                         for r in range(n_x // 2)])
+        cov = sim._profile_stats(ensemble)["cov"]
+        assert np.max(np.abs(cov - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+    def test_identical_ensembles_have_zero_distance(self):
+        ensemble = np.random.default_rng(3).standard_normal((6, 16))
+        comp = sim.compare_statistics(ensemble, ensemble, n_bootstrap=5)
+        assert all(v == 0.0 for v in comp["distances"].values())
+
+
+class TestNoiseSplit:
+    @pytest.mark.parametrize("model", [
+        default_even_model(),
+        default_asymmetric_model(),
+        PoissonNoiseModel([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], mu=2.0,
+                          marks=((0.3, -1.0), (0.7, 2.0))),
+    ])
+    @pytest.mark.parametrize("v_h", [0.0, 0.4])
+    def test_sample_field_is_draw_then_evaluate(self, model, v_h):
+        eps = 0.2
+        grid = sim.noise_grid_for(small_config(eps=eps))
+        sample = sample_field(model, eps, grid, 17, v_h)
+        rng = np.random.default_rng(np.random.SeedSequence([17, 0xF1E1D]))
+        cloud = draw_cloud(model, rng, -model.t_reach,
+                           grid.T / eps ** 2 + model.t_reach, 0.5 / eps)
+        assert np.array_equal(sample.values,
+                              field_from_cloud(model, eps, grid, cloud, v_h).values)
+        assert sample.seed == 17
