@@ -19,6 +19,7 @@ bump point per leg (one independent draw per leg keeps products unbiased).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -204,54 +205,65 @@ class TruncatedKernel:
         drho_dt = tt / (2.0 * rr ** 3)
         return ((da * b + a * db) * c) * drho_dt + a * b * dc
 
-    def _shape_eval(self, tt, xx, dx=0, dt=0):
-        if self.shape is None:
-            return np.zeros(tt.shape)
-        out = self.shape.ev(tt.ravel(), xx.ravel(), dx=dt, dy=dx)
-        inside = (tt.ravel() >= 0) & (tt.ravel() <= 1.02) & \
-            (np.abs(xx.ravel()) <= 1.02)
-        return np.where(inside, out, 0.0).reshape(tt.shape)
+    def _shape_eval(self, t, x, dx=0, dt=0):
+        """The annulus shape (or a derivative of it), zero off its box.
 
+        A column ``t`` of shape (n, 1) and a row ``x`` of shape (1, m), both
+        sorted, are a tensor grid: the spline is evaluated on its
+        in-box block with separable B-spline bases.  Every other input is
+        evaluated point by point.
+        """
+        shape = np.broadcast(t, x).shape
+        if self.shape is None:
+            return np.zeros(shape)
+        if (t.ndim == 2 and x.ndim == 2 and t.shape[1] == 1 and x.shape[0] == 1
+                and np.all(np.diff(t[:, 0]) >= 0) and np.all(np.diff(x[0]) >= 0)):
+            tc, xr = t[:, 0], x[0]
+            i0, i1 = np.searchsorted(tc, 0.0), np.searchsorted(tc, 1.02, "right")
+            j0, j1 = np.searchsorted(xr, -1.02), np.searchsorted(xr, 1.02, "right")
+            out = np.zeros(shape)
+            if i0 < i1 and j0 < j1:
+                out[i0:i1, j0:j1] = self.shape(tc[i0:i1], xr[j0:j1], dx=dt, dy=dx)
+            return out
+        tt, xx = (a.ravel() for a in np.broadcast_arrays(t, x))
+        out = self.shape.ev(tt, xx, dx=dt, dy=dx)
+        inside = (tt >= 0) & (tt <= 1.02) & (np.abs(xx) <= 1.02)
+        return np.where(inside, out, 0.0).reshape(shape)
+
+    # The touch-up powers are taken of the unbroadcast t and x, so a tensor
+    # grid pays for one row and one column of them.
     def correction(self, t, x):
-        shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
-        tt = np.broadcast_to(np.asarray(t, dtype=float), shape)
-        xx = np.broadcast_to(np.asarray(x, dtype=float), shape)
-        mask = self.mask(tt, xx)
-        total = self._shape_eval(tt, xx)
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        total = self._shape_eval(t, x)
         for coeff, (p, q) in zip(self.corrections, self.profile.powers):
             if coeff:
-                total = total + coeff * tt ** p * xx ** (2 * q)
-        return total * mask
+                total = total + coeff * t ** p * x ** (2 * q)
+        return total * self.mask(t, x)
 
     def correction_dx(self, t, x):
-        shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
-        tt = np.broadcast_to(np.asarray(t, dtype=float), shape)
-        xx = np.broadcast_to(np.asarray(x, dtype=float), shape)
-        mask = self.mask(tt, xx)
-        mask_dx = self._mask_dx(tt, xx)
-        poly = self._shape_eval(tt, xx)
-        poly_dx = self._shape_eval(tt, xx, dx=1)
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        poly = self._shape_eval(t, x)
+        poly_dx = self._shape_eval(t, x, dx=1)
         for coeff, (p, q) in zip(self.corrections, self.profile.powers):
             if coeff:
-                poly = poly + coeff * tt ** p * xx ** (2 * q)
+                poly = poly + coeff * t ** p * x ** (2 * q)
                 if q:
-                    poly_dx = poly_dx + coeff * 2 * q * tt ** p * xx ** (2 * q - 1)
-        return poly_dx * mask + poly * mask_dx
+                    poly_dx = poly_dx + coeff * 2 * q * t ** p * x ** (2 * q - 1)
+        return poly_dx * self.mask(t, x) + poly * self._mask_dx(t, x)
 
     def correction_dt(self, t, x):
-        shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
-        tt = np.broadcast_to(np.asarray(t, dtype=float), shape)
-        xx = np.broadcast_to(np.asarray(x, dtype=float), shape)
-        mask = self.mask(tt, xx)
-        mask_dt = self._mask_dt(tt, xx)
-        poly = self._shape_eval(tt, xx)
-        poly_dt = self._shape_eval(tt, xx, dt=1)
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        poly = self._shape_eval(t, x)
+        poly_dt = self._shape_eval(t, x, dt=1)
         for coeff, (p, q) in zip(self.corrections, self.profile.powers):
             if coeff:
-                poly = poly + coeff * tt ** p * xx ** (2 * q)
+                poly = poly + coeff * t ** p * x ** (2 * q)
                 if p:
-                    poly_dt = poly_dt + coeff * p * tt ** (p - 1) * xx ** (2 * q)
-        return poly_dt * mask + poly * mask_dt
+                    poly_dt = poly_dt + coeff * p * t ** (p - 1) * x ** (2 * q)
+        return poly_dt * self.mask(t, x) + poly * self._mask_dt(t, x)
 
     def value(self, t, x):
         rho = parabolic_norm(t, x)
@@ -267,7 +279,7 @@ class TruncatedKernel:
         out = heat_kernel_dx(tt, xx) * self._chi(rho)
         rr = np.where(rho > 0, rho, 1.0)
         out = out + g * self._chi_d(rho) * (xx ** 3 / rr ** 3)
-        return out + self.correction_dx(tt, xx)
+        return out + self.correction_dx(t, x)
 
     def dt(self, t, x):
         shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
@@ -281,25 +293,7 @@ class TruncatedKernel:
         out = out * self._chi(rho)
         rr = np.where(rho > 0, rho, 1.0)
         out = out + g * self._chi_d(rho) * (tt / (2 * rr ** 3))
-        return out + self.correction_dt(tt, xx)
-
-
-def _annulus_quad_nodes(n_t_panels=14, n_x_panels=12, n_nodes=16):
-    """Quadrature nodes covering the annulus box [0, 1.02]^2 (x >= 0)."""
-    t_edges = np.concatenate([[0.0], np.geomspace(0.01, 1.02, n_t_panels)])
-    x_edges = np.linspace(0.0, 1.02, n_x_panels + 1)
-    nodes_t, nodes_x, weights = [], [], []
-    for tlo, thi in zip(t_edges[:-1], t_edges[1:]):
-        tg, wt = _gauss_legendre(n_nodes, tlo, thi)
-        for xlo, xhi in zip(x_edges[:-1], x_edges[1:]):
-            xg, wx = _gauss_legendre(n_nodes, xlo, xhi)
-            T, X = np.meshgrid(tg, xg, indexing="ij")
-            W = np.outer(wt, wx)
-            nodes_t.append(T.ravel())
-            nodes_x.append(X.ravel())
-            weights.append(2.0 * W.ravel())  # even in x
-    return (np.concatenate(nodes_t), np.concatenate(nodes_x),
-            np.concatenate(weights))
+        return out + self.correction_dt(t, x)
 
 
 def _plateau_moments(profile: KernelProfile, n_nodes: int = 30):
@@ -330,64 +324,6 @@ def _plateau_moments(profile: KernelProfile, n_nodes: int = 30):
     return closed - deficit
 
 
-def _correction_forms(profile: KernelProfile):
-    """Moment matrix, energy forms and base data of the correction family.
-
-    Returns ``(L, d0, b, M)`` with the moments of the corrected kernel
-    equal to ``plateau_moments + L c`` and the derivative-energy mismatch
-    against the heat kernel equal to ``d0 + 2 b.c + c.M.c``.
-    """
-    base = TruncatedKernel(profile, tuple(0.0 for _ in profile.powers))
-    n = len(profile.powers)
-    tq, xq, wq = _annulus_quad_nodes()
-    mask = base.mask(tq, xq)
-    mask_dx = base._mask_dx(tq, xq)
-    basis = []
-    basis_dx = []
-    for (p, q) in profile.powers:
-        poly = tq ** p * xq ** (2 * q)
-        dpoly = 2 * q * tq ** p * xq ** (2 * q - 1) if q else np.zeros_like(tq)
-        basis.append(poly * mask)
-        basis_dx.append(dpoly * mask + poly * mask_dx)
-
-    L = np.zeros((3, n))
-    for j in range(n):
-        L[0, j] = np.sum(basis[j] * wq)
-        L[1, j] = np.sum(basis[j] * tq * wq)
-        L[2, j] = np.sum(basis[j] * xq ** 2 * wq)
-
-    adx = base.dx(tq, xq)
-    bvec = np.array([np.sum(adx * basis_dx[j] * wq) for j in range(n)])
-    M = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j, n):
-            v = np.sum(basis_dx[j] * basis_dx[k] * wq)
-            M[j, k] = v
-            M[k, j] = v
-
-    # base mismatch int (A')^2 - int (P')^2 over everything
-    d0 = 0.0
-    t_edges = np.concatenate([np.linspace(0.0, 1.2, 25), np.geomspace(1.5, 80.0, 24)])
-    x_edges = np.concatenate([np.linspace(0.0, 1.2, 13), np.geomspace(1.5, 40.0, 12)])
-    for tlo, thi in zip(t_edges[:-1], t_edges[1:]):
-        tg, wt = _gauss_legendre(16, tlo, thi)
-        for xlo, xhi in zip(x_edges[:-1], x_edges[1:]):
-            xg, wx = _gauss_legendre(16, xlo, xhi)
-            tt = tg[:, None]
-            xx = xg[None, :]
-            w2 = 2.0 * wt[:, None] * wx[None, :]
-            d0 += np.sum((base.dx(tt, xx) ** 2 - heat_kernel_dx(tt, xx) ** 2) * w2)
-    d0 -= 80.0 ** -0.5 / (4.0 * math.sqrt(2.0 * math.pi))
-    return L, d0, bvec, M
-
-
-def derivative_energy_mismatch(kernel: TruncatedKernel) -> float:
-    """``int (K')^2 - int (P')^2``: the order-one covariance remainder."""
-    L, d0, b, M = _correction_forms(kernel.profile)
-    c = np.array(kernel.corrections)
-    return float(d0 + 2.0 * b @ c + c @ M @ c)
-
-
 def _optimal_annulus_shape(profile: KernelProfile, nt: int = 150, nx: int = 220):
     """Energy-optimal annulus content as a bicubic spline.
 
@@ -416,30 +352,20 @@ def _optimal_annulus_shape(profile: KernelProfile, nt: int = 150, nx: int = 220)
     idx.ravel()[ids] = np.arange(len(ids))
     n = len(ids)
 
-    rows, cols, vals, avals = [], [], [], []
-    r_cnt = 0
-    for i in range(nt):
-        for j in range(nx + 1):
-            if j == 0:
-                continue  # even reflection at x = 0: no derivative penalty
-            left = idx[i, j - 1] if allowed[i, j - 1] else -1
-            right = idx[i, j] if (j < nx and allowed[i, j]) else -1
-            if left < 0 and right < 0:
-                continue
-            xm = x_cells[j - 1] + dx_c / 2
-            if right >= 0:
-                rows.append(r_cnt)
-                cols.append(right)
-                vals.append(1.0 / dx_c)
-            if left >= 0:
-                rows.append(r_cnt)
-                cols.append(left)
-                vals.append(-1.0 / dx_c)
-            avals.append(float(base.dx(t_cells[i], xm)))
-            r_cnt += 1
+    # One difference row per cell edge (i, j) between x cells j and j + 1
+    # with an allowed cell on either side, in row-major order.  The edge at
+    # x = 0 is the even reflection and carries no derivative penalty; the
+    # last cell's outer edge has no right neighbour.
+    right = np.hstack([allowed[:, 1:], np.zeros((nt, 1), dtype=bool)])
+    edge = allowed | right
+    r_cnt = int(edge.sum())
+    ok = np.stack([right, allowed], axis=-1)[edge]  # (right, left) per row
+    cols = np.stack([np.roll(idx, -1, axis=1), idx], axis=-1)[edge][ok]
+    rows = np.broadcast_to(np.arange(r_cnt)[:, None], ok.shape)[ok]
+    vals = np.broadcast_to([1.0 / dx_c, -1.0 / dx_c], ok.shape)[ok]
     D_op = sp.csr_matrix((vals, (rows, cols)), shape=(r_cnt, n))
     w_edge = 2.0 * dt_c * dx_c
-    avec = np.array(avals)
+    avec = base.dx(t_cells[:, None], (x_cells + dx_c / 2)[None, :])[edge]
     Q = (D_op.T @ D_op) * w_edge
     b = (D_op.T @ avec) * w_edge
 
@@ -467,32 +393,56 @@ def _optimal_annulus_shape(profile: KernelProfile, nt: int = 150, nx: int = 220)
     return RectBivariateSpline(t_grid, x_grid, data, kx=3, ky=3, s=0)
 
 
+def _knot_cells(shape, n_sub: int):
+    """Gauss nodes and weights on the knot cells of the annulus shape.
+
+    Returns ``(tmid, twgt, xmid, xwgt)``: an ``n_sub``-point rule on every
+    cell between consecutive spline knots, in t over the whole knot span and
+    in x from 0 (the kernel is even in x) to the last knot.  Each cell
+    carries one polynomial piece of the spline, so only the mask limits the
+    accuracy.  There is no knot at x = 0: the first x cell is the positive
+    half of the piece that straddles it.
+    """
+    g, w = _gauss_legendre(n_sub, 0.0, 1.0)
+
+    def cells(knots):
+        width = np.diff(knots)[:, None]
+        return (knots[:-1, None] + width * g).ravel(), (width * w).ravel()
+
+    tk = np.unique(shape.get_knots()[0])
+    xk = np.unique(shape.get_knots()[1])
+    return cells(tk) + cells(np.concatenate([[0.0], xk[xk > 0.0]]))
+
+
+#: t nodes per tensor-grid block of the knot-cell quadrature: the whole grid
+#: has about 6M points, and each full-size temporary of the mask would take
+#: 45 MB.
+KNOT_CELL_BLOCK = 256
+
+
+def _knot_cell_moments(f, cells, powers=((0, 0),)):
+    """``int t^p f(t, x) x^(2q) * {1, t, x^2}`` on the knot cells.
+
+    Returns a (3, len(powers)) array, one column per ``(p, q)``.  ``f`` is
+    even in x, so the half-line rule is doubled, and it is evaluated on
+    tensor grids of ``KNOT_CELL_BLOCK`` t nodes at a time, each contracted
+    at once with the x weights times the even powers of x.
+    """
+    tmid, twgt, xmid, xwgt = cells
+    x_pow = 2 * np.arange(max(q for _, q in powers) + 2)
+    proj = (2.0 * xwgt)[:, None] * xmid[:, None] ** x_pow
+    rows = np.vstack([f(tmid[i:i + KNOT_CELL_BLOCK, None], xmid[None, :]) @ proj
+                      for i in range(0, len(tmid), KNOT_CELL_BLOCK)])
+    return np.array([[(twgt * tmid ** p) @ rows[:, q],
+                      (twgt * tmid ** (p + 1)) @ rows[:, q],
+                      (twgt * tmid ** p) @ rows[:, q + 1]]
+                     for p, q in powers]).T
+
+
 def _masked_moments(kernel: TruncatedKernel, n_sub: int = 13):
     """Moments of the correction, by knot-aligned per-cell Gauss rules."""
-    if kernel.shape is None:
-        tq, xq, wq = _annulus_quad_nodes()
-        corr = kernel.correction(tq, xq)
-        return np.array([
-            np.sum(corr * wq),
-            np.sum(corr * tq * wq),
-            np.sum(corr * xq ** 2 * wq),
-        ])
-    tk = np.unique(kernel.shape.get_knots()[0])
-    xk = np.unique(kernel.shape.get_knots()[1])
-    xk = xk[xk >= 0.0]
-    g, w = _gauss_legendre(n_sub, 0.0, 1.0)
-    tmid = (tk[:-1, None] + np.diff(tk)[:, None] * g[None, :]).ravel()
-    twgt = (np.diff(tk)[:, None] * w[None, :]).ravel()
-    xmid = (xk[:-1, None] + np.diff(xk)[:, None] * g[None, :]).ravel()
-    xwgt = (np.diff(xk)[:, None] * w[None, :]).ravel()
-    TT, XX = np.meshgrid(tmid, xmid, indexing="ij")
-    WW = 2.0 * np.outer(twgt, xwgt)  # even in x
-    corr = kernel.correction(TT, XX)
-    return np.array([
-        np.sum(corr * WW),
-        np.sum(corr * TT * WW),
-        np.sum(corr * XX ** 2 * WW),
-    ])
+    return _knot_cell_moments(kernel.correction,
+                              _knot_cells(kernel.shape, n_sub))[:, 0]
 
 
 import functools
@@ -504,7 +454,11 @@ def _build_truncated_kernel_cached(profile: KernelProfile) -> TruncatedKernel:
 
 
 def build_truncated_kernel(profile: KernelProfile = DEFAULT_PROFILE) -> TruncatedKernel:
-    """Cached construction (the solve takes a few seconds per profile)."""
+    """Cached construction: about 3 s per profile on a 2-vCPU x86 host.
+
+    Most of it is tensor-grid evaluation of the correction and its mask on
+    the knot cells (about 6M points) and the annulus quadratic program.
+    """
     return _build_truncated_kernel_cached(profile)
 
 
@@ -524,24 +478,7 @@ def _build_truncated_kernel_impl(profile: KernelProfile) -> TruncatedKernel:
 
     # the touch-up moments on the same knot-aligned quadrature as the
     # reference evaluation, so a single linear solve lands the residual
-    tk = np.unique(shape.get_knots()[0])
-    xk = np.unique(shape.get_knots()[1])
-    xk = xk[xk >= 0.0]
-    g, w = _gauss_legendre(13, 0.0, 1.0)
-    tmid = (tk[:-1, None] + np.diff(tk)[:, None] * g[None, :]).ravel()
-    twgt = (np.diff(tk)[:, None] * w[None, :]).ravel()
-    xmid = (xk[:-1, None] + np.diff(xk)[:, None] * g[None, :]).ravel()
-    xwgt = (np.diff(xk)[:, None] * w[None, :]).ravel()
-    TT, XX = np.meshgrid(tmid, xmid, indexing="ij")
-    WW = 2.0 * np.outer(twgt, xwgt)
-    mask = raw.mask(TT, XX)
-    n = len(profile.powers)
-    L = np.zeros((3, n))
-    for j, (p, q) in enumerate(profile.powers):
-        term = TT ** p * XX ** (2 * q) * mask
-        L[0, j] = np.sum(term * WW)
-        L[1, j] = np.sum(term * TT * WW)
-        L[2, j] = np.sum(term * XX ** 2 * WW)
+    L = _knot_cell_moments(raw.mask, _knot_cells(shape, 13), profile.powers)
     coeff, *_ = np.linalg.lstsq(L, residual, rcond=None)
     kernel = TruncatedKernel(profile=profile,
                              corrections=tuple(float(c) for c in coeff),
@@ -706,30 +643,6 @@ def dyadic_scales(eps: float, top_factor: float = 2.0) -> list[float]:
     top = max(1.0, top_factor / eps)
     n = int(math.ceil(math.log2(top))) + 1
     return [2.0 ** j for j in range(n)]
-
-
-class AnchoredMixture:
-    """Mixture of a ParabolicProposal translated to per-sample anchors."""
-
-    def __init__(self, proposal: ParabolicProposal, n_anchors: int):
-        self.proposal = proposal
-        self.n_anchors = n_anchors
-
-    def sample(self, rng: np.random.Generator, anchors: list) -> np.ndarray:
-        n = anchors[0].shape[0]
-        idx = rng.choice(self.n_anchors, size=n)
-        base = self.proposal.sample(rng, n)
-        out = base.copy()
-        for i, anchor in enumerate(anchors):
-            sel = idx == i
-            out[sel] += anchor[sel]
-        return out
-
-    def pdf(self, pts: np.ndarray, anchors: list) -> np.ndarray:
-        total = np.zeros(pts.shape[0])
-        for anchor in anchors:
-            total += self.proposal.pdf(pts - anchor)
-        return total / self.n_anchors
 
 
 # ---------------------------------------------------------------------------
@@ -914,8 +827,10 @@ class LegTable:
 
     Evaluating the smeared kernel exactly (rather than by one-draw bump
     sampling) removes all leg noise from the diagram estimates; the table
-    is a bicubic spline on a parabolically graded grid and costs a few
-    seconds per (model, scale, shear) triple.
+    is a bicubic spline on a parabolically graded grid.  Each bump node
+    evaluates the kernel on the tensor grid of the table rows inside the
+    kernel's time support, which takes under a second per (model, scale,
+    shear) triple at eps = 0.25 on a 2-vCPU x86 host.
     """
 
     def __init__(self, model: PoissonNoiseModel, kernel: TruncatedKernel,
@@ -928,18 +843,19 @@ class LegTable:
         x_axis = _graded_axis(4.0, x_max, 0.08, 1.10)
         g, w = _gauss_legendre(quad_nodes, -1.0, 1.0)
         values = np.zeros((len(t_axis), len(x_axis)))
-        TT = t_axis[:, None]
         for term in model.terms:
             s_nodes = term.t_center + term.t_halfwidth * g
             s_w = smooth_bump(g) * w * term.t_halfwidth * term.amplitude
             y_nodes = term.x_center + term.x_halfwidth * g
             y_w = smooth_bump_dx(g) * w  # d/dx of bump((x-c)/h) integrates /h * h
             for sn, sw in zip(s_nodes, s_w):
-                tt = TT - sn
+                # K(t, .) vanishes unless 0 < t < support^2 (rho >= sqrt t)
+                tt = eps ** 2 * (t_axis - sn)
+                rows = (tt > 0) & (tt < kernel.profile.support ** 2)
                 block = np.zeros((len(t_axis), len(x_axis)))
                 for yn, yw in zip(y_nodes, y_w):
                     xs = x_axis[None, :] - (yn + shear * sn)
-                    block += yw * kernel.value(eps ** 2 * tt, eps * xs)
+                    block[rows] += yw * kernel.value(tt[rows, None], eps * xs)
                 values += sw * eps * block
         self.spline = RectBivariateSpline(t_axis, x_axis, values, kx=3, ky=3)
         self.t_max = t_max
@@ -963,15 +879,23 @@ def _graded_axis(inner: float, outer: float, step: float, ratio: float) -> np.nd
     return np.concatenate([-pos[::-1][:-1], pos])
 
 
-_LEG_TABLE_CACHE: dict = {}
+#: Leg tables kept per process.  ``chat_fixed_point`` shears the frame anew
+#: at every iterate, so an unbounded cache would keep one table per iterate.
+LEG_TABLE_CACHE_SIZE = 8
+_LEG_TABLE_CACHE: OrderedDict = OrderedDict()
 
 
 def get_leg_table(model: PoissonNoiseModel, kernel: TruncatedKernel,
                   eps: float, shear: float = 0.0) -> LegTable:
+    """The cached leg table; the least recently used one is evicted."""
     key = (model.model_hash(), repr(kernel.profile), float(eps),
            round(float(shear), 12))
-    if key not in _LEG_TABLE_CACHE:
+    if key in _LEG_TABLE_CACHE:
+        _LEG_TABLE_CACHE.move_to_end(key)
+    else:
         _LEG_TABLE_CACHE[key] = LegTable(model, kernel, eps, shear)
+        while len(_LEG_TABLE_CACHE) > LEG_TABLE_CACHE_SIZE:
+            _LEG_TABLE_CACHE.popitem(last=False)
     return _LEG_TABLE_CACHE[key]
 
 

@@ -1,7 +1,20 @@
+from collections import OrderedDict
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.interpolate import RectBivariateSpline
+from scipy.sparse.linalg import spsolve
 
 from kpzlab import kernels
-from kpzlab.noise import _gauss_legendre, default_even_model
+from kpzlab.noise import (_gauss_legendre, default_even_model, smooth_bump,
+                          smooth_bump_dx)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    return kernels.build_truncated_kernel()
 
 
 def test_smeared_theta_matches_double_loop(monkeypatch):
@@ -26,3 +39,199 @@ def test_smeared_theta_matches_double_loop(monkeypatch):
                 want[p] -= theta_stub(z, None) * k2[i][j] * wt[i] * wx[j]
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
     assert np.all(np.abs(want) > 1e-3)
+
+
+# Both axes cross the edges of the kernel's support (t = 0, t = 1, |x| = 1)
+# and of the annulus shape's box (t = 1.02, |x| = 1.02).
+T_AXIS = np.linspace(-0.05, 1.08, 57)
+X_AXIS = np.linspace(-1.1, 1.1, 71)
+TENSOR_METHODS = ["value", "correction", "correction_dx", "correction_dt", "dx"]
+
+
+def _pointwise(kernel, method, t, x):
+    tt, xx = np.broadcast_arrays(t, x)
+    return getattr(kernel, method)(tt.ravel(), xx.ravel()).reshape(tt.shape)
+
+
+@pytest.mark.parametrize("method", TENSOR_METHODS)
+def test_tensor_grid_matches_pointwise(kernel, method, monkeypatch):
+    t, x = T_AXIS[:, None], X_AXIS[None, :]
+    want = _pointwise(kernel, method, t, x)
+
+    def no_pointwise(*args, **kwargs):
+        raise AssertionError("a tensor grid was evaluated point by point")
+
+    monkeypatch.setattr(kernel.shape, "ev", no_pointwise)
+    got = getattr(kernel, method)(t, x)
+    scale = np.max(np.abs(want))
+    assert scale > 0 and np.count_nonzero(want) > want.size // 10
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("method", TENSOR_METHODS)
+def test_non_monotone_axis_falls_back_to_pointwise(kernel, method):
+    # the spline's grid evaluation rejects unsorted axes, so only the
+    # pointwise route can give these values
+    t = np.random.default_rng(3).permutation(T_AXIS)[:, None]
+    x = X_AXIS[None, :]
+    want = _pointwise(kernel, method, t, x)
+    np.testing.assert_allclose(getattr(kernel, method)(t, x), want, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+
+def _loop_annulus_shape(profile, nt, nx):
+    """The annulus quadratic program with its difference operator built by a
+    scalar loop over cell edges, one kernel call per edge."""
+    base = kernels.TruncatedKernel(profile, tuple(0.0 for _ in profile.powers))
+    t_cells = (np.arange(nt) + 0.5) / nt
+    x_cells = (np.arange(nx) + 0.5) * 1.01 / nx
+    dt_c = 1.0 / nt
+    dx_c = x_cells[1] - x_cells[0]
+    T, X = np.meshgrid(t_cells, x_cells, indexing="ij")
+    rho = kernels.parabolic_norm(T, X)
+    allowed = (rho > profile.plateau + profile.mask_in) & \
+        (rho < profile.support - profile.mask_out) & (T > profile.mask_t)
+    idx = -np.ones((nt, nx), dtype=int)
+    ids = np.flatnonzero(allowed.ravel())
+    idx.ravel()[ids] = np.arange(len(ids))
+    n = len(ids)
+
+    rows, cols, vals, avals = [], [], [], []
+    r_cnt = 0
+    for i in range(nt):
+        for j in range(1, nx + 1):
+            left = idx[i, j - 1] if allowed[i, j - 1] else -1
+            right = idx[i, j] if (j < nx and allowed[i, j]) else -1
+            if left < 0 and right < 0:
+                continue
+            xm = x_cells[j - 1] + dx_c / 2
+            if right >= 0:
+                rows.append(r_cnt)
+                cols.append(right)
+                vals.append(1.0 / dx_c)
+            if left >= 0:
+                rows.append(r_cnt)
+                cols.append(left)
+                vals.append(-1.0 / dx_c)
+            avals.append(float(base.dx(t_cells[i], xm)))
+            r_cnt += 1
+    D_op = sp.csr_matrix((vals, (rows, cols)), shape=(r_cnt, n))
+    w_edge = 2.0 * dt_c * dx_c
+    Q = (D_op.T @ D_op) * w_edge
+    b = (D_op.T @ np.array(avals)) * w_edge
+
+    target = -kernels._plateau_moments(profile)
+    L = np.stack([np.full(n, w_edge), w_edge * T.ravel()[ids],
+                  w_edge * X.ravel()[ids] ** 2])
+    KKT = sp.bmat([[Q, sp.csr_matrix(L).T], [sp.csr_matrix(L), None]],
+                  format="csc")
+    c = spsolve(KKT, np.concatenate([-b, target]))[:n]
+
+    values = np.zeros((nt, nx))
+    values.ravel()[ids] = c
+    t_grid = np.concatenate([[-0.02, 0.0], t_cells, [1.0, 1.02]])
+    data = np.vstack([np.zeros((2, nx)), values, np.zeros((2, nx))])
+    x_grid = np.concatenate([[-1.02], -x_cells[::-1], x_cells, [1.02]])
+    data = np.hstack([np.zeros((data.shape[0], 1)), data[:, ::-1], data,
+                      np.zeros((data.shape[0], 1))])
+    return RectBivariateSpline(t_grid, x_grid, data, kx=3, ky=3, s=0)
+
+
+def test_optimal_annulus_shape_matches_edge_loop():
+    profile = kernels.DEFAULT_PROFILE
+    got = kernels._optimal_annulus_shape(profile, nt=30, nx=44).get_coeffs()
+    want = _loop_annulus_shape(profile, 30, 44).get_coeffs()
+    assert np.count_nonzero(want) > 100
+    np.testing.assert_allclose(got, want, rtol=1e-10,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+
+def _panels(lo, hi, n_panels, nodes):
+    edges = np.linspace(lo, hi, n_panels + 1)
+    pts, wts = zip(*(_gauss_legendre(nodes, a, b) for a, b in zip(edges[:-1], edges[1:])))
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def test_kernel_moment_identities(kernel):
+    """``int K * {1, t, x^2} = 0`` by a quadrature of its own.
+
+    The cut heat part ``K - correction`` is integrated in ``u = x / (2 sqrt t)``,
+    in which its small-time peak is the fixed Gaussian ``exp(-u^2)``; the
+    correction is integrated in (t, x) on [0, 1.02]^2.  Both are even in x.
+    """
+    t, wt = _panels(0.0, 1.0, 64, 10)
+    u, wu = _panels(0.0, 7.0, 28, 10)
+    T = t[:, None]
+    X = 2.0 * np.sqrt(T) * u[None, :]
+    W = 2.0 * np.outer(wt, wu) * 2.0 * np.sqrt(T)
+    heat = (kernel.value(T, X) - kernel.correction(T, X)) * W
+    tc, wc = _panels(0.0, 1.02, 136, 10)
+    Tc, Xc = tc[:, None], tc[None, :]
+    corr = kernel.correction(Tc, Xc) * 2.0 * np.outer(wc, wc)
+    moments = [np.sum(heat) + np.sum(corr),
+               np.sum(heat * T) + np.sum(corr * Tc),
+               np.sum(heat * X ** 2) + np.sum(corr * Xc ** 2)]
+    # the heat part alone carries order-one moments, so the sums test the
+    # correction's cancellation
+    assert abs(np.sum(heat)) > 0.1
+    assert np.max(np.abs(moments)) <= 1e-6, moments
+
+
+EPS = 0.25
+
+
+def _reference_leg(model, kernel, t, x, nodes=400):
+    """``eps int int phi_t(s) d_y phi_x(y) K(eps^2 (t - s), eps (x - y))``
+    by a ``nodes``-point Gauss-Legendre product rule per bump term."""
+    g, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for term in model.terms:
+        s = term.t_center + term.t_halfwidth * g
+        y = term.x_center + term.x_halfwidth * g
+        ws = smooth_bump(g) * w * term.t_halfwidth * term.amplitude
+        wy = smooth_bump_dx(g) * w
+        values = kernel.value(EPS ** 2 * (t - s[:, None]), EPS * (x - y[None, :]))
+        total += EPS * float(ws @ values @ wy)
+    return total
+
+
+def test_leg_table_odd_and_matches_product_rule(kernel):
+    model = default_even_model()
+    table = kernels.LegTable(model, kernel, EPS)
+    # after the bump's time support |s| <= t_reach the leg is smooth in t
+    probes = np.array([(0.8, 0.3), (1.0, 0.5), (2.0, 1.0), (5.0, 2.0), (9.0, -1.5)])
+    assert np.all(probes[:, 0] > model.t_reach)
+    got = table.ev(probes)
+    mirrored = table.ev(probes * np.array([1.0, -1.0]))
+    np.testing.assert_allclose(mirrored, -got, rtol=1e-9, atol=1e-15)
+    want = np.array([_reference_leg(model, kernel, t, x) for t, x in probes])
+    assert np.all(np.abs(want) > 1e-4)
+    np.testing.assert_allclose(got, want, rtol=0.01)
+
+
+def test_leg_table_cache_evicts_least_recently_used(monkeypatch):
+    built = []
+
+    class StubTable:
+        def __init__(self, model, kernel, eps, shear):
+            built.append(shear)
+
+    monkeypatch.setattr(kernels, "LegTable", StubTable)
+    monkeypatch.setattr(kernels, "_LEG_TABLE_CACHE", OrderedDict())
+    model = default_even_model()
+    size = kernels.LEG_TABLE_CACHE_SIZE
+    shears = [0.1 * i for i in range(size + 3)]
+    kernel = SimpleNamespace(profile=kernels.DEFAULT_PROFILE)
+    first = kernels.get_leg_table(model, kernel, EPS, shears[0])
+    for shear in shears[1:size]:
+        kernels.get_leg_table(model, kernel, EPS, shear)
+    # a hit refreshes the first table, so the second is now the oldest
+    assert kernels.get_leg_table(model, kernel, EPS, shears[0]) is first
+    for shear in shears[size:]:
+        kernels.get_leg_table(model, kernel, EPS, shear)
+    cache = kernels._LEG_TABLE_CACHE
+    assert len(cache) == size and len(built) == len(shears)
+    kept = {key[-1] for key in cache}
+    assert kept == {round(s, 12) for s in [shears[0]] + shears[4:]}
+    cache.clear()
+    assert not cache
