@@ -388,7 +388,7 @@ class ContractionEdge:
         return vertex == self.u or vertex == self.v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContractedGraph:
     """Multigraph obtained by gluing the externals of ``p`` copies of ``H``."""
 
@@ -427,31 +427,33 @@ class ContractedGraph:
             self.in_vertex(k, self.source.star) for k in range(1, self.p + 1)
         )
 
-    def _map_vertex(self, copy: int, vid: str) -> str:
-        kind = self.source.kind_map[vid]
-        if kind == "origin":
-            return self.ORIGIN
-        if kind == "external":
-            for i, cls in enumerate(self.classes):
-                if (copy, vid) in cls:
-                    return self.ex_vertex(i)
-            raise KeyError(f"external ({copy}, {vid}) not in any class")
-        return self.in_vertex(copy, vid)
-
     def edge_list(self) -> tuple[ContractionEdge, ...]:
+        kind_map = self.source.kind_map
+        glued = {slot: self.ex_vertex(i)
+                 for i, cls in enumerate(self.classes) for slot in cls}
+
+        def image(copy: int, vid: str) -> str:
+            kind = kind_map[vid]
+            if kind == "origin":
+                return self.ORIGIN
+            if kind == "external":
+                if (copy, vid) not in glued:
+                    raise KeyError(f"external ({copy}, {vid}) not in any class")
+                return glued[(copy, vid)]
+            return self.in_vertex(copy, vid)
+
         out = []
         for copy in range(1, self.p + 1):
             for e in self.source.edges:
                 if e.distinguished:
                     kind = "distinguished"
-                elif (self.source.kind_map[e.u] == "external"
-                      or self.source.kind_map[e.v] == "external"):
+                elif kind_map[e.u] == "external" or kind_map[e.v] == "external":
                     kind = "external"
                 else:
                     kind = "internal"
                 out.append(ContractionEdge(
-                    u=self._map_vertex(copy, e.u),
-                    v=self._map_vertex(copy, e.v),
+                    u=image(copy, e.u),
+                    v=image(copy, e.v),
                     label=e.label,
                     kind=kind,
                     copy=copy,
@@ -499,6 +501,12 @@ def contracted_graph(source: PartialGraph, p: int,
     return ContractedGraph(source=source, p=p, classes=classes)
 
 
+#: One object per distinct glued class, shared by every contraction that has
+#: it, including those of later enumerations.  The slot cap bounds it: at
+#: most 2**CONTRACTION_SLOT_CAP classes per naming of the externals.
+_GLUED_CLASSES: dict[frozenset, frozenset] = {}
+
+
 def iter_contractions(H: PartialGraph, p: int) -> Iterator[ContractedGraph]:
     """All Wick contractions of ``p`` copies of ``H``.
 
@@ -517,10 +525,10 @@ def iter_contractions(H: PartialGraph, p: int) -> Iterator[ContractedGraph]:
         yield ContractedGraph(source=H, p=p, classes=())
         return
     for pt in iter_wick_partitions(len(ext), p):
-        classes = tuple(
-            frozenset((key.copy, ext[key.slot - 1]) for key in block)
-            for block in pt.blocks
-        )
+        classes = []
+        for block in pt.blocks:
+            cls = frozenset((key.copy, ext[key.slot - 1]) for key in block)
+            classes.append(_GLUED_CLASSES.setdefault(cls, cls))
         yield ContractedGraph(source=H, p=p, classes=_sorted_classes(classes))
 
 

@@ -30,7 +30,6 @@ from .graphs import (
     ZERO_LABEL,
     edge_sets,
     iter_contractions,
-    merge_multiedges,
 )
 
 __all__ = [
@@ -434,15 +433,25 @@ def homogeneity_exponent(H: PartialGraph, scaling: Scaling = KPZ_SCALING) -> Lab
 # Contracted-graph checker
 # ---------------------------------------------------------------------------
 
-def _scaled_int_labels(labels: Sequence[LabelValue]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Common-denominator integer encoding of (q, r) label parts."""
-    denom = 1
-    for lv in labels:
-        denom = np.lcm(denom, lv.q.denominator)
-        denom = np.lcm(denom, lv.r.denominator)
-    q = np.array([int(lv.q * denom) for lv in labels], dtype=np.int64)
-    r = np.array([int(lv.r * denom) for lv in labels], dtype=np.int64)
-    return q, r, int(denom)
+def _scaled_int_labels(
+    labels: Sequence[tuple[Fraction, Fraction]], bound: Fraction = Fraction(0)
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Common-denominator integer encoding of (q, r) label parts.
+
+    The denominator is an exact Python integer.  Raises ``OverflowError``
+    unless every subset sum of the scaled parts, and ``bound`` scaled,
+    fits in int64.
+    """
+    from math import lcm
+    denom = lcm(*(x.denominator for pair in labels for x in pair))
+    q = [a.numerator * (denom // a.denominator) for a, _ in labels]
+    r = [b.numerator * (denom // b.denominator) for _, b in labels]
+    largest = max(sum(map(abs, q)), sum(map(abs, r)), abs(bound) * denom)
+    if largest > np.iinfo(np.int64).max:
+        raise OverflowError(
+            f"labels scaled by their common denominator {denom} overflow int64"
+        )
+    return np.array(q, dtype=np.int64), np.array(r, dtype=np.int64), denom
 
 
 def _zeta_edge_sums(nv: int, edges: Sequence[tuple[int, int]],
@@ -472,30 +481,44 @@ def check_contracted(
     by summing.  ``rule=None`` checks the raw labels (the control showing
     what the allocation repairs).  Also reports the total scaling exponent
     ``alpha = |s| |V \\ V_star| - sum a_e``.
+
+    One pass over ``G.edge_list()`` merges parallel edges into exact (q, r)
+    sums keyed by vertex indices, as ``merge_multiedges`` does, and groups
+    the edges at each ex-vertex by neighbour, as ``kpz_allocation`` does;
+    the rule's values are then subtracted from the merged sums.  The merged
+    labels are scaled to integers and every vertex subset is scanned at once.
     """
     s = scaling.total
-    edges = G.edge_list()
-    if rule is not None:
-        alloc = allocation_assignment(G, rule)
-        weights = []
-        for i, e in enumerate(edges):
-            b = Fraction(0)
-            for v in (e.u, e.v):
-                b += alloc.get((v, i), Fraction(0))
-            weights.append(e.label - LabelValue.coerce(b))
-    else:
-        weights = [e.label for e in edges]
-    merged = merge_multiedges(G, weights)
-
-    vertices = list(merged.vertex_ids)
+    vertices = G.vertex_ids
     nv = len(vertices)
     if (1 << nv) * max(1, nv) > SUBSET_WORK_CAP:
         raise ValueError(
             f"subset scan on {nv} vertices exceeds the work cap {SUBSET_WORK_CAP}"
         )
     vindex = {v: i for i, v in enumerate(vertices)}
-    pairs = [(vindex[e.u], vindex[e.v]) for e in merged.edges]
-    q, r, denom = _scaled_int_labels([e.label for e in merged.edges])
+    groups: dict[str, dict[str, list]] = {v: {} for v in G.ex_vertices}
+    merged: dict[tuple[int, int, bool], list[Fraction]] = {}
+    for e in G.edge_list():
+        a, b = vindex[e.u], vindex[e.v]
+        key = (min(a, b), max(a, b), e.kind == "distinguished")
+        if key in merged:
+            merged[key][0] += e.label.q
+            merged[key][1] += e.label.r
+        else:
+            merged[key] = [e.label.q, e.label.r]
+        for v, w in ((e.u, e.v), (e.v, e.u)):
+            if v in groups:
+                groups[v].setdefault(w, []).append(key)
+    if rule is not None:
+        for by_neighbour in groups.values():
+            order = sorted(by_neighbour)
+            values = rule.group_values([len(by_neighbour[n]) for n in order])
+            for neighbour, value in zip(order, values):
+                for key in by_neighbour[neighbour]:
+                    merged[key][0] -= value
+
+    pairs = [(a, b) for a, b, _ in merged]
+    q, r, denom = _scaled_int_labels(list(merged.values()), s * nv)
 
     inside_q = _zeta_edge_sums(nv, pairs, q)
     inside_r = _zeta_edge_sums(nv, pairs, r)
@@ -531,7 +554,7 @@ def check_contracted(
 
     # condition 2: strict lower bound on meeting weight, S avoiding the stars
     star_mask = 0
-    for v in merged.star_set:
+    for v in G.star_set:
         star_mask |= 1 << vindex[v]
     comp = (~masks) & np.uint64((1 << nv) - 1)
     meet_q = total_q - inside_q[comp]
@@ -549,7 +572,7 @@ def check_contracted(
             "glued-large-scale-decay",
         ))
 
-    n_free = nv - len(merged.star_set)
+    n_free = nv - len(G.star_set)
     alpha = LabelValue.coerce(s * n_free) - label_of(total_q, total_r)
     return ConditionReport(
         graph=name,

@@ -18,7 +18,7 @@ graph and reports the scaling margin.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -86,6 +86,25 @@ class Symbol:
     kind: str  # "zero" | "noise" | "poly" | "heat" | "dheat" | "prod"
     power: tuple[int, int] = (0, 0)
     args: tuple["Symbol", ...] = ()
+    # the homogeneity, computed once from the children's stored values
+    hom: LabelValue | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind == "zero":
+            hom = None
+        elif self.kind == "noise":
+            hom = LabelValue(Fraction(-3, 2), Fraction(-1))
+        elif self.kind == "poly":
+            hom = LabelValue(Fraction(2 * self.power[0] + self.power[1]), Fraction(0))
+        elif self.kind == "heat":
+            hom = self.args[0].hom + 2
+        elif self.kind == "dheat":
+            hom = self.args[0].hom + 1
+        else:
+            hom = LabelValue()
+            for f in self.args:
+                hom = hom + f.hom
+        object.__setattr__(self, "hom", hom)
 
     def sort_key(self):
         return (self.kind, self.power, tuple(a.sort_key() for a in self.args))
@@ -196,22 +215,16 @@ SUPPORTED_SYMBOLS = (XI, SQUARE, TRIPLE, INCREMENT_PAIR, QUAD_SPLIT, QUAD_CHAIN)
 
 
 def homogeneity(tau: Symbol) -> LabelValue:
-    """Exact homogeneity ``q + r*kbar`` (the ``r`` part counts noises)."""
+    """Exact homogeneity ``q + r*kbar`` (the ``r`` part counts noises).
+
+    The noise has ``-3/2 - kbar``, ``X^k`` has ``2 k0 + k1``, the two
+    integrations add 2 and 1 and a product adds its factors.  Each symbol
+    computes its value once, when it is built, from its children's stored
+    values, so this is a lookup with no recursion.
+    """
     if tau.is_zero():
         raise ValueError("the zero symbol has no homogeneity")
-    if tau.kind == "noise":
-        return LabelValue(Fraction(-3, 2), Fraction(-1))
-    if tau.kind == "poly":
-        k0, k1 = tau.power
-        return LabelValue(Fraction(2 * k0 + k1), Fraction(0))
-    if tau.kind == "heat":
-        return homogeneity(tau.args[0]) + 2
-    if tau.kind == "dheat":
-        return homogeneity(tau.args[0]) + 1
-    total = LabelValue()
-    for f in tau.args:
-        total = total + homogeneity(f)
-    return total
+    return tau.hom
 
 
 def _hom_value(tau: Symbol, kappa_bar: Fraction) -> Fraction:
@@ -256,10 +269,11 @@ def build_symbol_set(
     u_set: set[Symbol] = set(polys_below(sigma))
 
     for _ in range(max_rounds):
+        ranked = [(a, _hom_value(a, kappa_bar)) for a in sorted(u_prime, key=Symbol.sort_key)]
         new_v = {
             product(a, b)
-            for a, b in itertools.combinations_with_replacement(sorted(u_prime, key=Symbol.sort_key), 2)
-            if _hom_value(a, kappa_bar) + _hom_value(b, kappa_bar) < up_bound
+            for (a, ha), (b, hb) in itertools.combinations_with_replacement(ranked, 2)
+            if ha + hb < up_bound
         }
         grew = len(new_v - v_set) > 0
         v_set |= new_v

@@ -158,6 +158,19 @@ class TestContractions:
                 assert len(enumerate_contractions(g, p)) == \
                     len(enumerate_wick_partitions(m, p))
 
+    def test_classes_match_partitions_and_are_shared(self, chain_graph):
+        ext = chain_graph.external_ids
+        first = enumerate_contractions(chain_graph, 3)
+        assert {frozenset(c.classes) for c in first} == {
+            frozenset(frozenset((k.copy, ext[k.slot - 1]) for k in block)
+                      for block in pt.blocks)
+            for pt in enumerate_wick_partitions(3, 3)
+        }
+        second = enumerate_contractions(chain_graph, 3)
+        assert first == second
+        for a, b in zip(first, second):
+            assert all(x is y for x, y in zip(a.classes, b.classes))
+
     def test_single_external_graph(self):
         src = """\
 graph reduced

@@ -23,8 +23,10 @@ from kpzlab.power_counting import (
     check_condition_B,
     check_contracted,
     homogeneity_exponent,
+    _scaled_int_labels,
     kpz_allocation,
 )
+from kpzlab.symbols import SUPPORTED_SYMBOLS, graph_catalog
 
 PAIR_SOURCE = """\
 graph pair
@@ -234,8 +236,8 @@ edge u a1 label 2+1d
         assert homogeneity_exponent(g) == LabelValue(Fraction(-1, 2), -1)
 
 
-def reference_contracted_check(G, rule):
-    """Slow exact reference for check_contracted (pure Fractions)."""
+def reference_merged_graph(G, rule):
+    """The merged graph with weights m_e - b_e, built by the public helpers."""
     edges = G.edge_list()
     if rule is not None:
         alloc = allocation_assignment(G, rule)
@@ -244,7 +246,12 @@ def reference_contracted_check(G, rule):
         ) for i, e in enumerate(edges)]
     else:
         weights = [e.label for e in edges]
-    merged = merge_multiedges(G, weights)
+    return merge_multiedges(G, weights)
+
+
+def reference_contracted_check(G, rule):
+    """Slow exact reference for check_contracted (pure Fractions)."""
+    merged = reference_merged_graph(G, rule)
     vertices = merged.vertex_ids
     s = Fraction(3)
     ok = True
@@ -295,12 +302,68 @@ class TestContractedChecker:
                     assert report.exponent == p * alpha_bar
 
     def test_matches_reference_implementation(self, pair, chain):
-        for H in (pair, chain):
-            for G in enumerate_contractions(H, 2):
-                for rule in (KPZAllocationRule(), None):
-                    fast = check_contracted(G, rule).verdict
-                    slow = reference_contracted_check(G, rule)
-                    assert fast == slow
+        catalog = {entry.graph.name: entry.graph
+                   for tau in SUPPORTED_SYMBOLS for entry in graph_catalog(tau)}
+        # the marginal graph is the one whose gluings fail the decay condition
+        graphs = [pair, chain, parse_partial_graph(MARGINAL_SOURCE)] + list(catalog.values())
+        s = Fraction(3)
+        checked = 0
+        conditions = set()
+        for H in graphs:
+            for p in (2, 3):
+                if 2 + p * len(H.internal_ids) > 8:
+                    continue  # every contraction has more than 8 vertices
+                for G in enumerate_contractions(H, p):
+                    if len(G.vertex_ids) > 8:
+                        continue
+                    for rule in (KPZAllocationRule(), None):
+                        report = check_contracted(G, rule)
+                        assert report.verdict == reference_contracted_check(G, rule)
+                        checked += 1
+                        if report.verdict:
+                            continue
+                        merged = reference_merged_graph(G, rule)
+                        for w in report.witnesses:
+                            conditions.add(w.condition)
+                            inside, meeting = edge_sets(merged, w.subset)
+                            local = w.condition == "glued-local-integrability"
+                            lhs = sum((e.label for e in (inside if local else meeting)),
+                                      LabelValue())
+                            assert w.lhs == lhs
+                            size = len(w.subset) - 1 if local else len(w.subset)
+                            assert w.rhs == LabelValue.coerce(s * size)
+        assert checked > 400
+        assert conditions == {"glued-local-integrability", "glued-large-scale-decay"}
+
+    def test_int64_overflow_raises(self):
+        huge = [(Fraction(1, 2**40 + 1), Fraction(0)),
+                (Fraction(1, 2**40 - 1), Fraction(0)),
+                (Fraction(7, 3), Fraction(0))]
+        with pytest.raises(OverflowError):
+            _scaled_int_labels(huge)
+        # each part fits, but their subset sum does not
+        with pytest.raises(OverflowError):
+            _scaled_int_labels([(Fraction(2**62), Fraction(0))] * 2)
+        with pytest.raises(OverflowError):
+            _scaled_int_labels([(Fraction(1), Fraction(0))], bound=Fraction(2**63))
+        q, r, denom = _scaled_int_labels(huge[:1] + [(Fraction(1, 2), Fraction(-1))])
+        assert denom == 2 * (2**40 + 1)
+        assert q.tolist() == [2, 2**40 + 1] and r.tolist() == [0, -denom]
+        src = """\
+graph wide
+vertex 0 origin
+vertex u star
+vertex v1 external
+vertex v2 external
+vertex v3 external
+star-edge 0 u
+edge u v1 label 1/1099511627777
+edge u v2 label 1/1099511627775
+edge u v3 label 7/3
+"""
+        for G in enumerate_contractions(parse_partial_graph(src), 2):
+            with pytest.raises(OverflowError):
+                check_contracted(G, None)
 
     def test_all_small_contractions_pass(self, pair, chain):
         for H in (pair, chain):

@@ -71,6 +71,18 @@ class TestHomogeneity:
         assert homogeneity(poly(1, 1)) == LabelValue(3, 0)
         assert homogeneity(poly(0, 1)) == LabelValue(1, 0)
 
+    def test_equal_symbols_built_separately(self):
+        def build():
+            psi = dinteg(XI)
+            return product(psi, dinteg(product(psi, dinteg(product(psi, psi)))))
+
+        a, b = build(), build()
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a == QUAD_CHAIN
+        assert homogeneity(a) == homogeneity(b) == homogeneity(QUAD_CHAIN)
+        assert product(poly(1, 0), poly(0, 2)) == poly(1, 2)
+        assert homogeneity(product(poly(1, 0), poly(0, 2))) == homogeneity(poly(1, 2))
+
     def test_additive_and_shifts(self):
         rng = random.Random(17)
         pool = [XI, PSI, SQUARE, DERIV_SQUARE, TRIPLE, poly(0, 1)]
@@ -100,8 +112,26 @@ class TestSymbolSet:
             build_symbol_set(sigma=Fraction(3, 2))
 
     def test_homs_reported_consistently(self):
+        # homogeneity() reads the value each symbol stored when it was
+        # built, so the set is also checked against an own recursion
         for tau, hom in build_symbol_set():
             assert hom == homogeneity(tau)
+            assert (hom.q, hom.r) == oracle_homogeneity(tau), tau
+
+
+def oracle_homogeneity(tau) -> tuple[Fraction, Fraction]:
+    """Homogeneity (q, r) of a symbol tree, ``r`` counting -kbar per noise."""
+    if tau.kind == "noise":
+        return Fraction(-3, 2), Fraction(-1)
+    if tau.kind == "poly":
+        k0, k1 = tau.power
+        return Fraction(2 * k0 + k1), Fraction(0)
+    if tau.kind in ("heat", "dheat"):
+        q, r = oracle_homogeneity(tau.args[0])
+        return q + (2 if tau.kind == "heat" else 1), r
+    assert tau.kind == "prod"
+    parts = [oracle_homogeneity(f) for f in tau.args]
+    return sum(q for q, _ in parts), sum(r for _, r in parts)
 
 
 class TestGenerators:
