@@ -150,6 +150,12 @@ ALT_PROFILE = KernelProfile(mask_in=0.05, mask_out=0.06, mask_t=0.03,
                                     (0, 2)))
 
 
+def _is_tensor_grid(t, x):
+    """A sorted column ``t`` of shape (n, 1) and a sorted row ``x`` (1, m)."""
+    return (t.ndim == 2 and x.ndim == 2 and t.shape[1] == 1 and x.shape[0] == 1
+            and np.all(np.diff(t[:, 0]) >= 0) and np.all(np.diff(x[0]) >= 0))
+
+
 @dataclass(frozen=True)
 class TruncatedKernel:
     """Compactly supported kernel agreeing with the heat kernel near 0.
@@ -158,6 +164,12 @@ class TruncatedKernel:
     energy-optimal annulus content, stored as a bicubic spline and clipped
     by the mask) and a small polynomial touch-up enforcing the moment
     identities exactly.
+
+    Support: with ``rho`` the parabolic norm, the kernel and its derivatives
+    are exactly 0 where ``t <= 0`` (the heat kernel and the mask's time step
+    vanish) or ``rho >= support`` (the cutoff and the mask's outer step
+    vanish); the correction is exactly 0 where ``rho <= plateau`` as well.
+    ``dx`` evaluates each part only on the points where it can be non-zero.
     """
 
     profile: KernelProfile
@@ -185,50 +197,43 @@ class TruncatedKernel:
         _, a, b, c = self._mask_parts(t, x)
         return a * b * c
 
-    def _mask_dx(self, t, x):
+    def _mask_and_d(self, t, x, wrt):
+        """The mask and its derivative in ``wrt`` ("x" or "t"), from one
+        evaluation of the mask's parts."""
         pr = self.profile
         rho, a, b, c = self._mask_parts(t, x)
         da = _smooth_step_d((rho - pr.plateau) / pr.mask_in) / pr.mask_in
         db = -_smooth_step_d((pr.support - rho) / pr.mask_out) / pr.mask_out
+        mask = a * b * c
+        radial = (da * b + a * db) * c
         rr = np.where(rho > 0, rho, 1.0)
-        drho_dx = np.broadcast_to(np.asarray(x, dtype=float), rho.shape) ** 3 / rr ** 3
-        return (da * b + a * db) * c * drho_dx
-
-    def _mask_dt(self, t, x):
-        pr = self.profile
-        rho, a, b, c = self._mask_parts(t, x)
-        da = _smooth_step_d((rho - pr.plateau) / pr.mask_in) / pr.mask_in
-        db = -_smooth_step_d((pr.support - rho) / pr.mask_out) / pr.mask_out
+        if wrt == "x":
+            return mask, radial * (np.broadcast_to(x, rho.shape) ** 3 / rr ** 3)
         dc = _smooth_step_d(np.asarray(t, dtype=float) / pr.mask_t) / pr.mask_t
-        rr = np.where(rho > 0, rho, 1.0)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), rho.shape)
-        drho_dt = tt / (2.0 * rr ** 3)
-        return ((da * b + a * db) * c) * drho_dt + a * b * dc
+        drho_dt = np.broadcast_to(t, rho.shape) / (2.0 * rr ** 3)
+        return mask, radial * drho_dt + a * b * dc
 
     def _shape_eval(self, t, x, dx=0, dt=0):
         """The annulus shape (or a derivative of it), zero off its box.
 
-        A column ``t`` of shape (n, 1) and a row ``x`` of shape (1, m), both
-        sorted, are a tensor grid: the spline is evaluated on its
+        A sorted tensor grid (see ``_is_tensor_grid``) is evaluated on its
         in-box block with separable B-spline bases.  Every other input is
-        evaluated point by point.
+        evaluated point by point, on the points inside the box only.
         """
-        shape = np.broadcast(t, x).shape
+        out = np.zeros(np.broadcast(t, x).shape)
         if self.shape is None:
-            return np.zeros(shape)
-        if (t.ndim == 2 and x.ndim == 2 and t.shape[1] == 1 and x.shape[0] == 1
-                and np.all(np.diff(t[:, 0]) >= 0) and np.all(np.diff(x[0]) >= 0)):
+            return out
+        if _is_tensor_grid(t, x):
             tc, xr = t[:, 0], x[0]
             i0, i1 = np.searchsorted(tc, 0.0), np.searchsorted(tc, 1.02, "right")
             j0, j1 = np.searchsorted(xr, -1.02), np.searchsorted(xr, 1.02, "right")
-            out = np.zeros(shape)
             if i0 < i1 and j0 < j1:
                 out[i0:i1, j0:j1] = self.shape(tc[i0:i1], xr[j0:j1], dx=dt, dy=dx)
             return out
-        tt, xx = (a.ravel() for a in np.broadcast_arrays(t, x))
-        out = self.shape.ev(tt, xx, dx=dt, dy=dx)
+        tt, xx = np.broadcast_arrays(t, x)
         inside = (tt >= 0) & (tt <= 1.02) & (np.abs(xx) <= 1.02)
-        return np.where(inside, out, 0.0).reshape(shape)
+        out[inside] = self.shape.ev(tt[inside], xx[inside], dx=dt, dy=dx)
+        return out
 
     # The touch-up powers are taken of the unbroadcast t and x, so a tensor
     # grid pays for one row and one column of them.
@@ -251,7 +256,8 @@ class TruncatedKernel:
                 poly = poly + coeff * t ** p * x ** (2 * q)
                 if q:
                     poly_dx = poly_dx + coeff * 2 * q * t ** p * x ** (2 * q - 1)
-        return poly_dx * self.mask(t, x) + poly * self._mask_dx(t, x)
+        mask, mask_dx = self._mask_and_d(t, x, "x")
+        return poly_dx * mask + poly * mask_dx
 
     def correction_dt(self, t, x):
         t = np.asarray(t, dtype=float)
@@ -263,23 +269,39 @@ class TruncatedKernel:
                 poly = poly + coeff * t ** p * x ** (2 * q)
                 if p:
                     poly_dt = poly_dt + coeff * p * t ** (p - 1) * x ** (2 * q)
-        return poly_dt * self.mask(t, x) + poly * self._mask_dt(t, x)
+        mask, mask_dt = self._mask_and_d(t, x, "t")
+        return poly_dt * mask + poly * mask_dt
 
     def value(self, t, x):
         rho = parabolic_norm(t, x)
         return heat_kernel(t, x) * self._chi(rho) + self.correction(t, x)
 
-    def dx(self, t, x):
-        """Space derivative (the edge kernel of all the graph integrals)."""
-        shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
-        tt = np.broadcast_to(np.asarray(t, dtype=float), shape)
-        xx = np.broadcast_to(np.asarray(x, dtype=float), shape)
-        rho = parabolic_norm(tt, xx)
-        g = heat_kernel(tt, xx)
-        out = heat_kernel_dx(tt, xx) * self._chi(rho)
+    def _cut_heat_dx(self, t, x, rho):
+        """Space derivative of the cut heat kernel ``G * chi(rho)``."""
         rr = np.where(rho > 0, rho, 1.0)
-        out = out + g * self._chi_d(rho) * (xx ** 3 / rr ** 3)
-        return out + self.correction_dx(t, x)
+        return heat_kernel_dx(t, x) * self._chi(rho) \
+            + heat_kernel(t, x) * self._chi_d(rho) * (x ** 3 / rr ** 3)
+
+    def dx(self, t, x):
+        """Space derivative (the edge kernel of all the graph integrals).
+
+        A sorted tensor grid is evaluated whole, with the shape spline on
+        its separable path.  Other inputs are evaluated point by point: the
+        cut heat part only where ``t > 0`` and ``rho < support``, the
+        correction only where also ``rho > plateau``, and 0 elsewhere.
+        """
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        tt, xx = np.broadcast_arrays(t, x)
+        rho = parabolic_norm(tt, xx)
+        if _is_tensor_grid(t, x):
+            return self._cut_heat_dx(tt, xx, rho) + self.correction_dx(t, x)
+        out = np.zeros(rho.shape)
+        live = (tt > 0) & (rho < self.profile.support)
+        out[live] = self._cut_heat_dx(tt[live], xx[live], rho[live])
+        ring = live & (rho > self.profile.plateau)
+        out[ring] += self.correction_dx(tt[ring], xx[ring])
+        return out
 
     def dt(self, t, x):
         shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
@@ -489,23 +511,6 @@ def _build_truncated_kernel_impl(profile: KernelProfile) -> TruncatedKernel:
     return kernel
 
 
-def derivative_energy_mismatch(kernel: TruncatedKernel) -> float:
-    """``int (K')^2 - int (P')^2``: the order-one covariance remainder."""
-    total = 0.0
-    t_edges = np.concatenate([np.linspace(0.0, 1.2, 41), np.geomspace(1.5, 80.0, 24)])
-    x_edges = np.concatenate([np.linspace(0.0, 1.2, 25), np.geomspace(1.5, 40.0, 12)])
-    for tlo, thi in zip(t_edges[:-1], t_edges[1:]):
-        tg, wt = _gauss_legendre(12, tlo, thi)
-        for xlo, xhi in zip(x_edges[:-1], x_edges[1:]):
-            xg, wx = _gauss_legendre(12, xlo, xhi)
-            tt = tg[:, None]
-            xx = xg[None, :]
-            w2 = 2.0 * wt[:, None] * wx[None, :]
-            total += np.sum((kernel.dx(tt, xx) ** 2
-                             - heat_kernel_dx(tt, xx) ** 2) * w2)
-    return total - 80.0 ** -0.5 / (4.0 * math.sqrt(2.0 * math.pi))
-
-
 def kernel_moments(kernel: TruncatedKernel, n_t_panels=64, n_t=32, n_u=64):
     """Independent quadrature of ``int K*Q`` for Q in {1, t, x, x^2}.
 
@@ -568,39 +573,12 @@ class ParabolicProposal:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = rng.choice(len(self.scales), size=n, p=self.weights)
-        s = self.scales[idx]
-        t = rng.random(n) ** 2 * s ** 2
-        t *= np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        e = rng.exponential(size=n)
-        x = np.sqrt(4 * np.abs(t) * e) * np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        flat = rng.random(n) < self.flat_fraction
-        nf = int(flat.sum())
-        if nf:
-            sf = 1.5 * s[flat]
-            t[flat] = sf ** 2 * rng.uniform(-1, 1, nf)
-            x[flat] = sf * rng.uniform(-1, 1, nf)
-        return np.stack([t, x], axis=1)
+        return _sample_single_scale(rng, self.scales[idx], self.flat_fraction)
 
     def pdf(self, pts: np.ndarray) -> np.ndarray:
-        t = np.abs(pts[..., 0])
-        x = pts[..., 1]
-        total = np.zeros(t.shape)
+        total = np.zeros(pts.shape[:-1])
         for s, w in zip(self.scales, self.weights):
-            ts = t / s ** 2
-            xs = x / s
-            ok = (ts > 0) & (ts <= 1.0)
-            tt = np.where(ok, ts, 1.0)
-            dens = np.where(
-                ok,
-                np.abs(xs) * np.exp(-xs * xs / (4 * tt)) / (8 * tt ** 1.5),
-                0.0,
-            )
-            sf = 1.5 * s
-            flat = np.where(
-                (t <= sf ** 2) & (np.abs(x) <= sf), 1.0 / (4 * sf ** 3), 0.0
-            )
-            total += w * ((1 - self.flat_fraction) * 0.5 * dens / s ** 3
-                          + self.flat_fraction * flat)
+            total += w * _pdf_single_scale(pts, s, self.flat_fraction)
         return total
 
 
@@ -865,7 +843,8 @@ class LegTable:
         t = pts[..., 0].ravel()
         x = pts[..., 1].ravel()
         inside = (np.abs(t) <= self.t_max) & (np.abs(x) <= self.x_max)
-        out = np.where(inside, self.spline.ev(t, x), 0.0)
+        out = np.zeros(t.shape)
+        out[inside] = self.spline.ev(t[inside], x[inside])
         return out.reshape(pts.shape[:-1])
 
 
@@ -1455,7 +1434,8 @@ class PairField:
         t = pts[..., 0].ravel()
         x = pts[..., 1].ravel()
         inside = (np.abs(t) <= self.t_max) & (np.abs(x) <= self.x_max)
-        out = np.where(inside, self.spline.ev(t, x), 0.0)
+        out = np.zeros(t.shape)
+        out[inside] = self.spline.ev(t[inside], x[inside])
         return out.reshape(pts.shape[:-1])
 
 

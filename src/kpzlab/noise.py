@@ -35,8 +35,6 @@ __all__ = [
     "draw_cloud",
     "field_from_cloud",
     "sample_field",
-    "save_field",
-    "load_field",
     "mollify",
     "pair_field",
     "PairingWindows",
@@ -510,36 +508,6 @@ def sample_field(
                        (grid.t0 + grid.T) / eps ** 2 + model.t_reach,
                        (1.0 / eps) / 2)
     return replace(field_from_cloud(model, eps, grid, cloud, v_h), seed=seed)
-
-
-def save_field(sample: FieldSample, path) -> None:
-    header = {
-        "eps": sample.eps,
-        "grid": [sample.grid.t0, sample.grid.T, sample.grid.nt, sample.grid.nx],
-        "seed": sample.seed,
-        "v_h": sample.v_h,
-        "model_hash": sample.model_hash,
-        "dtype": "float64",
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(sample.values, dtype=np.float64).tobytes())
-
-
-def load_field(path) -> FieldSample:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        raw = fh.read()
-    t0, T, nt, nx = header["grid"]
-    values = np.frombuffer(raw, dtype=np.float64).reshape(int(nt), int(nx)).copy()
-    return FieldSample(
-        values=values,
-        grid=GridSpec(t0, T, int(nt), int(nx)),
-        eps=header["eps"],
-        seed=header["seed"],
-        v_h=header["v_h"],
-        model_hash=header["model_hash"],
-    )
 
 
 def mollify(sample: FieldSample, eps_bar: float) -> FieldSample:

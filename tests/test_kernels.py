@@ -8,8 +8,8 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.sparse.linalg import spsolve
 
 from kpzlab import kernels
-from kpzlab.noise import (_gauss_legendre, default_even_model, smooth_bump,
-                          smooth_bump_dx)
+from kpzlab.noise import (_gauss_legendre, default_asymmetric_model,
+                          default_even_model, smooth_bump, smooth_bump_dx)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +77,53 @@ def test_non_monotone_axis_falls_back_to_pointwise(kernel, method):
     want = _pointwise(kernel, method, t, x)
     np.testing.assert_allclose(getattr(kernel, method)(t, x), want, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(want)))
+
+
+def _dense_dx(kernel, t, x):
+    """``dx`` with every term evaluated at every point."""
+    rho = kernels.parabolic_norm(t, x)
+    rr = np.where(rho > 0, rho, 1.0)
+    return (kernels.heat_kernel_dx(t, x) * kernel._chi(rho)
+            + kernels.heat_kernel(t, x) * kernel._chi_d(rho) * (x ** 3 / rr ** 3)
+            + kernel.correction_dx(t, x))
+
+
+def test_dx_on_points_evaluates_only_the_support(kernel, monkeypatch):
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-0.3, 1.3, 3000)
+    x = rng.uniform(-1.3, 1.3, 3000)
+    # t = 0, t = 1, rho = 0.5, rho = 1, |x| = 1, negative t, far outside
+    edges = np.array([(0.0, 0.0), (0.0, 0.3), (0.0, -1.0), (1.0, 0.0),
+                      (1.0, 0.2), (0.25, 0.0), (0.0, 0.5), (0.0, 1.0),
+                      (0.6, 0.8 ** 0.5), (0.5, 1.0), (0.5, -1.0), (-0.2, 0.1),
+                      (-1e3, 0.0), (1e3, 50.0), (1e-300, 0.0), (4.0, -9.0)])
+    t = np.concatenate([edges[:, 0], t])
+    x = np.concatenate([edges[:, 1], x])
+    want = _dense_dx(kernel, t, x)
+
+    seen = []
+    correction_dx = kernels.TruncatedKernel.correction_dx
+
+    def counting(self, tt, xx):
+        seen.append((np.asarray(tt).copy(), np.asarray(xx).copy()))
+        return correction_dx(self, tt, xx)
+
+    monkeypatch.setattr(kernels.TruncatedKernel, "correction_dx", counting)
+    got = kernel.dx(t, x)
+    assert np.array_equal(got, want)
+
+    rho = kernels.parabolic_norm(t, x)
+    pr = kernel.profile
+    ring = (t > 0) & (rho > pr.plateau) & (rho < pr.support)
+    ((ct, cx),) = seen
+    assert np.array_equal(ct, t[ring]) and np.array_equal(cx, x[ring])
+    assert np.all(got[(t <= 0) | (rho >= pr.support)] == 0.0)
+    assert np.count_nonzero(got) > len(t) // 5
+    # broadcast and scalar inputs take the same route
+    assert np.array_equal(kernel.dx(t[None, :20], x[None, :20]), got[None, :20])
+    scalar = kernel.dx(0.6, 0.3)
+    assert np.ndim(scalar) == 0 and scalar != 0
+    assert scalar == _dense_dx(kernel, np.array([0.6]), np.array([0.3]))[0]
 
 
 def _loop_annulus_shape(profile, nt, nx):
@@ -195,9 +242,14 @@ def _reference_leg(model, kernel, t, x, nodes=400):
     return total
 
 
-def test_leg_table_odd_and_matches_product_rule(kernel):
+@pytest.fixture(scope="module")
+def leg_table(kernel):
+    return kernels.LegTable(default_even_model(), kernel, EPS)
+
+
+def test_leg_table_odd_and_matches_product_rule(kernel, leg_table):
     model = default_even_model()
-    table = kernels.LegTable(model, kernel, EPS)
+    table = leg_table
     # after the bump's time support |s| <= t_reach the leg is smooth in t
     probes = np.array([(0.8, 0.3), (1.0, 0.5), (2.0, 1.0), (5.0, 2.0), (9.0, -1.5)])
     assert np.all(probes[:, 0] > model.t_reach)
@@ -207,6 +259,21 @@ def test_leg_table_odd_and_matches_product_rule(kernel):
     want = np.array([_reference_leg(model, kernel, t, x) for t, x in probes])
     assert np.all(np.abs(want) > 1e-4)
     np.testing.assert_allclose(got, want, rtol=0.01)
+
+
+def test_leg_table_ev_is_the_spline_inside_its_box(leg_table):
+    table = leg_table
+    rng = np.random.default_rng(5)
+    t = rng.uniform(-1.3, 1.3, 4000) * table.t_max
+    x = rng.uniform(-1.3, 1.3, 4000) * table.x_max
+    t[:4] = [table.t_max, -table.t_max, 0.0, 0.0]
+    x[:4] = [0.0, 0.0, table.x_max, -table.x_max]
+    got = table.ev(np.stack([t, x], axis=1))
+    inside = (np.abs(t) <= table.t_max) & (np.abs(x) <= table.x_max)
+    assert inside[:4].all() and 0 < inside.sum() < len(t)
+    assert np.array_equal(got[inside], table.spline.ev(t[inside], x[inside]))
+    assert np.all(got[~inside] == 0.0)
+    assert table.ev(np.zeros((3, 5, 2))).shape == (3, 5)
 
 
 def test_leg_table_cache_evicts_least_recently_used(monkeypatch):
@@ -235,3 +302,35 @@ def test_leg_table_cache_evicts_least_recently_used(monkeypatch):
     assert kept == {round(s, 12) for s in [shears[0]] + shears[4:]}
     cache.clear()
     assert not cache
+
+
+def test_c0_levels_off_at_its_exact_limit(kernel):
+    """C0 = A / eps + B + o(1) with ``A = c0_exact_limit``: the remainder B
+    agrees between the two finest scales within 4 combined stderr."""
+    model = default_even_model()
+    a = kernels.c0_exact_limit(model)
+    rows = [(eps, *kernels.compute_constant("C0", model, kernel, eps,
+                                            mc_budget=200_000, seed=1))
+            for eps in (0.0625, 0.03125)]
+    (e1, c1, s1), (e2, c2, s2) = rows
+    b1, b2 = c1 - a / e1, c2 - a / e2
+    assert 0.3 < a < 0.35
+    assert 0 < s1 < 0.1 and 0 < s2 < 0.1
+    assert abs(b1 - b2) <= 4.0 * np.hypot(s1, s2), rows
+    # the divergent part dominates: B is order one against A/eps ~ 5 and 10
+    assert 0.5 < b1 < 3.0 and 0.5 < b2 < 3.0
+
+
+def test_chat_fixed_point_on_skew_model(kernel):
+    """The fixed point ``c = F(c)`` of the sheared ``chat`` diagram agrees with
+    one independent evaluation of ``F`` at ``v_h = 4 c``."""
+    model = default_asymmetric_model()
+    c, iterations = kernels.chat_fixed_point(model, kernel, 0.25,
+                                             mc_budget=100_000, seed=0)
+    value, err = kernels.evaluate_diagram(kernels.DIAGRAMS["chat"], model,
+                                          kernel, 0.25, 100_000, seed=1,
+                                          v_h=4.0 * c)
+    assert 1 < iterations < 10
+    assert np.isfinite(c) and 0 < err < 0.1
+    # both estimates have the same budget, so the same stderr
+    assert abs(c - value) <= 4.0 * np.sqrt(2.0) * err, (c, value, err)

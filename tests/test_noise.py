@@ -18,13 +18,11 @@ from kpzlab.noise import (
     eta_inner_products,
     exact_poisson_cumulant,
     joint_second_cumulants,
-    load_field,
     make_test_functions,
     mollify,
     pair_field,
     sample_field,
     sample_pairings,
-    save_field,
     smooth_bump,
     smooth_bump_dx,
 )
@@ -161,18 +159,6 @@ class TestFieldSampling:
         err = np.std(prods_far, ddof=1) / math.sqrt(len(prods_far))
         assert near > 10 * abs(err)        # adjacent cells strongly correlated
         assert abs(far) < 4 * err + 1e-12  # half a period away: independent
-
-    def test_save_load_round_trip(self, tmp_path):
-        model = default_even_model()
-        eps = 0.1
-        grid = self.make_grid(eps)
-        sample = sample_field(model, eps, grid, seed=5)
-        path = tmp_path / "field.bin"
-        save_field(sample, path)
-        loaded = load_field(path)
-        assert np.array_equal(loaded.values, sample.values)
-        assert loaded.grid == sample.grid
-        assert loaded.model_hash == sample.model_hash
 
 
 class TestMollify:
