@@ -12,17 +12,20 @@ formula, into bump legs; after integrating each leg variable by parts the
 leg becomes a bounded kernel, and after rescaling every integration
 variable parabolically all powers of the scale come out in closed form.
 What remains is a fixed-dimensional integral evaluated by importance
-sampling from exactly-known parabolic proposal densities, with a sampled
-bump point per leg (one independent draw per leg keeps products unbiased).
+sampling from exactly-known parabolic proposal densities.  Each leg is read
+from a tabulated bump-smeared kernel (``LegTable``), which removes the leg
+noise but is biased inside the bump's time support; the unbiased
+alternative, one sampled bump point per leg (``leg_mode="sample"``), is
+kept as the reference for the table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,12 +37,8 @@ __all__ = [
     "heat_kernel_dx",
     "KernelProfile",
     "DEFAULT_PROFILE",
-    "ALT_PROFILE",
     "TruncatedKernel",
     "build_truncated_kernel",
-    "kernel_moments",
-    "theta",
-    "theta_alt",
     "Diagram",
     "DIAGRAMS",
     "evaluate_diagram",
@@ -145,9 +144,6 @@ class KernelProfile:
 
 
 DEFAULT_PROFILE = KernelProfile()
-ALT_PROFILE = KernelProfile(mask_in=0.05, mask_out=0.06, mask_t=0.03,
-                            powers=((0, 0), (1, 0), (2, 0), (0, 1), (1, 1),
-                                    (0, 2)))
 
 
 def _is_tensor_grid(t, x):
@@ -461,15 +457,6 @@ def _knot_cell_moments(f, cells, powers=((0, 0),)):
                      for p, q in powers]).T
 
 
-def _masked_moments(kernel: TruncatedKernel, n_sub: int = 13):
-    """Moments of the correction, by knot-aligned per-cell Gauss rules."""
-    return _knot_cell_moments(kernel.correction,
-                              _knot_cells(kernel.shape, n_sub))[:, 0]
-
-
-import functools
-
-
 @functools.lru_cache(maxsize=4)
 def _build_truncated_kernel_cached(profile: KernelProfile) -> TruncatedKernel:
     return _build_truncated_kernel_impl(profile)
@@ -496,51 +483,20 @@ def _build_truncated_kernel_impl(profile: KernelProfile) -> TruncatedKernel:
     shape = _optimal_annulus_shape(profile)
     zero = tuple(0.0 for _ in profile.powers)
     raw = TruncatedKernel(profile=profile, corrections=zero, shape=shape)
-    residual = target - _masked_moments(raw)
+    cells = _knot_cells(shape, 13)
+    residual = target - _knot_cell_moments(raw.correction, cells)[:, 0]
 
     # the touch-up moments on the same knot-aligned quadrature as the
     # reference evaluation, so a single linear solve lands the residual
-    L = _knot_cell_moments(raw.mask, _knot_cells(shape, 13), profile.powers)
+    L = _knot_cell_moments(raw.mask, cells, profile.powers)
     coeff, *_ = np.linalg.lstsq(L, residual, rcond=None)
     kernel = TruncatedKernel(profile=profile,
                              corrections=tuple(float(c) for c in coeff),
                              shape=shape)
-    check = target - _masked_moments(kernel)
+    check = target - _knot_cell_moments(kernel.correction, cells)[:, 0]
     if np.max(np.abs(check)) > 1e-10:
         raise ValueError("moment solve did not converge")
     return kernel
-
-
-def kernel_moments(kernel: TruncatedKernel, n_t_panels=64, n_t=32, n_u=64):
-    """Independent quadrature of ``int K*Q`` for Q in {1, t, x, x^2}.
-
-    The cut heat-kernel part uses the similarity substitution
-    ``x = sqrt(4t) u`` (removing the small-time singularity exactly);
-    the correction part uses knot-aligned cells at a different order than
-    the construction, so agreement genuinely verifies the moments.
-    """
-    out = np.zeros(4)
-    t_edges = np.linspace(0.0, 1.0, n_t_panels + 1) ** 2
-    u_edges = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0]
-    chi_kernel = TruncatedKernel(kernel.profile,
-                                 tuple(0.0 for _ in kernel.profile.powers))
-    for lo, hi in zip(t_edges[:-1], t_edges[1:]):
-        tg, wt = _gauss_legendre(n_t, lo, hi)
-        for ulo, uhi in zip(u_edges[:-1], u_edges[1:]):
-            ug, wu = _gauss_legendre(n_u, ulo, uhi)
-            tt = tg[:, None]
-            xx = np.sqrt(4 * tt) * ug[None, :]
-            chi = chi_kernel._chi(parabolic_norm(tt, xx))
-            base = 2.0 * chi * np.exp(-ug[None, :] ** 2) / math.sqrt(math.pi)
-            w2 = wt[:, None] * wu[None, :]
-            out[0] += np.sum(base * w2)
-            out[1] += np.sum(base * tt * w2)
-            out[3] += np.sum(base * xx ** 2 * w2)
-    corr = _masked_moments(kernel, n_sub=17)
-    out[0] += corr[0]
-    out[1] += corr[1]
-    out[3] += corr[2]
-    return {"1": out[0], "t": out[1], "x": 0.0, "x^2": out[3]}
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +561,12 @@ def _pdf_single_scale(pts: np.ndarray, s: float,
     t = np.abs(pts[..., 0])
     x = pts[..., 1]
     ts = t / s ** 2
-    xs = x / s
-    ok = (ts > 0) & (ts <= 1.0)
-    tt = np.where(ok, ts, 1.0)
-    dens = np.where(
-        ok, np.abs(xs) * np.exp(-xs * xs / (4 * tt)) / (8 * tt ** 1.5), 0.0
-    )
+    # the parabolic part is zero off 0 < ts <= 1; one index set serves both
+    # the gather and the scatter
+    ok = np.nonzero((ts > 0) & (ts <= 1.0))
+    tt, xs = ts[ok], x[ok] / s
+    dens = np.zeros(ts.shape)
+    dens[ok] = np.abs(xs) * np.exp(-xs * xs / (4 * tt)) / (8 * tt ** 1.5)
     sf = 1.5 * s
     flat = np.where((t <= sf ** 2) & (np.abs(x) <= sf), 1.0 / (4 * sf ** 3), 0.0)
     return (1 - flat_fraction) * 0.5 * dens / s ** 3 + flat_fraction * flat
@@ -621,83 +577,6 @@ def dyadic_scales(eps: float, top_factor: float = 2.0) -> list[float]:
     top = max(1.0, top_factor / eps)
     n = int(math.ceil(math.log2(top))) + 1
     return [2.0 ** j for j in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# The bounded three-kernel function
-# ---------------------------------------------------------------------------
-
-def _theta_integrand(kernel: TruncatedKernel, x, y, z):
-    return (
-        kernel.dx(x[:, 0], x[:, 1])
-        * kernel.dx(x[:, 0] - y[:, 0], x[:, 1] - y[:, 1])
-        * kernel.dx(y[:, 0] - z[0], y[:, 1] - z[1])
-    )
-
-
-def theta(
-    z: tuple[float, float],
-    kernel: TruncatedKernel,
-    budget: int = 200_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """The iterated-kernel function at one space-time point (value, stderr).
-
-    Importance sampling with a three-component mixture anchored at the
-    three singular coincidences of the integrand.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7E7A]))
-    P = ParabolicProposal([0.25, 0.5, 1.0, 2.0])
-    zv = np.array(z, dtype=float)
-    chunks = max(1, budget // 250_000)
-    n = budget // chunks
-    means = []
-    for _ in range(chunks):
-        comp = rng.choice(3, size=n)
-        a = P.sample(rng, n)
-        b = P.sample(rng, n)
-        x = np.where(comp[:, None] == 2, zv + b + a, a)
-        y = np.empty_like(x)
-        y[comp == 0] = (x + b)[comp == 0]
-        y[comp == 1] = (zv + b)[comp == 1]
-        y[comp == 2] = (zv + b)[comp == 2]
-        q = (
-            P.pdf(x) * P.pdf(y - x)
-            + P.pdf(x) * P.pdf(y - zv)
-            + P.pdf(y - zv) * P.pdf(x - y)
-        ) / 3.0
-        vals = _theta_integrand(kernel, x, y, zv)
-        ok = q > 0
-        w = np.zeros(n)
-        w[ok] = vals[ok] / q[ok]
-        means.append(w)
-    w = np.concatenate(means)
-    return float(w.mean()), float(w.std(ddof=1) / math.sqrt(len(w)))
-
-
-def theta_alt(
-    z: tuple[float, float],
-    kernel: TruncatedKernel,
-    budget: int = 200_000,
-    seed: int = 1,
-) -> tuple[float, float]:
-    """Second estimator with a different proposal decomposition."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA17E]))
-    P = ParabolicProposal([0.35, 0.7, 1.4])
-    zv = np.array(z, dtype=float)
-    n = budget
-    comp = rng.choice(2, size=n)
-    a = P.sample(rng, n)
-    b = P.sample(rng, n)
-    # component 0: x ~ P, y = x + P; component 1: y = z + P, x = y + P
-    x = np.where(comp[:, None] == 0, a, zv + a + b)
-    y = np.where(comp[:, None] == 0, x + b, zv + a)
-    q = (P.pdf(x) * P.pdf(y - x) + P.pdf(y - zv) * P.pdf(x - y)) / 2.0
-    vals = _theta_integrand(kernel, x, y, zv)
-    ok = q > 0
-    w = np.zeros(n)
-    w[ok] = vals[ok] / q[ok]
-    return float(w.mean()), float(w.std(ddof=1) / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -800,26 +679,41 @@ def _khat0(kernel: TruncatedKernel, eps: float, pts: np.ndarray) -> np.ndarray:
     return eps * kernel.value(eps ** 2 * pts[:, 0], eps * pts[:, 1])
 
 
+#: Gauss-Legendre nodes per bump axis of the leg table's smearing integral.
+LEG_QUAD_NODES = 24
+
+
 class LegTable:
     """Tabulated bump-smeared kernel ``(K * d_x phi)`` in rescaled units.
 
-    Evaluating the smeared kernel exactly (rather than by one-draw bump
-    sampling) removes all leg noise from the diagram estimates; the table
-    is a bicubic spline on a parabolically graded grid.  Each bump node
-    evaluates the kernel on the tensor grid of the table rows inside the
-    kernel's time support, which takes under a second per (model, scale,
-    shear) triple at eps = 0.25 on a 2-vCPU x86 host.
+    The table replaces one-draw bump sampling of each leg, which removes
+    all leg noise from the diagram estimates; it is a bicubic spline on a
+    parabolically graded grid of values computed by a ``LEG_QUAD_NODES``-
+    point Gauss rule in each of the bump's variables s and y.  Each bump
+    node evaluates the kernel on the tensor grid of the table rows inside
+    the kernel's time support, which takes under a second per (model,
+    scale, shear) triple at eps = 0.25 on a 2-vCPU x86 host.
+
+    Accuracy: after the bump's time support (rescaled ``t > t_reach``) the
+    s-integrand is smooth and the table agrees with a 400-node product rule
+    within 1 % at the tested probes.  Inside that support the s-rule
+    straddles s = t, where the kernel switches on with its small-time peak,
+    and the error falls only like ``1/LEG_QUAD_NODES``: at eps = 0.25, probes
+    (0.3, 0.2), (0, 0.3), (-0.3, 0.2) and (0.1, 0.1) are off by 19 %, 9 %,
+    51 % and 14 % at 24 nodes and by 5 %, 1 %, 12 % and 0.5 % at 96 nodes.
+    The diagram estimates inherit this bias; ``evaluate_diagram`` with
+    ``leg_mode="sample"`` is free of it.
     """
 
     def __init__(self, model: PoissonNoiseModel, kernel: TruncatedKernel,
-                 eps: float, shear: float = 0.0, quad_nodes: int = 24):
+                 eps: float, shear: float = 0.0):
         from scipy.interpolate import RectBivariateSpline
 
         t_max = 1.0 / eps ** 2 + model.t_reach + 1.0
         x_max = 1.0 / eps + model.x_reach + 1.0
         t_axis = _graded_axis(4.0, t_max, 0.08, 1.10)
         x_axis = _graded_axis(4.0, x_max, 0.08, 1.10)
-        g, w = _gauss_legendre(quad_nodes, -1.0, 1.0)
+        g, w = _gauss_legendre(LEG_QUAD_NODES, -1.0, 1.0)
         values = np.zeros((len(t_axis), len(x_axis)))
         for term in model.terms:
             s_nodes = term.t_center + term.t_halfwidth * g
@@ -878,6 +772,10 @@ def get_leg_table(model: PoissonNoiseModel, kernel: TruncatedKernel,
     return _LEG_TABLE_CACHE[key]
 
 
+#: Samples drawn and weighted at once by ``evaluate_diagram``.
+MC_CHUNK_SIZE = 500_000
+
+
 def evaluate_diagram(
     diagram: Diagram,
     model: PoissonNoiseModel,
@@ -886,7 +784,6 @@ def evaluate_diagram(
     budget: int = 1_000_000,
     seed: int = 0,
     v_h: float = 0.0,
-    chunk_size: int = 500_000,
     leg_mode: str = "table",
 ) -> tuple[float, float]:
     """Monte-Carlo value and standard error of one constant's integral.
@@ -894,7 +791,9 @@ def evaluate_diagram(
     All integration variables are parabolically rescaled, so the scale
     dependence is an exact prefactor and the sampled integrand is order
     one; for space-even models with no frame shift the estimate is
-    antithetically symmetrised under the spatial flip.
+    antithetically symmetrised under the spatial flip.  Each leg is read
+    from the ``LegTable`` (``leg_mode="table"``) or estimated from one
+    sampled bump point (``leg_mode="sample"``, unbiased but noisier).
     """
     import zlib
 
@@ -925,7 +824,7 @@ def evaluate_diagram(
     count = 0
     remaining = budget
     while remaining > 0:
-        n = min(chunk_size, remaining)
+        n = min(MC_CHUNK_SIZE, remaining)
         remaining -= n
         # one scale per sample, shared by every variable: coherent clusters
         # at any scale (the source of logarithmic divergences) are covered
@@ -1254,365 +1153,3 @@ def fit_asymptotics(series: ConstantSeries, model: str) -> dict:
             "residual": float(np.max(np.abs(fitted - values))),
         }
     raise ValueError("model must be 'power' or 'log'")
-
-
-# ---------------------------------------------------------------------------
-# Deterministic quadrature route for the logarithmic constants
-# ---------------------------------------------------------------------------
-#
-# Pairing the two legs of every covariance insertion turns those insertions
-# into a single two-point function Pi = Khat2 * kappa2, where Khat2 is the
-# rescaled correlation K' star K'.  The correlation splits into the exact
-# heat-kernel part (one half of the heat kernel at the time difference, by
-# the semigroup identity) plus a bounded residual of the truncation, so the
-# logarithmic constants become two- and four-dimensional quadratures of
-# smooth tabulated functions: no sampling noise, and the sign cancellations
-# that cripple Monte Carlo here are performed analytically.
-
-def heat_pair_correlation(s, y):
-    """``int P'(x) P'(x - z) dx = P(|s|, y) / 2`` (semigroup identity)."""
-    return 0.5 * heat_kernel(np.abs(s), y)
-
-
-@functools.lru_cache(maxsize=4)
-def _pair_residual_table(profile: KernelProfile):
-    """Residual ``K2 - P2`` of the truncated pair correlation, as a spline.
-
-    Beyond the time slab that supports the truncated kernel the integrand
-    is purely the heat pair, whose tail integrates in closed form; inside,
-    panelled quadrature around the two singular points does the rest.
-    The residual is even in both arguments.
-    """
-    from scipy.interpolate import RectBivariateSpline
-
-    kernel = build_truncated_kernel(profile)
-
-    def residual_at(s, y):
-        t_top = 1.0 + max(0.0, s)
-        x_lo = min(0.0, y) - 12.0
-        x_hi = max(0.0, y) + 12.0
-        t_cuts = sorted({0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.6, 1.0,
-                         min(max(s, 1e-4), t_top), t_top})
-        x_sing = sorted({0.0, y})
-        x_cuts = [x_lo]
-        for xs in x_sing:
-            x_cuts += [xs - 1.0, xs - 0.1, xs - 0.01, xs + 0.01, xs + 0.1, xs + 1.0]
-        x_cuts.append(x_hi)
-        x_cuts = sorted({min(max(c, x_lo), x_hi) for c in x_cuts})
-        total = 0.0
-        for tlo, thi in zip(t_cuts[:-1], t_cuts[1:]):
-            if thi <= tlo:
-                continue
-            tg, wt = _gauss_legendre(10, tlo, thi)
-            for xlo_, xhi_ in zip(x_cuts[:-1], x_cuts[1:]):
-                if xhi_ <= xlo_:
-                    continue
-                xg, wx = _gauss_legendre(10, xlo_, xhi_)
-                tt = tg[:, None]
-                xx = xg[None, :]
-                diff = (kernel.dx(tt, xx) * kernel.dx(tt - s, xx - y)
-                        - heat_kernel_dx(tt, xx) * heat_kernel_dx(tt - s, xx - y))
-                total += np.sum(diff * wt[:, None] * wx[None, :])
-        # exact remaining heat-pair tail from t > t_top
-        total -= 0.5 * heat_kernel(2 * t_top - s, y)
-        return total
-
-    s_axis = np.concatenate([np.linspace(0.0, 1.0, 11),
-                             np.linspace(1.2, 4.4, 13)])
-    y_axis = np.linspace(0.0, 2.2, 13)
-    values = np.zeros((len(s_axis), len(y_axis)))
-    for i, s in enumerate(s_axis):
-        for j, y in enumerate(y_axis):
-            values[i, j] = residual_at(float(s), float(y))
-    s_full = np.concatenate([-s_axis[::-1][:-1], s_axis])
-    y_full = np.concatenate([-y_axis[::-1][:-1], y_axis])
-    data = np.vstack([values[::-1][:-1], values])
-    data = np.hstack([data[:, ::-1][:, :-1], data])
-    return RectBivariateSpline(s_full, y_full, data, kx=3, ky=3)
-
-
-def pair_heat_part(eps: float, pts: np.ndarray) -> np.ndarray:
-    """Heat part of the rescaled pair correlation, with the support cutoff."""
-    t = pts[..., 0]
-    x = pts[..., 1]
-    rho_hat = parabolic_norm(t, x)
-    return np.where(rho_hat <= 2.0 / eps, heat_pair_correlation(t, x), 0.0)
-
-
-def pair_residual_part(kernel: TruncatedKernel, eps: float,
-                       pts: np.ndarray) -> np.ndarray:
-    """Truncation residual of the rescaled pair correlation."""
-    residual = _pair_residual_table(kernel.profile)
-    t = pts[..., 0].ravel()
-    x = pts[..., 1].ravel()
-    rho_hat = parabolic_norm(t, x)
-    inside = rho_hat <= 2.0 / eps
-    vals = np.where(
-        inside,
-        residual.ev(np.minimum(eps ** 2 * np.abs(t), 4.4),
-                    np.minimum(eps * np.abs(x), 2.2)),
-        0.0,
-    )
-    return (eps * vals).reshape(pts.shape[:-1])
-
-
-def pair_correlation_hat(kernel: TruncatedKernel, eps: float,
-                         pts: np.ndarray) -> np.ndarray:
-    """Rescaled pair correlation ``eps K2(S_eps u)`` (heat part + residual)."""
-    return pair_heat_part(eps, pts) + pair_residual_part(kernel, eps, pts)
-
-
-class PairField:
-    """Two-point insertion ``Pi = Khat2 * kappa2`` tabulated on a graded grid.
-
-    The heat part of the correlation is closed form, so its covariance
-    smearing uses per-row panels graded into the square-root time
-    singularity; the bounded residual part uses one fixed covariance
-    quadrature.  Evaluation is a bicubic spline.
-    """
-
-    def __init__(self, model: PoissonNoiseModel, kernel: TruncatedKernel,
-                 eps: float):
-        from scipy.interpolate import RectBivariateSpline
-
-        self.model = model
-        self.kernel = kernel
-        self.eps = eps
-        t_max = (2.0 / eps) ** 2 + 4 * model.t_reach + 1
-        x_max = 2.0 / eps + 4 * model.x_reach + 1
-        t_axis = _graded_axis(4.0, t_max, 0.1, 1.08)
-        x_axis = _graded_axis(4.0, x_max, 0.1, 1.08)
-        s_reach = 2.0 * model.t_reach
-        y_reach = 2.0 * model.x_reach
-
-        xg, wx = _gauss_legendre(24, -y_reach, y_reach)
-        values = np.zeros((len(t_axis), len(x_axis)))
-
-        # heat part: per-row t-panels graded toward v_t = u_t
-        for i, ut in enumerate(t_axis):
-            cuts = {-s_reach, 0.0, s_reach}
-            if abs(ut) < s_reach + 1.0:
-                for d in (1e-4, 1e-3, 1e-2, 0.1, 0.5):
-                    cuts.add(min(max(ut - d, -s_reach), s_reach))
-                    cuts.add(min(max(ut + d, -s_reach), s_reach))
-                cuts.add(min(max(ut, -s_reach), s_reach))
-            cuts = sorted(cuts)
-            row = np.zeros(len(x_axis))
-            for tlo, thi in zip(cuts[:-1], cuts[1:]):
-                if thi <= tlo + 1e-15:
-                    continue
-                tg, wt = _gauss_legendre(8, tlo, thi)
-                cov = self.model.kappa2(tg[:, None], xg[None, :])
-                w2 = cov * (wt[:, None] * wx[None, :])
-                shape = (len(tg), len(xg), len(x_axis))
-                dt = np.broadcast_to((ut - tg)[:, None, None], shape)
-                dx = np.broadcast_to(x_axis[None, None, :] - xg[None, :, None],
-                                     shape)
-                heat = pair_heat_part(eps, np.stack([dt, dx], axis=-1))
-                row += np.einsum("ij,ijk->k", w2, heat)
-            values[i] = row
-
-        # residual part: bounded and smooth, one fixed quadrature
-        tg, wt = _gauss_legendre(12, -s_reach, s_reach)
-        cov = self.model.kappa2(tg[:, None], xg[None, :])
-        w2 = cov * (wt[:, None] * wx[None, :])
-        for j0 in range(0, len(x_axis), 16):
-            j1 = min(j0 + 16, len(x_axis))
-            shape = (len(t_axis), len(tg), len(xg), j1 - j0)
-            dt = np.broadcast_to(t_axis[:, None, None, None], shape) \
-                - np.broadcast_to(tg[None, :, None, None], shape)
-            dx = np.broadcast_to(x_axis[None, None, None, j0:j1], shape) \
-                - np.broadcast_to(xg[None, None, :, None], shape)
-            res = pair_residual_part(kernel, eps, np.stack([dt, dx], axis=-1))
-            values[:, j0:j1] += np.einsum("ij,aijk->ak", w2, res)
-
-        self.spline = RectBivariateSpline(t_axis, x_axis, values, kx=3, ky=3)
-        self.t_max = t_max
-        self.x_max = x_max
-
-    def ev(self, pts: np.ndarray) -> np.ndarray:
-        t = pts[..., 0].ravel()
-        x = pts[..., 1].ravel()
-        inside = (np.abs(t) <= self.t_max) & (np.abs(x) <= self.x_max)
-        out = np.zeros(t.shape)
-        out[inside] = self.spline.ev(t[inside], x[inside])
-        return out.reshape(pts.shape[:-1])
-
-
-_PAIR_FIELD_CACHE: dict = {}
-
-
-def get_pair_field(model: PoissonNoiseModel, kernel: TruncatedKernel,
-                   eps: float) -> PairField:
-    key = (model.model_hash(), repr(kernel.profile), float(eps))
-    if key not in _PAIR_FIELD_CACHE:
-        _PAIR_FIELD_CACHE[key] = PairField(model, kernel, eps)
-    return _PAIR_FIELD_CACHE[key]
-
-
-def _axis_edges(inner: float, outer: float, step: float, ratio: float):
-    core = list(np.arange(0.0, inner, step))
-    tail = [inner]
-    while tail[-1] < outer:
-        tail.append(tail[-1] * ratio)
-    pos = np.array(core + tail)
-    return np.concatenate([-pos[::-1][:-1], pos])
-
-
-def _panel_nodes(edges: np.ndarray, nodes: int):
-    g, w = np.polynomial.legendre.leggauss(nodes)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    pts = (mid[:, None] + half[:, None] * g[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return pts, wts
-
-
-def _parabolic_nodes(eps: float, step: float = 0.22, ratio: float = 1.16,
-                     nodes: int = 6):
-    """Graded tensor quadrature covering the rescaled support ball."""
-    t_top = (2.0 / eps) ** 2 + 1
-    x_top = 2.0 / eps + 1
-    t_edges = _axis_edges(3.0, t_top, step, ratio)
-    x_edges = _axis_edges(3.0, x_top, step, ratio)
-    t_nodes, t_w = _panel_nodes(t_edges, nodes)
-    x_nodes, x_w = _panel_nodes(x_edges, nodes)
-    T, X = np.meshgrid(t_nodes, x_nodes, indexing="ij")
-    W = np.outer(t_w, x_w)
-    pts = np.stack([T.ravel(), X.ravel()], axis=-1)
-    return pts, W.ravel()
-
-
-@functools.lru_cache(maxsize=4)
-def _theta_table(profile: KernelProfile):
-    """The bounded three-kernel function tabulated on its support.
-
-    Using the pair correlation, the double integral collapses to a single
-    one: ``Theta(z) = -int K'(x) K2(x - z) dx``; the pair correlation is
-    the exact heat part plus the tabulated residual.
-    """
-    from scipy.interpolate import RectBivariateSpline
-
-    kernel = build_truncated_kernel(profile)
-    residual = _pair_residual_table(profile)
-
-    def k2_eval(s, y):
-        shape = np.broadcast(np.asarray(s), np.asarray(y)).shape
-        ss = np.broadcast_to(np.asarray(s, dtype=float), shape)
-        yy = np.broadcast_to(np.asarray(y, dtype=float), shape)
-        rho = parabolic_norm(ss, yy)
-        out = heat_pair_correlation(ss, yy)
-        corr = residual.ev(np.minimum(np.abs(ss), 4.4).ravel(),
-                           np.minimum(np.abs(yy), 2.2).ravel()).reshape(shape)
-        return np.where(rho <= 2.0, out + corr, 0.0)
-
-    def theta_at(zs, zx):
-        t_cuts = {0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.4, 1.0}
-        for d in (1e-3, 1e-2, 0.1):
-            t_cuts.add(min(max(zs - d, 0.0), 1.0))
-            t_cuts.add(min(max(zs + d, 0.0), 1.0))
-        t_cuts.add(min(max(zs, 0.0), 1.0))
-        t_cuts = sorted(t_cuts)
-        x_cuts = {-1.0, 1.0}
-        for c in (0.0, zx):
-            for d in (1e-3, 1e-2, 0.1, 0.4):
-                x_cuts.add(min(max(c - d, -1.0), 1.0))
-                x_cuts.add(min(max(c + d, -1.0), 1.0))
-            x_cuts.add(min(max(c, -1.0), 1.0))
-        x_cuts = sorted(x_cuts)
-        total = 0.0
-        for tlo, thi in zip(t_cuts[:-1], t_cuts[1:]):
-            if thi <= tlo + 1e-15:
-                continue
-            tg, wt = _gauss_legendre(8, tlo, thi)
-            for xlo, xhi in zip(x_cuts[:-1], x_cuts[1:]):
-                if xhi <= xlo + 1e-15:
-                    continue
-                xg, wx = _gauss_legendre(8, xlo, xhi)
-                tt = tg[:, None]
-                xx = xg[None, :]
-                vals = kernel.dx(tt, xx) * k2_eval(tt - zs, xx - zx)
-                total += np.sum(vals * wt[:, None] * wx[None, :])
-        return -total
-
-    s_axis = np.concatenate([
-        -np.geomspace(10.0, 0.05, 26), [0.0], np.geomspace(0.05, 10.0, 26)
-    ])
-    y_axis = np.concatenate([
-        -np.geomspace(3.2, 0.05, 19), [0.0], np.geomspace(0.05, 3.2, 19)
-    ])
-    values = np.zeros((len(s_axis), len(y_axis)))
-    for i, zs in enumerate(s_axis):
-        if abs(zs) > 9.6:
-            continue  # outside the support ball for every y
-        for j, zy in enumerate(y_axis):
-            if parabolic_norm(np.array(zs), np.array(zy)) > 3.05:
-                continue
-            values[i, j] = theta_at(float(zs), float(zy))
-    return RectBivariateSpline(s_axis, y_axis, values, kx=3, ky=3)
-
-
-def theta_from_table(z, kernel: TruncatedKernel):
-    """Fast evaluator of the three-kernel function (tabulated)."""
-    table = _theta_table(kernel.profile)
-    z = np.asarray(z, dtype=float)
-    s = z[..., 0].ravel()
-    y = z[..., 1].ravel()
-    inside = parabolic_norm(s, y) <= 3.0
-    out = np.where(inside, table.ev(s, y), 0.0)
-    return out.reshape(z.shape[:-1])
-
-
-def _smeared_theta(model: PoissonNoiseModel, kernel: TruncatedKernel,
-                   eps: float, pts: np.ndarray) -> np.ndarray:
-    """``-int Theta(S_eps(u - v)) kappa2(v) dv`` at the given points."""
-    s_reach = 2.0 * model.t_reach
-    y_reach = 2.0 * model.x_reach
-    tg, wt = _gauss_legendre(12, -s_reach, s_reach)
-    xg, wx = _gauss_legendre(20, -y_reach, y_reach)
-    cov = model.kappa2(tg[:, None], xg[None, :]) * (wt[:, None] * wx[None, :])
-    total = np.zeros(pts.shape[0])
-    for i, tv in enumerate(tg):
-        dx = eps * (pts[:, 1, None] - xg[None, :])
-        dt = np.broadcast_to(eps ** 2 * (pts[:, 0, None] - tv), dx.shape)
-        vals = theta_from_table(np.stack([dt, dx], axis=-1), kernel)
-        total += vals @ cov[i]
-    return -total
-
-
-def quadrature_constant(
-    name: str,
-    model: PoissonNoiseModel,
-    kernel: TruncatedKernel,
-    eps: float,
-    resolution: float = 1.0,
-    chat: float = 0.0,
-) -> float:
-    """Deterministic value of one constant at one scale.
-
-    ``C0`` and ``chat`` come straight from the two-point insertion; the
-    two logarithmic constants are the graded-grid quadratures of the
-    reduced two- and four-kernel forms (the second reduced further through
-    the tabulated three-kernel function).  Space-even models only.
-    """
-    pair = get_pair_field(model, kernel, eps)
-    if name == "C0":
-        return float(pair.ev(np.array([[0.0, 0.0]]))[0]) / eps
-    pts, w = _parabolic_nodes(eps, step=0.22 / resolution,
-                              nodes=max(4, int(round(6 * resolution))))
-    if name == "chat":
-        khat_u = eps ** 2 * kernel.dx(eps ** 2 * (-pts[:, 0]),
-                                      eps * (-pts[:, 1]))
-        return float(np.sum(w * khat_u * pair.ev(pts)))
-    k2_vals = pair_correlation_hat(kernel, eps, pts)
-    pi_vals = pair.ev(pts)
-    if name == "C31":
-        return float(np.sum(w * k2_vals * pi_vals ** 2))
-    if name == "C21":
-        khat_u = eps ** 2 * kernel.dx(eps ** 2 * (-pts[:, 0]),
-                                      eps * (-pts[:, 1]))
-        outer = w * khat_u * pi_vals
-        keep = outer != 0.0
-        v_vals = _smeared_theta(model, kernel, eps, pts[keep])
-        return float(np.sum(outer[keep] * v_vals)) - 0.5 * chat * chat
-    raise KeyError(name)

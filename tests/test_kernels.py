@@ -17,30 +17,6 @@ def kernel():
     return kernels.build_truncated_kernel()
 
 
-def test_smeared_theta_matches_double_loop(monkeypatch):
-    def theta_stub(z, kernel):
-        z = np.asarray(z, dtype=float)
-        return np.exp(-z[..., 0] ** 2 - 3.0 * z[..., 1] ** 2) * (1.0 + z[..., 1])
-
-    monkeypatch.setattr(kernels, "theta_from_table", theta_stub)
-    model = default_even_model()
-    eps = 0.3
-    pts = np.array([[0.0, 0.0], [0.4, -0.7], [-1.1, 0.25]])
-    got = kernels._smeared_theta(model, None, eps, pts)
-
-    tg, wt = _gauss_legendre(12, -2.0 * model.t_reach, 2.0 * model.t_reach)
-    xg, wx = _gauss_legendre(20, -2.0 * model.x_reach, 2.0 * model.x_reach)
-    k2 = [[float(model.kappa2(t, x)) for x in xg] for t in tg]
-    want = np.zeros(len(pts))
-    for p, (ps, py) in enumerate(pts):
-        for i in range(len(tg)):
-            for j in range(len(xg)):
-                z = np.array([eps ** 2 * (ps - tg[i]), eps * (py - xg[j])])
-                want[p] -= theta_stub(z, None) * k2[i][j] * wt[i] * wx[j]
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
-    assert np.all(np.abs(want) > 1e-3)
-
-
 # Both axes cross the edges of the kernel's support (t = 0, t = 1, |x| = 1)
 # and of the annulus shape's box (t = 1.02, |x| = 1.02).
 T_AXIS = np.linspace(-0.05, 1.08, 57)
@@ -319,6 +295,53 @@ def test_c0_levels_off_at_its_exact_limit(kernel):
     assert abs(b1 - b2) <= 4.0 * np.hypot(s1, s2), rows
     # the divergent part dominates: B is order one against A/eps ~ 5 and 10
     assert 0.5 < b1 < 3.0 and 0.5 < b2 < 3.0
+
+
+def _dense_pdf_single_scale(pts, s, flat_fraction=0.25):
+    """The proposal density with every term evaluated at every point."""
+    t, x = np.abs(pts[..., 0]), pts[..., 1]
+    ts, xs = t / s ** 2, x / s
+    ok = (ts > 0) & (ts <= 1.0)
+    tt = np.where(ok, ts, 1.0)
+    dens = np.where(ok, np.abs(xs) * np.exp(-xs * xs / (4 * tt)) / (8 * tt ** 1.5),
+                    0.0)
+    sf = 1.5 * s
+    flat = np.where((t <= sf ** 2) & (np.abs(x) <= sf), 1.0 / (4 * sf ** 3), 0.0)
+    return (1 - flat_fraction) * 0.5 * dens / s ** 3 + flat_fraction * flat
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 8.0])
+def test_proposal_density_matches_dense_form(s):
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(20_000, 2)) * np.array([2.0 * s * s, 2.0 * s])
+    # t = 0; t / s^2 = 1 for both signs of t and just past it; the flat
+    # box's corner; x = 0
+    pts[:6] = [(0.0, 0.3), (s * s, 0.5), (-s * s, 0.5),
+               (np.nextafter(s * s, np.inf), 0.5), (2.25 * s * s, 1.5 * s),
+               (0.5 * s * s, 0.0)]
+    want = _dense_pdf_single_scale(pts, s)
+    got = kernels._pdf_single_scale(pts, s)
+    assert np.array_equal(got, want)
+    assert 0 < np.count_nonzero(got) < len(pts)
+    grid = pts[:600].reshape(20, 30, 2)
+    assert np.array_equal(kernels._pdf_single_scale(grid, s),
+                          _dense_pdf_single_scale(grid, s))
+
+
+def test_table_legs_agree_with_sampled_legs(kernel):
+    """C0 with every leg read from the ``LegTable`` agrees with C0 with every
+    leg estimated from one sampled bump point, the unbiased route, within 4
+    combined stderr on independent seeds."""
+    model = default_even_model()
+    c0 = kernels.DIAGRAMS["C0"]
+    table = kernels.evaluate_diagram(c0, model, kernel, 0.5, 500_000, seed=0)
+    sample = kernels.evaluate_diagram(c0, model, kernel, 0.5, 500_000, seed=1,
+                                      leg_mode="sample")
+    (vt, st), (vs, ss) = table, sample
+    assert 0 < st < 0.02 and 0 < ss < 0.02
+    # the sampled legs add noise: the table route must be the tighter one
+    assert st < ss
+    assert abs(vt - vs) <= 4.0 * np.hypot(st, ss), (table, sample)
 
 
 def test_chat_fixed_point_on_skew_model(kernel):
