@@ -88,12 +88,6 @@ class SetPartition:
                 raise ValueError("partition blocks must be disjoint")
             seen |= block
 
-    @staticmethod
-    def from_blocks(blocks: Iterable[Iterable[Hashable]]) -> "SetPartition":
-        frozen = [frozenset(b) for b in blocks]
-        frozen.sort(key=lambda b: min(_sort_key(x) for x in b))
-        return SetPartition(tuple(frozen))
-
     @property
     def ground_set(self) -> frozenset:
         return frozenset().union(*self.blocks) if self.blocks else frozenset()

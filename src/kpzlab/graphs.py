@@ -25,11 +25,11 @@ Labels like ``2+1d`` mean ``2 + delta``; ``5/2-1d`` means ``5/2 - delta``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cumulants import IndexKey, SizeLimitError, iter_wick_partitions
+from .cumulants import SizeLimitError, iter_wick_partitions
 
 __all__ = [
     "LabelValue",
@@ -464,41 +464,10 @@ class ContractedGraph:
         """Degree counting multi-edges."""
         return sum(1 for e in self.edge_list() if e.touches(vertex))
 
-    def class_of(self, vertex: str) -> frozenset:
-        for i, cls in enumerate(self.classes):
-            if self.ex_vertex(i) == vertex:
-                return cls
-        raise KeyError(vertex)
-
-    def identify(self, v1: str, v2: str) -> "ContractedGraph":
-        """Merge two ex-vertices into one class (new contracted graph)."""
-        c1, c2 = self.class_of(v1), self.class_of(v2)
-        rest = tuple(c for c in self.classes if c not in (c1, c2))
-        return contracted_graph(self.source, self.p, rest + (c1 | c2,))
-
 
 def _sorted_classes(classes: Iterable[frozenset]) -> tuple[frozenset, ...]:
     return tuple(sorted((frozenset(c) for c in classes),
                         key=lambda c: sorted((copy, vid) for copy, vid in c)))
-
-
-def contracted_graph(source: PartialGraph, p: int,
-                     classes: Iterable[frozenset]) -> ContractedGraph:
-    """Validated construction of a ContractedGraph from glued classes."""
-    classes = _sorted_classes(classes)
-    slots = {(k, vid) for k in range(1, p + 1) for vid in source.external_ids}
-    covered: set = set()
-    for cls in classes:
-        if len(cls) < 2:
-            raise ValueError("every glued class needs at least 2 externals")
-        if len({copy for copy, _ in cls}) < 2:
-            raise ValueError("every glued class must span at least 2 copies")
-        if covered & cls:
-            raise ValueError("classes overlap")
-        covered |= cls
-    if covered != slots:
-        raise ValueError("classes must cover every external of every copy")
-    return ContractedGraph(source=source, p=p, classes=classes)
 
 
 #: One object per distinct glued class, shared by every contraction that has

@@ -25,7 +25,6 @@ import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -44,12 +43,7 @@ __all__ = [
     "evaluate_diagram",
     "compute_constant",
     "chat_fixed_point",
-    "q_kernel_convolution",
-    "q_kernel_check",
     "c0_exact_limit",
-    "ConstantSeries",
-    "constant_series",
-    "fit_asymptotics",
 ]
 
 
@@ -503,50 +497,26 @@ def _build_truncated_kernel_impl(profile: KernelProfile) -> TruncatedKernel:
 # Parabolic proposal densities with exactly known pdfs
 # ---------------------------------------------------------------------------
 
-class ParabolicProposal:
-    """Mixture of parabolic-scaled copies of the |dG/dx| density.
+# The base density is ``|x| exp(-x^2/4t) / (8 t^{3/2})`` on ``t in (0,1]``
+# (exactly the shape of the differentiated heat kernel, normalised); each
+# scaled copy is symmetrised in the sign of ``t``.  A flat component on the
+# parabolic box of each scale keeps the density bounded away from zero
+# wherever the kernels live.  ``evaluate_diagram`` mixes the copies at the
+# ``dyadic_scales`` with equal weights.  Both sampling and the density are
+# exact, so importance weights are unbiased.
 
-    The base density is ``|x| exp(-x^2/4t) / (8 t^{3/2})`` on ``t in (0,1]``
-    (exactly the shape of the differentiated heat kernel, normalised); each
-    scaled copy is symmetrised in the sign of ``t``.  A flat component on
-    the parabolic box of each scale keeps the density bounded away from
-    zero wherever the kernels live.  Both sampling and the density are
-    exact, so importance weights are unbiased.
-    """
-
-    def __init__(
-        self,
-        scales: Sequence[float],
-        weights: Sequence[float] | None = None,
-        flat_fraction: float = 0.25,
-    ):
-        self.scales = np.asarray(scales, dtype=float)
-        if weights is None:
-            weights = np.ones(len(self.scales))
-        w = np.asarray(weights, dtype=float)
-        self.weights = w / w.sum()
-        self.flat_fraction = float(flat_fraction)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = rng.choice(len(self.scales), size=n, p=self.weights)
-        return _sample_single_scale(rng, self.scales[idx], self.flat_fraction)
-
-    def pdf(self, pts: np.ndarray) -> np.ndarray:
-        total = np.zeros(pts.shape[:-1])
-        for s, w in zip(self.scales, self.weights):
-            total += w * _pdf_single_scale(pts, s, self.flat_fraction)
-        return total
+#: Share of each single-scale density spent on the flat component.
+FLAT_FRACTION = 0.25
 
 
-def _sample_single_scale(rng: np.random.Generator, s: np.ndarray,
-                         flat_fraction: float = 0.25) -> np.ndarray:
+def _sample_single_scale(rng: np.random.Generator, s: np.ndarray) -> np.ndarray:
     """Draw offsets from the single-scale parabolic density, per-sample scales."""
     n = len(s)
     t = rng.random(n) ** 2 * s ** 2
     t *= np.where(rng.random(n) < 0.5, 1.0, -1.0)
     e = rng.exponential(size=n)
     x = np.sqrt(4 * np.abs(t) * e) * np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    flat = rng.random(n) < flat_fraction
+    flat = rng.random(n) < FLAT_FRACTION
     nf = int(flat.sum())
     if nf:
         sf = 1.5 * s[flat]
@@ -555,8 +525,7 @@ def _sample_single_scale(rng: np.random.Generator, s: np.ndarray,
     return np.stack([t, x], axis=1)
 
 
-def _pdf_single_scale(pts: np.ndarray, s: float,
-                      flat_fraction: float = 0.25) -> np.ndarray:
+def _pdf_single_scale(pts: np.ndarray, s: float) -> np.ndarray:
     """Density of :func:`_sample_single_scale` at one fixed scale."""
     t = np.abs(pts[..., 0])
     x = pts[..., 1]
@@ -569,12 +538,12 @@ def _pdf_single_scale(pts: np.ndarray, s: float,
     dens[ok] = np.abs(xs) * np.exp(-xs * xs / (4 * tt)) / (8 * tt ** 1.5)
     sf = 1.5 * s
     flat = np.where((t <= sf ** 2) & (np.abs(x) <= sf), 1.0 / (4 * sf ** 3), 0.0)
-    return (1 - flat_fraction) * 0.5 * dens / s ** 3 + flat_fraction * flat
+    return (1 - FLAT_FRACTION) * 0.5 * dens / s ** 3 + FLAT_FRACTION * flat
 
 
-def dyadic_scales(eps: float, top_factor: float = 2.0) -> list[float]:
+def dyadic_scales(eps: float) -> list[float]:
     """Scales 1, 2, 4, ... covering the rescaled kernel support."""
-    top = max(1.0, top_factor / eps)
+    top = max(1.0, 2.0 / eps)
     n = int(math.ceil(math.log2(top))) + 1
     return [2.0 ** j for j in range(n)]
 
@@ -795,6 +764,8 @@ def evaluate_diagram(
     from the ``LegTable`` (``leg_mode="table"``) or estimated from one
     sampled bump point (``leg_mode="sample"``, unbiased but noisier).
     """
+    if leg_mode not in ("table", "sample"):
+        raise ValueError(f"leg_mode must be 'table' or 'sample', not {leg_mode!r}")
     import zlib
 
     rng = np.random.default_rng(
@@ -941,118 +912,6 @@ def chat_fixed_point(
 
 
 # ---------------------------------------------------------------------------
-# The reduced kernel built from the covariance chain
-# ---------------------------------------------------------------------------
-
-def q_kernel_convolution(
-    offset: tuple[float, float],
-    model: PoissonNoiseModel,
-    kernel: TruncatedKernel,
-    eps: float,
-    chat: float = 0.0,
-    v_h: float = 0.0,
-    budget: int = 400_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """``int K'(w - x) Q_eps(z - w) dw`` at ``z - x = offset``.
-
-    ``Q_eps`` is the covariance-chain kernel minus ``chat`` times a point
-    mass; the point-mass part contributes ``-chat K'(z - x)`` exactly and
-    the rest is estimated by importance sampling with the blob unfolded.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED51]))
-    zx = np.array(offset, dtype=float)  # z - x, with x at the origin
-    x0 = np.zeros(2)
-    z0 = zx
-
-    P = ParabolicProposal([0.5, 1.0, 2.0])
-    P_hat = ParabolicProposal(dyadic_scales(eps, top_factor=1.0))
-    leg_mass_hat = model.abs_dphi_mass
-    shear = v_h * eps
-
-    n = budget
-    comp = rng.choice(2, size=n)
-    w = np.where(comp[:, None] == 0, x0 + P.sample(rng, n), z0 + P.sample(rng, n))
-    qw = 0.5 * (P.pdf(w - x0) + P.pdf(w - z0))
-
-    u = z0 - w                      # argument of the reduced kernel
-    u_hat = np.stack([u[:, 0] / eps ** 2, u[:, 1] / eps], axis=1)
-    compb = rng.choice(2, size=n)
-    wh = np.where(compb[:, None] == 0, P_hat.sample(rng, n),
-                  u_hat + P_hat.sample(rng, n))
-    qwh = 0.5 * (P_hat.pdf(wh) + P_hat.pdf(wh - u_hat))
-
-    def leg(target_hat):
-        vt, vx, vxm, sign = model.sample_dphi_pairs(rng, n)
-        base = target_hat - wh
-        arg = np.stack([base[..., 0] - vt, base[..., 1] - (vx + shear * vt)],
-                       axis=-1)
-        arg_m = np.stack([base[..., 0] - vt, base[..., 1] - (vxm + shear * vt)],
-                         axis=-1)
-        return sign * leg_mass_hat * 0.5 * (
-            _khat0(kernel, eps, arg) - _khat0(kernel, eps, arg_m)
-        )
-
-    # J(u) = mu eps^{-1} int Ghat(u_hat - wh) Ghat(-wh) dwh, unfolded
-    vals = (
-        kernel.dx(w[:, 0] - x0[0], w[:, 1] - x0[1])
-        * kernel.dx(w[:, 0] - z0[0], w[:, 1] - z0[1])
-        * (model.mu * model.mark_moment(2) / eps)
-        * leg(u_hat) * leg(np.zeros(2))
-        / (qw * qwh)
-    )
-    delta_part = -chat * float(kernel.dx(zx[0], zx[1]))
-    return delta_part + float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
-
-
-def q_kernel_check(
-    model: PoissonNoiseModel,
-    kernel: TruncatedKernel,
-    eps_list: Sequence[float],
-    separations: Sequence[float] = (1.0, 0.5, 0.25, 0.125),
-    budget: int = 400_000,
-    seed: int = 0,
-    lam: float = 1.0,
-) -> dict:
-    """Uniform bound report for the reduced-kernel convolution.
-
-    Checks that ``|int K'(w-x) Q_eps(z-w) dw| * |z-x|^2`` stays below one
-    constant over the tested separations and scales, and that the reduced
-    kernel integrates to zero (restating the fixed-point property).
-    """
-    rows = []
-    for eps in eps_list:
-        if model.x_even:
-            chat, _ = 0.0, 1
-            vh = 0.0
-        else:
-            chat, _ = chat_fixed_point(model, kernel, eps, lam=lam,
-                                       mc_budget=budget // 2, seed=seed)
-            vh = 4.0 * lam * lam * chat
-        # integral of the reduced kernel: fixed-point residual
-        total, terr = evaluate_diagram(DIAGRAMS["chat"], model, kernel, eps,
-                                       budget, seed + 1, v_h=vh)
-        rows.append({
-            "eps": eps,
-            "chat": chat,
-            "q_integral": total - chat,
-            "q_integral_stderr": terr,
-            "bounds": [],
-        })
-        for i, r in enumerate(separations):
-            value, err = q_kernel_convolution(
-                (0.0, r), model, kernel, eps, chat, vh, budget, seed + 10 + i
-            )
-            rows[-1]["bounds"].append({
-                "separation": r,
-                "value": value,
-                "stderr": err,
-                "scaled": abs(value) * r * r,
-            })
-    return {"rows": rows}
-
-
-# ---------------------------------------------------------------------------
 # Exact small-scale limit of the first constant (independent quadrature)
 # ---------------------------------------------------------------------------
 
@@ -1075,81 +934,3 @@ def c0_exact_limit(model: PoissonNoiseModel, n_sigma: int = 120, n_y: int = 200)
     integral = np.sum(gauss * k2 * wsig[:, None] * wy[None, :])
     return 0.5 * integral
 
-
-# ---------------------------------------------------------------------------
-# Scale series and asymptotic fits
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ConstantSeries:
-    """Values of one constant along a decreasing scale list."""
-
-    name: str
-    entries: list  # of (eps, value, stderr)
-
-    def __post_init__(self):
-        eps = [e for e, _, _ in self.entries]
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("scales must be strictly decreasing")
-        if any(not math.isfinite(err) for _, _, err in self.entries):
-            raise ValueError("errors must be finite")
-
-    def eps(self):
-        return np.array([e for e, _, _ in self.entries])
-
-    def values(self):
-        return np.array([v for _, v, _ in self.entries])
-
-    def errors(self):
-        return np.array([s for _, _, s in self.entries])
-
-
-def constant_series(
-    name: str,
-    model: PoissonNoiseModel,
-    kernel: TruncatedKernel,
-    eps_list: Sequence[float],
-    mc_budget: int = 1_000_000,
-    seed: int = 0,
-    v_h: float = 0.0,
-    chat_values: Sequence[float] | None = None,
-) -> ConstantSeries:
-    entries = []
-    for i, eps in enumerate(eps_list):
-        chat = chat_values[i] if chat_values is not None else 0.0
-        value, err = compute_constant(
-            name, model, kernel, eps, mc_budget, seed + i, v_h, chat
-        )
-        entries.append((eps, value, err))
-    return ConstantSeries(name, entries)
-
-
-def fit_asymptotics(series: ConstantSeries, model: str) -> dict:
-    """Least squares against ``A eps^alpha`` or ``A log eps + B``."""
-    eps = series.eps()
-    values = series.values()
-    if len(eps) < 3:
-        raise ValueError("need at least 3 points to fit")
-    if model == "power":
-        if np.any(values == 0):
-            raise ValueError("power fit needs nonzero values")
-        design = np.stack([np.log(eps), np.ones_like(eps)], axis=1)
-        coef, *_ = np.linalg.lstsq(design, np.log(np.abs(values)), rcond=None)
-        fitted = design @ coef
-        return {
-            "model": "power",
-            "exponent": float(coef[0]),
-            "amplitude": float(math.copysign(math.exp(coef[1]), values[0])),
-            "residual": float(np.max(np.abs(fitted - np.log(np.abs(values))))),
-        }
-    if model == "log":
-        design = np.stack([np.log(eps), np.ones_like(eps)], axis=1)
-        coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-        fitted = design @ coef
-        return {
-            "model": "log",
-            "slope": float(coef[0]),
-            "offset": float(coef[1]),
-            "residual": float(np.max(np.abs(fitted - values))),
-        }
-    raise ValueError("model must be 'power' or 'log'")

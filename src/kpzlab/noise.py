@@ -14,11 +14,10 @@ statistics can always be checked against exact quadrature values.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -294,23 +293,15 @@ class PoissonNoiseModel:
             self._build_dphi_samplers()
         return self._dphi_samplers[2]
 
-    def sample_dphi(self, rng: np.random.Generator, n: int):
-        """Draw from ``|dphi/dx|`` normalised; returns (t, x, sign).
-
-        Together with :attr:`abs_dphi_mass` this gives unbiased one-draw
-        estimates of convolutions against ``dphi/dx``.
-        """
-        t, x, _, sign = self.sample_dphi_pairs(rng, n)
-        return t, x, sign
-
     def sample_dphi_pairs(self, rng: np.random.Generator, n: int):
         """Antithetic draws from ``|dphi/dx|``: (t, x, mirrored x, sign).
 
         The mirror reflects the point across its own term's spatial centre,
         which preserves the sampling law and flips the derivative sign, so
         ``sign * A * (g(x) - g(x_mirror)) / 2`` is an unbiased estimate of
-        ``int g dphi/dx`` whose fluctuations inherit the derivative
-        structure (crucial for the long-time tail of kernel legs).
+        ``int g dphi/dx``, with ``A`` = :attr:`abs_dphi_mass`, whose
+        fluctuations inherit the derivative structure (crucial for the
+        long-time tail of kernel legs).
         """
         if self._dphi_samplers is None:
             self._build_dphi_samplers()

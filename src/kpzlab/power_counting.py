@@ -15,7 +15,7 @@ and subset scans on contracted graphs run on integer-scaled numpy arrays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -23,10 +23,8 @@ import numpy as np
 
 from .graphs import (
     ContractedGraph,
-    GraphEdge,
     LabelValue,
     PartialGraph,
-    SimpleLabelledGraph,
     ZERO_LABEL,
     edge_sets,
     iter_contractions,

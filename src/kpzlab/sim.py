@@ -78,7 +78,6 @@ class SimConfig:
     dt: float | None = None
     ell: tuple[float, float, float, float, float] = (0.0,) * 5
     v_h: float = 0.0
-    seed: int = 0
     store_every: int = 0  # 0: keep only the final slice
 
     def __post_init__(self):
@@ -98,13 +97,6 @@ class SimConfig:
     @property
     def v_v(self) -> float:
         return -_closed_form(self.ell, self.lam)[1]
-
-    def describe(self) -> dict:
-        return {
-            "lam": self.lam, "eps": self.eps, "n_x": self.n_x, "T": self.T,
-            "dt": self.step, "ell": list(self.ell), "v_h": self.v_h,
-            "seed": self.seed,
-        }
 
 
 def _closed_form(ell, lam: float) -> tuple[float, float]:
@@ -452,7 +444,7 @@ def convergence_study(
     for eps in eps_list:
         ell = constants[eps]
         config = SimConfig(lam=lam, eps=eps, n_x=n_x, T=T, ell=tuple(ell),
-                           v_h=-_closed_form(ell, lam)[0], seed=master_seed)
+                           v_h=-_closed_form(ell, lam)[0])
         ensemble = ensemble_renormalised(model, config, n_members, master_seed,
                                          clouds=clouds)
         comp = compare_statistics(ensemble, reference, seed=master_seed)
@@ -489,12 +481,11 @@ def drift_control_study(
     for eps in sorted(eps_list, reverse=True):
         ell = list(constants[eps])
         config = SimConfig(lam=lam, eps=eps, n_x=n_x, T=T, ell=tuple(ell),
-                           v_h=-_closed_form(ell, lam)[0], seed=master_seed)
+                           v_h=-_closed_form(ell, lam)[0])
         ell_control = list(ell)
         ell_control[2] = 0.0
         config_c = SimConfig(lam=lam, eps=eps, n_x=n_x, T=T,
-                             ell=tuple(ell_control), v_h=config.v_h,
-                             seed=master_seed)
+                             ell=tuple(ell_control), v_h=config.v_h)
         grid = noise_grid_for(config)
         seeds = [_child_seed(master_seed, 5, m) for m in range(n_members)]
 

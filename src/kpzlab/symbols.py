@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .graphs import LabelValue, PartialGraph, parse_partial_graph
 from .power_counting import (

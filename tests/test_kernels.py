@@ -344,6 +344,15 @@ def test_table_legs_agree_with_sampled_legs(kernel):
     assert abs(vt - vs) <= 4.0 * np.hypot(st, ss), (table, sample)
 
 
+@pytest.mark.parametrize("name", ["C0", "C1"])
+def test_unknown_leg_mode_is_rejected(kernel, name):
+    """A misspelt leg mode raises instead of running the sampled route, also
+    for C1, which the even model's parity returns as 0 without sampling."""
+    with pytest.raises(ValueError, match="leg_mode"):
+        kernels.evaluate_diagram(kernels.DIAGRAMS[name], default_even_model(),
+                                 kernel, 0.5, 1_000, leg_mode="tabel")
+
+
 def test_chat_fixed_point_on_skew_model(kernel):
     """The fixed point ``c = F(c)`` of the sheared ``chat`` diagram agrees with
     one independent evaluation of ``F`` at ``v_h = 4 c``."""

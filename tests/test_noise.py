@@ -90,7 +90,7 @@ class TestModel:
         # E[sign * A * g(v)] = int g dphi/dx for a smooth test g
         model = default_asymmetric_model()
         rng = np.random.default_rng(3)
-        t, x, sign = model.sample_dphi(rng, 400_000)
+        t, x, _, sign = model.sample_dphi_pairs(rng, 400_000)
         g = np.cos(2.1 * t + 0.4) * np.sin(1.3 * x)
         est = np.mean(sign * g) * model.abs_dphi_mass
 
