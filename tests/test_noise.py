@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,106 @@ class TestPairingWindows:
         assert w.exact_cumulant(2, 0) == pytest.approx(k2_ref, rel=1e-5)
 
 
+def fancy_index_interpolate(w, j, s, y):
+    """The bilinear interpolation written with 2-d fancy indexing."""
+    Wv = w.windows[j]
+    fs = (s - w.s_grid[0]) / w.ds
+    fy = np.mod(y, w.strip) / w.dy
+    i0 = np.clip(np.floor(fs).astype(int), 0, len(w.s_grid) - 2)
+    j0 = np.floor(fy).astype(int) % len(w.y_grid)
+    j1 = (j0 + 1) % len(w.y_grid)
+    as_ = np.clip(fs - i0, 0.0, 1.0)
+    ay = fy - np.floor(fy)
+    out = (
+        Wv[i0, j0] * (1 - as_) * (1 - ay)
+        + Wv[i0 + 1, j0] * as_ * (1 - ay)
+        + Wv[i0, j1] * (1 - as_) * ay
+        + Wv[i0 + 1, j1] * as_ * ay
+    )
+    out[(fs < 0) | (fs > len(w.s_grid) - 1)] = 0.0
+    return out
+
+
+class TestInterpolate:
+    @pytest.fixture(scope="class")
+    def windows(self):
+        etas = make_test_functions((0.02, 0.18))
+        return PairingWindows(default_asymmetric_model(), 0.2, etas, (0.02, 0.18), v_h=0.7)
+
+    def test_nodes_midpoints_wrap_and_outside(self, windows):
+        w = windows
+        for j, Wv in enumerate(w.windows):
+            tol = 1e-12 * np.abs(Wv).max()
+            s, y = np.meshgrid(w.s_grid, w.y_grid, indexing="ij")
+            assert np.allclose(w.interpolate(j, s, y), Wv, rtol=0, atol=tol)
+            # cell midpoints: the mean of the four corners
+            s_mid, y_mid = np.meshgrid(w.s_grid[:-1] + w.ds / 2, w.y_grid[:-1] + w.dy / 2,
+                                       indexing="ij")
+            corners = (Wv[:-1, :-1] + Wv[1:, :-1] + Wv[:-1, 1:] + Wv[1:, 1:]) / 4
+            assert np.allclose(w.interpolate(j, s_mid, y_mid), corners, rtol=0, atol=tol)
+            # across y = strip the last column is joined to the first
+            y_seam = np.full(len(w.s_grid), w.strip - w.dy / 2)
+            seam = (Wv[:, -1] + Wv[:, 0]) / 2
+            for shift in (0.0, w.strip, -2 * w.strip):
+                assert np.allclose(w.interpolate(j, w.s_grid, y_seam + shift), seam,
+                                   rtol=0, atol=tol)
+            outside = np.array([w.s_grid[0] - 1e-9, w.s_grid[0] - 3.0,
+                                w.s_grid[-1] + 1e-9, w.s_grid[-1] + 3.0])
+            assert w.interpolate(j, outside, np.full(4, w.strip / 3)).tolist() == [0.0] * 4
+
+    def test_matches_fancy_indexing_bit_for_bit(self, windows):
+        rng = np.random.default_rng(8)
+        s = rng.uniform(windows.s_grid[0] - 1.0, windows.s_grid[-1] + 1.0, 50_000)
+        y = rng.uniform(-3 * windows.strip, 3 * windows.strip, 50_000)
+        for j in range(2):
+            assert np.array_equal(windows.interpolate(j, s, y),
+                                  fancy_index_interpolate(windows, j, s, y))
+
+
+TWO_MARKS = ((0.3, -1.0), (0.7, 2.0))
+
+
+class TestSamplePairings:
+    @pytest.mark.parametrize("mu", [2.0, 0.006])
+    def test_point_blocks_do_not_change_the_draws(self, monkeypatch, mu):
+        model = PoissonNoiseModel([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], mu=mu, marks=TWO_MARKS)
+        eps = 0.1
+        w = PairingWindows(model, eps, list(make_test_functions((0.02, 0.18))), (0.02, 0.18))
+        n = 400
+        # at mu = 2 the default block splits the rows; at mu = 0.006 many are empty
+        lam = mu * (w.s_grid[-1] - w.s_grid[0]) * w.strip
+        assert n * lam > 2 * noise.POINT_BLOCK or math.exp(-lam) > 0.3
+        default = sample_pairings(model, eps, w, n, seed=4)
+        for block in (1, 37, 10 ** 9):
+            monkeypatch.setattr(noise, "POINT_BLOCK", block)
+            assert np.array_equal(sample_pairings(model, eps, w, n, seed=4), default)
+
+    def test_marked_cumulants_match_exact(self):
+        # the time bump alone: constant in x, so kappa_3 = mu E[a^3] int W^3 is not 0
+        model = PoissonNoiseModel([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], mu=2.0, marks=TWO_MARKS)
+        eps = 0.2
+        bump, _ = make_test_functions((0.02, 0.18), k=0)
+        w = PairingWindows(model, eps, [bump], (0.02, 0.18))
+        draws = sample_pairings(model, eps, w, 10_000, seed=0)
+        for n in (2, 3):
+            est = empirical_cumulants(draws[:, 0], n)
+            exact = w.exact_cumulant(n, 0)
+            assert abs(est.estimate - exact) <= 3 * est.stderr
+        assert w.exact_cumulant(3, 0) > 3 * est.stderr
+
+    def test_memory_is_bounded(self):
+        model = default_even_model()
+        eps = 0.05
+        w = PairingWindows(model, eps, list(make_test_functions((0.02, 0.18))), (0.02, 0.18))
+        tracemalloc.start()
+        try:
+            sample_pairings(model, eps, w, 4000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
+
+
 class TestCltCheck:
     def test_one_window_set_per_scale(self, monkeypatch):
         model = default_even_model()
@@ -354,4 +455,17 @@ class TestCltCheck:
         # kappa_4 ~ eps^3; the exact kappa_3 of a cosine is rounding
         assert all(row["exact"] > 0 for row in report["fourth_cumulant"])
         assert all(abs(row["exact"]) < 1e-12 for row in report["third_cumulant"])
-        assert abs(report["fourth_cumulant_exponent"] - 3.0) <= 0.2
+        # the eps^2-corrected fit gives 3.019; a plain slope gave 2.875
+        assert abs(report["fourth_cumulant_exponent"] - 3.0) <= 0.03
+
+    def test_exponent_approaches_three_on_finer_scales(self, monkeypatch):
+        # the exponent rests on exact cumulants only, so the draws are stubbed
+        monkeypatch.setattr(noise, "sample_pairings",
+                            lambda model, eps, w, n, seed: np.zeros((n, len(w.windows))))
+        report = clt_check(default_even_model(), (0.1, 0.05, 0.025), n_samples=200)
+        assert abs(report["fourth_cumulant_exponent"] - 3.0) <= 0.005
+
+    @pytest.mark.parametrize("eps_list", [(0.2, 0.1), (0.2, 0.1, 0.1)])
+    def test_fewer_than_three_scales_rejected(self, eps_list):
+        with pytest.raises(ValueError, match="3 distinct scales"):
+            clt_check(default_even_model(), eps_list)
