@@ -36,13 +36,11 @@ __all__ = [
     "IncompleteTableError",
     "GROUND_SET_CAP",
     "bell_number",
-    "enumerate_partitions",
     "iter_partitions",
     "cumulants_from_moments",
     "moments_from_cumulants",
     "wick_expand",
     "wick_expectation",
-    "enumerate_wick_partitions",
     "iter_wick_partitions",
     "diagram_formula",
     "diagram_formula_bruteforce",
@@ -152,11 +150,6 @@ def iter_partitions(ground: Iterable[Hashable]) -> Iterator[SetPartition]:
             i -= 1
         else:
             return
-
-
-def enumerate_partitions(ground: Iterable[Hashable]) -> list[SetPartition]:
-    """All partitions of ``ground``; the count equals the Bell number."""
-    return list(iter_partitions(ground))
 
 
 class CumulantTable:
@@ -410,13 +403,6 @@ def iter_wick_partitions(
             needy.pop()
 
     yield from rec(0)
-
-
-def enumerate_wick_partitions(
-    m: int, p: int, D: Iterable[IndexKey] | None = None
-) -> list[SetPartition]:
-    """Materialised form of :func:`iter_wick_partitions`."""
-    return list(iter_wick_partitions(m, p, D))
 
 
 def diagram_formula(table: CumulantTable, m: int, p: int):

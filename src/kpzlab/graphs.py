@@ -41,7 +41,6 @@ __all__ = [
     "GraphParseError",
     "parse_partial_graph",
     "serialize_partial_graph",
-    "enumerate_contractions",
     "iter_contractions",
     "edge_sets",
     "merge_multiedges",
@@ -499,10 +498,6 @@ def iter_contractions(H: PartialGraph, p: int) -> Iterator[ContractedGraph]:
             cls = frozenset((key.copy, ext[key.slot - 1]) for key in block)
             classes.append(_GLUED_CLASSES.setdefault(cls, cls))
         yield ContractedGraph(source=H, p=p, classes=_sorted_classes(classes))
-
-
-def enumerate_contractions(H: PartialGraph, p: int) -> list[ContractedGraph]:
-    return list(iter_contractions(H, p))
 
 
 # ---------------------------------------------------------------------------

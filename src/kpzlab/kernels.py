@@ -155,7 +155,8 @@ class TruncatedKernel:
     by the mask) and a small polynomial touch-up enforcing the moment
     identities exactly.
 
-    Support: with ``rho`` the parabolic norm, the kernel and its derivatives
+    ``value`` is the kernel and ``dx`` its space derivative, the edge kernel
+    of every graph integral.  Support: with ``rho`` the parabolic norm, both
     are exactly 0 where ``t <= 0`` (the heat kernel and the mask's time step
     vanish) or ``rho >= support`` (the cutoff and the mask's outer step
     vanish); the correction is exactly 0 where ``rho <= plateau`` as well.
@@ -174,7 +175,7 @@ class TruncatedKernel:
         p, s = self.profile.plateau, self.profile.support
         return -_smooth_step_d((s - rho) / (s - p)) / (s - p)
 
-    # -- the annulus mask and its derivatives -------------------------------
+    # -- the annulus mask and its x-derivative ------------------------------
     def _mask_parts(self, t, x):
         pr = self.profile
         rho = parabolic_norm(t, x)
@@ -187,24 +188,18 @@ class TruncatedKernel:
         _, a, b, c = self._mask_parts(t, x)
         return a * b * c
 
-    def _mask_and_d(self, t, x, wrt):
-        """The mask and its derivative in ``wrt`` ("x" or "t"), from one
-        evaluation of the mask's parts."""
+    def _mask_and_dx(self, t, x):
+        """The mask and its x-derivative, from one evaluation of the mask's parts."""
         pr = self.profile
         rho, a, b, c = self._mask_parts(t, x)
         da = _smooth_step_d((rho - pr.plateau) / pr.mask_in) / pr.mask_in
         db = -_smooth_step_d((pr.support - rho) / pr.mask_out) / pr.mask_out
-        mask = a * b * c
-        radial = (da * b + a * db) * c
         rr = np.where(rho > 0, rho, 1.0)
-        if wrt == "x":
-            return mask, radial * (np.broadcast_to(x, rho.shape) ** 3 / rr ** 3)
-        dc = _smooth_step_d(np.asarray(t, dtype=float) / pr.mask_t) / pr.mask_t
-        drho_dt = np.broadcast_to(t, rho.shape) / (2.0 * rr ** 3)
-        return mask, radial * drho_dt + a * b * dc
+        drho_dx = np.broadcast_to(x, rho.shape) ** 3 / rr ** 3
+        return a * b * c, (da * b + a * db) * c * drho_dx
 
-    def _shape_eval(self, t, x, dx=0, dt=0):
-        """The annulus shape (or a derivative of it), zero off its box.
+    def _shape_eval(self, t, x, dx=0):
+        """The annulus shape (or its x-derivative), zero off its box.
 
         A sorted tensor grid (see ``_is_tensor_grid``) is evaluated on its
         in-box block with separable B-spline bases.  Every other input is
@@ -218,11 +213,11 @@ class TruncatedKernel:
             i0, i1 = np.searchsorted(tc, 0.0), np.searchsorted(tc, 1.02, "right")
             j0, j1 = np.searchsorted(xr, -1.02), np.searchsorted(xr, 1.02, "right")
             if i0 < i1 and j0 < j1:
-                out[i0:i1, j0:j1] = self.shape(tc[i0:i1], xr[j0:j1], dx=dt, dy=dx)
+                out[i0:i1, j0:j1] = self.shape(tc[i0:i1], xr[j0:j1], dy=dx)
             return out
         tt, xx = np.broadcast_arrays(t, x)
         inside = (tt >= 0) & (tt <= 1.02) & (np.abs(xx) <= 1.02)
-        out[inside] = self.shape.ev(tt[inside], xx[inside], dx=dt, dy=dx)
+        out[inside] = self.shape.ev(tt[inside], xx[inside], dy=dx)
         return out
 
     # The touch-up powers are taken of the unbroadcast t and x, so a tensor
@@ -246,21 +241,8 @@ class TruncatedKernel:
                 poly = poly + coeff * t ** p * x ** (2 * q)
                 if q:
                     poly_dx = poly_dx + coeff * 2 * q * t ** p * x ** (2 * q - 1)
-        mask, mask_dx = self._mask_and_d(t, x, "x")
+        mask, mask_dx = self._mask_and_dx(t, x)
         return poly_dx * mask + poly * mask_dx
-
-    def correction_dt(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        poly = self._shape_eval(t, x)
-        poly_dt = self._shape_eval(t, x, dt=1)
-        for coeff, (p, q) in zip(self.corrections, self.profile.powers):
-            if coeff:
-                poly = poly + coeff * t ** p * x ** (2 * q)
-                if p:
-                    poly_dt = poly_dt + coeff * p * t ** (p - 1) * x ** (2 * q)
-        mask, mask_dt = self._mask_and_d(t, x, "t")
-        return poly_dt * mask + poly * mask_dt
 
     def value(self, t, x):
         rho = parabolic_norm(t, x)
@@ -292,20 +274,6 @@ class TruncatedKernel:
         ring = live & (rho > self.profile.plateau)
         out[ring] += self.correction_dx(tt[ring], xx[ring])
         return out
-
-    def dt(self, t, x):
-        shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
-        tt = np.broadcast_to(np.asarray(t, dtype=float), shape)
-        xx = np.broadcast_to(np.asarray(x, dtype=float), shape)
-        rho = parabolic_norm(tt, xx)
-        g = heat_kernel(tt, xx)
-        out = np.zeros(shape)
-        pos = tt > 0
-        out[pos] = g[pos] * (xx[pos] ** 2 / (4 * tt[pos] ** 2) - 1 / (2 * tt[pos]))
-        out = out * self._chi(rho)
-        rr = np.where(rho > 0, rho, 1.0)
-        out = out + g * self._chi_d(rho) * (tt / (2 * rr ** 3))
-        return out + self.correction_dt(t, x)
 
 
 def _plateau_moments(profile: KernelProfile, n_nodes: int = 30):

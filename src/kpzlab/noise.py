@@ -34,11 +34,9 @@ __all__ = [
     "draw_cloud",
     "field_from_cloud",
     "sample_field",
-    "mollify",
     "pair_field",
     "PairingWindows",
     "sample_pairings",
-    "exact_poisson_cumulant",
     "CumulantEstimate",
     "empirical_cumulants",
     "joint_second_cumulants",
@@ -501,50 +499,6 @@ def sample_field(
     return replace(field_from_cloud(model, eps, grid, cloud, v_h), seed=seed)
 
 
-def mollify(sample: FieldSample, eps_bar: float) -> FieldSample:
-    """Convolve with the parabolic mollifier at scale ``eps_bar``.
-
-    The mollifier is the normalised space-even product bump; on the grid
-    the kernel weights are renormalised to sum to one, so constants (and
-    the mean) are preserved exactly.  Space wraps; time clamps at the
-    boundary rows with per-row weight renormalisation.
-    """
-    dt, dx = sample.grid.dt, sample.grid.dx
-    ht = eps_bar ** 2  # bump half-width in t
-    hx = eps_bar
-    if ht < dt or hx < dx:
-        raise ValueError("mollifier scale below the grid resolution")
-    kt = np.arange(-int(ht / dt), int(ht / dt) + 1)
-    kx = np.arange(-int(hx / dx), int(hx / dx) + 1)
-    wt = smooth_bump(kt * dt / ht)
-    wx = smooth_bump(kx * dx / hx)
-    kernel = np.outer(wt, wx)
-    kernel /= kernel.sum()
-
-    nt, nx = sample.values.shape
-    out = np.zeros_like(sample.values)
-    weight = np.zeros((nt, 1))
-    for it, wrow in zip(kt, kernel):
-        lo = max(0, -it)
-        hi = min(nt, nt - it)
-        rolled = np.zeros((nt, nx))
-        for jx, w in zip(kx, wrow):
-            if w == 0:
-                continue
-            rolled[lo:hi] += w * np.roll(sample.values[lo + it: hi + it], -jx, axis=1)
-        out[lo:hi] += rolled[lo:hi]
-        weight[lo:hi] += wrow.sum()
-    out /= weight
-    return FieldSample(
-        values=out,
-        grid=sample.grid,
-        eps=sample.eps,
-        seed=sample.seed,
-        v_h=sample.v_h,
-        model_hash=sample.model_hash,
-    )
-
-
 def pair_field(sample: FieldSample, eta: Callable) -> float:
     """Grid quadrature of ``<field, eta>`` (trapezoid in t, periodic in x)."""
     tt = sample.grid.times()[:, None]
@@ -565,6 +519,9 @@ def pair_field(sample: FieldSample, eta: Callable) -> float:
 #: block's arrays stay in cache (blocks of 2^18 points lose most of the
 #: speed).  It sets the memory used, never the numbers.
 POINT_BLOCK = 1 << 16
+
+#: Window grid cells per narrowest bump half-width, in s and in y.
+WINDOW_RESOLUTION = 8
 
 
 def _bump_taps(halfwidth: float, step: float) -> np.ndarray:
@@ -611,7 +568,7 @@ class PairingWindows:
 
     The y grid tiles the periodic strip ``[0, 1/eps)``: ``n_y`` cells of
     width ``dy = (1/eps) / n_y``, the fewest no wider than ``min_hx /
-    resolution``.
+    WINDOW_RESOLUTION``; the s grid has spacing ``min_ht / WINDOW_RESOLUTION``.
     """
 
     def __init__(
@@ -621,7 +578,6 @@ class PairingWindows:
         etas: Sequence[Callable],
         t_support: tuple[float, float],
         v_h: float = 0.0,
-        resolution: int = 8,
     ):
         self.model = model
         self.eps = eps
@@ -629,8 +585,8 @@ class PairingWindows:
         W = 1.0 / eps
         min_ht = min(t.t_halfwidth for t in model.terms)
         min_hx = min(t.x_halfwidth for t in model.terms)
-        ds = min_ht / resolution
-        n_y = math.ceil(W / (min_hx / resolution))
+        ds = min_ht / WINDOW_RESOLUTION
+        n_y = math.ceil(W / (min_hx / WINDOW_RESOLUTION))
         s_lo = t_support[0] / eps ** 2 - model.t_reach
         s_hi = t_support[1] / eps ** 2 + model.t_reach
         self.s_grid = np.arange(s_lo, s_hi + ds, ds)
@@ -663,7 +619,8 @@ class PairingWindows:
         """Bilinear interpolation of window ``j`` at cloud points.
 
         Periodic in y with period :attr:`strip`; zero for ``s`` outside
-        ``[s_grid[0], s_grid[-1]]``.
+        ``[s_grid[0], s_grid[-1]]``.  ``s`` and ``y`` broadcast against
+        each other.
         """
         Wv = self.windows[j].ravel()
         n_s, n_y = len(self.s_grid), len(self.y_grid)
@@ -685,7 +642,7 @@ class PairingWindows:
             + Wv.take(k0 + j1) * (1 - as_) * ay
             + Wv.take(k1 + j1) * as_ * ay
         )
-        out[(fs < 0) | (fs > n_s - 1)] = 0.0
+        out[np.broadcast_to((fs < 0) | (fs > n_s - 1), out.shape)] = 0.0
         return out
 
     def window_integral(self, j: int, power: int = 1) -> float:
@@ -746,22 +703,6 @@ def sample_pairings(
         out[start:stop] = sums - means
         start = stop
     return out
-
-
-def exact_poisson_cumulant(
-    model: PoissonNoiseModel,
-    n: int,
-    eta: Callable,
-    eps: float = 1.0,
-    t_support: tuple[float, float] = (0.0, 1.0),
-    v_h: float = 0.0,
-    resolution: int = 8,
-) -> float:
-    """Exact cumulant ``kappa_n(zeta_eps(eta))`` by window quadrature."""
-    if n < 2:
-        raise ValueError("cumulant order must be >= 2 (the field is centred)")
-    windows = PairingWindows(model, eps, [eta], t_support, v_h, resolution)
-    return windows.exact_cumulant(n, 0)
 
 
 # ---------------------------------------------------------------------------

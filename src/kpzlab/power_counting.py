@@ -31,8 +31,7 @@ from .graphs import (
 )
 
 __all__ = [
-    "Scaling",
-    "KPZ_SCALING",
+    "S_DIM",
     "UnsupportedConfigurationError",
     "KPZAllocationRule",
     "kpz_allocation",
@@ -53,31 +52,9 @@ __all__ = [
 #: A single contracted-graph subset scan may cost at most 2**24 work items.
 SUBSET_WORK_CAP = 2 ** 24
 
-
-@dataclass(frozen=True)
-class Scaling:
-    """Anisotropic scaling exponents; the KPZ default is (2, 1)."""
-
-    s: tuple[int, ...] = (2, 1)
-
-    def __post_init__(self):
-        if not self.s or any(c <= 0 for c in self.s):
-            raise ValueError("scaling components must be positive integers")
-        # components relatively prime
-        from math import gcd
-        g = 0
-        for c in self.s:
-            g = gcd(g, c)
-        if g != 1:
-            raise ValueError("scaling components must be relatively prime")
-
-    @property
-    def total(self) -> Fraction:
-        """The effective dimension |s|."""
-        return Fraction(sum(self.s))
-
-
-KPZ_SCALING = Scaling((2, 1))
+#: The effective dimension |s| = 2 + 1 of the parabolic scaling s = (2, 1)
+#: in one space dimension.
+S_DIM = Fraction(3)
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -102,9 +79,6 @@ class KPZAllocationRule:
     spreads its factor evenly.
     """
 
-    def __init__(self, scaling: Scaling = KPZ_SCALING):
-        self.scaling = scaling
-
     def group_values(self, multiplicities: Sequence[int]) -> tuple[Fraction, ...]:
         """Per-edge value for each neighbour group of an ex-vertex.
 
@@ -113,25 +87,24 @@ class KPZAllocationRule:
         """
         mults = tuple(multiplicities)
         deg = sum(mults)
-        s = self.scaling.total
         if deg < 2:
             raise UnsupportedConfigurationError("glued vertices have degree >= 2")
         if deg == 2:
             return tuple(Fraction(0) for _ in mults)
         if deg == 3:
             if len(mults) == 3:
-                return tuple(s / 6 for _ in mults)
+                return tuple(S_DIM / 6 for _ in mults)
             if sorted(mults) == [1, 2]:
-                return tuple(s / 4 if m == 2 else Fraction(0) for m in mults)
+                return tuple(S_DIM / 4 if m == 2 else Fraction(0) for m in mults)
             raise UnsupportedConfigurationError(
                 "degree-3 vertex with a triple edge is not supported"
             )
-        even = Fraction(deg - 2, 2) * s / deg
+        even = Fraction(deg - 2, 2) * S_DIM / deg
         return tuple(even for _ in mults)
 
     def max_value(self) -> Fraction:
         """Upper bound used by the decay condition: never exceeds |s|/2."""
-        return self.scaling.total / 2
+        return S_DIM / 2
 
 
 def kpz_allocation(
@@ -214,26 +187,18 @@ class ConditionReport:
 # Subgraph corrections c_e on a partial graph
 # ---------------------------------------------------------------------------
 
-def c_e_weight_value(
-    n_ext: int,
-    same_neighbour: bool,
-    contains_origin: bool,
-    scaling: Scaling = KPZ_SCALING,
-) -> Fraction:
+def c_e_weight_value(n_ext: int, same_neighbour: bool, contains_origin: bool) -> Fraction:
     """Closed-form per-edge correction for a subgraph with ``n_ext`` externals."""
-    s = scaling.total
     if contains_origin:
-        return s / 2
+        return S_DIM / 2
     if n_ext <= 1:
         return Fraction(0)
     if n_ext == 2:
-        return s / 4 if same_neighbour else s / 6
-    return s * Fraction(n_ext - 1, 2 * (n_ext + 1))
+        return S_DIM / 4 if same_neighbour else S_DIM / 6
+    return S_DIM * Fraction(n_ext - 1, 2 * (n_ext + 1))
 
 
-def c_e_weights(
-    H: PartialGraph, S: Iterable[str], scaling: Scaling = KPZ_SCALING
-) -> dict[int, Fraction]:
+def c_e_weights(H: PartialGraph, S: Iterable[str]) -> dict[int, Fraction]:
     """Corrections ``c_e`` for the subset ``S``, keyed by edge index.
 
     Nonzero only on external edges of the externals inside ``S``.
@@ -246,7 +211,7 @@ def c_e_weights(
     neighbours = {v: H.incident(v)[0].other(v) for v in ext_in}
     n = len(ext_in)
     same = n == 2 and len(set(neighbours.values())) == 1
-    value = c_e_weight_value(n, same, H.origin in subset, scaling)
+    value = c_e_weight_value(n, same, H.origin in subset)
     for i, e in enumerate(H.edges):
         if any(e.touches(v) for v in ext_in):
             out[i] = value
@@ -326,38 +291,28 @@ def _subsets(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
         yield from itertools.combinations(items, r)
 
 
-def check_condition_A(
-    H: PartialGraph,
-    scaling: Scaling = KPZ_SCALING,
-    origin_fast_path: bool = False,
-    collect_checks: bool = False,
-) -> ConditionReport:
+def check_condition_A(H: PartialGraph, collect_checks: bool = False) -> ConditionReport:
     """Local integrability condition over all subgraphs of ``H``.
 
     For every subset with at least two vertices and an internal vertex,
     the corrected internal label weight must stay strictly below
-    ``|s| * (#internal - [subset inside internal part])``.  With
-    ``origin_fast_path`` and a degree-1 origin, subsets containing the
-    origin are skipped.
+    ``|s| * (#internal - [subset inside internal part])``.
     """
-    s = scaling.total
     internals = set(H.internal_ids)
-    skip_origin = origin_fast_path and H.degree(H.origin) == 1
     witnesses: list[Witness] = []
     checks: list[Witness] = []
     for subset in _subsets(H.vertex_ids):
         sub = set(subset)
         if len(sub) < 2 or not (sub & internals):
             continue
-        if skip_origin and H.origin in sub:
-            continue
         inside, _ = edge_sets(H, sub)
-        ce = c_e_weights(H, sub, scaling)
+        ce = c_e_weights(H, sub)
         index = {id(e): i for i, e in enumerate(H.edges)}
         lhs = ZERO_LABEL
         for e in inside:
             lhs = lhs + e.label - ce[index[id(e)]]
-        rhs = LabelValue.coerce(s * (len(sub & internals) - (1 if sub <= internals else 0)))
+        n_in = len(sub & internals) - (1 if sub <= internals else 0)
+        rhs = LabelValue.coerce(S_DIM * n_in)
         entry = Witness(tuple(sorted(sub)), lhs, rhs, "local-integrability")
         if collect_checks:
             checks.append(entry)
@@ -368,24 +323,19 @@ def check_condition_A(
         graph=H.name,
         condition="local-integrability",
         verdict=not witnesses,
-        exponent=homogeneity_exponent(H, scaling),
+        exponent=homogeneity_exponent(H),
         witnesses=tuple(witnesses),
         checks=tuple(checks),
     )
 
 
-def check_condition_B(
-    H: PartialGraph,
-    scaling: Scaling = KPZ_SCALING,
-    collect_checks: bool = False,
-) -> ConditionReport:
+def check_condition_B(H: PartialGraph, collect_checks: bool = False) -> ConditionReport:
     """Large-scale decay condition over subgraphs avoiding the star set.
 
     Every non-empty subset of ``H`` minus the origin and star vertex must
     meet edges of total label weight strictly above
     ``|s| * (#internal + #external / 2)``.
     """
-    s = scaling.total
     internals = set(H.internal_ids)
     externals = set(H.external_ids)
     allowed = [v for v in H.vertex_ids if v not in (H.origin, H.star)]
@@ -400,7 +350,7 @@ def check_condition_B(
         for e in meeting:
             lhs = lhs + e.label
         rhs = LabelValue.coerce(
-            s * (len(sub & internals) + Fraction(len(sub & externals), 2))
+            S_DIM * (len(sub & internals) + Fraction(len(sub & externals), 2))
         )
         entry = Witness(tuple(sorted(sub)), lhs, rhs, "large-scale-decay")
         if collect_checks:
@@ -412,19 +362,18 @@ def check_condition_B(
         graph=H.name,
         condition="large-scale-decay",
         verdict=not witnesses,
-        exponent=homogeneity_exponent(H, scaling),
+        exponent=homogeneity_exponent(H),
         witnesses=tuple(witnesses),
         checks=tuple(checks),
     )
 
 
-def homogeneity_exponent(H: PartialGraph, scaling: Scaling = KPZ_SCALING) -> LabelValue:
-    """Scaling exponent ``|s| (|ext|/2 + |in \\ star|) - sum of labels``."""
-    s = scaling.total
+def homogeneity_exponent(H: PartialGraph) -> LabelValue:
+    """The scaling exponent ``|s| (|ext|/2 + |in \\ star|) - sum of labels``."""
     n_ext = len(H.external_ids)
     n_in_free = len(H.internal_ids) - 1  # the star vertex does not count
     total = H.label_sum()
-    return LabelValue.coerce(s * (Fraction(n_ext, 2) + n_in_free)) - total
+    return LabelValue.coerce(S_DIM * (Fraction(n_ext, 2) + n_in_free)) - total
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +416,7 @@ def _zeta_edge_sums(nv: int, edges: Sequence[tuple[int, int]],
 
 
 def check_contracted(
-    G: ContractedGraph,
-    rule: KPZAllocationRule | None = None,
-    scaling: Scaling = KPZ_SCALING,
-    graph_name: str | None = None,
+    G: ContractedGraph, rule: KPZAllocationRule | None = None
 ) -> ConditionReport:
     """Both subset conditions on the merged contracted graph.
 
@@ -486,7 +432,6 @@ def check_contracted(
     the rule's values are then subtracted from the merged sums.  The merged
     labels are scaled to integers and every vertex subset is scanned at once.
     """
-    s = scaling.total
     vertices = G.vertex_ids
     nv = len(vertices)
     if (1 << nv) * max(1, nv) > SUBSET_WORK_CAP:
@@ -516,7 +461,7 @@ def check_contracted(
                     merged[key][0] -= value
 
     pairs = [(a, b) for a, b, _ in merged]
-    q, r, denom = _scaled_int_labels(list(merged.values()), s * nv)
+    q, r, denom = _scaled_int_labels(list(merged.values()), S_DIM * nv)
 
     inside_q = _zeta_edge_sums(nv, pairs, q)
     inside_r = _zeta_edge_sums(nv, pairs, r)
@@ -524,9 +469,8 @@ def check_contracted(
 
     masks = np.arange(1 << nv, dtype=np.uint64)
     sizes = np.bitwise_count(masks).astype(np.int64)
-    s_scaled = int(s * denom)
+    s_scaled = int(S_DIM * denom)
 
-    name = graph_name or f"{G.source.name}[p={G.p}]"
     witnesses: list[Witness] = []
 
     def subset_names(mask: int) -> tuple[str, ...]:
@@ -571,9 +515,9 @@ def check_contracted(
         ))
 
     n_free = nv - len(G.star_set)
-    alpha = LabelValue.coerce(s * n_free) - label_of(total_q, total_r)
+    alpha = LabelValue.coerce(S_DIM * n_free) - label_of(total_q, total_r)
     return ConditionReport(
-        graph=name,
+        graph=f"{G.source.name}[p={G.p}]",
         condition="glued-graph",
         verdict=not witnesses,
         exponent=alpha,
@@ -585,31 +529,25 @@ def check_contracted(
 # Admissibility of an allocation rule
 # ---------------------------------------------------------------------------
 
-def _profile_checks(
-    rule: KPZAllocationRule, mults: tuple[int, ...], s: Fraction
-) -> list[str]:
+def _profile_checks(rule: KPZAllocationRule, mults: tuple[int, ...]) -> list[str]:
     """Budget identity and subset floor for one vertex profile."""
     failures = []
     values = rule.group_values(mults)
     deg = sum(mults)
     total = sum(m * v for m, v in zip(mults, values))
-    if total != Fraction(deg - 2, 2) * s:
+    if total != Fraction(deg - 2, 2) * S_DIM:
         failures.append(f"budget identity fails on profile {mults}")
     per_edge = sorted(v for m, v in zip(mults, values) for _ in range(m))
     prefix = Fraction(0)
     for a in range(1, deg + 1):
         prefix += per_edge[a - 1]
-        if prefix < Fraction(a - 2, 2) * s:
+        if prefix < Fraction(a - 2, 2) * S_DIM:
             failures.append(f"subset floor fails on profile {mults} at size {a}")
             break
     return failures
 
 
-def _pair_checks(
-    rule: KPZAllocationRule,
-    counts: list[tuple[int, int]],
-    s: Fraction,
-) -> list[str]:
+def _pair_checks(rule: KPZAllocationRule, counts: list[tuple[int, int]]) -> list[str]:
     """Monotonicity and transfer bound for merging two vertex profiles.
 
     ``counts`` holds (edges from v1, edges from v2) per shared neighbour
@@ -638,16 +576,13 @@ def _pair_checks(
                     return failures
                 transfer += count * max(Fraction(0), bm - b)
     # the worst subset pair takes every edge whose value increased
-    if transfer > s:
+    if transfer > S_DIM:
         failures.append(f"transfer bound fails on merge {counts}")
     return failures
 
 
 def check_admissible(
-    rule: KPZAllocationRule,
-    H: PartialGraph,
-    p_max: int = 3,
-    scaling: Scaling = KPZ_SCALING,
+    rule: KPZAllocationRule, H: PartialGraph, p_max: int = 3
 ) -> ConditionReport:
     """Admissibility of the allocation rule over all gluings of ``H``.
 
@@ -658,7 +593,6 @@ def check_admissible(
     profiles, which are cached, so the scan over all contractions is exact
     but fast.
     """
-    s = scaling.total
     failures: list[str] = []
     seen_single: set = set()
     seen_pair: set = set()
@@ -672,14 +606,14 @@ def check_admissible(
                 if key in seen_single:
                     continue
                 seen_single.add(key)
-                failures.extend(_profile_checks(rule, key, s))
+                failures.extend(_profile_checks(rule, key))
             for p1, p2 in itertools.combinations(profiles, 2):
                 keys = sorted(set(p1) | set(p2))
                 counts = tuple(sorted((p1.get(k, 0), p2.get(k, 0)) for k in keys))
                 if counts in seen_pair:
                     continue
                 seen_pair.add(counts)
-                failures.extend(_pair_checks(rule, list(counts), s))
+                failures.extend(_pair_checks(rule, list(counts)))
     witnesses = tuple(
         Witness((msg,), ZERO_LABEL, ZERO_LABEL, "admissibility") for msg in failures
     )

@@ -78,7 +78,6 @@ class SimConfig:
     dt: float | None = None
     ell: tuple[float, float, float, float, float] = (0.0,) * 5
     v_h: float = 0.0
-    store_every: int = 0  # 0: keep only the final slice
 
     def __post_init__(self):
         if self.n_x & (self.n_x - 1):
@@ -109,8 +108,10 @@ def _closed_form(ell, lam: float) -> tuple[float, float]:
 
 @dataclass
 class Trajectory:
+    """The start and the end of a run: ``times`` is ``[0, T]``."""
+
     times: np.ndarray
-    heights: np.ndarray  # (len(times), n_x), or (len(times), B, n_x) for a batch
+    heights: np.ndarray  # (2, n_x), or (2, B, n_x) for a batch
     config: SimConfig
 
     @property
@@ -169,11 +170,8 @@ def _solve_forced(
     n_steps = config.n_steps
     mult = _implicit_multiplier(n_x, dt)
     right, left = _neighbours(n_x)
-    h = np.array(h0, dtype=float, copy=True)
+    h = np.asarray(h0, dtype=float)
     lam, v_h, v_v = config.lam, config.v_h, config.v_v
-    times = [0.0]
-    frames = [h.copy()]
-    store_every = config.store_every or n_steps
     for step in range(n_steps):
         t = step * dt
         grad = (np.take(h, right, axis=-1) - np.take(h, left, axis=-1)) / (2.0 * dx)
@@ -181,12 +179,9 @@ def _solve_forced(
         h = np.fft.irfft(np.fft.rfft(rhs, axis=-1) * mult, n=n_x, axis=-1)
         if step % 256 == 0 and np.max(np.abs(h)) > BLOWUP_THRESHOLD:
             raise BlowupError(t)
-        if (step + 1) % store_every == 0 or step + 1 == n_steps:
-            times.append((step + 1) * dt)
-            frames.append(h.copy())
     if np.max(np.abs(h)) > BLOWUP_THRESHOLD:
         raise BlowupError(config.T)
-    return Trajectory(np.array(times), np.stack(frames), config)
+    return _endpoints(config, h0, h, single=False)
 
 
 def solve_renormalised(

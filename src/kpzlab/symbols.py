@@ -23,8 +23,7 @@ from fractions import Fraction
 
 from .graphs import LabelValue, PartialGraph, parse_partial_graph
 from .power_counting import (
-    KPZ_SCALING,
-    Scaling,
+    S_DIM,
     check_condition_A,
     check_condition_B,
     homogeneity_exponent,
@@ -789,7 +788,7 @@ def graph_catalog(tau: Symbol) -> list[CatalogEntry]:
 
 @dataclass(frozen=True)
 class CertifyEntry:
-    graph_name: str
+    graph: str
     conditions_pass: bool
     alpha: LabelValue
     lambda_power: Fraction
@@ -800,7 +799,7 @@ class CertifyEntry:
 
     def to_record(self) -> dict:
         return {
-            "graph": self.graph_name,
+            "graph": self.graph,
             "conditions": "pass" if self.conditions_pass else "fail",
             "alpha": str(self.alpha),
             "lambda_power": str(self.lambda_power),
@@ -829,12 +828,7 @@ class CertifyReport:
         }
 
 
-def certify_symbol(
-    tau: Symbol,
-    kappa_bar: Fraction = KAPPA_BAR,
-    delta: Fraction = DELTA,
-    scaling: Scaling = KPZ_SCALING,
-) -> CertifyReport:
+def certify_symbol(tau: Symbol) -> CertifyReport:
     """Run both subset conditions on every catalog graph of ``tau``.
 
     The per-entry margin is the numeric gap, at the pinned parameter
@@ -843,13 +837,13 @@ def certify_symbol(
     certified symbol has every graph passing and every margin positive.
     """
     hom = homogeneity(tau)
-    hom_value = hom.eval_at(kappa_bar)
+    hom_value = hom.eval_at(KAPPA_BAR)
     if tau == XI:
         # plain cumulant scaling; exponent -|s|/2 against -3/2 - kbar
-        alpha = LabelValue(-scaling.total / 2, Fraction(0))
+        alpha = LabelValue(-S_DIM / 2, Fraction(0))
         margin = alpha.q - hom_value
         entry = CertifyEntry(
-            graph_name="noise/direct-scaling",
+            graph="noise/direct-scaling",
             conditions_pass=True,
             alpha=alpha,
             lambda_power=Fraction(0),
@@ -862,17 +856,17 @@ def certify_symbol(
 
     entries: list[CertifyEntry] = []
     for cat in graph_catalog(tau):
-        rep_a = check_condition_A(cat.graph, scaling)
-        rep_b = check_condition_B(cat.graph, scaling)
-        alpha = homogeneity_exponent(cat.graph, scaling)
+        rep_a = check_condition_A(cat.graph)
+        rep_b = check_condition_B(cat.graph)
+        alpha = homogeneity_exponent(cat.graph)
         achieved = (
-            alpha.eval_at(delta)
+            alpha.eval_at(DELTA)
             + cat.lambda_power_per_copy
-            + cat.eps_leftover.eval_at(delta)
+            + cat.eps_leftover.eval_at(DELTA)
         )
         margin = achieved - hom_value
         entries.append(CertifyEntry(
-            graph_name=cat.graph.name,
+            graph=cat.graph.name,
             conditions_pass=rep_a.verdict and rep_b.verdict,
             alpha=alpha,
             lambda_power=cat.lambda_power_per_copy,

@@ -12,8 +12,8 @@ from kpzlab.cumulants import (
     cumulants_from_moments,
     diagram_formula,
     diagram_formula_bruteforce,
-    enumerate_partitions,
-    enumerate_wick_partitions,
+    iter_partitions,
+    iter_wick_partitions,
     moments_from_cumulants,
     wick_expand,
 )
@@ -43,16 +43,16 @@ class TestPartitions:
             assert bell_number(n) == BELL[n]
 
     def test_three_elements(self):
-        parts = enumerate_partitions({1, 2, 3})
+        parts = list(iter_partitions({1, 2, 3}))
         assert len(parts) == 5
 
     def test_singleton(self):
-        parts = enumerate_partitions({1})
+        parts = list(iter_partitions({1}))
         assert len(parts) == 1
         assert parts[0].blocks == (frozenset({1}),)
 
     def test_four_elements_exhaustive(self):
-        parts = enumerate_partitions({1, 2, 3, 4})
+        parts = list(iter_partitions({1, 2, 3, 4}))
         assert len(parts) == 15
         # each partition covers the ground set and appears exactly once
         seen = set()
@@ -64,11 +64,11 @@ class TestPartitions:
 
     def test_counts_match_bell(self):
         for n in range(7):
-            assert len(enumerate_partitions(range(n))) == BELL[n]
+            assert len(list(iter_partitions(range(n)))) == BELL[n]
 
     def test_cap(self):
         with pytest.raises(SizeLimitError):
-            enumerate_partitions(range(13))
+            list(iter_partitions(range(13)))
 
 
 class TestCumulantInversion:
@@ -165,26 +165,26 @@ class TestWickProducts:
 
 class TestWickPartitions:
     def test_one_slot_two_copies(self):
-        parts = enumerate_wick_partitions(1, 2)
+        parts = list(iter_wick_partitions(1, 2))
         assert len(parts) == 1
         assert parts[0].blocks == (frozenset({IndexKey(1, 1), IndexKey(2, 1)}),)
 
     def test_two_by_two(self):
-        parts = enumerate_wick_partitions(2, 2)
+        parts = list(iter_wick_partitions(2, 2))
         assert len(parts) == 3
         sizes = sorted(sorted(len(b) for b in p) for p in parts)
         assert sizes == [[2, 2], [2, 2], [4]]
 
     def test_single_copy_empty(self):
-        assert enumerate_wick_partitions(2, 1) == []
+        assert list(iter_wick_partitions(2, 1)) == []
 
     def test_matches_filtering(self):
         for m, p in [(1, 3), (2, 2), (2, 3), (3, 2)]:
             keys = [IndexKey(copy=k, slot=i)
                     for k in range(1, p + 1) for i in range(1, m + 1)]
-            direct = {frozenset(pt.blocks) for pt in enumerate_wick_partitions(m, p)}
+            direct = {frozenset(pt.blocks) for pt in iter_wick_partitions(m, p)}
             filtered = set()
-            for pt in enumerate_partitions(keys):
+            for pt in iter_partitions(keys):
                 ok = all(
                     len(b) >= 2 and len({key.copy for key in b}) >= 2
                     for b in pt.blocks

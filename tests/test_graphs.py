@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kpzlab.cumulants import enumerate_wick_partitions
+from kpzlab.cumulants import iter_wick_partitions
 from kpzlab.graphs import (
     ContractedGraph,
     GraphParseError,
@@ -11,7 +11,7 @@ from kpzlab.graphs import (
     automorphisms,
     canonical_key,
     edge_sets,
-    enumerate_contractions,
+    iter_contractions,
     merge_multiedges,
     parse_partial_graph,
     serialize_partial_graph,
@@ -149,24 +149,24 @@ edge 0 u label 1+0d
 
 class TestContractions:
     def test_pair_p2_count(self, pair_graph):
-        cons = enumerate_contractions(pair_graph, 2)
-        assert len(cons) == len(enumerate_wick_partitions(2, 2)) == 3
+        cons = list(iter_contractions(pair_graph, 2))
+        assert len(cons) == len(list(iter_wick_partitions(2, 2))) == 3
 
     def test_counts_match_partitions(self, pair_graph, chain_graph):
         for g, m in [(pair_graph, 2), (chain_graph, 3)]:
             for p in (2, 3):
-                assert len(enumerate_contractions(g, p)) == \
-                    len(enumerate_wick_partitions(m, p))
+                assert len(list(iter_contractions(g, p))) == \
+                    len(list(iter_wick_partitions(m, p)))
 
     def test_classes_match_partitions_and_are_shared(self, chain_graph):
         ext = chain_graph.external_ids
-        first = enumerate_contractions(chain_graph, 3)
+        first = list(iter_contractions(chain_graph, 3))
         assert {frozenset(c.classes) for c in first} == {
             frozenset(frozenset((k.copy, ext[k.slot - 1]) for k in block)
                       for block in pt.blocks)
-            for pt in enumerate_wick_partitions(3, 3)
+            for pt in iter_wick_partitions(3, 3)
         }
-        second = enumerate_contractions(chain_graph, 3)
+        second = list(iter_contractions(chain_graph, 3))
         assert first == second
         for a, b in zip(first, second):
             assert all(x is y for x, y in zip(a.classes, b.classes))
@@ -181,12 +181,12 @@ star-edge 0 u
 edge u a1 label 2+1d
 """
         g = parse_partial_graph(src)
-        cons = enumerate_contractions(g, 2)
+        cons = list(iter_contractions(g, 2))
         assert len(cons) == 1
         assert cons[0].classes == (frozenset({(1, "a1"), (2, "a1")}),)
 
     def test_full_identification_multigraph(self, pair_graph):
-        cons = enumerate_contractions(pair_graph, 2)
+        cons = list(iter_contractions(pair_graph, 2))
         full = [c for c in cons if len(c.classes) == 1][0]
         ex = full.ex_vertices[0]
         assert full.degree(ex) == 4
@@ -195,12 +195,12 @@ edge u a1 label 2+1d
             assert full.degree(v) == 3
 
     def test_degrees_equal_class_sizes(self, chain_graph):
-        for c in enumerate_contractions(chain_graph, 2):
+        for c in iter_contractions(chain_graph, 2):
             for i, cls in enumerate(c.classes):
                 assert c.degree(c.ex_vertex(i)) == len(cls)
 
     def test_no_edge_between_ex_vertices(self, chain_graph):
-        for c in enumerate_contractions(chain_graph, 3):
+        for c in iter_contractions(chain_graph, 3):
             ex = set(c.ex_vertices)
             for e in c.edge_list():
                 assert not (e.u in ex and e.v in ex)
@@ -227,7 +227,7 @@ class TestEdgeSets:
 
 class TestMerge:
     def test_double_edge_merges(self, pair_graph):
-        cons = enumerate_contractions(pair_graph, 2)
+        cons = list(iter_contractions(pair_graph, 2))
         full = [c for c in cons if len(c.classes) == 1][0]
         merged = merge_multiedges(full)
         labels = sorted(str(e.label) for e in merged.edges if not e.distinguished)
@@ -238,13 +238,13 @@ class TestMerge:
 
     def test_no_multiedges_identity(self, chain_graph):
         # cross pairing without multi-edges: merged graph has same edge count
-        cons = enumerate_contractions(chain_graph, 2)
+        cons = list(iter_contractions(chain_graph, 2))
         plain = [c for c in cons if all(len(cls) == 2 for cls in c.classes)][0]
         merged = merge_multiedges(plain)
         assert len(merged.edges) == len(plain.edge_list())
 
     def test_chain_full_identification_pattern(self, chain_graph):
-        cons = enumerate_contractions(chain_graph, 2)
+        cons = list(iter_contractions(chain_graph, 2))
         full = [c for c in cons if len(c.classes) == 1][0]
         merged = merge_multiedges(full)
         labels = sorted(str(e.label) for e in merged.edges if not e.distinguished)
@@ -253,7 +253,7 @@ class TestMerge:
         assert labels == ["2+1d", "2+1d", "2+1d", "2+1d", "4+2d", "4+2d"]
 
     def test_custom_weights(self, pair_graph):
-        cons = enumerate_contractions(pair_graph, 2)
+        cons = list(iter_contractions(pair_graph, 2))
         full = [c for c in cons if len(c.classes) == 1][0]
         edges = full.edge_list()
         weights = [e.label - LabelValue(Fraction(3, 4), 0) if e.kind == "external"
@@ -276,7 +276,7 @@ class TestIsomorphism:
         assert canonical_key(pair_graph) != canonical_key(chain_graph)
 
     def test_canonical_on_contractions(self, pair_graph):
-        cons = enumerate_contractions(pair_graph, 2)
+        cons = list(iter_contractions(pair_graph, 2))
         keys = [canonical_key(c) for c in cons]
         # the two cross pairings are isomorphic; the full gluing is not
         assert len(set(keys)) == 2

@@ -8,7 +8,6 @@ from kpzlab import noise
 from kpzlab.noise import (
     BumpSampler,
     BumpTerm,
-    FieldSample,
     GridSpec,
     PairingWindows,
     PoissonNoiseModel,
@@ -17,10 +16,8 @@ from kpzlab.noise import (
     default_even_model,
     empirical_cumulants,
     eta_inner_products,
-    exact_poisson_cumulant,
     joint_second_cumulants,
     make_test_functions,
-    mollify,
     pair_field,
     sample_field,
     sample_pairings,
@@ -162,44 +159,20 @@ class TestFieldSampling:
         assert abs(far) < 4 * err + 1e-12  # half a period away: independent
 
 
-class TestMollify:
-    def test_constant_unchanged(self):
-        grid = GridSpec(0.0, 0.05, 41, 128)
-        sample = FieldSample(np.full((41, 128), 2.5), grid, 0.1, 0, 0.0, "x")
-        out = mollify(sample, eps_bar=0.05)
-        assert np.allclose(out.values, 2.5, atol=1e-14)
-
-    def test_variance_does_not_increase(self):
-        model = default_even_model()
-        eps = 0.1
-        nx = 128
-        nt = int(math.ceil(0.05 / (eps * eps / 8))) + 1
-        grid = GridSpec(0.0, 0.05, nt, nx)
-        sample = sample_field(model, eps, grid, seed=3)
-        out = mollify(sample, eps_bar=0.06)
-        assert out.values.var() <= sample.values.var()
-
-    def test_scale_below_grid_rejected(self):
-        grid = GridSpec(0.0, 0.05, 41, 128)
-        sample = FieldSample(np.zeros((41, 128)), grid, 0.1, 0, 0.0, "x")
-        with pytest.raises(ValueError):
-            mollify(sample, eps_bar=1e-4)
-
-
 class TestOraclesAndEstimates:
     def test_k2_oracle_matches_gram(self):
         # kappa_2(zeta_eps(eta)) -> <eta, eta> as eps -> 0
         model = default_even_model()
         eta_cos, _ = make_test_functions((0.02, 0.18))
         for eps, tol in [(0.05, 0.05), (0.025, 0.02)]:
-            k2 = exact_poisson_cumulant(model, 2, eta_cos, eps, (0.02, 0.18))
+            k2 = PairingWindows(model, eps, [eta_cos], (0.02, 0.18)).exact_cumulant(2)
             assert k2 == pytest.approx(1.0, abs=tol)
 
     def test_k3_parity_zero(self):
         # x-even bump against an x-odd test function: odd cumulants vanish
         model = default_even_model()
         _, eta_sin = make_test_functions((0.02, 0.18))
-        k3 = exact_poisson_cumulant(model, 3, eta_sin, 0.05, (0.02, 0.18))
+        k3 = PairingWindows(model, 0.05, [eta_sin], (0.02, 0.18)).exact_cumulant(3)
         assert abs(k3) < 1e-10
 
     def test_empirical_matches_oracle_k2(self):
@@ -368,6 +341,20 @@ class TestInterpolate:
             outside = np.array([w.s_grid[0] - 1e-9, w.s_grid[0] - 3.0,
                                 w.s_grid[-1] + 1e-9, w.s_grid[-1] + 3.0])
             assert w.interpolate(j, outside, np.full(4, w.strip / 3)).tolist() == [0.0] * 4
+
+    def test_column_by_row_matches_meshgrid_bit_for_bit(self, windows):
+        w = windows
+        # past both ends of the s grid, and y over several strips either side
+        s = np.linspace(w.s_grid[0] - 2.0, w.s_grid[-1] + 2.0, 301)
+        y = np.linspace(-2.5 * w.strip, 2.5 * w.strip, 257)
+        s_mesh, y_mesh = np.meshgrid(s, y, indexing="ij")
+        outside = (s < w.s_grid[0]) | (s > w.s_grid[-1])
+        assert outside.any() and (~outside).any()
+        for j in range(2):
+            got = w.interpolate(j, s[:, None], y[None, :])
+            want = w.interpolate(j, s_mesh, y_mesh)
+            assert np.array_equal(got, want)
+            assert np.all(got[outside] == 0.0) and np.any(got[~outside] != 0.0)
 
     def test_matches_fancy_indexing_bit_for_bit(self, windows):
         rng = np.random.default_rng(8)

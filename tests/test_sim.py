@@ -44,15 +44,23 @@ class TestBatches:
 
     def test_renormalised_batch_shares_one_h0(self):
         model = default_even_model()
-        config = small_config(store_every=16)
+        config = small_config()
         x = np.arange(config.n_x) / config.n_x
         h0 = 0.1 * np.sin(2 * math.pi * x)
         samples = fields(model, config, (4, 5))
         batch = sim.solve_renormalised(config, samples, h0)
+        # every solve keeps its two endpoints, the start being h0 itself
+        assert batch.times.tolist() == [0.0, config.T]
+        assert np.array_equal(batch.heights[0], np.broadcast_to(h0, (2, config.n_x)))
         for b, sample in enumerate(samples):
             single = sim.solve_renormalised(config, sample, h0)
-            assert np.array_equal(batch.times, single.times)
+            assert single.times.tolist() == [0.0, config.T]
+            assert np.array_equal(single.heights[0], h0)
             assert np.array_equal(batch.heights[:, b], single.heights)
+        quiet = sim.solve_renormalised(config, None, h0)
+        assert quiet.times.tolist() == [0.0, config.T]
+        assert quiet.heights.shape == (2, config.n_x)
+        assert np.array_equal(quiet.heights[0], h0)
 
     @pytest.mark.parametrize("lam", [0.7, 0.0])
     def test_hopf_cole_batch_matches_single_solves(self, lam):
