@@ -164,11 +164,13 @@ class PoissonNoiseModel:
         marks: Sequence[tuple[float, float]] = ((1.0, 1.0),),
         name: str = "custom",
     ):
-        if mu <= 0:
-            raise ValueError("intensity must be positive")
+        if not 0 < mu < math.inf:
+            raise ValueError("intensity must be finite and positive")
         probs = np.array([p for p, _ in marks], dtype=float)
         if abs(probs.sum() - 1.0) > 1e-12 or (probs < 0).any():
             raise ValueError("mark probabilities must be a distribution")
+        if not all(t.t_halfwidth > 0 and t.x_halfwidth > 0 for t in terms):
+            raise ValueError("bump half-widths must be positive")
         raw_int = sum(
             t.amplitude * t.t_halfwidth * t.x_halfwidth * BUMP_MASS ** 2
             for t in terms
@@ -176,6 +178,8 @@ class PoissonNoiseModel:
         if raw_int <= 0:
             raise ValueError("the bump must have positive integral")
         m2 = sum(p * a * a for p, a in marks)
+        if not m2 > 0:
+            raise ValueError("the marks must have E[a^2] > 0")
         scale = 1.0 / math.sqrt(mu * m2) / raw_int
         self.terms = tuple(
             BumpTerm(t.amplitude * scale, t.t_center, t.t_halfwidth,
@@ -352,9 +356,8 @@ def default_asymmetric_model(mu: float = 1.0) -> PoissonNoiseModel:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Space-time grid on [t0, t0+T] x [0, 1) with uniform steps."""
+    """Space-time grid on [0, T] x [0, 1) with uniform steps."""
 
-    t0: float
     T: float
     nt: int
     nx: int
@@ -368,7 +371,7 @@ class GridSpec:
         return 1.0 / self.nx
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.nt)
+        return self.dt * np.arange(self.nt)
 
     def positions(self) -> np.ndarray:
         return self.dx * np.arange(self.nx)
@@ -432,8 +435,8 @@ def field_from_cloud(
 
     s_all, y_all, a_all = cloud
     W = 1.0 / eps
-    t_lo = grid.t0 / eps ** 2 - model.t_reach
-    t_hi = (grid.t0 + grid.T) / eps ** 2 + model.t_reach
+    t_lo = -model.t_reach
+    t_hi = grid.T / eps ** 2 + model.t_reach
     keep = (s_all >= t_lo) & (s_all <= t_hi) & (np.abs(y_all) <= W / 2)
     s, y, a = s_all[keep], y_all[keep], a_all[keep]
 
@@ -493,8 +496,7 @@ def sample_field(
     ``field_from_cloud`` reads.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF1E1D]))
-    cloud = draw_cloud(model, rng, grid.t0 / eps ** 2 - model.t_reach,
-                       (grid.t0 + grid.T) / eps ** 2 + model.t_reach,
+    cloud = draw_cloud(model, rng, -model.t_reach, grid.T / eps ** 2 + model.t_reach,
                        (1.0 / eps) / 2)
     return replace(field_from_cloud(model, eps, grid, cloud, v_h), seed=seed)
 

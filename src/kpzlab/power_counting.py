@@ -102,10 +102,6 @@ class KPZAllocationRule:
         even = Fraction(deg - 2, 2) * S_DIM / deg
         return tuple(even for _ in mults)
 
-    def max_value(self) -> Fraction:
-        """Upper bound used by the decay condition: never exceeds |s|/2."""
-        return S_DIM / 2
-
 
 def kpz_allocation(
     G: ContractedGraph, v: str, rule: KPZAllocationRule | None = None

@@ -56,7 +56,7 @@ class PositivityError(RuntimeError):
     def __init__(self, t):
         self.time = t
         super().__init__(
-            f"multiplicative solution lost positivity at t={t:.6g}; reduce dt"
+            f"multiplicative solution lost positivity at t={t:.6g}; raise n_x"
         )
 
 
@@ -75,19 +75,17 @@ class SimConfig:
     eps: float = 0.1
     n_x: int = 256
     T: float = 0.25
-    dt: float | None = None
     ell: tuple[float, float, float, float, float] = (0.0,) * 5
     v_h: float = 0.0
 
     def __post_init__(self):
         if self.n_x & (self.n_x - 1):
             raise ValueError("n_x must be a power of two")
-        if self.step > (1.0 / self.n_x) ** 2 / 4.0 + 1e-15:
-            raise ValueError("dt must satisfy dt <= dx^2/4")
 
     @property
     def step(self) -> float:
-        return self.dt if self.dt is not None else default_dt(self.n_x, self.T)
+        """The time step, at most ``dx^2/4`` and a whole fraction of ``T``."""
+        return default_dt(self.n_x, self.T)
 
     @property
     def n_steps(self) -> int:
@@ -125,7 +123,7 @@ def noise_grid_for(config: SimConfig, nx_noise: int = 512) -> GridSpec:
     while 1.0 / nx_noise > eps / 8:
         nx_noise *= 2
     nt = int(math.ceil(config.T / (eps * eps / 8.0))) + 1
-    return GridSpec(0.0, config.T, nt, nx_noise)
+    return GridSpec(config.T, nt, nx_noise)
 
 
 def _implicit_multiplier(n_x: int, dt: float) -> np.ndarray:
@@ -143,7 +141,8 @@ def _neighbours(n_x: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _coarse_noise(sample: FieldSample, config: SimConfig) -> np.ndarray:
     """Cell-average the noise rows onto the solver grid."""
-    if abs(sample.grid.T - config.T) > 1e-12 or sample.eps != config.eps:
+    if (abs(sample.grid.T - config.T) > 1e-12 or sample.eps != config.eps
+            or sample.v_h != config.v_h):
         raise ValueError("noise sample does not match the configuration")
     values = sample.values
     n_x = config.n_x

@@ -59,8 +59,8 @@ def _dense_dx(kernel, t, x):
     """``dx`` with every term evaluated at every point."""
     rho = kernels.parabolic_norm(t, x)
     rr = np.where(rho > 0, rho, 1.0)
-    return (kernels.heat_kernel_dx(t, x) * kernel._chi(rho)
-            + kernels.heat_kernel(t, x) * kernel._chi_d(rho) * (x ** 3 / rr ** 3)
+    return (kernels.heat_kernel_dx(t, x) * kernels._chi(rho)
+            + kernels.heat_kernel(t, x) * kernels._chi_d(rho) * (x ** 3 / rr ** 3)
             + kernel.correction_dx(t, x))
 
 
@@ -100,11 +100,10 @@ def test_dx_on_points_evaluates_only_the_support(kernel, monkeypatch):
     assert np.array_equal(got, want)
 
     rho = kernels.parabolic_norm(t, x)
-    pr = kernel.profile
-    ring = (t > 0) & (rho > pr.plateau) & (rho < pr.support)
+    ring = (t > 0) & (rho > kernels.PLATEAU) & (rho < kernels.SUPPORT)
     ((ct, cx),) = seen
     assert np.array_equal(ct, t[ring]) and np.array_equal(cx, x[ring])
-    assert np.all(got[(t <= 0) | (rho >= pr.support)] == 0.0)
+    assert np.all(got[(t <= 0) | (rho >= kernels.SUPPORT)] == 0.0)
     assert np.count_nonzero(got) > len(t) // 5
     # broadcast and scalar inputs take the same route
     assert np.array_equal(kernel.dx(t[None, :20], x[None, :20]), got[None, :20])
@@ -113,18 +112,17 @@ def test_dx_on_points_evaluates_only_the_support(kernel, monkeypatch):
     assert scalar == _dense_dx(kernel, np.array([0.6]), np.array([0.3]))[0]
 
 
-def _loop_annulus_shape(profile, nt, nx):
+def _loop_annulus_shape(nt, nx):
     """The annulus quadratic program with its difference operator built by a
-    scalar loop over cell edges, one kernel call per edge."""
-    base = kernels.TruncatedKernel(profile, tuple(0.0 for _ in profile.powers))
+    scalar loop over cell edges, one cut heat kernel call per edge."""
     t_cells = (np.arange(nt) + 0.5) / nt
     x_cells = (np.arange(nx) + 0.5) * 1.01 / nx
     dt_c = 1.0 / nt
     dx_c = x_cells[1] - x_cells[0]
     T, X = np.meshgrid(t_cells, x_cells, indexing="ij")
     rho = kernels.parabolic_norm(T, X)
-    allowed = (rho > profile.plateau + profile.mask_in) & \
-        (rho < profile.support - profile.mask_out) & (T > profile.mask_t)
+    allowed = (rho > kernels.PLATEAU + kernels.MASK_IN) & \
+        (rho < kernels.SUPPORT - kernels.MASK_OUT) & (T > kernels.MASK_T)
     idx = -np.ones((nt, nx), dtype=int)
     ids = np.flatnonzero(allowed.ravel())
     idx.ravel()[ids] = np.arange(len(ids))
@@ -147,14 +145,16 @@ def _loop_annulus_shape(profile, nt, nx):
                 rows.append(r_cnt)
                 cols.append(left)
                 vals.append(-1.0 / dx_c)
-            avals.append(float(base.dx(t_cells[i], xm)))
+            ti, xi = np.array(t_cells[i]), np.array(xm)
+            rho_i = kernels.parabolic_norm(ti, xi)
+            avals.append(float(kernels._cut_heat_dx(ti, xi, rho_i)))
             r_cnt += 1
     D_op = sp.csr_matrix((vals, (rows, cols)), shape=(r_cnt, n))
     w_edge = 2.0 * dt_c * dx_c
     Q = (D_op.T @ D_op) * w_edge
     b = (D_op.T @ np.array(avals)) * w_edge
 
-    target = -kernels._plateau_moments(profile)
+    target = -kernels._plateau_moments()
     L = np.stack([np.full(n, w_edge), w_edge * T.ravel()[ids],
                   w_edge * X.ravel()[ids] ** 2])
     KKT = sp.bmat([[Q, sp.csr_matrix(L).T], [sp.csr_matrix(L), None]],
@@ -172,9 +172,9 @@ def _loop_annulus_shape(profile, nt, nx):
 
 
 def test_optimal_annulus_shape_matches_edge_loop():
-    profile = kernels.DEFAULT_PROFILE
-    got = kernels._optimal_annulus_shape(profile, nt=30, nx=44).get_coeffs()
-    want = _loop_annulus_shape(profile, 30, 44).get_coeffs()
+    target = -kernels._plateau_moments()
+    got = kernels._optimal_annulus_shape(target, nt=30, nx=44).get_coeffs()
+    want = _loop_annulus_shape(30, 44).get_coeffs()
     assert np.count_nonzero(want) > 100
     np.testing.assert_allclose(got, want, rtol=1e-10,
                                atol=1e-12 * np.max(np.abs(want)))
@@ -275,7 +275,7 @@ def test_leg_table_cache_evicts_least_recently_used(monkeypatch):
     model = default_even_model()
     size = kernels.LEG_TABLE_CACHE_SIZE
     shears = [0.1 * i for i in range(size + 3)]
-    kernel = SimpleNamespace(profile=kernels.DEFAULT_PROFILE)
+    kernel = SimpleNamespace()
     first = kernels.get_leg_table(model, kernel, EPS, shears[0])
     for shear in shears[1:size]:
         kernels.get_leg_table(model, kernel, EPS, shear)

@@ -99,17 +99,28 @@ class TestModel:
         exact = vals.sum() * (tt[1] - tt[0]) * (xx[1] - xx[0])
         assert est == pytest.approx(exact, abs=3e-3)
 
+    @pytest.mark.parametrize("terms, kwargs, match", [
+        ([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], {"marks": ((1.0, 0.0),)}, "E\\[a\\^2\\]"),
+        ([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], {"mu": float("nan")}, "intensity"),
+        ([BumpTerm(1.0, 0.0, -0.5, 0.0, -0.5)], {}, "half-widths"),
+    ], ids=["zero-marks", "nan-intensity", "negative-half-widths"])
+    def test_bad_model_raises_value_error(self, terms, kwargs, match):
+        # zero marks, a NaN intensity and negative half-widths whose product
+        # still gives the bump a positive integral
+        with pytest.raises(ValueError, match=match):
+            PoissonNoiseModel(terms, **kwargs)
+
 
 class TestFieldSampling:
     def make_grid(self, eps, T=0.05):
         nx = int(math.ceil(8 / eps / 64) * 64)
         nt = int(math.ceil(T / (eps * eps / 8))) + 1
-        return GridSpec(0.0, T, nt, nx)
+        return GridSpec(T, nt, nx)
 
     def test_under_resolved_grid_rejected(self):
         model = default_even_model()
         with pytest.raises(ValueError, match="too coarse"):
-            sample_field(model, 0.1, GridSpec(0.0, 0.05, 200, 16), seed=1)
+            sample_field(model, 0.1, GridSpec(0.05, 200, 16), seed=1)
 
     def test_empty_cloud_is_zero(self):
         model = PoissonNoiseModel([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], mu=1e-9)
@@ -216,7 +227,7 @@ class TestOraclesAndEstimates:
         T = 0.3
         nx = int(math.ceil(8 / eps / 64) * 64)
         nt = int(math.ceil(T / (eps * eps / 8))) + 1
-        grid = GridSpec(0.0, T, nt, nx)
+        grid = GridSpec(T, nt, nx)
         eta_cos, _ = make_test_functions((0.05, 0.25))
         vals = np.array([
             pair_field(sample_field(model, eps, grid, seed=500 + i), eta_cos)

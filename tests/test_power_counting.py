@@ -390,4 +390,4 @@ class TestAdmissibility:
     def test_rule_respects_decay_cap(self):
         rule = KPZAllocationRule()
         for mults in [(1, 1), (2, 1), (1, 1, 1), (2, 2), (1, 1, 1, 1, 1), (6, 6)]:
-            assert all(v <= rule.max_value() for v in rule.group_values(mults))
+            assert all(v <= S_DIM / 2 for v in rule.group_values(mults))

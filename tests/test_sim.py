@@ -118,6 +118,10 @@ class TestBatches:
         other = fields(model, small_config(eps=0.1), (3,))
         with pytest.raises(ValueError, match="does not match"):
             sim.solve_renormalised(config, other + samples)
+        # a field drawn in another frame cannot drive this one
+        skewed = fields(model, small_config(v_h=0.7), (3,))
+        with pytest.raises(ValueError, match="does not match"):
+            sim.solve_renormalised(config, skewed[0])
 
 
 class TestFailures:
@@ -154,6 +158,14 @@ class TestExactBehaviour:
         decay = (1.0 / (1.0 + config.step * symbol)) ** config.n_steps
         assert decay < 0.5
         assert np.max(np.abs(final - decay * h0)) < 1e-12
+
+    def test_default_step_is_stable_and_ends_at_T(self):
+        # the step has no other source, so nothing else enforces these
+        for n_x in (16, 32, 64, 128, 256, 512):
+            for T in (0.02, 0.15, 0.25, 1 / 3):
+                config = sim.SimConfig(n_x=n_x, T=T)
+                assert config.step <= (1.0 / n_x) ** 2 / 4, (n_x, T)
+                assert abs(config.n_steps * config.step - T) <= 4 * math.ulp(T), (n_x, T)
 
     def test_hopf_cole_tends_to_additive_linearly_in_lam(self):
         gaps = []
