@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "smooth_bump",
     "smooth_bump_dx",
-    "BumpSampler",
     "BumpTerm",
     "PoissonNoiseModel",
     "default_even_model",
@@ -46,7 +45,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Smooth bumps and exact histogram samplers
+# Smooth bumps and the Poisson noise model
 # ---------------------------------------------------------------------------
 
 def smooth_bump(u):
@@ -68,47 +67,6 @@ def smooth_bump_dx(u):
     denom = 1.0 - ui * ui
     out[inside] = np.exp(-1.0 / denom) * (-2.0 * ui / denom ** 2)
     return out
-
-
-class BumpSampler:
-    """Histogram sampler for a non-negative 1-d profile on [-1, 1].
-
-    The proposal distribution is *exactly* the histogram (uniform within
-    each bin), so the probability density reported by :meth:`pdf` is the
-    true density of the samples; importance weights based on it are
-    unbiased no matter how coarse the binning.
-    """
-
-    def __init__(self, profile: Callable, bins: int = 2048):
-        edges = np.linspace(-1.0, 1.0, bins + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        # average of the profile over each bin by 4-point quadrature
-        offsets = (np.array([-3.0, -1.0, 1.0, 3.0]) / 8.0) * (edges[1] - edges[0])
-        values = np.mean([profile(mids + o) for o in offsets], axis=0)
-        mass = values * (edges[1] - edges[0])
-        total = mass.sum()
-        if total <= 0:
-            raise ValueError("profile has no mass on [-1, 1]")
-        self.edges = edges
-        self.width = edges[1] - edges[0]
-        self.prob = mass / total
-        self.cdf = np.concatenate([[0.0], np.cumsum(self.prob)])
-        self.cdf[-1] = 1.0
-        self.total_mass = total
-        self.density = self.prob / self.width
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
-        idx = np.searchsorted(self.cdf, u, side="right") - 1
-        idx = np.clip(idx, 0, len(self.prob) - 1)
-        frac = (u - self.cdf[idx]) / np.maximum(self.prob[idx], 1e-300)
-        return self.edges[idx] + np.clip(frac, 0.0, 1.0) * self.width
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(((x + 1.0) / self.width).astype(int), 0, len(self.prob) - 1)
-        out = np.where((x >= -1.0) & (x < 1.0), self.density[idx], 0.0)
-        return out
 
 
 def _gauss_legendre(n: int, a: float, b: float):
@@ -133,19 +91,10 @@ class BumpTerm:
             * smooth_bump((np.asarray(x) - self.x_center) / self.x_halfwidth)
         )
 
-    def dx_value(self, t, x):
-        return (
-            self.amplitude
-            * smooth_bump((np.asarray(t) - self.t_center) / self.t_halfwidth)
-            * smooth_bump_dx((np.asarray(x) - self.x_center) / self.x_halfwidth)
-            / self.x_halfwidth
-        )
 
-
-#: 1-d masses of the standard bump and of |bump'|, by fine quadrature.
+#: 1-d mass of the standard bump, by fine quadrature.
 _BUMP_NODES, _BUMP_WEIGHTS = _gauss_legendre(200, -1.0, 1.0)
 BUMP_MASS = float(np.sum(smooth_bump(_BUMP_NODES) * _BUMP_WEIGHTS))
-ABS_DBUMP_MASS = float(np.sum(np.abs(smooth_bump_dx(_BUMP_NODES)) * _BUMP_WEIGHTS))
 
 
 class PoissonNoiseModel:
@@ -192,19 +141,12 @@ class PoissonNoiseModel:
         self.int_phi = raw_int * scale
         self.t_reach = max(abs(t.t_center) + t.t_halfwidth for t in self.terms)
         self.x_reach = max(abs(t.x_center) + t.x_halfwidth for t in self.terms)
-        self._dphi_samplers = None
 
     # -- basic evaluators --------------------------------------------------
     def phi(self, t, x):
         total = np.zeros(np.broadcast(np.asarray(t), np.asarray(x)).shape)
         for term in self.terms:
             total = total + term.value(t, x)
-        return total
-
-    def dphi_dx(self, t, x):
-        total = np.zeros(np.broadcast(np.asarray(t), np.asarray(x)).shape)
-        for term in self.terms:
-            total = total + term.dx_value(t, x)
         return total
 
     def mark_moment(self, n: int) -> float:
@@ -270,61 +212,6 @@ class PoissonNoiseModel:
                 )
                 out = out + t1.amplitude * t2.amplitude * ct * cx
         return self.mu * self.mark_moment(2) * out
-
-    # -- samplers ----------------------------------------------------------
-    def _build_dphi_samplers(self):
-        comps = []
-        weights = []
-        for term in self.terms:
-            t_sampler = BumpSampler(smooth_bump)
-            x_sampler = BumpSampler(lambda u: np.abs(smooth_bump_dx(u)))
-            mass = (
-                abs(term.amplitude)
-                * term.t_halfwidth * BUMP_MASS
-                * ABS_DBUMP_MASS  # |d/dx bump((x-c)/h)| integrates h * M / h
-            )
-            comps.append((term, t_sampler, x_sampler))
-            weights.append(mass)
-        weights = np.array(weights)
-        self._dphi_samplers = (comps, weights / weights.sum(), float(weights.sum()))
-
-    @property
-    def abs_dphi_mass(self) -> float:
-        """L1 norm of the space derivative of the bump."""
-        if self._dphi_samplers is None:
-            self._build_dphi_samplers()
-        return self._dphi_samplers[2]
-
-    def sample_dphi_pairs(self, rng: np.random.Generator, n: int):
-        """Antithetic draws from ``|dphi/dx|``: (t, x, mirrored x, sign).
-
-        The mirror reflects the point across its own term's spatial centre,
-        which preserves the sampling law and flips the derivative sign, so
-        ``sign * A * (g(x) - g(x_mirror)) / 2`` is an unbiased estimate of
-        ``int g dphi/dx``, with ``A`` = :attr:`abs_dphi_mass`, whose
-        fluctuations inherit the derivative structure (crucial for the
-        long-time tail of kernel legs).
-        """
-        if self._dphi_samplers is None:
-            self._build_dphi_samplers()
-        comps, probs, _ = self._dphi_samplers
-        idx = rng.choice(len(comps), size=n, p=probs)
-        t = np.empty(n)
-        x = np.empty(n)
-        x_mirror = np.empty(n)
-        sign = np.empty(n)
-        for i, (term, t_sampler, x_sampler) in enumerate(comps):
-            sel = idx == i
-            k = int(sel.sum())
-            if k == 0:
-                continue
-            ut = t_sampler.sample(rng, k)
-            ux = x_sampler.sample(rng, k)
-            t[sel] = term.t_center + term.t_halfwidth * ut
-            x[sel] = term.x_center + term.x_halfwidth * ux
-            x_mirror[sel] = term.x_center - term.x_halfwidth * ux
-            sign[sel] = np.sign(smooth_bump_dx(ux)) * np.sign(term.amplitude)
-        return t, x, x_mirror, sign
 
 
 def default_even_model(mu: float = 1.0) -> PoissonNoiseModel:

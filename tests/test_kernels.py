@@ -214,18 +214,34 @@ def test_kernel_moment_identities(kernel):
 EPS = 0.25
 
 
-def _reference_leg(model, kernel, t, x, nodes=400):
-    """``eps int int phi_t(s) d_y phi_x(y) K(eps^2 (t - s), eps (x - y))``
-    by a ``nodes``-point Gauss-Legendre product rule per bump term."""
+def _reference_leg(model, kernel, t, x, shear=0.0, nodes=400):
+    """``eps int int phi_t(s) d_y phi_x(y) K(eps^2 (t - s), eps (x - y - shear s))``
+    by a ``nodes``-point Gauss-Legendre product rule per bump term.
+
+    K vanishes for s >= t, so where t lies inside a term's time support the
+    s-rule covers only [s_lo, t], in sigma = sqrt(t - s): the kernel's
+    small-time peak ``1/sigma`` is then cancelled by ``ds = 2 sigma dsigma``.
+    """
     g, w = np.polynomial.legendre.leggauss(nodes)
     total = 0.0
     for term in model.terms:
-        s = term.t_center + term.t_halfwidth * g
+        s_lo = term.t_center - term.t_halfwidth
+        if t <= s_lo:
+            continue
+        if t >= term.t_center + term.t_halfwidth:
+            s = term.t_center + term.t_halfwidth * g
+            ws = smooth_bump(g) * w * term.t_halfwidth
+        else:
+            reach = np.sqrt(t - s_lo)
+            sigma = reach * (g + 1.0) / 2.0
+            s = t - sigma ** 2
+            ws = smooth_bump((s - term.t_center) / term.t_halfwidth) \
+                * 2.0 * sigma * reach / 2.0 * w
         y = term.x_center + term.x_halfwidth * g
-        ws = smooth_bump(g) * w * term.t_halfwidth * term.amplitude
         wy = smooth_bump_dx(g) * w
-        values = kernel.value(EPS ** 2 * (t - s[:, None]), EPS * (x - y[None, :]))
-        total += EPS * float(ws @ values @ wy)
+        values = kernel.value(EPS ** 2 * (t - s[:, None]),
+                              EPS * (x - y[None, :] - shear * s[:, None]))
+        total += EPS * term.amplitude * float(ws @ values @ wy)
     return total
 
 
@@ -237,15 +253,54 @@ def leg_table(kernel):
 def test_leg_table_odd_and_matches_product_rule(kernel, leg_table):
     model = default_even_model()
     table = leg_table
-    # after the bump's time support |s| <= t_reach the leg is smooth in t
-    probes = np.array([(0.8, 0.3), (1.0, 0.5), (2.0, 1.0), (5.0, 2.0), (9.0, -1.5)])
-    assert np.all(probes[:, 0] > model.t_reach)
+    # four probes inside the bump's time support |s| <= t_reach, where the
+    # kernel switches on at s = t, and five after it
+    probes = np.array([(0.3, 0.2), (0.0, 0.3), (-0.3, 0.2), (0.1, 0.1),
+                       (0.8, 0.3), (1.0, 0.5), (2.0, 1.0), (5.0, 2.0), (9.0, -1.5)])
+    assert np.all(np.abs(probes[:4, 0]) < model.t_reach)
+    assert np.all(probes[4:, 0] > model.t_reach)
     got = table.ev(probes)
     mirrored = table.ev(probes * np.array([1.0, -1.0]))
     np.testing.assert_allclose(mirrored, -got, rtol=1e-9, atol=1e-15)
     want = np.array([_reference_leg(model, kernel, t, x) for t, x in probes])
     assert np.all(np.abs(want) > 1e-4)
     np.testing.assert_allclose(got, want, rtol=0.01)
+
+
+def test_sheared_leg_table_matches_product_rule(kernel):
+    """The skew model's table in a frame sheared by 0.3, as
+    ``chat_fixed_point`` builds it, inside and after each term's support.
+
+    The probes are table nodes, where the spline returns the quadrature
+    itself.  Between nodes the spline's step (0.08) is coarse for these
+    bumps of half-width 0.15: at (0.1, 0.1) it is 41 % off.
+    """
+    model = default_asymmetric_model()
+    shear = 0.3
+    table = kernels.LegTable(model, kernel, EPS, shear)
+    # the terms' time supports are [-0.25, 0.05] and [-0.05, 0.25]
+    probes = np.array([(-0.16, 0.0), (-0.08, -0.08), (-0.08, 0.16),  # inside the first
+                       (0.0, 0.0), (0.0, 0.16),                       # inside both
+                       (0.08, -0.08), (0.16, 0.16), (0.16, 0.32),     # after the first
+                       (0.32, 0.32), (0.96, 0.48), (2.0, -1.04)])     # after both
+    assert [(term.t_center, term.t_halfwidth) for term in model.terms] == \
+        [(-0.1, 0.15), (0.1, 0.15)]
+    t_nodes, x_nodes = (np.unique(k) for k in table.spline.get_knots())
+    assert np.all(np.min(np.abs(probes[:, :1] - t_nodes), axis=1) < 1e-9)
+    assert np.all(np.min(np.abs(probes[:, 1:] - x_nodes), axis=1) < 1e-9)
+    got = table.ev(probes)
+    want = np.array([_reference_leg(model, kernel, t, x, shear) for t, x in probes])
+    assert np.all(np.abs(want) > 1e-2)
+    np.testing.assert_allclose(got, want, rtol=0.01)
+
+
+def test_unsheared_leg_table_keeps_the_tensor_grid_path(kernel, monkeypatch):
+    def no_pointwise(*args, **kwargs):
+        raise AssertionError("the leg table evaluated the kernel point by point")
+
+    monkeypatch.setattr(kernel.shape, "ev", no_pointwise)
+    table = kernels.LegTable(default_asymmetric_model(), kernel, 0.5)
+    assert np.all(np.isfinite(table.ev(np.array([(0.0, 0.1), (1.0, 0.5)]))))
 
 
 def test_leg_table_ev_is_the_spline_inside_its_box(leg_table):
@@ -337,31 +392,6 @@ def test_proposal_density_matches_dense_form(s):
     grid = pts[:600].reshape(20, 30, 2)
     assert np.array_equal(kernels._pdf_single_scale(grid, s),
                           _dense_pdf_single_scale(grid, s))
-
-
-def test_table_legs_agree_with_sampled_legs(kernel):
-    """C0 with every leg read from the ``LegTable`` agrees with C0 with every
-    leg estimated from one sampled bump point, the unbiased route, within 4
-    combined stderr on independent seeds."""
-    model = default_even_model()
-    c0 = kernels.DIAGRAMS["C0"]
-    table = kernels.evaluate_diagram(c0, model, kernel, 0.5, 500_000, seed=0)
-    sample = kernels.evaluate_diagram(c0, model, kernel, 0.5, 500_000, seed=1,
-                                      leg_mode="sample")
-    (vt, st), (vs, ss) = table, sample
-    assert 0 < st < 0.02 and 0 < ss < 0.02
-    # the sampled legs add noise: the table route must be the tighter one
-    assert st < ss
-    assert abs(vt - vs) <= 4.0 * np.hypot(st, ss), (table, sample)
-
-
-@pytest.mark.parametrize("name", ["C0", "C1"])
-def test_unknown_leg_mode_is_rejected(kernel, name):
-    """A misspelt leg mode raises instead of running the sampled route, also
-    for C1, which the even model's parity returns as 0 without sampling."""
-    with pytest.raises(ValueError, match="leg_mode"):
-        kernels.evaluate_diagram(kernels.DIAGRAMS[name], default_even_model(),
-                                 kernel, 0.5, 1_000, leg_mode="tabel")
 
 
 def test_chat_fixed_point_on_skew_model(kernel):

@@ -6,7 +6,6 @@ import pytest
 
 from kpzlab import noise
 from kpzlab.noise import (
-    BumpSampler,
     BumpTerm,
     GridSpec,
     PairingWindows,
@@ -36,20 +35,6 @@ class TestBumps:
         h = 1e-6
         fd = (smooth_bump(u + h) - smooth_bump(u - h)) / (2 * h)
         assert np.allclose(smooth_bump_dx(u), fd, atol=1e-6)
-
-    def test_sampler_pdf_is_exact_for_its_samples(self):
-        sampler = BumpSampler(smooth_bump, bins=256)
-        rng = np.random.default_rng(0)
-        x = sampler.sample(rng, 200_000)
-        # histogram of samples matches the reported density
-        hist, edges = np.histogram(x, bins=64, range=(-1, 1), density=True)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        assert np.allclose(hist, sampler.pdf(mids), atol=0.05)
-
-    def test_sampler_mass(self):
-        sampler = BumpSampler(smooth_bump)
-        from kpzlab.noise import BUMP_MASS
-        assert sampler.total_mass == pytest.approx(BUMP_MASS, rel=1e-6)
 
 
 class TestModel:
@@ -83,21 +68,6 @@ class TestModel:
         y = np.linspace(-0.9, 0.9, 11)
         s = np.full_like(y, 0.2)
         assert np.allclose(model.kappa2(s, y), model.kappa2(s, -y), atol=1e-14)
-
-    def test_dphi_sampler_reconstructs_convolution(self):
-        # E[sign * A * g(v)] = int g dphi/dx for a smooth test g
-        model = default_asymmetric_model()
-        rng = np.random.default_rng(3)
-        t, x, _, sign = model.sample_dphi_pairs(rng, 400_000)
-        g = np.cos(2.1 * t + 0.4) * np.sin(1.3 * x)
-        est = np.mean(sign * g) * model.abs_dphi_mass
-
-        tt = np.linspace(-0.5, 0.5, 301)
-        xx = np.linspace(-0.5, 0.5, 301)
-        vals = model.dphi_dx(tt[:, None], xx[None, :]) * \
-            np.cos(2.1 * tt[:, None] + 0.4) * np.sin(1.3 * xx[None, :])
-        exact = vals.sum() * (tt[1] - tt[0]) * (xx[1] - xx[0])
-        assert est == pytest.approx(exact, abs=3e-3)
 
     @pytest.mark.parametrize("terms, kwargs, match", [
         ([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], {"marks": ((1.0, 0.0),)}, "E\\[a\\^2\\]"),
