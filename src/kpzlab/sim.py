@@ -7,6 +7,11 @@ shot-noise field.  The reference solution exponentiates: the multiplicative
 stochastic heat equation with discretised space-time white noise is stepped
 explicitly in the Ito sense and the height is its scaled logarithm.
 
+Both solve a batch of members as one ``(B, n_x)`` array.  The renormalised
+solver also takes several configurations that share ``n_x`` and ``T``
+(noise scales, couplings, counterterms), each with its own batch of
+fields, and integrates them all in one step loop.
+
 The comparison machinery is distributional: ensemble statistics (mean and
 variance profiles, two-point covariance, a one-point empirical law) with
 bootstrap errors, and the scale-convergence study that drives them across
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +42,6 @@ __all__ = [
     "ensemble_hopf_cole",
     "compare_statistics",
     "convergence_study",
-    "drift_control_study",
     "noise_grid_for",
 ]
 
@@ -154,78 +158,115 @@ def _coarse_noise(sample: FieldSample, config: SimConfig) -> np.ndarray:
 
 def _solve_forced(
     config: SimConfig,
-    forcing: Callable[[float, int], np.ndarray],
+    lam: np.ndarray,
+    v_h: np.ndarray,
+    v_v: np.ndarray,
+    groups: Sequence[tuple[np.ndarray, float]],
     h0: np.ndarray,
-) -> Trajectory:
-    """Semi-implicit integration with an arbitrary forcing row supplier.
+) -> np.ndarray:
+    """Semi-implicit integration of a ``(B, n_x)`` batch; the final heights.
 
-    ``h0`` is one profile ``(n_x,)`` or a batch ``(B, n_x)``.  Every
-    operation acts along the last axis, so each member of a batch is
-    integrated exactly as it would be alone.
+    ``lam``, ``v_h`` and ``v_v`` are ``(B, 1)`` member columns, and
+    ``config`` supplies only the grid and the step.  Each group is
+    ``(coarse, dt_noise)`` with ``coarse`` of shape ``(rows, B_g, n_x)``;
+    it forces the next B_g members, at time t by its row ``t // dt_noise``.
+    Every operation acts along the last axis, so each member is integrated
+    exactly as it would be alone.
     """
     n_x = config.n_x
     dx = 1.0 / n_x
     dt = config.step
-    n_steps = config.n_steps
     mult = _implicit_multiplier(n_x, dt)
     right, left = _neighbours(n_x)
-    h = np.asarray(h0, dtype=float)
-    lam, v_h, v_v = config.lam, config.v_h, config.v_v
-    for step in range(n_steps):
+    h = h0
+    force = np.empty_like(h0)
+    spectrum = np.empty((len(h0), n_x // 2 + 1), dtype=complex)
+    targets = np.split(force, np.cumsum([coarse.shape[1] for coarse, _ in groups])[:-1])
+    rows = [-1] * len(groups)
+    for step in range(config.n_steps):
         t = step * dt
-        grad = (np.take(h, right, axis=-1) - np.take(h, left, axis=-1)) / (2.0 * dx)
-        rhs = h + dt * (lam * grad ** 2 - v_h * grad - v_v + forcing(t, step))
-        h = np.fft.irfft(np.fft.rfft(rhs, axis=-1) * mult, n=n_x, axis=-1)
+        for g, (coarse, dt_noise) in enumerate(groups):
+            row = min(int(t / dt_noise), len(coarse) - 1)
+            if row != rows[g]:  # copy a group's row only when its slice changes
+                targets[g][:] = coarse[row]
+                rows[g] = row
+        grad = (h.take(right, axis=-1) - h.take(left, axis=-1)) / (2.0 * dx)
+        rhs = h + dt * (lam * grad ** 2 - v_h * grad - v_v + force)
+        np.multiply(np.fft.rfft(rhs, axis=-1, out=spectrum), mult, out=spectrum)
+        h = np.fft.irfft(spectrum, n=n_x, axis=-1)
         if step % 256 == 0 and np.max(np.abs(h)) > BLOWUP_THRESHOLD:
             raise BlowupError(t)
     if np.max(np.abs(h)) > BLOWUP_THRESHOLD:
         raise BlowupError(config.T)
-    return _endpoints(config, h0, h, single=False)
+    return h
+
+
+def _forcing_group(config: SimConfig, noise, h0: np.ndarray):
+    """One configuration's ``(coarse, dt_noise)`` and whether it is a lone member.
+
+    A lone member (one ``FieldSample``, or no noise and one profile ``h0``)
+    keeps no member axis in its heights.
+    """
+    if noise is None:
+        lone = h0.ndim == 1
+        return (np.zeros((1, 1 if lone else len(h0), config.n_x)), config.T), lone
+    if isinstance(noise, FieldSample):
+        return (_coarse_noise(noise, config)[:, None], noise.grid.dt), True
+    grid, members = None, []
+    for sample in noise:
+        if grid is not None and sample.grid != grid:
+            raise ValueError("batch members have different noise grids")
+        grid = sample.grid
+        members.append(_coarse_noise(sample, config))
+        del sample  # drop the fine field before the next one is made
+    if not members:
+        raise ValueError("empty batch")
+    return (np.stack(members, axis=1), grid.dt), False
 
 
 def solve_renormalised(
-    config: SimConfig,
-    noise: FieldSample | Iterable[FieldSample] | None,
+    config: SimConfig | Sequence[SimConfig],
+    noise: FieldSample | Iterable | None,
     h0: np.ndarray | None = None,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Integrate the counterterm equation driven by sampled fields.
 
-    ``noise`` is one ``FieldSample`` or an iterable of them, one per
-    member.  A batch of B members is integrated as one ``(B, n_x)`` array
-    and the heights gain a member axis.  Each field is cell-averaged onto
-    the solver grid as it arrives, so one fine field at most is held at a
-    time.  The noise is piecewise constant between its own time slices;
-    ``noise=None`` runs the deterministic part only.
+    For one ``config``, ``noise`` is one ``FieldSample`` or an iterable of
+    them, one per member.  A batch of B members is integrated as one
+    ``(B, n_x)`` array and the heights gain a member axis.  Each field is
+    cell-averaged onto the solver grid as it arrives, so one fine field at
+    most is held at a time.  The noise is piecewise constant between its
+    own time slices; ``noise=None`` runs the deterministic part only.
+
+    For a sequence of configs sharing ``n_x`` and ``T``, ``noise`` holds one
+    such batch per config, and every member of every config is integrated
+    in one step loop, each with its own coupling, counterterms and noise
+    grid.  The result is one ``Trajectory`` per config, each equal to the
+    config's own solve.  ``h0`` is the start of every member.
     """
-    n_x = config.n_x
-    if h0 is None:
-        h0 = np.zeros(n_x)
-    if noise is None:
-        zero = np.zeros(n_x)
-        return _solve_forced(config, lambda t, i: zero, h0)
-    if isinstance(noise, FieldSample):
-        grid, coarse = noise.grid, _coarse_noise(noise, config)
-    else:
-        grid, members = None, []
-        for sample in noise:
-            if grid is not None and sample.grid != grid:
-                raise ValueError("batch members have different noise grids")
-            grid = sample.grid
-            members.append(_coarse_noise(sample, config))
-            del sample  # drop the fine field before the next one is made
-        if not members:
-            raise ValueError("empty batch")
-        coarse = np.stack(members, axis=1)  # (rows, B, n_x)
-        del members
-        h0 = np.broadcast_to(h0, coarse.shape[1:])
-    dt_noise = grid.dt
-    n_rows = coarse.shape[0]
+    single = isinstance(config, SimConfig)
+    configs = [config] if single else list(config)
+    batches = [noise] if single else list(noise)
+    if not configs or len(batches) != len(configs):
+        raise ValueError("want one batch of fields per configuration")
+    n_x, T = configs[0].n_x, configs[0].T
+    if any(c.n_x != n_x or c.T != T for c in configs):
+        raise ValueError("configurations differ in n_x or T")
+    h0 = np.zeros(n_x) if h0 is None else np.asarray(h0, dtype=float)
+    groups, lone = zip(*(_forcing_group(c, b, h0) for c, b in zip(configs, batches)))
+    sizes = [coarse.shape[1] for coarse, _ in groups]
+    starts = [np.broadcast_to(h0, (b, n_x)) for b in sizes]
 
-    def forcing(t: float, step: int) -> np.ndarray:
-        row = min(int(t / dt_noise), n_rows - 1)
-        return coarse[row]
+    def column(values):
+        return np.repeat(values, sizes)[:, None]
 
-    return _solve_forced(config, forcing, h0)
+    final = _solve_forced(configs[0], column([c.lam for c in configs]),
+                          column([c.v_h for c in configs]),
+                          column([c.v_v for c in configs]), groups,
+                          np.concatenate(starts))
+    out = [_endpoints(c, start, h, one) for c, one, start, h
+           in zip(configs, lone, starts, np.split(final, np.cumsum(sizes)[:-1]))]
+    return out[0] if single else out
 
 
 def _seed_batch(seed, n_x: int, h0):
@@ -276,7 +317,7 @@ def solve_additive(config: SimConfig, seed: int | Sequence[int],
     h = h0
     amp = math.sqrt(dt / dx)
     for xi in _normal_rows(seeds, n_x, config.n_steps):
-        lap = (np.take(h, right, axis=1) - 2 * h + np.take(h, left, axis=1)) / (dx * dx)
+        lap = (h.take(right, axis=1) - 2 * h + h.take(left, axis=1)) / (dx * dx)
         h = h + dt * lap + amp * xi
     return _endpoints(config, h0, h, single)
 
@@ -301,7 +342,7 @@ def solve_hopf_cole(config: SimConfig, seed: int | Sequence[int],
     z = np.exp(lam * h0)
     amp = math.sqrt(dt / dx)
     for step, xi in enumerate(_normal_rows(seeds, n_x, config.n_steps)):
-        lap = (np.take(z, right, axis=1) - 2 * z + np.take(z, left, axis=1)) / (dx * dx)
+        lap = (z.take(right, axis=1) - 2 * z + z.take(left, axis=1)) / (dx * dx)
         z = z + dt * lap + lam * z * amp * xi
         if z.min() <= 0.0:
             raise PositivityError(step * dt)
@@ -318,25 +359,32 @@ def _child_seed(*key: int) -> int:
 
 def ensemble_renormalised(
     model: PoissonNoiseModel,
-    config: SimConfig,
+    config: SimConfig | Sequence[SimConfig],
     n_members: int,
     master_seed: int,
     clouds: list | None = None,
-) -> np.ndarray:
+) -> np.ndarray | list[np.ndarray]:
     """Final height profiles of an ensemble, solved as one batch; (n_members, n_x).
 
     Member m's field comes from ``clouds[m]`` when clouds are given, and
-    from a seed derived from ``master_seed`` otherwise.
+    from a seed derived from ``master_seed`` otherwise.  For a sequence of
+    configs sharing ``n_x`` and ``T``, member m of every config is driven by
+    that same cloud or seed, all configs are solved in one batch, and the
+    result is one ensemble per config.
     """
-    grid = noise_grid_for(config)
-    if clouds is not None:
-        fields = (field_from_cloud(model, config.eps, grid, clouds[m], config.v_h)
-                  for m in range(n_members))
-    else:
-        fields = (sample_field(model, config.eps, grid,
-                               _child_seed(master_seed, m), config.v_h)
-                  for m in range(n_members))
-    return solve_renormalised(config, fields).final
+    single = isinstance(config, SimConfig)
+    configs = [config] if single else list(config)
+
+    def fields(c: SimConfig):
+        grid = noise_grid_for(c)
+        if clouds is not None:
+            return (field_from_cloud(model, c.eps, grid, clouds[m], c.v_h)
+                    for m in range(n_members))
+        return (sample_field(model, c.eps, grid, _child_seed(master_seed, m), c.v_h)
+                for m in range(n_members))
+
+    finals = [t.final for t in solve_renormalised(configs, [fields(c) for c in configs])]
+    return finals[0] if single else finals
 
 
 def ensemble_hopf_cole(config: SimConfig, n_members: int,
@@ -417,9 +465,10 @@ def convergence_study(
     """Distances to the log-transform reference across noise scales.
 
     ``constants[eps]`` supplies the five counterterms per scale.  Member
-    clouds are shared across scales (coupling), the reference ensemble is
-    drawn once, and the distances are expected to weakly decrease as the
-    scale refines.
+    clouds are shared across scales (coupling), every scale is solved in one
+    batch (they share ``n_x`` and ``T``), the reference ensemble is drawn
+    once, and the distances are expected to weakly decrease as the scale
+    refines.
     """
     eps_list = sorted(eps_list, reverse=True)
     eps_min = min(eps_list)
@@ -434,15 +483,13 @@ def convergence_study(
     ref_config = SimConfig(lam=lam, eps=eps_min, n_x=n_x, T=T)
     reference = ensemble_hopf_cole(ref_config, n_members, master_seed)
 
-    rows = []
-    for eps in eps_list:
-        ell = constants[eps]
-        config = SimConfig(lam=lam, eps=eps, n_x=n_x, T=T, ell=tuple(ell),
-                           v_h=-_closed_form(ell, lam)[0])
-        ensemble = ensemble_renormalised(model, config, n_members, master_seed,
-                                         clouds=clouds)
-        comp = compare_statistics(ensemble, reference, seed=master_seed)
-        rows.append({"eps": eps, **comp})
+    configs = [SimConfig(lam=lam, eps=eps, n_x=n_x, T=T, ell=tuple(constants[eps]),
+                         v_h=-_closed_form(constants[eps], lam)[0])
+               for eps in eps_list]
+    ensembles = ensemble_renormalised(model, configs, n_members, master_seed,
+                                      clouds=clouds)
+    rows = [{"eps": eps, **compare_statistics(ensemble, reference, seed=master_seed)}
+            for eps, ensemble in zip(eps_list, ensembles)]
 
     def weakly_decreasing(key):
         vals = [r["distances"][key] for r in rows]
@@ -454,51 +501,3 @@ def convergence_study(
         "variance_profile_decreasing": weakly_decreasing("variance_profile"),
     }
 
-
-def drift_control_study(
-    model: PoissonNoiseModel,
-    eps_list: Sequence[float],
-    constants: dict,
-    n_members: int = 25,
-    n_x: int = 256,
-    T: float = 0.25,
-    lam: float = 1.0,
-    master_seed: int = 1,
-) -> dict:
-    """Mean drift of the run missing the third-cumulant counterterm.
-
-    With identical noise per member, the gap between the full run and the
-    control (third-cumulant constant zeroed) stays spatially constant, so
-    its growth across scales isolates the square-root divergence.
-    """
-    rows = []
-    for eps in sorted(eps_list, reverse=True):
-        ell = list(constants[eps])
-        config = SimConfig(lam=lam, eps=eps, n_x=n_x, T=T, ell=tuple(ell),
-                           v_h=-_closed_form(ell, lam)[0])
-        ell_control = list(ell)
-        ell_control[2] = 0.0
-        config_c = SimConfig(lam=lam, eps=eps, n_x=n_x, T=T,
-                             ell=tuple(ell_control), v_h=config.v_h)
-        grid = noise_grid_for(config)
-        seeds = [_child_seed(master_seed, 5, m) for m in range(n_members)]
-
-        def fields():
-            # each solve redraws every member's field from its own seed
-            return (sample_field(model, eps, grid, s, config.v_h) for s in seeds)
-
-        full = solve_renormalised(config, fields()).final
-        control = solve_renormalised(config_c, fields()).final
-        gaps = np.mean(control - full, axis=1)
-        rows.append({
-            "eps": eps,
-            "mean_drift": float(np.mean(gaps)),
-            "stderr": float(np.std(gaps, ddof=1) / math.sqrt(n_members)),
-            "expected": 2 * lam ** 2 * constants[eps][2] * T,
-        })
-    ratios = [
-        rows[i + 1]["mean_drift"] / rows[i]["mean_drift"]
-        for i in range(len(rows) - 1)
-        if rows[i]["mean_drift"] != 0
-    ]
-    return {"rows": rows, "growth_ratios": ratios}

@@ -123,6 +123,50 @@ class TestBatches:
         with pytest.raises(ValueError, match="does not match"):
             sim.solve_renormalised(config, skewed[0])
 
+    def test_config_batch_matches_separate_solves(self):
+        model = default_asymmetric_model()
+        configs = [small_config(eps=0.2, lam=0.8, ell=ELL, v_h=0.3),
+                   small_config(eps=0.1, lam=0.0, ell=(0.1, 0.0, 0.2, 0.0, 0.0), v_h=-0.2),
+                   small_config(eps=0.1, lam=0.8, ell=ELL, v_h=-0.2)]
+        noises = [fields(model, configs[0], (1, 2, 3)), fields(model, configs[1], (4, 5)),
+                  fields(model, configs[2], (6,))[0]]
+        x = np.arange(configs[0].n_x) / configs[0].n_x
+        h0 = 0.1 * np.cos(2 * math.pi * x)
+        batch = sim.solve_renormalised(configs, [iter(noises[0]), noises[1], noises[2]], h0)
+        assert [t.heights.shape for t in batch] == [(2, 3, 32), (2, 2, 32), (2, 32)]
+        for config, noise, trajectory in zip(configs, noises, batch):
+            single = sim.solve_renormalised(config, noise, h0)
+            assert trajectory.config == config
+            assert trajectory.times.tolist() == single.times.tolist()
+            assert np.array_equal(trajectory.heights, single.heights)
+
+    def test_config_batch_of_ensembles_matches_per_config_calls(self):
+        model = default_asymmetric_model()
+        configs = [small_config(eps=0.2, lam=0.8, ell=ELL, v_h=0.3),
+                   small_config(eps=0.1, lam=0.0, v_h=0.3)]
+        rng = np.random.default_rng(1)
+        clouds = [draw_cloud(model, rng, -model.t_reach, 0.02 / 0.1 ** 2 + model.t_reach,
+                             0.5 / 0.1) for _ in range(3)]
+        by_cloud = sim.ensemble_renormalised(model, configs, 3, 9, clouds=clouds)
+        by_seed = sim.ensemble_renormalised(model, configs, 2, 9)
+        for config, cloud_run, seed_run in zip(configs, by_cloud, by_seed):
+            assert np.array_equal(
+                cloud_run, sim.ensemble_renormalised(model, config, 3, 9, clouds=clouds))
+            assert np.array_equal(seed_run, sim.ensemble_renormalised(model, config, 2, 9))
+
+    def test_config_batch_needs_one_grid_and_horizon(self):
+        model = default_even_model()
+        config = small_config()
+        samples = fields(model, config, (1,))
+        for other in (small_config(n_x=64), small_config(T=0.04)):
+            with pytest.raises(ValueError, match="n_x or T"):
+                sim.solve_renormalised([config, other],
+                                       [samples, fields(model, other, (2,))])
+        with pytest.raises(ValueError, match="one batch of fields per"):
+            sim.solve_renormalised([config, config], [samples])
+        with pytest.raises(ValueError, match="one batch of fields per"):
+            sim.solve_renormalised([], [])
+
 
 class TestFailures:
     def test_one_blowing_member_fails_the_batch(self):
@@ -158,6 +202,17 @@ class TestExactBehaviour:
         decay = (1.0 / (1.0 + config.step * symbol)) ** config.n_steps
         assert decay < 0.5
         assert np.max(np.abs(final - decay * h0)) < 1e-12
+
+    def test_constant_counterterm_shifts_a_config_batch_exactly(self):
+        # ell3 changes no gradient and passes the Fourier multiplier's
+        # zero mode unchanged, so it moves every height by 2 lam^2 ell3 T
+        lam = 0.8
+        full = small_config(lam=lam, ell=ELL, v_h=0.3)
+        control = small_config(lam=lam, ell=ELL[:2] + (0.0,) + ELL[3:], v_h=0.3)
+        samples = fields(default_asymmetric_model(), full, (1, 2, 3))
+        with_ell3, without = sim.solve_renormalised([full, control], [samples, samples])
+        gap = without.final - with_ell3.final
+        assert np.allclose(gap, 2 * lam ** 2 * ELL[2] * full.T, rtol=0, atol=1e-12)
 
     def test_default_step_is_stable_and_ends_at_T(self):
         # the step has no other source, so nothing else enforces these
