@@ -345,6 +345,36 @@ class TestInterpolate:
             assert np.array_equal(windows.interpolate(j, s, y),
                                   fancy_index_interpolate(windows, j, s, y))
 
+    def test_edges_of_both_grids_match_fancy_indexing_bit_for_bit(self, windows):
+        w = windows
+        strip = w.strip
+        assert np.mod(-1e-300, strip) == strip  # a y that wraps onto the seam
+        y_edges = [0.0, strip, -strip, np.nextafter(strip, 0.0), -1e-300, 7.5 * strip,
+                   -0.3 * w.dy]
+        s_lo, s_hi = w.s_grid[0], w.s_grid[-1]
+        s = np.array([s_lo, s_hi, s_lo - 1e-9, s_hi + 1e-9, s_lo + 0.3 * w.ds,
+                      0.5 * (s_lo + s_hi)])
+        outside = (s < s_lo) | (s > s_hi)
+        assert outside.sum() == 2
+        # each y alone, so no other point decides whether the call wraps y
+        for y in [np.full(len(s), y_edge) for y_edge in y_edges] + [np.resize(y_edges, len(s))]:
+            for j in range(2):
+                got = w.interpolate(j, s, y)
+                assert np.array_equal(got, fancy_index_interpolate(w, j, s, y))
+                assert np.all(got[outside] == 0.0)
+
+    def test_window_sequence_equals_stacked_single_windows(self, windows):
+        w = windows
+        s = np.linspace(w.s_grid[0] - 2.0, w.s_grid[-1] + 2.0, 101)
+        y = np.linspace(-2.5 * w.strip, 2.5 * w.strip, 67)
+        s_mesh, y_mesh = np.meshgrid(s, y, indexing="ij")
+        for s_in, y_in in ((s_mesh, y_mesh), (s[:, None], y[None, :])):
+            single = [w.interpolate(j, s_in, y_in) for j in range(2)]
+            for js in ((0, 1), [1, 0], (1,)):
+                got = w.interpolate(js, s_in, y_in)
+                assert got.shape == (len(s), len(y), len(js))
+                assert np.array_equal(got, np.stack([single[j] for j in js], axis=-1))
+
 
 TWO_MARKS = ((0.3, -1.0), (0.7, 2.0))
 
@@ -363,6 +393,35 @@ class TestSamplePairings:
         for block in (1, 37, 10 ** 9):
             monkeypatch.setattr(noise, "POINT_BLOCK", block)
             assert np.array_equal(sample_pairings(model, eps, w, n, seed=4), default)
+
+    def test_matches_one_interpolation_per_window(self, monkeypatch):
+        # skew bump, two marks and a shear, in blocks of a few rows each
+        model = PoissonNoiseModel(default_asymmetric_model().terms, mu=1.0, marks=TWO_MARKS)
+        eps, n, seed = 0.2, 60, 3
+        w = PairingWindows(model, eps, list(make_test_functions((0.02, 0.18))),
+                           (0.02, 0.18), v_h=0.7)
+        monkeypatch.setattr(noise, "POINT_BLOCK", 50)
+        got = sample_pairings(model, eps, w, n, seed)
+
+        # the documented stream: all counts, then each point's s, y and mark uniforms
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC10D]))
+        s_lo, s_hi = w.s_grid[0], w.s_grid[-1]
+        counts = rng.poisson(model.mu * (s_hi - s_lo) * w.strip, n)
+        assert counts.max() < noise.POINT_BLOCK < counts.sum() and counts.min() > 0
+        u = rng.random((counts.sum(), 3))
+        s = s_lo + (s_hi - s_lo) * u[:, 0]
+        y = w.strip * u[:, 1]
+        cdf = np.cumsum([p for p, _ in model.marks])
+        cdf[-1] = 1.0
+        a = np.array([amp for _, amp in model.marks])[np.searchsorted(cdf, u[:, 2], "right")]
+        # one sum per row, in the order reduceat adds (not np.sum's pairwise one)
+        offsets = np.cumsum(counts) - counts
+        want = np.empty((n, 2))
+        for j in range(2):
+            values = a * w.interpolate(j, s, y)
+            mean = model.mu * model.mark_moment(1) * w.window_integral(j)
+            want[:, j] = np.add.reduceat(values, offsets) - mean
+        assert np.array_equal(got, want)
 
     def test_marked_cumulants_match_exact(self):
         # the time bump alone: constant in x, so kappa_3 = mu E[a^3] int W^3 is not 0
