@@ -10,8 +10,8 @@ point involved.
 
 Contracting ``p`` copies of a partial graph glues external vertices across
 copies (every glued class must meet at least two copies) and produces a
-labelled multigraph; identifying multi-edges by summing their labels gives
-a simple labelled graph.  The text format is line oriented::
+labelled multigraph, whose parallel edges the power-counting checks merge
+by summing their labels.  The text format is line oriented::
 
     graph <name>
     vertex <id> origin|star|internal|external
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .cumulants import SizeLimitError, iter_wick_partitions
 
@@ -37,13 +37,10 @@ __all__ = [
     "PartialGraph",
     "ContractionEdge",
     "ContractedGraph",
-    "SimpleLabelledGraph",
     "GraphParseError",
     "parse_partial_graph",
-    "serialize_partial_graph",
     "iter_contractions",
     "edge_sets",
-    "merge_multiedges",
     "automorphisms",
     "canonical_key",
     "CONTRACTION_SLOT_CAP",
@@ -353,19 +350,6 @@ def parse_partial_graph(text: str) -> PartialGraph:
         raise GraphParseError(str(exc))
 
 
-def serialize_partial_graph(graph: PartialGraph) -> str:
-    """Emit the text form; ``parse(serialize(g))`` is isomorphic to ``g``."""
-    lines = [f"graph {graph.name}"]
-    for vid, kind in graph.kinds:
-        lines.append(f"vertex {vid} {kind}")
-    star = next(e for e in graph.edges if e.distinguished)
-    lines.append(f"star-edge {star.u} {star.v}")
-    for e in graph.edges:
-        if not e.distinguished:
-            lines.append(f"edge {e.u} {e.v} label {e.label}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Wick contractions
 # ---------------------------------------------------------------------------
@@ -501,7 +485,7 @@ def iter_contractions(H: PartialGraph, p: int) -> Iterator[ContractedGraph]:
 
 
 # ---------------------------------------------------------------------------
-# Edge subsets and multi-edge merging
+# Edge subsets
 # ---------------------------------------------------------------------------
 
 def edge_sets(graph, S: Iterable[str]):
@@ -522,77 +506,14 @@ def edge_sets(graph, S: Iterable[str]):
     return tuple(inside), tuple(meeting)
 
 
-@dataclass(frozen=True)
-class SimpleLabelledGraph:
-    """Contracted graph after identifying multi-edges (labels summed)."""
-
-    roles: tuple[tuple[str, str], ...]  # (vertex, role in {origin, star, in, ex})
-    edges: tuple[GraphEdge, ...]
-    star_set: tuple[str, ...]
-
-    @property
-    def vertex_ids(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.roles)
-
-    def edge_list(self) -> tuple[GraphEdge, ...]:
-        return self.edges
-
-
-def merge_multiedges(
-    G: ContractedGraph,
-    weights: "Callable[[int], LabelValue] | Sequence[LabelValue] | None" = None,
-) -> SimpleLabelledGraph:
-    """Identify multi-edges; the merged label is the exact sum of weights.
-
-    ``weights`` assigns a LabelValue to each position in ``G.edge_list()``
-    (defaults to the inherited labels).  Distinguished edges are merged
-    only with other distinguished edges between the same pair, never with
-    ordinary ones.
-    """
-    edges = G.edge_list()
-    if weights is None:
-        values = [e.label for e in edges]
-    elif callable(weights):
-        values = [weights(i) for i in range(len(edges))]
-    else:
-        values = list(weights)
-        if len(values) != len(edges):
-            raise ValueError("need one weight per edge")
-
-    merged: dict[tuple[frozenset, bool], LabelValue] = {}
-    for e, val in zip(edges, values):
-        key = (e.endpoints(), e.kind == "distinguished")
-        merged[key] = merged.get(key, ZERO_LABEL) + val
-
-    roles = [(ContractedGraph.ORIGIN, "origin")]
-    star_names = set(G.star_set) - {ContractedGraph.ORIGIN}
-    for v in G.in_vertices:
-        roles.append((v, "star" if v in star_names else "in"))
-    for v in G.ex_vertices:
-        roles.append((v, "ex"))
-
-    out_edges = []
-    for (ends, dist), label in sorted(
-        merged.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])
-    ):
-        pair = sorted(ends)
-        out_edges.append(GraphEdge(pair[0], pair[1], label, distinguished=dist))
-    return SimpleLabelledGraph(
-        roles=tuple(roles), edges=tuple(out_edges), star_set=G.star_set
-    )
-
-
 # ---------------------------------------------------------------------------
-# Isomorphism machinery (used for round-trip tests and contraction dedupe)
+# Isomorphism machinery (isomorphism classes of graphs and contractions)
 # ---------------------------------------------------------------------------
 
 def _graph_data(graph) -> tuple[dict, list]:
     """Uniform (vertex colour, edge record) view for the iso machinery."""
     if isinstance(graph, PartialGraph):
         colors = {v: k for v, k in graph.kinds}
-        edges = [(e.u, e.v, (str(e.label), e.distinguished)) for e in graph.edges]
-    elif isinstance(graph, SimpleLabelledGraph):
-        colors = {v: r for v, r in graph.roles}
         edges = [(e.u, e.v, (str(e.label), e.distinguished)) for e in graph.edges]
     elif isinstance(graph, ContractedGraph):
         colors = {ContractedGraph.ORIGIN: "origin"}

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "draw_cloud",
     "field_from_cloud",
     "sample_field",
-    "pair_field",
     "PairingWindows",
     "sample_pairings",
     "CumulantEstimate",
@@ -249,6 +248,14 @@ class GridSpec:
     nt: int
     nx: int
 
+    def __post_init__(self):
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"horizon T must be finite and positive, got {self.T}")
+        if self.nt < 2:
+            raise ValueError(f"need nt >= 2 time slices, got {self.nt}")
+        if self.nx < 1:
+            raise ValueError(f"need nx >= 1 cells, got {self.nx}")
+
     @property
     def dt(self) -> float:
         return self.T / (self.nt - 1)
@@ -260,20 +267,19 @@ class GridSpec:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.nt)
 
-    def positions(self) -> np.ndarray:
-        return self.dx * np.arange(self.nx)
-
 
 @dataclass
 class FieldSample:
-    """One draw of the rescaled periodised field on a grid."""
+    """One draw of the rescaled periodised field on a grid.
+
+    ``eps`` is the noise scale and ``v_h`` the transport speed of the frame
+    the field was drawn in; a solver driven by the field checks both.
+    """
 
     values: np.ndarray  # (nt, nx)
     grid: GridSpec
     eps: float
-    seed: int
     v_h: float
-    model_hash: str
 
 
 def draw_cloud(
@@ -360,14 +366,7 @@ def field_from_cloud(
 
     mean = model.mu * model.mark_moment(1) * model.int_phi
     values = (values - mean) * eps ** (-1.5)
-    return FieldSample(
-        values=values,
-        grid=grid,
-        eps=eps,
-        seed=-1,
-        v_h=v_h,
-        model_hash=model.model_hash(),
-    )
+    return FieldSample(values=values, grid=grid, eps=eps, v_h=v_h)
 
 
 def sample_field(
@@ -385,19 +384,7 @@ def sample_field(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF1E1D]))
     cloud = draw_cloud(model, rng, -model.t_reach, grid.T / eps ** 2 + model.t_reach,
                        (1.0 / eps) / 2)
-    return replace(field_from_cloud(model, eps, grid, cloud, v_h), seed=seed)
-
-
-def pair_field(sample: FieldSample, eta: Callable) -> float:
-    """Grid quadrature of ``<field, eta>`` (trapezoid in t, periodic in x)."""
-    tt = sample.grid.times()[:, None]
-    xx = sample.grid.positions()[None, :]
-    weights = np.full(sample.grid.nt, sample.grid.dt)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return float(np.sum(
-        sample.values * eta(tt, xx) * weights[:, None] * sample.grid.dx
-    ))
+    return field_from_cloud(model, eps, grid, cloud, v_h)
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +671,8 @@ def joint_second_cumulants(samples: np.ndarray, n_batches: int = 20):
     """Covariance matrix of pairing columns with batch-means errors."""
     x = np.asarray(samples, dtype=float)
     n, k = x.shape
+    if n < 100:
+        raise ValueError("need at least 100 samples")
     cov = np.cov(x, rowvar=False, ddof=1).reshape(k, k)
     batch = n // n_batches
     stack = np.stack([

@@ -40,7 +40,6 @@ __all__ = [
     "ConditionReport",
     "c_e_weights",
     "c_e_weight_value",
-    "c_e_weight_raw_infimum",
     "check_condition_A",
     "check_condition_B",
     "homogeneity_exponent",
@@ -166,7 +165,6 @@ class ConditionReport:
     verdict: bool
     exponent: LabelValue | None = None
     witnesses: tuple[Witness, ...] = ()
-    checks: tuple[Witness, ...] = ()  # full list of (subset, lhs, rhs) comparisons
 
     def to_record(self) -> dict:
         rec = {
@@ -214,70 +212,6 @@ def c_e_weights(H: PartialGraph, S: Iterable[str]) -> dict[int, Fraction]:
     return out
 
 
-def c_e_weight_raw_infimum(
-    H: PartialGraph,
-    S: Iterable[str],
-    rule: KPZAllocationRule | None = None,
-    p_cap: int = 4,
-) -> Fraction:
-    """Slow cross-check of ``c_e``: infimum of the rule value over gluings.
-
-    Considers every way of gluing the externals of ``S`` (living in copy 1)
-    with extra externals from up to ``p_cap - 1`` further copies, subject
-    to the leftover externals still admitting a valid gluing, and returns
-    the smallest value the rule assigns to the edges of ``S``'s externals.
-    Only meaningful when the subset avoids the origin.
-    """
-    rule = rule or KPZAllocationRule()
-    subset = set(S)
-    ext_in = [v for v in H.external_ids if v in subset]
-    if not ext_in:
-        return Fraction(0)
-    neighbour = {v: H.incident(v)[0].other(v) for v in H.external_ids}
-    # multiplicities of the fixed part of the class, grouped by neighbour
-    base: dict[str, int] = {}
-    for v in ext_in:
-        base[neighbour[v]] = base.get(neighbour[v], 0) + 1
-    # How many externals H offers per neighbour (for the extra copies).
-    offer: dict[str, int] = {}
-    for v in H.external_ids:
-        offer[neighbour[v]] = offer.get(neighbour[v], 0) + 1
-    names = sorted(offer)
-    m = len(H.external_ids)
-
-    best: Fraction | None = None
-    for p in range(2, p_cap + 1):
-        # per extra copy, choose how many externals of each neighbour join
-        choices = itertools.product(
-            *[
-                itertools.product(*[range(offer[n] + 1) for n in names])
-                for _ in range(p - 1)
-            ]
-        )
-        for combo in choices:
-            k = sum(sum(c) for c in combo)
-            if k < 1:
-                continue
-            leftover = (p - 1) * m - k + (m - len(ext_in))
-            copies_left = sum(1 for c in combo if sum(c) < m)
-            if m > len(ext_in):
-                copies_left += 1
-            if leftover == 1 or (leftover >= 2 and copies_left < 2):
-                continue
-            mults = list(base.values())
-            for c in combo:
-                mults.extend(v for v in c if v > 0)
-            try:
-                values = rule.group_values(mults)
-            except UnsupportedConfigurationError:
-                continue
-            worst_here = min(values[: len(base)])
-            best = worst_here if best is None else min(best, worst_here)
-    if best is None:
-        raise ValueError("no valid gluing found; increase p_cap")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Conditions on a partial graph
 # ---------------------------------------------------------------------------
@@ -287,7 +221,7 @@ def _subsets(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
         yield from itertools.combinations(items, r)
 
 
-def check_condition_A(H: PartialGraph, collect_checks: bool = False) -> ConditionReport:
+def check_condition_A(H: PartialGraph) -> ConditionReport:
     """Local integrability condition over all subgraphs of ``H``.
 
     For every subset with at least two vertices and an internal vertex,
@@ -296,7 +230,6 @@ def check_condition_A(H: PartialGraph, collect_checks: bool = False) -> Conditio
     """
     internals = set(H.internal_ids)
     witnesses: list[Witness] = []
-    checks: list[Witness] = []
     for subset in _subsets(H.vertex_ids):
         sub = set(subset)
         if len(sub) < 2 or not (sub & internals):
@@ -309,11 +242,8 @@ def check_condition_A(H: PartialGraph, collect_checks: bool = False) -> Conditio
             lhs = lhs + e.label - ce[index[id(e)]]
         n_in = len(sub & internals) - (1 if sub <= internals else 0)
         rhs = LabelValue.coerce(S_DIM * n_in)
-        entry = Witness(tuple(sorted(sub)), lhs, rhs, "local-integrability")
-        if collect_checks:
-            checks.append(entry)
         if not (lhs < rhs):
-            witnesses.append(entry)
+            witnesses.append(Witness(tuple(sorted(sub)), lhs, rhs, "local-integrability"))
     witnesses.sort(key=lambda w: (len(w.subset), w.subset))
     return ConditionReport(
         graph=H.name,
@@ -321,11 +251,10 @@ def check_condition_A(H: PartialGraph, collect_checks: bool = False) -> Conditio
         verdict=not witnesses,
         exponent=homogeneity_exponent(H),
         witnesses=tuple(witnesses),
-        checks=tuple(checks),
     )
 
 
-def check_condition_B(H: PartialGraph, collect_checks: bool = False) -> ConditionReport:
+def check_condition_B(H: PartialGraph) -> ConditionReport:
     """Large-scale decay condition over subgraphs avoiding the star set.
 
     Every non-empty subset of ``H`` minus the origin and star vertex must
@@ -336,7 +265,6 @@ def check_condition_B(H: PartialGraph, collect_checks: bool = False) -> Conditio
     externals = set(H.external_ids)
     allowed = [v for v in H.vertex_ids if v not in (H.origin, H.star)]
     witnesses: list[Witness] = []
-    checks: list[Witness] = []
     for subset in _subsets(allowed):
         if not subset:
             continue
@@ -348,11 +276,8 @@ def check_condition_B(H: PartialGraph, collect_checks: bool = False) -> Conditio
         rhs = LabelValue.coerce(
             S_DIM * (len(sub & internals) + Fraction(len(sub & externals), 2))
         )
-        entry = Witness(tuple(sorted(sub)), lhs, rhs, "large-scale-decay")
-        if collect_checks:
-            checks.append(entry)
         if not (lhs > rhs):
-            witnesses.append(entry)
+            witnesses.append(Witness(tuple(sorted(sub)), lhs, rhs, "large-scale-decay"))
     witnesses.sort(key=lambda w: (len(w.subset), w.subset))
     return ConditionReport(
         graph=H.name,
@@ -360,7 +285,6 @@ def check_condition_B(H: PartialGraph, collect_checks: bool = False) -> Conditio
         verdict=not witnesses,
         exponent=homogeneity_exponent(H),
         witnesses=tuple(witnesses),
-        checks=tuple(checks),
     )
 
 
@@ -423,9 +347,11 @@ def check_contracted(
     ``alpha = |s| |V \\ V_star| - sum a_e``.
 
     One pass over ``G.edge_list()`` merges parallel edges into exact (q, r)
-    sums keyed by vertex indices, as ``merge_multiedges`` does, and groups
-    the edges at each ex-vertex by neighbour, as ``kpz_allocation`` does;
-    the rule's values are then subtracted from the merged sums.  The merged
+    sums keyed by vertex indices (a distinguished edge only with another
+    distinguished edge) and groups the edges at each ex-vertex by
+    neighbour; the rule's values for each group, the same values that
+    ``kpz_allocation`` gives those edges, are then subtracted from the
+    merged sums.  The merged
     labels are scaled to integers and every vertex subset is scanned at once.
     """
     vertices = G.vertex_ids

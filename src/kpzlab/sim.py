@@ -26,15 +26,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .noise import (FieldSample, GridSpec, PoissonNoiseModel, draw_cloud,
-                    field_from_cloud, sample_field)
+from .noise import FieldSample, GridSpec, PoissonNoiseModel, draw_cloud, field_from_cloud
 
 __all__ = [
     "SimConfig",
     "Trajectory",
     "BlowupError",
     "PositivityError",
-    "default_dt",
+    "renormalised_coefficients_closed_form",
     "solve_renormalised",
     "solve_additive",
     "solve_hopf_cole",
@@ -64,11 +63,19 @@ class PositivityError(RuntimeError):
         )
 
 
-def default_dt(n_x: int, T: float) -> float:
-    """Largest stable step ``<= dx^2/4`` that divides the horizon evenly."""
-    dx = 1.0 / n_x
-    steps = int(math.ceil(T / (dx * dx / 4.0)))
-    return T / steps
+def renormalised_coefficients_closed_form(ell: Sequence, lam) -> tuple:
+    """(transport, constant) counterterms of the five ``ell`` at coupling ``lam``.
+
+    The generator derivation of the exact half gives the same two numbers.
+    """
+    ell1, ell2, ell3, ell4, ell5 = ell
+    transport = -4 * lam ** 2 * ell2
+    constant = (
+        -(lam * ell1 + 2 * lam ** 2 * ell3
+          + 4 * lam ** 3 * ell4 + lam ** 3 * ell5)
+        + 4 * lam ** 3 * ell2 ** 2
+    )
+    return transport, constant
 
 
 @dataclass(frozen=True)
@@ -83,13 +90,21 @@ class SimConfig:
     v_h: float = 0.0
 
     def __post_init__(self):
-        if self.n_x & (self.n_x - 1):
-            raise ValueError("n_x must be a power of two")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be finite and positive, got {self.T}")
+        if self.n_x < 2 or self.n_x & (self.n_x - 1):
+            raise ValueError(f"n_x must be a power of two >= 2, got {self.n_x}")
 
     @property
     def step(self) -> float:
-        """The time step, at most ``dx^2/4`` and a whole fraction of ``T``."""
-        return default_dt(self.n_x, self.T)
+        """Largest stable step ``<= dx^2/4`` that divides ``T`` evenly."""
+        dx = 1.0 / self.n_x
+        steps = int(math.ceil(self.T / (dx * dx / 4.0)))
+        return self.T / steps
 
     @property
     def n_steps(self) -> int:
@@ -97,33 +112,25 @@ class SimConfig:
 
     @property
     def v_v(self) -> float:
-        return -_closed_form(self.ell, self.lam)[1]
-
-
-def _closed_form(ell, lam: float) -> tuple[float, float]:
-    """(transport, constant) counterterms of the five ``ell`` at coupling ``lam``."""
-    # imported on first use: the exact half behind symbols (graphs,
-    # cumulants, power_counting) takes longer to import than the rest of sim
-    from .symbols import RenormMap, renormalised_coefficients_closed_form
-    return renormalised_coefficients_closed_form(RenormMap(*ell), lam)
+        return -renormalised_coefficients_closed_form(self.ell, self.lam)[1]
 
 
 @dataclass
 class Trajectory:
-    """The start and the end of a run: ``times`` is ``[0, T]``."""
+    """The heights at ``T`` of a run: ``(n_x,)``, or ``(B, n_x)`` for a batch."""
 
-    times: np.ndarray
-    heights: np.ndarray  # (2, n_x), or (2, B, n_x) for a batch
+    final: np.ndarray
     config: SimConfig
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.heights[-1]
 
+def noise_grid_for(config: SimConfig) -> GridSpec:
+    """Noise grid resolving the bump at the configured scale.
 
-def noise_grid_for(config: SimConfig, nx_noise: int = 512) -> GridSpec:
-    """Noise grid resolving the bump at the configured scale."""
+    It has at least 512 cells, doubled until ``dx <= eps/8``, and time
+    slices no further apart than ``eps^2/8``.
+    """
     eps = config.eps
+    nx_noise = 512
     while 1.0 / nx_noise > eps / 8:
         nx_noise *= 2
     nt = int(math.ceil(config.T / (eps * eps / 8.0))) + 1
@@ -233,7 +240,7 @@ def solve_renormalised(
 
     For one ``config``, ``noise`` is one ``FieldSample`` or an iterable of
     them, one per member.  A batch of B members is integrated as one
-    ``(B, n_x)`` array and the heights gain a member axis.  Each field is
+    ``(B, n_x)`` array and ``final`` gains a member axis.  Each field is
     cell-averaged onto the solver grid as it arrives, so one fine field at
     most is held at a time.  The noise is piecewise constant between its
     own time slices; ``noise=None`` runs the deterministic part only.
@@ -255,7 +262,6 @@ def solve_renormalised(
     h0 = np.zeros(n_x) if h0 is None else np.asarray(h0, dtype=float)
     groups, lone = zip(*(_forcing_group(c, b, h0) for c, b in zip(configs, batches)))
     sizes = [coarse.shape[1] for coarse, _ in groups]
-    starts = [np.broadcast_to(h0, (b, n_x)) for b in sizes]
 
     def column(values):
         return np.repeat(values, sizes)[:, None]
@@ -263,9 +269,9 @@ def solve_renormalised(
     final = _solve_forced(configs[0], column([c.lam for c in configs]),
                           column([c.v_h for c in configs]),
                           column([c.v_v for c in configs]), groups,
-                          np.concatenate(starts))
-    out = [_endpoints(c, start, h, one) for c, one, start, h
-           in zip(configs, lone, starts, np.split(final, np.cumsum(sizes)[:-1]))]
+                          np.broadcast_to(h0, (sum(sizes), n_x)))
+    out = [Trajectory(h[0] if one else h, c) for c, one, h
+           in zip(configs, lone, np.split(final, np.cumsum(sizes)[:-1]))]
     return out[0] if single else out
 
 
@@ -296,13 +302,6 @@ def _normal_rows(seeds, n_x: int, n_steps: int):
             yield block[:, j]
 
 
-def _endpoints(config: SimConfig, h0: np.ndarray, h: np.ndarray,
-               single: bool) -> Trajectory:
-    heights = np.stack([h0, h])
-    return Trajectory(np.array([0.0, config.T]),
-                      heights[:, 0] if single else heights, config)
-
-
 def solve_additive(config: SimConfig, seed: int | Sequence[int],
                    h0: np.ndarray | None = None) -> Trajectory:
     """Heat equation plus discretised space-time white noise (explicit).
@@ -319,7 +318,7 @@ def solve_additive(config: SimConfig, seed: int | Sequence[int],
     for xi in _normal_rows(seeds, n_x, config.n_steps):
         lap = (h.take(right, axis=1) - 2 * h + h.take(left, axis=1)) / (dx * dx)
         h = h + dt * lap + amp * xi
-    return _endpoints(config, h0, h, single)
+    return Trajectory(h[0] if single else h, config)
 
 
 def solve_hopf_cole(config: SimConfig, seed: int | Sequence[int],
@@ -346,7 +345,8 @@ def solve_hopf_cole(config: SimConfig, seed: int | Sequence[int],
         z = z + dt * lap + lam * z * amp * xi
         if z.min() <= 0.0:
             raise PositivityError(step * dt)
-    return _endpoints(config, h0, np.log(z) / lam, single)
+    h = np.log(z) / lam
+    return Trajectory(h[0] if single else h, config)
 
 
 # ---------------------------------------------------------------------------
@@ -360,28 +360,22 @@ def _child_seed(*key: int) -> int:
 def ensemble_renormalised(
     model: PoissonNoiseModel,
     config: SimConfig | Sequence[SimConfig],
-    n_members: int,
-    master_seed: int,
-    clouds: list | None = None,
+    clouds: Sequence,
 ) -> np.ndarray | list[np.ndarray]:
-    """Final height profiles of an ensemble, solved as one batch; (n_members, n_x).
+    """Final height profiles of an ensemble, solved as one batch; (len(clouds), n_x).
 
-    Member m's field comes from ``clouds[m]`` when clouds are given, and
-    from a seed derived from ``master_seed`` otherwise.  For a sequence of
-    configs sharing ``n_x`` and ``T``, member m of every config is driven by
-    that same cloud or seed, all configs are solved in one batch, and the
-    result is one ensemble per config.
+    Member m's field is made from ``clouds[m]`` (a ``draw_cloud`` result
+    that covers every configured scale).  For a sequence of configs sharing
+    ``n_x`` and ``T``, member m of every config is driven by that same
+    cloud, all configs are solved in one batch, and the result is one
+    ensemble per config.
     """
     single = isinstance(config, SimConfig)
     configs = [config] if single else list(config)
 
     def fields(c: SimConfig):
         grid = noise_grid_for(c)
-        if clouds is not None:
-            return (field_from_cloud(model, c.eps, grid, clouds[m], c.v_h)
-                    for m in range(n_members))
-        return (sample_field(model, c.eps, grid, _child_seed(master_seed, m), c.v_h)
-                for m in range(n_members))
+        return (field_from_cloud(model, c.eps, grid, cloud, c.v_h) for cloud in clouds)
 
     finals = [t.final for t in solve_renormalised(configs, [fields(c) for c in configs])]
     return finals[0] if single else finals
@@ -483,11 +477,12 @@ def convergence_study(
     ref_config = SimConfig(lam=lam, eps=eps_min, n_x=n_x, T=T)
     reference = ensemble_hopf_cole(ref_config, n_members, master_seed)
 
+    transport = {eps: renormalised_coefficients_closed_form(constants[eps], lam)[0]
+                 for eps in eps_list}
     configs = [SimConfig(lam=lam, eps=eps, n_x=n_x, T=T, ell=tuple(constants[eps]),
-                         v_h=-_closed_form(constants[eps], lam)[0])
+                         v_h=-transport[eps])
                for eps in eps_list]
-    ensembles = ensemble_renormalised(model, configs, n_members, master_seed,
-                                      clouds=clouds)
+    ensembles = ensemble_renormalised(model, configs, clouds)
     rows = [{"eps": eps, **compare_statistics(ensemble, reference, seed=master_seed)}
             for eps, ensemble in zip(eps_list, ensembles)]
 

@@ -54,7 +54,6 @@ __all__ = [
     "RenormMap",
     "apply_renorm_map",
     "renormalised_coefficients",
-    "renormalised_coefficients_closed_form",
     "CatalogEntry",
     "graph_catalog",
     "CertifyEntry",
@@ -433,6 +432,8 @@ def renormalised_coefficients(ell: RenormMap, lam) -> tuple:
     Derived from the generator action on the expansion of the quadratic
     right-hand side: the unit-symbol coefficient gives the constant term
     and the bare-noise-derivative coefficient gives the transport term.
+    The solver uses the same map in closed form,
+    ``sim.renormalised_coefficients_closed_form``.
     """
     rhs = {
         SQUARE: lam,
@@ -443,17 +444,6 @@ def renormalised_coefficients(ell: RenormMap, lam) -> tuple:
     image = apply_renorm_map(ell, rhs)
     transport = image.get(PSI, 0)
     constant = image.get(ONE, 0)
-    return transport, constant
-
-
-def renormalised_coefficients_closed_form(ell: RenormMap, lam) -> tuple:
-    """Closed-form counterterms; must agree with the generator derivation."""
-    transport = -4 * lam ** 2 * ell.ell2
-    constant = (
-        -(lam * ell.ell1 + 2 * lam ** 2 * ell.ell3
-          + 4 * lam ** 3 * ell.ell4 + lam ** 3 * ell.ell5)
-        + 4 * lam ** 3 * ell.ell2 ** 2
-    )
     return transport, constant
 
 

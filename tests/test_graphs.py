@@ -12,9 +12,7 @@ from kpzlab.graphs import (
     canonical_key,
     edge_sets,
     iter_contractions,
-    merge_multiedges,
     parse_partial_graph,
-    serialize_partial_graph,
 )
 
 PAIR_SOURCE = """\
@@ -135,14 +133,8 @@ edge 0 u label 1+0d
         with pytest.raises(GraphParseError):
             parse_partial_graph(bad)
 
-    def test_round_trip_isomorphic(self, pair_graph, chain_graph):
-        for g in (pair_graph, chain_graph):
-            again = parse_partial_graph(serialize_partial_graph(g))
-            assert canonical_key(again) == canonical_key(g)
-
     def test_round_trip_after_renaming(self, chain_graph):
-        text = serialize_partial_graph(chain_graph)
-        renamed = (text.replace("a1", "zz1").replace("a2", "qq")
+        renamed = (CHAIN_SOURCE.replace("a1", "zz1").replace("a2", "qq")
                    .replace("w", "mid"))
         assert canonical_key(parse_partial_graph(renamed)) == canonical_key(chain_graph)
 
@@ -223,44 +215,6 @@ class TestEdgeSets:
     def test_unknown_vertex(self, pair_graph):
         with pytest.raises(KeyError):
             edge_sets(pair_graph, {"nope"})
-
-
-class TestMerge:
-    def test_double_edge_merges(self, pair_graph):
-        cons = list(iter_contractions(pair_graph, 2))
-        full = [c for c in cons if len(c.classes) == 1][0]
-        merged = merge_multiedges(full)
-        labels = sorted(str(e.label) for e in merged.edges if not e.distinguished)
-        assert labels == ["4+2d", "4+2d"]
-        # two distinguished edges 0-star remain separate from each other?
-        # they join distinct star copies, so there is one per copy
-        assert sum(1 for e in merged.edges if e.distinguished) == 2
-
-    def test_no_multiedges_identity(self, chain_graph):
-        # cross pairing without multi-edges: merged graph has same edge count
-        cons = list(iter_contractions(chain_graph, 2))
-        plain = [c for c in cons if all(len(cls) == 2 for cls in c.classes)][0]
-        merged = merge_multiedges(plain)
-        assert len(merged.edges) == len(plain.edge_list())
-
-    def test_chain_full_identification_pattern(self, chain_graph):
-        cons = list(iter_contractions(chain_graph, 2))
-        full = [c for c in cons if len(c.classes) == 1][0]
-        merged = merge_multiedges(full)
-        labels = sorted(str(e.label) for e in merged.edges if not e.distinguished)
-        # per copy: a double external edge 4+2d, a single external edge 2+1d,
-        # and the internal edge 2+1d
-        assert labels == ["2+1d", "2+1d", "2+1d", "2+1d", "4+2d", "4+2d"]
-
-    def test_custom_weights(self, pair_graph):
-        cons = list(iter_contractions(pair_graph, 2))
-        full = [c for c in cons if len(c.classes) == 1][0]
-        edges = full.edge_list()
-        weights = [e.label - LabelValue(Fraction(3, 4), 0) if e.kind == "external"
-                   else e.label for e in edges]
-        merged = merge_multiedges(full, weights)
-        labels = sorted(str(e.label) for e in merged.edges if not e.distinguished)
-        assert labels == ["5/2+2d", "5/2+2d"]
 
 
 class TestIsomorphism:

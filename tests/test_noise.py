@@ -17,7 +17,6 @@ from kpzlab.noise import (
     eta_inner_products,
     joint_second_cumulants,
     make_test_functions,
-    pair_field,
     sample_field,
     sample_pairings,
     smooth_bump,
@@ -87,6 +86,16 @@ class TestFieldSampling:
         nt = int(math.ceil(T / (eps * eps / 8))) + 1
         return GridSpec(T, nt, nx)
 
+    @pytest.mark.parametrize("T, nt, nx", [
+        (0.0, 10, 8), (-1.0, 10, 8), (math.nan, 10, 8), (math.inf, 10, 8),
+        (0.05, 1, 8), (0.05, 0, 8), (0.05, 10, 0),
+    ])
+    def test_degenerate_grid_rejected(self, T, nt, nx):
+        # nt = 1 and nx = 0 divided by zero in dt and dx; a T that is not
+        # finite and positive gave negative or nan times
+        with pytest.raises(ValueError):
+            GridSpec(T, nt, nx)
+
     def test_under_resolved_grid_rejected(self):
         model = default_even_model()
         with pytest.raises(ValueError, match="too coarse"):
@@ -138,6 +147,18 @@ class TestFieldSampling:
         err = np.std(prods_far, ddof=1) / math.sqrt(len(prods_far))
         assert near > 10 * abs(err)        # adjacent cells strongly correlated
         assert abs(far) < 4 * err + 1e-12  # half a period away: independent
+
+
+def pair_field(sample, eta):
+    """Grid quadrature of ``<field, eta>`` (trapezoid in t, periodic in x)."""
+    tt = sample.grid.times()[:, None]
+    xx = sample.grid.dx * np.arange(sample.grid.nx)[None, :]
+    weights = np.full(sample.grid.nt, sample.grid.dt)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return float(np.sum(
+        sample.values * eta(tt, xx) * weights[:, None] * sample.grid.dx
+    ))
 
 
 class TestOraclesAndEstimates:
@@ -491,6 +512,13 @@ class TestCltCheck:
                             lambda model, eps, w, n, seed: np.zeros((n, len(w.windows))))
         report = clt_check(default_even_model(), (0.1, 0.05, 0.025), n_samples=200)
         assert abs(report["fourth_cumulant_exponent"] - 3.0) <= 0.005
+
+    def test_fewer_than_100_samples_rejected(self):
+        # batches of one row gave a nan stderr and covariance_ok False
+        with pytest.raises(ValueError, match="100 samples"):
+            clt_check(default_even_model(), (0.2, 0.1, 0.05), n_samples=30)
+        with pytest.raises(ValueError, match="100 samples"):
+            joint_second_cumulants(np.zeros((99, 2)))
 
     @pytest.mark.parametrize("eps_list", [(0.2, 0.1), (0.2, 0.1, 0.1)])
     def test_fewer_than_three_scales_rejected(self, eps_list):

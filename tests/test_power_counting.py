@@ -7,7 +7,6 @@ from kpzlab.graphs import (
     LabelValue,
     edge_sets,
     iter_contractions,
-    merge_multiedges,
     parse_partial_graph,
 )
 from kpzlab.power_counting import (
@@ -15,7 +14,6 @@ from kpzlab.power_counting import (
     KPZAllocationRule,
     UnsupportedConfigurationError,
     allocation_assignment,
-    c_e_weight_raw_infimum,
     c_e_weight_value,
     c_e_weights,
     check_admissible,
@@ -136,6 +134,65 @@ class TestAllocation:
             assert total == Fraction(deg - 2, 2) * 3
 
 
+def c_e_weight_raw_infimum(H, S, rule=None, p_cap=4):
+    """Slow cross-check of ``c_e``: infimum of the rule value over gluings.
+
+    Considers every way of gluing the externals of ``S`` (living in copy 1)
+    with extra externals from up to ``p_cap - 1`` further copies, subject
+    to the leftover externals still admitting a valid gluing, and returns
+    the smallest value the rule assigns to the edges of ``S``'s externals.
+    Only meaningful when the subset avoids the origin.
+    """
+    rule = rule or KPZAllocationRule()
+    subset = set(S)
+    ext_in = [v for v in H.external_ids if v in subset]
+    if not ext_in:
+        return Fraction(0)
+    neighbour = {v: H.incident(v)[0].other(v) for v in H.external_ids}
+    # multiplicities of the fixed part of the class, grouped by neighbour
+    base: dict[str, int] = {}
+    for v in ext_in:
+        base[neighbour[v]] = base.get(neighbour[v], 0) + 1
+    # How many externals H offers per neighbour (for the extra copies).
+    offer: dict[str, int] = {}
+    for v in H.external_ids:
+        offer[neighbour[v]] = offer.get(neighbour[v], 0) + 1
+    names = sorted(offer)
+    m = len(H.external_ids)
+
+    best = None
+    for p in range(2, p_cap + 1):
+        # per extra copy, choose how many externals of each neighbour join
+        choices = itertools.product(
+            *[
+                itertools.product(*[range(offer[n] + 1) for n in names])
+                for _ in range(p - 1)
+            ]
+        )
+        for combo in choices:
+            k = sum(sum(c) for c in combo)
+            if k < 1:
+                continue
+            leftover = (p - 1) * m - k + (m - len(ext_in))
+            copies_left = sum(1 for c in combo if sum(c) < m)
+            if m > len(ext_in):
+                copies_left += 1
+            if leftover == 1 or (leftover >= 2 and copies_left < 2):
+                continue
+            mults = list(base.values())
+            for c in combo:
+                mults.extend(v for v in c if v > 0)
+            try:
+                values = rule.group_values(mults)
+            except UnsupportedConfigurationError:
+                continue
+            worst_here = min(values[: len(base)])
+            best = worst_here if best is None else min(best, worst_here)
+    if best is None:
+        raise ValueError("no valid gluing found; increase p_cap")
+    return best
+
+
 class TestSubgraphWeights:
     def test_pair_full_subset(self, pair):
         weights = c_e_weights(pair, {"u", "v1", "v2"})
@@ -179,32 +236,44 @@ class TestSubgraphWeights:
             assert raw == closed
 
 
+def local_values(H, subset):
+    """(lhs, rhs) of the local condition on ``subset``: corrected inside labels."""
+    sub = set(subset)
+    inside, _ = edge_sets(H, sub)
+    ce = c_e_weights(H, sub)
+    lhs = sum((e.label - ce[i] for i, e in enumerate(H.edges) if e in inside),
+              LabelValue())
+    internals = set(H.internal_ids)
+    return lhs, LabelValue.coerce(S_DIM * (len(sub & internals) - (sub <= internals)))
+
+
+def decay_values(H, subset):
+    """(lhs, rhs) of the decay condition on ``subset``: labels meeting it."""
+    sub = set(subset)
+    _, meeting = edge_sets(H, sub)
+    n_in, n_ex = len(sub & set(H.internal_ids)), len(sub & set(H.external_ids))
+    return (sum((e.label for e in meeting), LabelValue()),
+            LabelValue.coerce(S_DIM * (n_in + Fraction(n_ex, 2))))
+
+
 class TestConditionsOnPartialGraphs:
     def test_pair_condition_A_values(self, pair):
-        report = check_condition_A(pair, collect_checks=True)
-        assert report.verdict
-        by_subset = {w.subset: w for w in report.checks}
-        w = by_subset[("u", "v1")]
-        assert (w.lhs, w.rhs) == (LabelValue(2, 1), LabelValue(3, 0))
-        w = by_subset[("u", "v1", "v2")]
-        assert (w.lhs, w.rhs) == (LabelValue(Fraction(5, 2), 2), LabelValue(3, 0))
+        assert check_condition_A(pair).verdict
+        assert local_values(pair, {"u", "v1"}) == (LabelValue(2, 1), LabelValue(3, 0))
+        assert local_values(pair, {"u", "v1", "v2"}) == \
+            (LabelValue(Fraction(5, 2), 2), LabelValue(3, 0))
 
     def test_pair_condition_B_values(self, pair):
-        report = check_condition_B(pair, collect_checks=True)
-        assert report.verdict
-        by_subset = {w.subset: w for w in report.checks}
-        assert by_subset[("v1",)].lhs == LabelValue(2, 1)
-        assert by_subset[("v1",)].rhs == LabelValue(Fraction(3, 2), 0)
-        assert by_subset[("v1", "v2")].lhs == LabelValue(4, 2)
-        assert by_subset[("v1", "v2")].rhs == LabelValue(3, 0)
+        assert check_condition_B(pair).verdict
+        assert decay_values(pair, {"v1"}) == \
+            (LabelValue(2, 1), LabelValue(Fraction(3, 2), 0))
+        assert decay_values(pair, {"v1", "v2"}) == (LabelValue(4, 2), LabelValue(3, 0))
 
     def test_chain_condition_A_full_subset(self, chain):
-        report = check_condition_A(chain, collect_checks=True)
-        assert report.verdict
-        by_subset = {w.subset: w for w in report.checks}
-        w = by_subset[("a1", "a2", "a3", "u", "w")]
-        assert w.lhs == LabelValue(Fraction(23, 4), 4)  # 8 + 4d - (3/4)*3
-        assert w.rhs == LabelValue(6, 0)
+        assert check_condition_A(chain).verdict
+        lhs, rhs = local_values(chain, {"a1", "a2", "a3", "u", "w"})
+        assert lhs == LabelValue(Fraction(23, 4), 4)  # 8 + 4d - (3/4)*3
+        assert rhs == LabelValue(6, 0)
 
     def test_strictness_failure(self):
         g = parse_partial_graph(MARGINAL_SOURCE)
@@ -230,37 +299,40 @@ edge u a1 label 2+1d
         assert homogeneity_exponent(g) == LabelValue(Fraction(-1, 2), -1)
 
 
-def reference_merged_graph(G, rule):
-    """The merged graph with weights m_e - b_e, built by the public helpers."""
-    edges = G.edge_list()
-    if rule is not None:
-        alloc = allocation_assignment(G, rule)
-        weights = [e.label - LabelValue.coerce(
-            sum((alloc.get((v, i), Fraction(0)) for v in (e.u, e.v)), Fraction(0))
-        ) for i, e in enumerate(edges)]
-    else:
-        weights = [e.label for e in edges]
-    return merge_multiedges(G, weights)
+def reference_merged_weights(G, rule):
+    """Weights m_e - b_e summed over parallel edges; keys (ends, distinguished)."""
+    alloc = allocation_assignment(G, rule) if rule is not None else {}
+    merged = {}
+    for i, e in enumerate(G.edge_list()):
+        b = sum((alloc.get((v, i), Fraction(0)) for v in (e.u, e.v)), Fraction(0))
+        key = (e.endpoints(), e.kind == "distinguished")
+        merged[key] = merged.get(key, LabelValue()) + e.label - b
+    return merged
+
+
+def merged_sums(merged, sub):
+    """Total merged weight inside ``sub`` and meeting it."""
+    inside = sum((w for (ends, _), w in merged.items() if ends <= sub), LabelValue())
+    meeting = sum((w for (ends, _), w in merged.items() if ends & sub), LabelValue())
+    return inside, meeting
 
 
 def reference_contracted_check(G, rule):
     """Slow exact reference for check_contracted (pure Fractions)."""
-    merged = reference_merged_graph(G, rule)
-    vertices = merged.vertex_ids
+    merged = reference_merged_weights(G, rule)
+    vertices = G.vertex_ids
     s = Fraction(3)
     ok = True
     for r in range(2, len(vertices) + 1):
         for sub in itertools.combinations(vertices, r):
-            inside, _ = edge_sets(merged, sub)
-            lhs = sum((e.label for e in inside), LabelValue())
-            if not (lhs < LabelValue.coerce(s * (len(sub) - 1))):
+            inside, _ = merged_sums(merged, set(sub))
+            if not (inside < LabelValue.coerce(s * (len(sub) - 1))):
                 ok = False
-    allowed = [v for v in vertices if v not in merged.star_set]
+    allowed = [v for v in vertices if v not in G.star_set]
     for r in range(1, len(allowed) + 1):
         for sub in itertools.combinations(allowed, r):
-            _, meeting = edge_sets(merged, sub)
-            lhs = sum((e.label for e in meeting), LabelValue())
-            if not (lhs > LabelValue.coerce(s * len(sub))):
+            _, meeting = merged_sums(merged, set(sub))
+            if not (meeting > LabelValue.coerce(s * len(sub))):
                 ok = False
     return ok
 
@@ -316,14 +388,12 @@ class TestContractedChecker:
                         checked += 1
                         if report.verdict:
                             continue
-                        merged = reference_merged_graph(G, rule)
+                        merged = reference_merged_weights(G, rule)
                         for w in report.witnesses:
                             conditions.add(w.condition)
-                            inside, meeting = edge_sets(merged, w.subset)
+                            inside, meeting = merged_sums(merged, set(w.subset))
                             local = w.condition == "glued-local-integrability"
-                            lhs = sum((e.label for e in (inside if local else meeting)),
-                                      LabelValue())
-                            assert w.lhs == lhs
+                            assert w.lhs == (inside if local else meeting)
                             size = len(w.subset) - 1 if local else len(w.subset)
                             assert w.rhs == LabelValue.coerce(s * size)
         assert checked > 400

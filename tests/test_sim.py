@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from kpzlab import sim
 from kpzlab.noise import (
     BumpTerm,
     FieldSample,
+    GridSpec,
     PoissonNoiseModel,
     default_asymmetric_model,
     default_even_model,
@@ -14,7 +19,6 @@ from kpzlab.noise import (
     field_from_cloud,
     sample_field,
 )
-from kpzlab.symbols import RenormMap, renormalised_coefficients_closed_form
 
 ELL = (0.3, 0.1, 0.7, -0.2, 0.05)
 
@@ -36,11 +40,11 @@ class TestBatches:
         config = small_config(ell=ELL, v_h=0.3, lam=0.8)
         samples = fields(model, config, (1, 2, 3))
         batch = sim.solve_renormalised(config, iter(samples))
-        assert batch.heights.shape == (2, 3, config.n_x)
+        assert batch.final.shape == (3, config.n_x)
         for b, sample in enumerate(samples):
             single = sim.solve_renormalised(config, sample)
-            assert single.heights.shape == (2, config.n_x)
-            assert np.array_equal(batch.heights[:, b], single.heights)
+            assert single.final.shape == (config.n_x,)
+            assert np.array_equal(batch.final[b], single.final)
 
     def test_renormalised_batch_shares_one_h0(self):
         model = default_even_model()
@@ -49,28 +53,26 @@ class TestBatches:
         h0 = 0.1 * np.sin(2 * math.pi * x)
         samples = fields(model, config, (4, 5))
         batch = sim.solve_renormalised(config, samples, h0)
-        # every solve keeps its two endpoints, the start being h0 itself
-        assert batch.times.tolist() == [0.0, config.T]
-        assert np.array_equal(batch.heights[0], np.broadcast_to(h0, (2, config.n_x)))
+        from_zero = sim.solve_renormalised(config, samples)
+        # every member starts from h0, not from the flat profile
+        assert not np.allclose(batch.final, from_zero.final)
         for b, sample in enumerate(samples):
             single = sim.solve_renormalised(config, sample, h0)
-            assert single.times.tolist() == [0.0, config.T]
-            assert np.array_equal(single.heights[0], h0)
-            assert np.array_equal(batch.heights[:, b], single.heights)
+            assert np.array_equal(batch.final[b], single.final)
         quiet = sim.solve_renormalised(config, None, h0)
-        assert quiet.times.tolist() == [0.0, config.T]
-        assert quiet.heights.shape == (2, config.n_x)
-        assert np.array_equal(quiet.heights[0], h0)
+        assert quiet.final.shape == (config.n_x,)
+        assert np.array_equal(sim.solve_renormalised(config, None, [h0, h0]).final,
+                              [quiet.final, quiet.final])
 
     @pytest.mark.parametrize("lam", [0.7, 0.0])
     def test_hopf_cole_batch_matches_single_solves(self, lam):
         config = small_config(lam=lam)
         batch = sim.solve_hopf_cole(config, [11, 12, 13])
-        assert batch.heights.shape == (2, 3, config.n_x)
+        assert batch.final.shape == (3, config.n_x)
         for b, seed in enumerate((11, 12, 13)):
             single = sim.solve_hopf_cole(config, seed)
-            assert single.heights.shape == (2, config.n_x)
-            assert np.array_equal(batch.heights[:, b], single.heights)
+            assert single.final.shape == (config.n_x,)
+            assert np.array_equal(batch.final[b], single.final)
 
     def test_normal_blocks_do_not_change_the_draws(self, monkeypatch):
         config = small_config(lam=0.7)
@@ -84,16 +86,12 @@ class TestBatches:
         model = default_even_model()
         config = small_config(ell=ELL, v_h=0.2)
         grid = sim.noise_grid_for(config)
-        by_seed = sim.ensemble_renormalised(model, config, 3, master_seed=9)
         rng = np.random.default_rng(0)
         clouds = [draw_cloud(model, rng, -1.0, config.T / config.eps ** 2 + 1.0,
                              0.5 / config.eps) for _ in range(3)]
-        by_cloud = sim.ensemble_renormalised(model, config, 3, 9, clouds=clouds)
+        by_cloud = sim.ensemble_renormalised(model, config, clouds)
+        assert by_cloud.shape == (3, config.n_x)
         for m in range(3):
-            seed = int(np.random.SeedSequence([9, m]).generate_state(1)[0])
-            noise = sample_field(model, config.eps, grid, seed, config.v_h)
-            assert np.array_equal(by_seed[m],
-                                  sim.solve_renormalised(config, noise).final)
             noise = field_from_cloud(model, config.eps, grid, clouds[m], config.v_h)
             assert np.array_equal(by_cloud[m],
                                   sim.solve_renormalised(config, noise).final)
@@ -111,8 +109,10 @@ class TestBatches:
             sim.solve_renormalised(config, [])
         with pytest.raises(ValueError, match="empty"):
             sim.solve_hopf_cole(config, [])
-        finer = sample_field(model, config.eps,
-                             sim.noise_grid_for(config, nx_noise=1024), 3)
+        with pytest.raises(ValueError, match="empty"):
+            sim.ensemble_renormalised(model, config, [])
+        grid = sim.noise_grid_for(config)
+        finer = sample_field(model, config.eps, GridSpec(grid.T, grid.nt, 2 * grid.nx), 3)
         with pytest.raises(ValueError, match="different noise grids"):
             sim.solve_renormalised(config, samples + [finer])
         other = fields(model, small_config(eps=0.1), (3,))
@@ -133,12 +133,11 @@ class TestBatches:
         x = np.arange(configs[0].n_x) / configs[0].n_x
         h0 = 0.1 * np.cos(2 * math.pi * x)
         batch = sim.solve_renormalised(configs, [iter(noises[0]), noises[1], noises[2]], h0)
-        assert [t.heights.shape for t in batch] == [(2, 3, 32), (2, 2, 32), (2, 32)]
+        assert [t.final.shape for t in batch] == [(3, 32), (2, 32), (32,)]
         for config, noise, trajectory in zip(configs, noises, batch):
             single = sim.solve_renormalised(config, noise, h0)
             assert trajectory.config == config
-            assert trajectory.times.tolist() == single.times.tolist()
-            assert np.array_equal(trajectory.heights, single.heights)
+            assert np.array_equal(trajectory.final, single.final)
 
     def test_config_batch_of_ensembles_matches_per_config_calls(self):
         model = default_asymmetric_model()
@@ -147,12 +146,10 @@ class TestBatches:
         rng = np.random.default_rng(1)
         clouds = [draw_cloud(model, rng, -model.t_reach, 0.02 / 0.1 ** 2 + model.t_reach,
                              0.5 / 0.1) for _ in range(3)]
-        by_cloud = sim.ensemble_renormalised(model, configs, 3, 9, clouds=clouds)
-        by_seed = sim.ensemble_renormalised(model, configs, 2, 9)
-        for config, cloud_run, seed_run in zip(configs, by_cloud, by_seed):
-            assert np.array_equal(
-                cloud_run, sim.ensemble_renormalised(model, config, 3, 9, clouds=clouds))
-            assert np.array_equal(seed_run, sim.ensemble_renormalised(model, config, 2, 9))
+        by_cloud = sim.ensemble_renormalised(model, configs, clouds)
+        for config, cloud_run in zip(configs, by_cloud):
+            assert cloud_run.shape == (3, config.n_x)
+            assert np.array_equal(cloud_run, sim.ensemble_renormalised(model, config, clouds))
 
     def test_config_batch_needs_one_grid_and_horizon(self):
         model = default_even_model()
@@ -175,8 +172,7 @@ class TestFailures:
         samples = fields(model, config, (1, 2, 3))
         for healthy in samples:
             sim.solve_renormalised(config, healthy)
-        bad = FieldSample(samples[1].values * 1e12, samples[1].grid,
-                          samples[1].eps, -1, 0.0, samples[1].model_hash)
+        bad = FieldSample(samples[1].values * 1e12, samples[1].grid, samples[1].eps, 0.0)
         with pytest.raises(sim.BlowupError):
             sim.solve_renormalised(config, [samples[0], bad, samples[2]])
 
@@ -241,8 +237,39 @@ class TestExactBehaviour:
             by_hand = (lam * l1 + 2 * lam ** 2 * l3 + 4 * lam ** 3 * l4
                        + lam ** 3 * l5 - 4 * lam ** 3 * l2 ** 2)
             assert config.v_v == by_hand
-            transport, _ = renormalised_coefficients_closed_form(RenormMap(*ELL), lam)
+            transport, _ = sim.renormalised_coefficients_closed_form(ELL, lam)
             assert -transport == 4 * lam * lam * l2
+
+    @pytest.mark.parametrize("bad", [
+        dict(T=-1.0), dict(T=0.0), dict(T=math.nan), dict(T=math.inf),
+        dict(eps=0.0), dict(eps=-0.1), dict(eps=math.nan), dict(eps=math.inf),
+        dict(lam=math.nan), dict(lam=-math.inf), dict(n_x=0), dict(n_x=1), dict(n_x=48),
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_degenerate_config_rejected(self, bad):
+        # T=-1 gave n_steps=-4096 and returned h0 as the final heights;
+        # T=0 and n_x=0 divided by zero; eps=0 doubled the noise grid until
+        # an OverflowError
+        with pytest.raises(ValueError):
+            sim.SimConfig(**bad)
+
+    def test_solve_imports_nothing_from_the_exact_half(self):
+        # the counterterms are closed-form arithmetic, so a solve with
+        # non-zero ell needs none of the exact half's modules
+        code = (
+            "import sys\n"
+            "from kpzlab import sim\n"
+            "config = sim.SimConfig(n_x=16, T=0.01, ell=(0.3, 0.1, 0.7, -0.2, 0.05))\n"
+            "assert config.v_v != 0\n"
+            "sim.solve_renormalised(config, None)\n"
+            "print(*sorted(sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).resolve().parents[1]))
+        loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                    text=True, env=env, check=True).stdout.split())
+        assert "kpzlab.sim" in loaded
+        exact_half = {f"kpzlab.{name}"
+                      for name in ("symbols", "graphs", "power_counting", "cumulants")}
+        assert not exact_half & loaded
 
 
 class TestStatistics:
@@ -279,4 +306,3 @@ class TestNoiseSplit:
                            grid.T / eps ** 2 + model.t_reach, 0.5 / eps)
         assert np.array_equal(sample.values,
                               field_from_cloud(model, eps, grid, cloud, v_h).values)
-        assert sample.seed == 17

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kpzlab import sim
 from kpzlab.graphs import LabelValue
 from kpzlab.symbols import (
     DELTA,
@@ -31,7 +32,6 @@ from kpzlab.symbols import (
     poly,
     product,
     renormalised_coefficients,
-    renormalised_coefficients_closed_form,
 )
 
 
@@ -198,7 +198,7 @@ class TestRenormalisedEquation:
                               for _ in range(5)))
             lam = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
             assert renormalised_coefficients(ell, lam) == \
-                renormalised_coefficients_closed_form(ell, lam)
+                sim.renormalised_coefficients_closed_form(ell.constants(), lam)
 
     def test_quadratic_term_from_second_generator(self):
         # the square of the substitution generator produces + 4 lam^3 ell2^2
