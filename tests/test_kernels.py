@@ -250,6 +250,13 @@ def leg_table(kernel):
     return kernels.LegTable(default_even_model(), kernel, EPS)
 
 
+@pytest.fixture(scope="module")
+def sheared_leg_table(kernel):
+    """The skew model's table in a frame sheared by 0.3, as
+    ``chat_fixed_point`` builds it."""
+    return kernels.LegTable(default_asymmetric_model(), kernel, EPS, 0.3)
+
+
 def test_leg_table_odd_and_matches_product_rule(kernel, leg_table):
     model = default_even_model()
     table = leg_table
@@ -267,9 +274,8 @@ def test_leg_table_odd_and_matches_product_rule(kernel, leg_table):
     np.testing.assert_allclose(got, want, rtol=0.01)
 
 
-def test_sheared_leg_table_matches_product_rule(kernel):
-    """The skew model's table in a frame sheared by 0.3, as
-    ``chat_fixed_point`` builds it, inside and after each term's support.
+def test_sheared_leg_table_matches_product_rule(kernel, sheared_leg_table):
+    """The sheared skew table inside and after each term's support.
 
     The probes are table nodes, where the spline returns the quadrature
     itself.  Between nodes the spline's step (0.08) is coarse for these
@@ -277,7 +283,7 @@ def test_sheared_leg_table_matches_product_rule(kernel):
     """
     model = default_asymmetric_model()
     shear = 0.3
-    table = kernels.LegTable(model, kernel, EPS, shear)
+    table = sheared_leg_table
     # the terms' time supports are [-0.25, 0.05] and [-0.05, 0.25]
     probes = np.array([(-0.16, 0.0), (-0.08, -0.08), (-0.08, 0.16),  # inside the first
                        (0.0, 0.0), (0.0, 0.16),                       # inside both
@@ -303,19 +309,41 @@ def test_unsheared_leg_table_keeps_the_tensor_grid_path(kernel, monkeypatch):
     assert np.all(np.isfinite(table.ev(np.array([(0.0, 0.1), (1.0, 0.5)]))))
 
 
-def test_leg_table_ev_is_the_spline_inside_its_box(leg_table):
-    table = leg_table
+def test_leg_table_ev_is_the_spline_inside_its_box(leg_table, sheared_leg_table):
+    """``ev`` reads the FITPACK spline from its own cell coefficients, so it
+    agrees with ``spline.ev`` to rounding, not bit for bit: at random
+    points, at every knot, just either side of each cell edge and on the
+    box's four edges.  Off the box it is 0."""
     rng = np.random.default_rng(5)
-    t = rng.uniform(-1.3, 1.3, 4000) * table.t_max
-    x = rng.uniform(-1.3, 1.3, 4000) * table.x_max
-    t[:4] = [table.t_max, -table.t_max, 0.0, 0.0]
-    x[:4] = [0.0, 0.0, table.x_max, -table.x_max]
-    got = table.ev(np.stack([t, x], axis=1))
-    inside = (np.abs(t) <= table.t_max) & (np.abs(x) <= table.x_max)
-    assert inside[:4].all() and 0 < inside.sum() < len(t)
-    assert np.array_equal(got[inside], table.spline.ev(t[inside], x[inside]))
-    assert np.all(got[~inside] == 0.0)
-    assert table.ev(np.zeros((3, 5, 2))).shape == (3, 5)
+    for table in (leg_table, sheared_leg_table):
+        t_knots, x_knots = (np.unique(k) for k in table.spline.tck[:2])
+        t_knots = t_knots[np.abs(t_knots) <= table.t_max]
+        x_knots = x_knots[np.abs(x_knots) <= table.x_max]
+        step = 1e-9
+        t_edges = np.concatenate([t_knots - step, t_knots + step])
+        x_edges = np.concatenate([x_knots - step, x_knots + step])
+        t_edges = t_edges[np.abs(t_edges) <= table.t_max]
+        x_edges = x_edges[np.abs(x_edges) <= table.x_max]
+        box_t = [table.t_max, -table.t_max, 0.0, 0.0]
+        box_x = [0.0, 0.0, table.x_max, -table.x_max]
+        grids = [np.meshgrid(t_knots, x_knots), np.meshgrid(t_edges, x_edges),
+                 np.meshgrid(t_knots, [table.x_max, -table.x_max]),
+                 np.meshgrid([table.t_max, -table.t_max], x_knots)]
+        t = np.concatenate([rng.uniform(-1.3, 1.3, 4000) * table.t_max, box_t]
+                           + [g[0].ravel() for g in grids])
+        x = np.concatenate([rng.uniform(-1.3, 1.3, 4000) * table.x_max, box_x]
+                           + [g[1].ravel() for g in grids])
+        got = table.ev(np.stack([t, x], axis=1))
+        inside = (np.abs(t) <= table.t_max) & (np.abs(x) <= table.x_max)
+        assert inside[4000:].all() and 0 < inside[:4000].sum() < 4000
+        scale = np.max(np.abs(table.spline(t_knots, x_knots)))
+        np.testing.assert_allclose(got[inside], table.spline.ev(t[inside], x[inside]),
+                                   rtol=0, atol=1e-12 * scale)
+        assert np.all(got[~inside] == 0.0)
+        if table is leg_table:  # the even model's table is odd in x
+            mirrored = table.ev(np.stack([t, -x], axis=1))
+            np.testing.assert_allclose(mirrored, -got, rtol=1e-9, atol=1e-15)
+    assert leg_table.ev(np.zeros((3, 5, 2))).shape == (3, 5)
 
 
 def test_leg_table_cache_evicts_least_recently_used(monkeypatch):
@@ -378,6 +406,8 @@ def _dense_pdf_single_scale(pts, s, flat_fraction=0.25):
 
 @pytest.mark.parametrize("s", [1.0, 2.0, 8.0])
 def test_proposal_density_matches_dense_form(s):
+    """Every scale's row of the density, which takes one exponential per
+    point for all scales, is the dense single-scale form bit for bit."""
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(20_000, 2)) * np.array([2.0 * s * s, 2.0 * s])
     # t = 0; t / s^2 = 1 for both signs of t and just past it; the flat
@@ -385,13 +415,59 @@ def test_proposal_density_matches_dense_form(s):
     pts[:6] = [(0.0, 0.3), (s * s, 0.5), (-s * s, 0.5),
                (np.nextafter(s * s, np.inf), 0.5), (2.25 * s * s, 1.5 * s),
                (0.5 * s * s, 0.0)]
-    want = _dense_pdf_single_scale(pts, s)
-    got = kernels._pdf_single_scale(pts, s)
-    assert np.array_equal(got, want)
-    assert 0 < np.count_nonzero(got) < len(pts)
+    scales = np.array([1.0, 2.0, 4.0, 8.0])
+    rows = kernels._pdf_scales(pts, scales)
     grid = pts[:600].reshape(20, 30, 2)
-    assert np.array_equal(kernels._pdf_single_scale(grid, s),
-                          _dense_pdf_single_scale(grid, s))
+    grid_rows = kernels._pdf_scales(grid, scales)
+    assert rows.shape == (4, len(pts)) and grid_rows.shape == (4, 20, 30)
+    for k, scale in enumerate(scales):
+        assert np.array_equal(rows[k], _dense_pdf_single_scale(pts, scale))
+        assert np.array_equal(grid_rows[k], _dense_pdf_single_scale(grid, scale))
+    row = rows[list(scales).index(s)]
+    assert 0 < np.count_nonzero(row) < len(pts)
+
+
+@pytest.mark.parametrize("name, reads", [("C0", 1), ("C1", 2), ("C21", 4),
+                                         ("C22", 3), ("C31", 4), ("C32", 2)])
+def test_each_distinct_leg_is_read_once_per_chunk(kernel, leg_table, monkeypatch,
+                                                  name, reads):
+    """A blob that lists a target twice (C0's ``(0, 0)``, C1's ``(0, y, y)``,
+    C22's ``(m, 0, t, t)``, C32's ``(l, r, l, r)``) reads that leg once."""
+    calls = []
+    ev = kernels.LegTable.ev
+
+    def counting_ev(self, pts):
+        calls.append(pts.shape[:-1])
+        return ev(self, pts)
+
+    monkeypatch.setattr(kernels, "MC_CHUNK_SIZE", 300)
+    monkeypatch.setattr(kernels, "get_leg_table", lambda *args: leg_table)
+    monkeypatch.setattr(kernels.LegTable, "ev", counting_ev)
+    value, err = kernels.compute_constant(name, default_even_model(), kernel, EPS,
+                                          mc_budget=600, seed=0)
+    assert calls == [(300,)] * (2 * reads)
+    assert np.isfinite(value) and err > 0
+
+
+def test_proposal_density_blocks_leave_the_estimate_unchanged(kernel, leg_table,
+                                                              monkeypatch):
+    monkeypatch.setattr(kernels, "get_leg_table", lambda *args: leg_table)
+    args = (kernels.DIAGRAMS["C22"], default_even_model(), kernel, EPS, 600)
+    whole = kernels.evaluate_diagram(*args)
+    monkeypatch.setattr(kernels, "PDF_BLOCK", 250)  # two full blocks and a part
+    assert kernels.evaluate_diagram(*args) == whole
+
+
+@pytest.mark.parametrize("eps, budget", [(0.25, 0), (0.25, 1), (-0.25, 1000),
+                                         (float("nan"), 1000)])
+def test_bad_eps_or_budget_raises_value_error(kernel, eps, budget):
+    model = default_even_model()
+    with pytest.raises(ValueError):
+        kernels.evaluate_diagram(kernels.DIAGRAMS["C0"], model, kernel, eps, budget)
+    with pytest.raises(ValueError):
+        kernels.compute_constant("C0", model, kernel, eps, mc_budget=budget)
+    with pytest.raises(ValueError):
+        kernels.chat_fixed_point(model, kernel, eps, mc_budget=budget)
 
 
 def test_chat_fixed_point_on_skew_model(kernel):
