@@ -13,6 +13,7 @@ statistics can always be checked against exact quadrature values.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -68,8 +69,18 @@ def smooth_bump_dx(u):
     return out
 
 
-def _gauss_legendre(n: int, a: float, b: float):
+@functools.cache
+def _legendre_nodes(n: int):
+    """The ``n``-point Gauss-Legendre rule on [-1, 1], computed once, read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(n: int, a: float, b: float):
+    """The ``n``-point Gauss-Legendre rule on [a, b], as new arrays."""
+    x, w = _legendre_nodes(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

@@ -180,6 +180,95 @@ def test_optimal_annulus_shape_matches_edge_loop():
                                atol=1e-12 * np.max(np.abs(want)))
 
 
+def _dense_smooth_step(v):
+    """The step with both exponentials taken at every point."""
+    v = np.asarray(v, dtype=float)
+    a = np.zeros_like(v)
+    b = np.zeros_like(v)
+    pos = v > 0
+    a[pos] = np.exp(-1.0 / v[pos])
+    neg = v < 1
+    b[neg] = np.exp(-1.0 / (1.0 - v[neg]))
+    return a / (a + b)
+
+
+def _dense_smooth_step_d(v):
+    """The step's derivative with both exponentials taken at every point."""
+    v = np.asarray(v, dtype=float)
+    a = np.zeros_like(v)
+    ap = np.zeros_like(v)
+    b = np.zeros_like(v)
+    bp = np.zeros_like(v)
+    pos = v > 0
+    a[pos] = np.exp(-1.0 / v[pos])
+    ap[pos] = a[pos] / v[pos] ** 2
+    neg = v < 1
+    b[neg] = np.exp(-1.0 / (1.0 - v[neg]))
+    bp[neg] = -b[neg] / (1.0 - v[neg]) ** 2
+    denom = (a + b) ** 2
+    out = np.zeros_like(v)
+    ok = denom > 0
+    out[ok] = (ap[ok] * b[ok] - a[ok] * bp[ok]) / denom[ok]
+    return out
+
+
+STEP_POINTS = np.concatenate([
+    [0.0, -0.0, 1.0, 5e-324, 1e-300, 1e-3, 0.5, 1 - 2.0 ** -53, 1 + 2.0 ** -52,
+     -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan],
+    np.linspace(-0.5, 1.5, 401),
+])
+
+
+@pytest.mark.parametrize("step, dense", [(kernels._smooth_step, _dense_smooth_step),
+                                         (kernels._smooth_step_d, _dense_smooth_step_d)])
+def test_banded_steps_match_dense_form(step, dense):
+    # 1 / 5e-324 overflows and, in the derivative, 0 / 0 gives NaN, in both
+    # forms alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in (STEP_POINTS, STEP_POINTS.reshape(8, -1), STEP_POINTS[:0]):
+            got, want = step(v), dense(v)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want, strict=True)
+            # exact zeros keep their sign bits (a NaN's sign is not kept)
+            num = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
+        for v in (0.3, 1e-3, 0.99, -2.0, 1.0, np.array(0.3), np.array(7.0)):
+            got = step(v)
+            assert np.ndim(got) == 0 and got == dense(np.array([v]))[0]
+    inside = (STEP_POINTS > 0.01) & (STEP_POINTS < 0.99)
+    assert np.count_nonzero(step(STEP_POINTS[inside])) == np.count_nonzero(inside) > 100
+
+
+def _two_pass_knot_cell_moments(f, cells, powers=((0, 0),)):
+    """``int t^p f(t, x) x^(2q) * {1, t, x^2}`` on the knot cells, one
+    column per ``(p, q)``, by a walk over the blocks of its own."""
+    tmid, twgt, xmid, xwgt = cells
+    x_pow = 2 * np.arange(max(q for _, q in powers) + 2)
+    proj = (2.0 * xwgt)[:, None] * xmid[:, None] ** x_pow
+    rows = np.vstack([f(tmid[i:i + kernels.KNOT_CELL_BLOCK, None], xmid[None, :]) @ proj
+                      for i in range(0, len(tmid), kernels.KNOT_CELL_BLOCK)])
+    return np.array([[(twgt * tmid ** p) @ rows[:, q],
+                      (twgt * tmid ** (p + 1)) @ rows[:, q],
+                      (twgt * tmid ** p) @ rows[:, q + 1]]
+                     for p, q in powers]).T
+
+
+def test_touch_up_system_matches_two_pass_route(kernel):
+    cells = kernels._knot_cells(kernel.shape, 3)
+    assert len(cells[0]) > kernels.KNOT_CELL_BLOCK  # more than one block
+    raw = kernels.TruncatedKernel((0.0,) * len(kernels.TOUCH_UP_POWERS), kernel.shape)
+    shape_moments, touch_up = kernels._touch_up_system(kernel.shape, cells)
+    want = _two_pass_knot_cell_moments(raw.correction, cells)[:, 0]
+    assert np.array_equal(shape_moments, want) and np.all(want != 0)
+    assert np.array_equal(touch_up, _two_pass_knot_cell_moments(
+        raw.mask, cells, kernels.TOUCH_UP_POWERS))
+    assert touch_up.shape == (3, len(kernels.TOUCH_UP_POWERS))
+    # the post-solve check's pass on the finished kernel
+    (check,) = kernels._knot_cell_moments(lambda t, x: (kernel.correction(t, x),),
+                                          cells, ((0, 0),))
+    assert np.array_equal(check, _two_pass_knot_cell_moments(kernel.correction, cells))
+
+
 def _panels(lo, hi, n_panels, nodes):
     edges = np.linspace(lo, hi, n_panels + 1)
     pts, wts = zip(*(_gauss_legendre(nodes, a, b) for a, b in zip(edges[:-1], edges[1:])))

@@ -36,6 +36,23 @@ class TestBumps:
         assert np.allclose(smooth_bump_dx(u), fd, atol=1e-6)
 
 
+@pytest.mark.parametrize("n, a, b", [(30, 0.0, 1e-3), (30, 0.3, 0.6), (13, 0.0, 1.0),
+                                     (24, -1.0, 1.0), (200, -1.0, 1.0)])
+def test_gauss_legendre_rule_is_cached_and_read_only(n, a, b):
+    x, w = np.polynomial.legendre.leggauss(n)
+    want = (0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w)
+    got = noise._gauss_legendre(n, a, b)
+    assert all(np.array_equal(g, v) for g, v in zip(got, want))
+    # a caller may write into what it gets without touching the cache
+    for arr in got:
+        arr[:] = 7.0
+    again = noise._gauss_legendre(n, a, b)
+    assert all(np.array_equal(g, v) for g, v in zip(again, want))
+    base = noise._legendre_nodes(n)
+    assert noise._legendre_nodes(n) is base
+    assert not any(arr.flags.writeable for arr in base)
+
+
 class TestModel:
     def test_normalisation(self):
         model = default_even_model(mu=2.0)
