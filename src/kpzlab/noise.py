@@ -410,6 +410,12 @@ POINT_BLOCK = 1 << 16
 #: Window grid cells per narrowest bump half-width, in s and in y.
 WINDOW_RESOLUTION = 8
 
+#: Window rows of :class:`PairingWindows` built per pass.  A pass evaluates
+#: the test functions on the rows of the half-spacing grid those window rows
+#: need, so the grid is never held whole (11 MB per array for the even
+#: model at eps = 0.05).  It sets the memory used, never the numbers.
+WINDOW_ROW_BLOCK = 128
+
 
 def _bump_taps(halfwidth: float, step: float) -> np.ndarray:
     """Taps of ``bump(u / halfwidth)`` at ``u = k * step`` for ``|k| <= K``.
@@ -443,9 +449,10 @@ class PairingWindows:
     ``eps^{3/2} amp int int bump_t(u) bump_x(v) G(s + u, y + v) du dv`` with
     ``G(sigma, y) = eta(eps^2 sigma, eps y + v_h eps^2 sigma mod 1)``.  The
     shear depends on ``sigma`` alone, so for every ``v_h`` the window is a
-    separable correlation of ``G`` with the bump.  ``G`` is evaluated once
-    per term on a grid of half the window spacing, offset by the term's
-    centre and extended by its half-widths; the 1-d bump taps
+    separable correlation of ``G`` with the bump.  ``G`` is evaluated per
+    term on a grid of half the window spacing, offset by the term's centre
+    and extended by its half-widths, on the rows that each block of
+    :data:`WINDOW_ROW_BLOCK` window rows needs; the 1-d bump taps
     (:func:`_bump_taps`) are applied along y, then along s.  The taps sum to
     the exact bump mass, so ``eta = 1`` gives ``eps^{3/2} int phi`` to
     rounding.  Against a 64-node Gauss-Legendre product rule at eps = 0.2
@@ -484,7 +491,7 @@ class PairingWindows:
 
         prefactor = eps ** 1.5  # eps^{-3/2} amplitude times the eps^3 Jacobian
         n_s = len(self.s_grid)
-        sheared = []  # per term: weight, taps and the (t, x) points of G
+        sheared = []  # per term: weight, taps and the sigma and y points of G
         for term in model.terms:
             taps_s = _bump_taps(term.t_halfwidth, ds / 2)
             taps_y = _bump_taps(term.x_halfwidth, self.dy / 2)
@@ -492,15 +499,22 @@ class PairingWindows:
             sigma = (self.s_grid[0] + term.t_center
                      + ds / 2 * np.arange(-reach_s, 2 * n_s - 1 + reach_s))
             y = term.x_center + self.dy / 2 * np.arange(-reach_y, 2 * n_y - 1 + reach_y)
-            tt = eps ** 2 * sigma[:, None]
-            xx = np.mod(eps * y[None, :] + v_h * tt, 1.0)
-            sheared.append((term.amplitude * prefactor, taps_s, taps_y, tt, xx))
-        self.windows = [
-            sum(weight * _correlate_halved(_correlate_halved(eta(tt, xx), taps_y, 1),
-                                           taps_s, 0)
-                for weight, taps_s, taps_y, tt, xx in sheared)
-            for eta in etas
-        ]
+            sheared.append((term.amplitude * prefactor, taps_s, taps_y, sigma, y))
+        # window rows [lo, hi) need G's rows [2 lo, 2 hi - 2 + len(taps_s));
+        # every output element is the same sum as with G built whole
+        self.windows = [np.empty((n_s, n_y)) for _ in etas]
+        for lo in range(0, n_s, WINDOW_ROW_BLOCK):
+            hi = min(lo + WINDOW_ROW_BLOCK, n_s)
+            grids = []
+            for weight, taps_s, taps_y, sigma, y in sheared:
+                tt = eps ** 2 * sigma[2 * lo:2 * hi - 2 + len(taps_s), None]
+                xx = np.mod(eps * y[None, :] + v_h * tt, 1.0)
+                grids.append((weight, taps_s, taps_y, tt, xx))
+            for window, eta in zip(self.windows, etas):
+                window[lo:hi] = sum(
+                    weight * _correlate_halved(_correlate_halved(eta(tt, xx), taps_y, 1),
+                                               taps_s, 0)
+                    for weight, taps_s, taps_y, tt, xx in grids)
 
     def interpolate(self, j: int | Sequence[int], s: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of window ``j`` at cloud points.

@@ -300,6 +300,18 @@ class TestPairingWindows:
                            (0.02, 0.18), v_h=0.7)
         assert np.allclose(w.windows[0], eps ** 1.5 * model.int_phi, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("make_model", [default_even_model, default_asymmetric_model])
+    def test_row_blocks_do_not_change_the_windows(self, monkeypatch, make_model):
+        model = make_model()
+        etas = make_test_functions((0.02, 0.18))
+        monkeypatch.setattr(noise, "WINDOW_ROW_BLOCK", 10 ** 9)  # G built whole
+        whole = PairingWindows(model, 0.2, etas, (0.02, 0.18), v_h=0.7).windows
+        assert len(whole[0]) > 40
+        for block in (1, 7, 40):
+            monkeypatch.setattr(noise, "WINDOW_ROW_BLOCK", block)
+            got = PairingWindows(model, 0.2, etas, (0.02, 0.18), v_h=0.7).windows
+            assert all(np.array_equal(a, b) for a, b in zip(got, whole))
+
     @pytest.mark.parametrize("eps", [0.29, 0.3, 0.31])
     def test_y_grid_tiles_strip(self, eps):
         model = default_even_model()
