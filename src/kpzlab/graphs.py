@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .cumulants import SizeLimitError, iter_wick_partitions
+from .cumulants import iter_wick_partitions
 
 __all__ = [
     "LabelValue",
@@ -43,11 +43,7 @@ __all__ = [
     "edge_sets",
     "automorphisms",
     "canonical_key",
-    "CONTRACTION_SLOT_CAP",
 ]
-
-#: Contractions are enumerated through partitions of |H_ex| * p slots.
-CONTRACTION_SLOT_CAP = 12
 
 
 def _as_fraction(x) -> Fraction:
@@ -455,7 +451,7 @@ def _sorted_classes(classes: Iterable[frozenset]) -> tuple[frozenset, ...]:
 
 #: One object per distinct glued class, shared by every contraction that has
 #: it, including those of later enumerations.  The slot cap bounds it: at
-#: most 2**CONTRACTION_SLOT_CAP classes per naming of the externals.
+#: most 2**cumulants.GROUND_SET_CAP classes per naming of the externals.
 _GLUED_CLASSES: dict[frozenset, frozenset] = {}
 
 
@@ -464,15 +460,13 @@ def iter_contractions(H: PartialGraph, p: int) -> Iterator[ContractedGraph]:
 
     One contraction per admissible gluing of the external vertices; glued
     classes must contain externals from at least two distinct copies.
-    Isomorphic duplicates are not removed.
+    Isomorphic duplicates are not removed.  More than
+    ``cumulants.GROUND_SET_CAP`` external slots over all copies raise
+    ``SizeLimitError`` on the first ``next()``.
     """
     if p < 2:
         raise ValueError("contractions need p >= 2")
     ext = H.external_ids
-    if len(ext) * p > CONTRACTION_SLOT_CAP:
-        raise SizeLimitError(
-            f"{len(ext)} externals x {p} copies exceeds the cap {CONTRACTION_SLOT_CAP}"
-        )
     if not ext:
         yield ContractedGraph(source=H, p=p, classes=())
         return

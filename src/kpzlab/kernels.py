@@ -60,30 +60,43 @@ def _positive_time(t, x):
     return tt.shape, tt.ravel()[pos], xx.ravel()[pos], pos
 
 
+# At tiny positive t, -x^2/(4t) and -x/(2t) may overflow to -inf.  The
+# Gaussian is then exactly 0, and so is the kernel: no value is NaN.
+
 def heat_kernel(t, x):
     shape, tp, xp, pos = _positive_time(t, x)
     out = np.zeros(math.prod(shape))
-    out[pos] = np.exp(-xp ** 2 / (4 * tp)) / np.sqrt(4 * math.pi * tp)
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(-xp ** 2 / (4 * tp)) / np.sqrt(4 * math.pi * tp)
     return out.reshape(shape)
 
 
 def heat_kernel_dx(t, x):
     shape, tp, xp, pos = _positive_time(t, x)
     out = np.zeros(math.prod(shape))
-    out[pos] = (-xp / (2 * tp)) * np.exp(-xp ** 2 / (4 * tp)) / np.sqrt(4 * math.pi * tp)
+    with np.errstate(over="ignore"):
+        slope = -xp / (2 * tp)
+        gauss = np.exp(-xp ** 2 / (4 * tp))
+    slope[np.isinf(slope)] = 0.0  # where the Gaussian is 0
+    out[pos] = slope * gauss / np.sqrt(4 * math.pi * tp)
     return out.reshape(shape)
+
+
+#: Below this ``exp(-1/v)`` underflows to exactly 0, and so do the step and
+#: its derivative: the steps' band starts here.
+_STEP_FLOOR = 1 / 745.14
 
 
 def _smooth_step(v):
     """C-infinity step ``a / (a + b)``, ``a = exp(-1/v)``, ``b = exp(-1/(1-v))``.
 
-    The result is exactly 0.0 for ``v <= 0`` and exactly 1.0 for ``v >= 1``,
-    so the exponentials are taken only inside (0, 1); NaN stays NaN.
+    The result is exactly 0.0 for ``v <= _STEP_FLOOR`` and exactly 1.0 for
+    ``v >= 1``, so the exponentials are taken only between; NaN stays NaN.
     """
     v = np.asarray(v, dtype=float)
     flat = v.ravel()
     out = (flat >= 1).astype(float)
-    band = np.flatnonzero(~((flat <= 0) | (flat >= 1)))
+    band = np.flatnonzero(~((flat <= _STEP_FLOOR) | (flat >= 1)))
     u = flat[band]
     a = np.exp(-1.0 / u)
     b = np.exp(-1.0 / (1.0 - u))
@@ -92,12 +105,12 @@ def _smooth_step(v):
 
 
 def _smooth_step_d(v):
-    """Derivative of :func:`_smooth_step`: exactly 0.0 off (0, 1), where the
-    exponentials are not taken."""
+    """Derivative of :func:`_smooth_step`: exactly 0.0 off
+    (``_STEP_FLOOR``, 1), where the exponentials are not taken."""
     v = np.asarray(v, dtype=float)
     flat = v.ravel()
     out = np.zeros(flat.shape)
-    band = np.flatnonzero((flat > 0) & (flat < 1))
+    band = np.flatnonzero((flat > _STEP_FLOOR) & (flat < 1))
     u = flat[band]
     a = np.exp(-1.0 / u)
     b = np.exp(-1.0 / (1.0 - u))

@@ -103,13 +103,12 @@ class KPZAllocationRule:
 
 
 def kpz_allocation(
-    G: ContractedGraph, v: str, rule: KPZAllocationRule | None = None
+    G: ContractedGraph, v: str, rule: KPZAllocationRule
 ) -> dict[int, Fraction]:
     """Allocation values for the edges at ex-vertex ``v`` of ``G``.
 
     Returns ``{edge index in G.edge_list(): value}``.
     """
-    rule = rule or KPZAllocationRule()
     edges = G.edge_list()
     groups: dict[str, list[int]] = {}
     for i, e in enumerate(edges):
@@ -127,10 +126,9 @@ def kpz_allocation(
 
 
 def allocation_assignment(
-    G: ContractedGraph, rule: KPZAllocationRule | None = None
+    G: ContractedGraph, rule: KPZAllocationRule
 ) -> dict[tuple[str, int], Fraction]:
     """Full map (ex-vertex, edge index) -> allocation value."""
-    rule = rule or KPZAllocationRule()
     out: dict[tuple[str, int], Fraction] = {}
     for v in G.ex_vertices:
         for i, value in kpz_allocation(G, v, rule).items():
@@ -335,15 +333,12 @@ def _zeta_edge_sums(nv: int, edges: Sequence[tuple[int, int]],
     return out
 
 
-def check_contracted(
-    G: ContractedGraph, rule: KPZAllocationRule | None = None
-) -> ConditionReport:
+def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionReport:
     """Both subset conditions on the merged contracted graph.
 
     Edge weights are ``a_e = m_e - b_e`` for edges at a glued vertex (with
     the rule's allocation) and ``a_e = m_e`` otherwise; multi-edges merge
-    by summing.  ``rule=None`` checks the raw labels (the control showing
-    what the allocation repairs).  Also reports the total scaling exponent
+    by summing.  Also reports the total scaling exponent
     ``alpha = |s| |V \\ V_star| - sum a_e``.
 
     One pass over ``G.edge_list()`` merges parallel edges into exact (q, r)
@@ -374,13 +369,12 @@ def check_contracted(
         for v, w in ((e.u, e.v), (e.v, e.u)):
             if v in groups:
                 groups[v].setdefault(w, []).append(key)
-    if rule is not None:
-        for by_neighbour in groups.values():
-            order = sorted(by_neighbour)
-            values = rule.group_values([len(by_neighbour[n]) for n in order])
-            for neighbour, value in zip(order, values):
-                for key in by_neighbour[neighbour]:
-                    merged[key][0] -= value
+    for by_neighbour in groups.values():
+        order = sorted(by_neighbour)
+        values = rule.group_values([len(by_neighbour[n]) for n in order])
+        for neighbour, value in zip(order, values):
+            for key in by_neighbour[neighbour]:
+                merged[key][0] -= value
 
     pairs = [(a, b) for a, b, _ in merged]
     q, r, denom = _scaled_int_labels(list(merged.values()), S_DIM * nv)

@@ -48,7 +48,6 @@ __all__ = [
     "product",
     "homogeneity",
     "build_symbol_set",
-    "negative_sector",
     "apply_generator",
     "generator_targets",
     "RenormMap",
@@ -300,17 +299,6 @@ def build_symbol_set(
         ((tau, homogeneity(tau)) for tau in everything),
         key=lambda pair: (pair[1].eval_at(kappa_bar), str(pair[0])),
     )
-
-
-def negative_sector(
-    kappa_bar: Fraction = KAPPA_BAR, sigma: Fraction = Fraction(2)
-) -> list[tuple[Symbol, LabelValue]]:
-    """The negative-homogeneity symbols (the ones requiring moment bounds)."""
-    return [
-        (tau, hom)
-        for tau, hom in build_symbol_set(kappa_bar, sigma)
-        if hom.eval_at(kappa_bar) < 0
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kpzlab.cumulants import iter_wick_partitions
+from kpzlab.cumulants import SizeLimitError, iter_wick_partitions
 from kpzlab.graphs import (
     ContractedGraph,
     GraphParseError,
@@ -176,6 +176,16 @@ edge u a1 label 2+1d
         cons = list(iter_contractions(g, 2))
         assert len(cons) == 1
         assert cons[0].classes == (frozenset({(1, "a1"), (2, "a1")}),)
+
+    def test_slot_cap_fails_fast(self, chain_graph):
+        quad = parse_partial_graph(CHAIN_SOURCE.replace("graph chain", "graph quad")
+                                   + "vertex a4 external\nedge u a4 label 2+1d\n")
+        it = iter_contractions(quad, 4)
+        with pytest.raises(SizeLimitError, match="4 slots x 4 copies = 16"):
+            next(it)
+        # 12 slots are within the cap
+        assert next(iter_contractions(quad, 3)).classes
+        assert next(iter_contractions(chain_graph, 4)).classes
 
     def test_full_identification_multigraph(self, pair_graph):
         cons = list(iter_contractions(pair_graph, 2))

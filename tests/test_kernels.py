@@ -75,6 +75,19 @@ def test_dx_is_the_x_derivative_of_value(kernel):
     np.testing.assert_allclose(got, central, rtol=0, atol=1e-6)
 
 
+def test_tiny_positive_times_give_exact_zeros(kernel):
+    # -x^2/(4t), -x/(2t) and the mask's -1/u overflow at these t: the
+    # Gaussian and the steps are exactly 0 there, and no value is NaN
+    t = np.array([1e-310, 1e-310, 1e-312, 1e-320, 5e-324])
+    x = np.array([0.7, 0.0, 0.0, 1e-10, -0.2])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        heat = kernels.heat_kernel(t, x)
+        assert np.all(kernels.heat_kernel_dx(t, x) == 0.0)
+        assert np.all(kernel.dx(t, x) == 0.0)
+        assert np.array_equal(kernel.value(t, x), heat)
+    assert np.all(heat[[0, 3, 4]] == 0.0) and np.all(heat[1:3] > 0)
+
+
 def test_dx_on_points_evaluates_only_the_support(kernel, monkeypatch):
     rng = np.random.default_rng(11)
     t = rng.uniform(-0.3, 1.3, 3000)
@@ -222,11 +235,17 @@ STEP_POINTS = np.concatenate([
 @pytest.mark.parametrize("step, dense", [(kernels._smooth_step, _dense_smooth_step),
                                          (kernels._smooth_step_d, _dense_smooth_step_d)])
 def test_banded_steps_match_dense_form(step, dense):
-    # 1 / 5e-324 overflows and, in the derivative, 0 / 0 gives NaN, in both
-    # forms alike
-    with np.errstate(over="ignore", invalid="ignore"):
+    # In the dense form 1 / 5e-324 overflows and, in the derivative, 0 / 0
+    # gives NaN at tiny positive v.  The banded form takes no exponential
+    # below _STEP_FLOOR, where exp(-1/v) is 0, and returns exact 0 there.
+    def want_of(v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = dense(v)
+        return np.where(np.isnan(want) & ~np.isnan(v), 0.0, want)
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
         for v in (STEP_POINTS, STEP_POINTS.reshape(8, -1), STEP_POINTS[:0]):
-            got, want = step(v), dense(v)
+            got, want = step(v), want_of(v)
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want, strict=True)
             # exact zeros keep their sign bits (a NaN's sign is not kept)
@@ -234,7 +253,7 @@ def test_banded_steps_match_dense_form(step, dense):
             assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
         for v in (0.3, 1e-3, 0.99, -2.0, 1.0, np.array(0.3), np.array(7.0)):
             got = step(v)
-            assert np.ndim(got) == 0 and got == dense(np.array([v]))[0]
+            assert np.ndim(got) == 0 and got == want_of(np.array([v]))[0]
     inside = (STEP_POINTS > 0.01) & (STEP_POINTS < 0.99)
     assert np.count_nonzero(step(STEP_POINTS[inside])) == np.count_nonzero(inside) > 100
 

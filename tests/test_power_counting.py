@@ -88,17 +88,25 @@ class BrokenRule(KPZAllocationRule):
         return tuple(values)
 
 
+class NoAllocation(KPZAllocationRule):
+    """Allocates nothing: the checks then read the raw labels, the control
+    showing what the allocation repairs."""
+
+    def group_values(self, multiplicities):
+        return tuple(Fraction(0) for _ in multiplicities)
+
+
 class TestAllocation:
     def test_even_allocation_degree_four(self, pair):
         full = [c for c in iter_contractions(pair, 2) if len(c.classes) == 1][0]
-        values = kpz_allocation(full, full.ex_vertices[0])
+        values = kpz_allocation(full, full.ex_vertices[0], KPZAllocationRule())
         assert sorted(values.values()) == [Fraction(3, 4)] * 4
 
     def test_degree_two_zero(self, pair):
         cons = list(iter_contractions(pair, 2))
         cross = [c for c in cons if len(c.classes) == 2][0]
         for v in cross.ex_vertices:
-            assert set(kpz_allocation(cross, v).values()) == {Fraction(0)}
+            assert set(kpz_allocation(cross, v, KPZAllocationRule()).values()) == {Fraction(0)}
 
     def test_divergence_priority(self, chain):
         # glue copy-1 a2,a3 (same internal neighbour) with one external of copy 2
@@ -110,7 +118,7 @@ class TestAllocation:
                     target = (c, c.ex_vertex(i), cls)
         assert target is not None
         G, v, cls = target
-        values = kpz_allocation(G, v)
+        values = kpz_allocation(G, v, KPZAllocationRule())
         by_value = sorted(values.values())
         assert by_value == [Fraction(0), Fraction(3, 4), Fraction(3, 4)]
         # the zero sits on the single edge, the 3/4 on the double pair
@@ -134,8 +142,8 @@ class TestAllocation:
             assert total == Fraction(deg - 2, 2) * 3
 
 
-def c_e_weight_raw_infimum(H, S, rule=None, p_cap=4):
-    """Slow cross-check of ``c_e``: infimum of the rule value over gluings.
+def c_e_weight_raw_infimum(H, S, p_cap=4):
+    """Slow cross-check of ``c_e``: infimum of the KPZ rule's value over gluings.
 
     Considers every way of gluing the externals of ``S`` (living in copy 1)
     with extra externals from up to ``p_cap - 1`` further copies, subject
@@ -143,7 +151,7 @@ def c_e_weight_raw_infimum(H, S, rule=None, p_cap=4):
     the smallest value the rule assigns to the edges of ``S``'s externals.
     Only meaningful when the subset avoids the origin.
     """
-    rule = rule or KPZAllocationRule()
+    rule = KPZAllocationRule()
     subset = set(S)
     ext_in = [v for v in H.external_ids if v in subset]
     if not ext_in:
@@ -301,7 +309,7 @@ edge u a1 label 2+1d
 
 def reference_merged_weights(G, rule):
     """Weights m_e - b_e summed over parallel edges; keys (ends, distinguished)."""
-    alloc = allocation_assignment(G, rule) if rule is not None else {}
+    alloc = allocation_assignment(G, rule)
     merged = {}
     for i, e in enumerate(G.edge_list()):
         b = sum((alloc.get((v, i), Fraction(0)) for v in (e.u, e.v)), Fraction(0))
@@ -347,7 +355,7 @@ class TestContractedChecker:
 
     def test_full_gluing_fails_without_rule(self, pair):
         full = [c for c in iter_contractions(pair, 2) if len(c.classes) == 1][0]
-        report = check_contracted(full, None)
+        report = check_contracted(full, NoAllocation())
         assert not report.verdict
         w = report.witnesses[0]
         assert w.lhs == LabelValue(4, 2)
@@ -356,7 +364,7 @@ class TestContractedChecker:
 
     def test_chain_full_gluing_fails_without_rule(self, chain):
         full = [c for c in iter_contractions(chain, 2) if len(c.classes) == 1][0]
-        assert not check_contracted(full, None).verdict
+        assert not check_contracted(full, NoAllocation()).verdict
         assert check_contracted(full, KPZAllocationRule()).verdict
 
     def test_alpha_scales_with_p(self, pair, chain):
@@ -382,7 +390,7 @@ class TestContractedChecker:
                 for G in iter_contractions(H, p):
                     if len(G.vertex_ids) > 8:
                         continue
-                    for rule in (KPZAllocationRule(), None):
+                    for rule in (KPZAllocationRule(), NoAllocation()):
                         report = check_contracted(G, rule)
                         assert report.verdict == reference_contracted_check(G, rule)
                         checked += 1
@@ -427,7 +435,7 @@ edge u v3 label 7/3
 """
         for G in iter_contractions(parse_partial_graph(src), 2):
             with pytest.raises(OverflowError):
-                check_contracted(G, None)
+                check_contracted(G, NoAllocation())
 
     def test_all_small_contractions_pass(self, pair, chain):
         for H in (pair, chain):

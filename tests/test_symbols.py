@@ -28,7 +28,6 @@ from kpzlab.symbols import (
     graph_catalog,
     homogeneity,
     integ,
-    negative_sector,
     poly,
     product,
     renormalised_coefficients,
@@ -96,7 +95,7 @@ class TestHomogeneity:
 
 class TestSymbolSet:
     def test_negative_sector_exact(self):
-        negatives = {tau for tau, _ in negative_sector()}
+        negatives = {tau for tau, hom in build_symbol_set() if hom.eval_at(KAPPA_BAR) < 0}
         assert negatives == {
             XI, PSI, SQUARE, DERIV_SQUARE, INCREMENT_PAIR,
             TRIPLE, QUAD_SPLIT, QUAD_CHAIN,
