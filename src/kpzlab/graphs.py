@@ -449,10 +449,13 @@ def _sorted_classes(classes: Iterable[frozenset]) -> tuple[frozenset, ...]:
                         key=lambda c: sorted((copy, vid) for copy, vid in c)))
 
 
-#: One object per distinct glued class, shared by every contraction that has
-#: it, including those of later enumerations.  The slot cap bounds it: at
-#: most 2**cumulants.GROUND_SET_CAP classes per naming of the externals.
+#: One object per distinct glued class, and one per distinct sorted tuple of
+#: them, shared by every contraction that has it, including those of later
+#: enumerations.  The slot cap bounds both: at most 2**cumulants.GROUND_SET_CAP
+#: classes, and one tuple per Wick partition of at most that many slots, per
+#: naming of the externals.
 _GLUED_CLASSES: dict[frozenset, frozenset] = {}
+_GLUINGS: dict[tuple, tuple] = {}
 
 
 def iter_contractions(H: PartialGraph, p: int) -> Iterator[ContractedGraph]:
@@ -475,7 +478,8 @@ def iter_contractions(H: PartialGraph, p: int) -> Iterator[ContractedGraph]:
         for block in pt.blocks:
             cls = frozenset((key.copy, ext[key.slot - 1]) for key in block)
             classes.append(_GLUED_CLASSES.setdefault(cls, cls))
-        yield ContractedGraph(source=H, p=p, classes=_sorted_classes(classes))
+        gluing = _sorted_classes(classes)
+        yield ContractedGraph(source=H, p=p, classes=_GLUINGS.setdefault(gluing, gluing))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,15 @@ must satisfy the same two kinds of inequalities subset by subset.
 
 All verdicts are exact: label arithmetic is rational in ``q + r*delta``
 and subset scans on contracted graphs run on integer-scaled numpy arrays.
+``check_contracted`` reads what the contractions of one source graph at one
+``p`` share from a template built once per (source, p) and cached: the
+vertex layout, the internal edges of every copy merged into integer
+(q, r) sums at the common denominator of the source's labels, and each
+external slot's neighbour and integer label.  A call only groups the glued
+slots, applies the allocation rule, rescales to one denominator and scans.
+The cache holds no results.  A scan whose scaled weights could leave int64
+raises ``OverflowError``; one of more than ``SUBSET_WORK_CAP`` work items
+raises ``cumulants.SizeLimitError`` before anything is built.
 """
 
 from __future__ import annotations
@@ -17,10 +26,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .cumulants import SizeLimitError
 from .graphs import (
     ContractedGraph,
     LabelValue,
@@ -48,8 +59,11 @@ __all__ = [
     "SUBSET_WORK_CAP",
 ]
 
-#: A single contracted-graph subset scan may cost at most 2**24 work items.
+#: A single contracted-graph subset scan may cost at most 2**24 work items
+#: (2**nv subsets times nv zeta steps), so at most 19 vertices.
 SUBSET_WORK_CAP = 2 ** 24
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 #: The effective dimension |s| = 2 + 1 of the parabolic scaling s = (2, 1)
 #: in one space dimension.
@@ -58,16 +72,6 @@ S_DIM = Fraction(3)
 
 class UnsupportedConfigurationError(ValueError):
     """Raised for vertex configurations the allocation rule cannot handle."""
-
-
-def _class_profile(cls: frozenset, H: PartialGraph) -> dict:
-    """Edge multiplicities of a glued class, keyed by (copy, neighbour)."""
-    neighbour = {v: H.incident(v)[0].other(v) for v in H.external_ids}
-    profile: dict[tuple[int, str], int] = {}
-    for copy, ext in cls:
-        key = (copy, neighbour[ext])
-        profile[key] = profile.get(key, 0) + 1
-    return profile
 
 
 class KPZAllocationRule:
@@ -298,38 +302,94 @@ def homogeneity_exponent(H: PartialGraph) -> LabelValue:
 # Contracted-graph checker
 # ---------------------------------------------------------------------------
 
-def _scaled_int_labels(
-    labels: Sequence[tuple[Fraction, Fraction]], bound: Fraction = Fraction(0)
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Common-denominator integer encoding of (q, r) label parts.
+@dataclass(frozen=True, slots=True)
+class _SourceTemplate:
+    """What every contraction of ``p`` copies of ``source`` shares.
 
-    The denominator is an exact Python integer.  Raises ``OverflowError``
-    unless every subset sum of the scaled parts, and ``bound`` scaled,
-    fits in int64.
+    Vertex ``i`` of a contraction is ``names[i]`` for ``i < len(names)``
+    (the origin, then the internals copy by copy) and the ex-vertex
+    ``x{i - len(names)}`` beyond.  Labels are integers at the common
+    denominator ``denom`` of the source's labels.
     """
-    from math import lcm
-    denom = lcm(*(x.denominator for pair in labels for x in pair))
-    q = [a.numerator * (denom // a.denominator) for a, _ in labels]
-    r = [b.numerator * (denom // b.denominator) for _, b in labels]
-    largest = max(sum(map(abs, q)), sum(map(abs, r)), abs(bound) * denom)
-    if largest > np.iinfo(np.int64).max:
-        raise OverflowError(
-            f"labels scaled by their common denominator {denom} overflow int64"
-        )
-    return np.array(q, dtype=np.int64), np.array(r, dtype=np.int64), denom
+
+    source: PartialGraph
+    names: tuple[str, ...]
+    #: position of ``names[i]`` in ``sorted(names)``
+    rank: tuple[int, ...]
+    star_mask: int
+    denom: int
+    #: (pair bit, q, r) of the internal edges of all copies, parallel ones merged
+    inner: tuple[tuple[int, int, int], ...]
+    #: (copy, external id) -> (neighbour's index, q, r) of the slot's edge
+    slots: dict[tuple[int, str], tuple[int, int, int]]
 
 
-def _zeta_edge_sums(nv: int, edges: Sequence[tuple[int, int]],
-                    values: np.ndarray) -> np.ndarray:
-    """For every vertex subset S (bitmask), the sum over edges inside S."""
-    out = np.zeros(1 << nv, dtype=np.int64)
-    for (a, b), val in zip(edges, values):
-        out[(1 << a) | (1 << b)] += val
-    # subset-sum (zeta) transform
+#: Templates by ``(id(source), p)``.  Each keeps its source alive, so no
+#: other graph can take that id while it is cached.  A template holds a few
+#: hundred integers; beyond ``_TEMPLATE_CACHE_SIZE`` the oldest is dropped.
+_TEMPLATES: dict[tuple[int, int], _SourceTemplate] = {}
+_TEMPLATE_CACHE_SIZE = 256
+
+
+def _template(H: PartialGraph, p: int) -> _SourceTemplate:
+    key = (id(H), p)
+    t = _TEMPLATES.get(key)
+    if t is None:
+        if len(_TEMPLATES) >= _TEMPLATE_CACHE_SIZE:
+            del _TEMPLATES[next(iter(_TEMPLATES))]
+        t = _TEMPLATES[key] = _build_template(H, p)
+    return t
+
+
+def _build_template(H: PartialGraph, p: int) -> _SourceTemplate:
+    kinds = H.kind_map
+    internals = H.internal_ids
+    index = {(k, H.origin): 0 for k in range(1, p + 1)}
+    names = [ContractedGraph.ORIGIN]
+    for k in range(1, p + 1):
+        for v in internals:
+            index[(k, v)] = len(names)
+            names.append(ContractedGraph.in_vertex(k, v))
+    denom = lcm(*(x.denominator for e in H.edges for x in (e.label.q, e.label.r)))
+    inner: dict[int, list[int]] = {}
+    slots: dict[tuple[int, str], tuple[int, int, int]] = {}
+    for k in range(1, p + 1):
+        for e in H.edges:
+            q = e.label.q.numerator * (denom // e.label.q.denominator)
+            r = e.label.r.numerator * (denom // e.label.r.denominator)
+            if kinds[e.u] == "external" or kinds[e.v] == "external":
+                ext, other = (e.u, e.v) if kinds[e.u] == "external" else (e.v, e.u)
+                slots[(k, ext)] = (index[(k, other)], q, r)
+            else:
+                bit = (1 << index[(k, e.u)]) | (1 << index[(k, e.v)])
+                merged = inner.setdefault(bit, [0, 0])
+                merged[0] += q
+                merged[1] += r
+    position = {name: i for i, name in enumerate(sorted(names))}
+    return _SourceTemplate(
+        source=H,
+        names=tuple(names),
+        rank=tuple(position[name] for name in names),
+        star_mask=1 | sum(1 << index[(k, H.star)] for k in range(1, p + 1)),
+        denom=denom,
+        inner=tuple((bit, q, r) for bit, (q, r) in inner.items()),
+        slots=slots,
+    )
+
+
+def _zeta_inside_sums(nv: int, bits: list[int], q: list[int], r: list[int]) -> np.ndarray:
+    """Rows (q, r): for every vertex subset (bitmask), the weight inside it.
+
+    ``bits[j]`` is the two-vertex mask of the j-th merged edge.
+    """
+    out = np.zeros((2, 1 << nv), dtype=np.int64)
+    out[0, bits] = q
+    out[1, bits] = r
+    # subset-sum (zeta) transform of both rows at once: a row's length is a
+    # multiple of every block, so the blocks never straddle the two rows
     for bit in range(nv):
-        step = 1 << bit
-        view = out.reshape(-1, 2 * step)
-        view[:, step:] += view[:, :step]
+        view = out.reshape(-1, 2, 1 << bit)
+        view[:, 1] += view[:, 0]
     return out
 
 
@@ -337,60 +397,85 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
     """Both subset conditions on the merged contracted graph.
 
     Edge weights are ``a_e = m_e - b_e`` for edges at a glued vertex (with
-    the rule's allocation) and ``a_e = m_e`` otherwise; multi-edges merge
+    the rule's allocation) and ``a_e = m_e`` otherwise; parallel edges merge
     by summing.  Also reports the total scaling exponent
     ``alpha = |s| |V \\ V_star| - sum a_e``.
 
-    One pass over ``G.edge_list()`` merges parallel edges into exact (q, r)
-    sums keyed by vertex indices (a distinguished edge only with another
-    distinguished edge) and groups the edges at each ex-vertex by
-    neighbour; the rule's values for each group, the same values that
-    ``kpz_allocation`` gives those edges, are then subtracted from the
-    merged sums.  The merged
-    labels are scaled to integers and every vertex subset is scanned at once.
+    Everything but the gluing is shared by the contractions of one source
+    graph at one ``p``, so it is built once into a cached template: the
+    vertex layout, the internal edges of all copies merged into integer
+    (q, r) sums at the common denominator of the source's labels, and for
+    every external slot its neighbour and integer label.  The cache holds
+    only this structure, never a result.  A call groups each glued class's
+    slots by neighbour, takes the rule's values group by group in the order
+    of the neighbours' names (the values ``kpz_allocation`` gives), and
+    rescales every merged weight to the lowest denominator that makes them
+    all integers.  Unless every subset sum and ``|s| * #vertices`` then fit
+    in int64 it raises ``OverflowError``.  Otherwise the merged weights
+    fill one int64 array with a q row and an r row, and one zeta pass over
+    both rows gives every vertex subset's inside weight at once.  A scan of
+    more than ``SUBSET_WORK_CAP`` work items raises ``SizeLimitError``
+    before anything is built.
     """
-    vertices = G.vertex_ids
-    nv = len(vertices)
-    if (1 << nv) * max(1, nv) > SUBSET_WORK_CAP:
-        raise ValueError(
+    H, p, classes = G.source, G.p, G.classes
+    n_fixed = 1 + p * len(H.internal_ids)
+    nv = n_fixed + len(classes)
+    if (1 << nv) * nv > SUBSET_WORK_CAP:
+        raise SizeLimitError(
             f"subset scan on {nv} vertices exceeds the work cap {SUBSET_WORK_CAP}"
         )
-    vindex = {v: i for i, v in enumerate(vertices)}
-    groups: dict[str, dict[str, list]] = {v: {} for v in G.ex_vertices}
-    merged: dict[tuple[int, int, bool], list[Fraction]] = {}
-    for e in G.edge_list():
-        a, b = vindex[e.u], vindex[e.v]
-        key = (min(a, b), max(a, b), e.kind == "distinguished")
-        if key in merged:
-            merged[key][0] += e.label.q
-            merged[key][1] += e.label.r
-        else:
-            merged[key] = [e.label.q, e.label.r]
-        for v, w in ((e.u, e.v), (e.v, e.u)):
-            if v in groups:
-                groups[v].setdefault(w, []).append(key)
-    for by_neighbour in groups.values():
-        order = sorted(by_neighbour)
-        values = rule.group_values([len(by_neighbour[n]) for n in order])
-        for neighbour, value in zip(order, values):
-            for key in by_neighbour[neighbour]:
-                merged[key][0] -= value
+    t = _template(H, p)
+    if sum(map(len, classes)) != len(t.slots):
+        raise KeyError(f"the classes of {H.name}[p={p}] do not glue every external once")
+    # (pair bit, q and r at t.denom, edge count, rule's value) per merged ex-edge
+    ex_edges = []
+    denom = t.denom
+    for i, cls in enumerate(classes):
+        groups: dict[int, list[int]] = {}
+        for slot in cls:
+            n, q, r = t.slots[slot]
+            group = groups.get(n)
+            if group is None:
+                groups[n] = [1, q, r]
+            else:
+                group[0] += 1
+                group[1] += q
+                group[2] += r
+        order = sorted(groups, key=t.rank.__getitem__)
+        values = rule.group_values([groups[n][0] for n in order])
+        x = 1 << (n_fixed + i)
+        for n, value in zip(order, values):
+            count, q, r = groups[n]
+            ex_edges.append((x | 1 << n, q, r, count, value))
+            denom = lcm(denom, value.denominator)
+    k = denom // t.denom
+    bits = [bit for bit, _, _ in t.inner] + [e[0] for e in ex_edges]
+    qs = [q * k for _, q, _ in t.inner] + [
+        q * k - count * b.numerator * (denom // b.denominator)
+        for _, q, _, count, b in ex_edges]
+    rs = [r * k for _, _, r in t.inner] + [e[2] * k for e in ex_edges]
+    common = gcd(denom, *qs, *rs)
+    if common > 1:
+        denom //= common
+        qs = [q // common for q in qs]
+        rs = [r // common for r in rs]
+    s_scaled = int(S_DIM * denom)
+    if max(sum(map(abs, qs)), sum(map(abs, rs)), s_scaled * nv) > _INT64_MAX:
+        raise OverflowError(
+            f"labels scaled by their common denominator {denom} overflow int64"
+        )
 
-    pairs = [(a, b) for a, b, _ in merged]
-    q, r, denom = _scaled_int_labels(list(merged.values()), S_DIM * nv)
-
-    inside_q = _zeta_edge_sums(nv, pairs, q)
-    inside_r = _zeta_edge_sums(nv, pairs, r)
-    total_q, total_r = int(q.sum()), int(r.sum())
+    inside_q, inside_r = _zeta_inside_sums(nv, bits, qs, rs)
+    total_q, total_r = int(inside_q[-1]), int(inside_r[-1])
 
     masks = np.arange(1 << nv, dtype=np.uint64)
     sizes = np.bitwise_count(masks).astype(np.int64)
-    s_scaled = int(S_DIM * denom)
 
     witnesses: list[Witness] = []
 
     def subset_names(mask: int) -> tuple[str, ...]:
-        return tuple(vertices[i] for i in range(nv) if mask >> i & 1)
+        return tuple(t.names[i] if i < n_fixed else G.ex_vertex(i - n_fixed)
+                     for i in range(nv) if mask >> i & 1)
 
     def label_of(qv: int, rv: int) -> LabelValue:
         return LabelValue(Fraction(qv, denom), Fraction(rv, denom))
@@ -410,15 +495,12 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
             "glued-local-integrability",
         ))
 
-    # condition 2: strict lower bound on meeting weight, S avoiding the stars
-    star_mask = 0
-    for v in G.star_set:
-        star_mask |= 1 << vindex[v]
-    comp = (~masks) & np.uint64((1 << nv) - 1)
-    meet_q = total_q - inside_q[comp]
-    meet_r = total_r - inside_r[comp]
+    # condition 2: strict lower bound on meeting weight, S avoiding the stars;
+    # the complement of mask m is 2**nv - 1 - m, read by reversing
+    meet_q = total_q - inside_q[::-1]
+    meet_r = total_r - inside_r[::-1]
     rhs2 = s_scaled * sizes
-    eligible = ((masks & np.uint64(star_mask)) == 0) & (sizes >= 1)
+    eligible = ((masks & np.uint64(t.star_mask)) == 0) & (sizes >= 1)
     bad2 = eligible & ((meet_q < rhs2) | ((meet_q == rhs2) & (meet_r <= 0)))
     if bad2.any():
         order = np.flatnonzero(bad2)
@@ -430,10 +512,10 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
             "glued-large-scale-decay",
         ))
 
-    n_free = nv - len(G.star_set)
-    alpha = LabelValue.coerce(S_DIM * n_free) - label_of(total_q, total_r)
+    n_free = nv - (1 + p)  # the origin and each copy's star are starred
+    alpha = label_of(s_scaled * n_free - total_q, -total_r)
     return ConditionReport(
-        graph=f"{G.source.name}[p={G.p}]",
+        graph=f"{H.name}[p={p}]",
         condition="glued-graph",
         verdict=not witnesses,
         exponent=alpha,
@@ -444,6 +526,18 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
 # ---------------------------------------------------------------------------
 # Admissibility of an allocation rule
 # ---------------------------------------------------------------------------
+
+def _class_profile(cls: frozenset, slots: dict) -> dict[int, int]:
+    """Edge multiplicities of a glued class, keyed by neighbour index.
+
+    ``slots`` is a template's slot table.
+    """
+    profile: dict[int, int] = {}
+    for slot in cls:
+        n = slots[slot][0]
+        profile[n] = profile.get(n, 0) + 1
+    return profile
+
 
 def _profile_checks(rule: KPZAllocationRule, mults: tuple[int, ...]) -> list[str]:
     """Budget identity and subset floor for one vertex profile."""
@@ -514,9 +608,10 @@ def check_admissible(
     seen_pair: set = set()
     n_contractions = 0
     for p in range(2, p_max + 1):
+        slots = _template(H, p).slots
         for G in iter_contractions(H, p):
             n_contractions += 1
-            profiles = [_class_profile(cls, H) for cls in G.classes]
+            profiles = [_class_profile(cls, slots) for cls in G.classes]
             for prof in profiles:
                 key = tuple(sorted(prof.values()))
                 if key in seen_single:

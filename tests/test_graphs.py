@@ -161,6 +161,7 @@ class TestContractions:
         second = list(iter_contractions(chain_graph, 3))
         assert first == second
         for a, b in zip(first, second):
+            assert a.classes is b.classes
             assert all(x is y for x, y in zip(a.classes, b.classes))
 
     def test_single_external_graph(self):

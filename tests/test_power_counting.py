@@ -1,9 +1,14 @@
 import itertools
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 
+from kpzlab import power_counting
+from kpzlab.cumulants import SizeLimitError
 from kpzlab.graphs import (
+    ContractedGraph,
     LabelValue,
     edge_sets,
     iter_contractions,
@@ -11,8 +16,11 @@ from kpzlab.graphs import (
 )
 from kpzlab.power_counting import (
     S_DIM,
+    SUBSET_WORK_CAP,
+    ConditionReport,
     KPZAllocationRule,
     UnsupportedConfigurationError,
+    Witness,
     allocation_assignment,
     c_e_weight_value,
     c_e_weights,
@@ -21,7 +29,6 @@ from kpzlab.power_counting import (
     check_condition_B,
     check_contracted,
     homogeneity_exponent,
-    _scaled_int_labels,
     kpz_allocation,
 )
 from kpzlab.symbols import SUPPORTED_SYMBOLS, graph_catalog
@@ -86,6 +93,18 @@ class BrokenRule(KPZAllocationRule):
         values = [Fraction(0)] * len(mults)
         values[0] = budget / mults[0]
         return tuple(values)
+
+
+class Recording:
+    """Passes each call on to ``rule`` and keeps its multiplicities."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.calls = []
+
+    def group_values(self, multiplicities):
+        self.calls.append(tuple(multiplicities))
+        return self.rule.group_values(multiplicities)
 
 
 class NoAllocation(KPZAllocationRule):
@@ -345,6 +364,119 @@ def reference_contracted_check(G, rule):
     return ok
 
 
+def oracle_scaled_int_labels(labels, bound):
+    """Common-denominator int64 encoding of merged (q, r) parts.
+
+    Raises ``OverflowError`` unless every subset sum and ``bound`` scaled
+    fit in int64.
+    """
+    denom = lcm(*(x.denominator for pair in labels for x in pair))
+    q = [a.numerator * (denom // a.denominator) for a, _ in labels]
+    r = [b.numerator * (denom // b.denominator) for _, b in labels]
+    if max(sum(map(abs, q)), sum(map(abs, r)), abs(bound) * denom) > np.iinfo(np.int64).max:
+        raise OverflowError(f"labels scaled by their common denominator {denom} overflow int64")
+    return np.array(q, dtype=np.int64), np.array(r, dtype=np.int64), denom
+
+
+def oracle_zeta_edge_sums(nv, edges, values):
+    """For every vertex subset (bitmask), the sum over edges inside it."""
+    out = np.zeros(1 << nv, dtype=np.int64)
+    for (a, b), val in zip(edges, values):
+        out[(1 << a) | (1 << b)] += val
+    for bit in range(nv):
+        step = 1 << bit
+        view = out.reshape(-1, 2 * step)
+        view[:, step:] += view[:, :step]
+    return out
+
+
+def oracle_check_contracted(G, *rules):
+    """``check_contracted`` by the merge over ``G.edge_list()``: one report per rule.
+
+    Parallel edges merge into exact Fraction sums keyed by vertex indices,
+    each rule's values are subtracted group by group, and q and r are
+    scanned in two separate zeta passes.  The rules share the merge.
+    """
+    vertices = G.vertex_ids
+    vindex = {v: i for i, v in enumerate(vertices)}
+    groups = {v: {} for v in G.ex_vertices}
+    labels = {}
+    for e in G.edge_list():
+        a, b = vindex[e.u], vindex[e.v]
+        key = (min(a, b), max(a, b), e.kind == "distinguished")
+        sums = labels.setdefault(key, [Fraction(0), Fraction(0)])
+        sums[0] += e.label.q
+        sums[1] += e.label.r
+        for v, w in ((e.u, e.v), (e.v, e.u)):
+            if v in groups:
+                groups[v].setdefault(w, []).append(key)
+    reports = []
+    for rule in rules:
+        merged = {key: list(sums) for key, sums in labels.items()}
+        for by_neighbour in groups.values():
+            order = sorted(by_neighbour)
+            values = rule.group_values([len(by_neighbour[n]) for n in order])
+            for neighbour, value in zip(order, values):
+                for key in by_neighbour[neighbour]:
+                    merged[key][0] -= value
+        reports.append(oracle_scan(G, vindex, merged))
+    return reports
+
+
+def oracle_scan(G, vindex, merged):
+    """Both subset conditions on merged Fraction weights, by two zeta passes."""
+    vertices = G.vertex_ids
+    nv = len(vertices)
+    pairs = [(a, b) for a, b, _ in merged]
+    q, r, denom = oracle_scaled_int_labels(list(merged.values()), S_DIM * nv)
+    inside_q = oracle_zeta_edge_sums(nv, pairs, q)
+    inside_r = oracle_zeta_edge_sums(nv, pairs, r)
+    total_q, total_r = int(q.sum()), int(r.sum())
+    masks = np.arange(1 << nv, dtype=np.uint64)
+    sizes = np.bitwise_count(masks).astype(np.int64)
+    s_scaled = int(S_DIM * denom)
+
+    def witness(bad, lhs_q, lhs_r, rhs, condition):
+        order = np.flatnonzero(bad)
+        best = int(order[np.argmin(sizes[order])])
+        return Witness(
+            tuple(vertices[i] for i in range(nv) if best >> i & 1),
+            LabelValue(Fraction(int(lhs_q[best]), denom), Fraction(int(lhs_r[best]), denom)),
+            LabelValue.coerce(Fraction(int(rhs[best]), denom)),
+            condition,
+        )
+
+    witnesses = []
+    rhs1 = s_scaled * (sizes - 1)
+    bad1 = (sizes >= 2) & ((inside_q > rhs1) | ((inside_q == rhs1) & (inside_r >= 0)))
+    if bad1.any():
+        witnesses.append(witness(bad1, inside_q, inside_r, rhs1, "glued-local-integrability"))
+    star_mask = sum(1 << vindex[v] for v in G.star_set)
+    comp = (~masks) & np.uint64((1 << nv) - 1)
+    meet_q = total_q - inside_q[comp]
+    meet_r = total_r - inside_r[comp]
+    rhs2 = s_scaled * sizes
+    eligible = ((masks & np.uint64(star_mask)) == 0) & (sizes >= 1)
+    bad2 = eligible & ((meet_q < rhs2) | ((meet_q == rhs2) & (meet_r <= 0)))
+    if bad2.any():
+        witnesses.append(witness(bad2, meet_q, meet_r, rhs2, "glued-large-scale-decay"))
+    n_free = nv - len(G.star_set)
+    alpha = LabelValue.coerce(S_DIM * n_free) - LabelValue(
+        Fraction(total_q, denom), Fraction(total_r, denom))
+    return ConditionReport(
+        graph=f"{G.source.name}[p={G.p}]",
+        condition="glued-graph",
+        verdict=not witnesses,
+        exponent=alpha,
+        witnesses=tuple(sorted(witnesses, key=lambda w: (len(w.subset), w.subset))),
+    )
+
+
+def catalog_graphs():
+    return {entry.graph.name: entry.graph
+            for tau in SUPPORTED_SYMBOLS for entry in graph_catalog(tau)}
+
+
 class TestContractedChecker:
     def test_full_gluing_passes_with_rule(self, pair):
         full = [c for c in iter_contractions(pair, 2) if len(c.classes) == 1][0]
@@ -376,8 +508,7 @@ class TestContractedChecker:
                     assert report.exponent == p * alpha_bar
 
     def test_matches_reference_implementation(self, pair, chain):
-        catalog = {entry.graph.name: entry.graph
-                   for tau in SUPPORTED_SYMBOLS for entry in graph_catalog(tau)}
+        catalog = catalog_graphs()
         # the marginal graph is the one whose gluings fail the decay condition
         graphs = [pair, chain, parse_partial_graph(MARGINAL_SOURCE)] + list(catalog.values())
         s = Fraction(3)
@@ -407,35 +538,99 @@ class TestContractedChecker:
         assert checked > 400
         assert conditions == {"glued-local-integrability", "glued-large-scale-decay"}
 
+    def test_matches_edge_list_oracle(self, pair, chain):
+        # every report field (verdict, exponent, witness subsets, lhs, rhs)
+        # equals the merge over edge_list() with two zeta passes, and the
+        # rule gets the same calls: one per ex-vertex, groups in the order
+        # of the neighbours' names
+        marginal = parse_partial_graph(MARGINAL_SOURCE)
+        # internals declared out of name order: index order is not name order
+        unsorted = parse_partial_graph(CHAIN_SOURCE.replace(" w", " b"))
+        cases = [(H, 2) for H in catalog_graphs().values()] + [(unsorted, 2)]
+        cases += [(H, 3) for H in (pair, chain, marginal)]
+        checked = failing = 0
+        rules = (KPZAllocationRule(), NoAllocation())
+        for H, p in cases:
+            for G in iter_contractions(H, p):
+                heard = [Recording(rule) for rule in rules]
+                expected = oracle_check_contracted(G, *heard)
+                for rule, want, oracle_rule in zip(rules, expected, heard):
+                    recording = Recording(rule)
+                    report = check_contracted(G, recording)
+                    assert report == want, (H.name, p, G.classes)
+                    assert recording.calls == oracle_rule.calls
+                    checked += 1
+                    failing += not report.verdict
+        assert checked == 2 * 3325 and 0 < failing < checked
+
+    def test_template_per_source_object(self):
+        # same name and structure, other labels: each graph gets its own
+        # template, so a cached one never serves the other
+        first = parse_partial_graph(PAIR_SOURCE)
+        second = parse_partial_graph(PAIR_SOURCE.replace("u v2 label 2+1d", "u v2 label 5/3"))
+        assert first.name == second.name and first != second
+        for _ in range(2):
+            for H in (first, second, first):
+                for G in iter_contractions(H, 2):
+                    assert [check_contracted(G, NoAllocation())] == \
+                        oracle_check_contracted(G, NoAllocation())
+        assert power_counting._template(first, 2) is not power_counting._template(second, 2)
+        # an emptied cache rebuilds the same reports
+        full = [G for G in iter_contractions(second, 3) if len(G.classes) == 1][0]
+        before = check_contracted(full, KPZAllocationRule())
+        power_counting._TEMPLATES.clear()
+        assert check_contracted(full, KPZAllocationRule()) == before
+
+    def test_classes_must_glue_every_external(self, pair):
+        full = [G for G in iter_contractions(pair, 2) if len(G.classes) == 1][0]
+        partial = ContractedGraph(source=pair, p=2, classes=(frozenset(
+            slot for slot in full.classes[0] if slot != (2, "v2")),))
+        for G in (partial, ContractedGraph(source=pair, p=2, classes=())):
+            with pytest.raises(KeyError):
+                G.edge_list()
+            with pytest.raises(KeyError, match="do not glue every external"):
+                check_contracted(G, KPZAllocationRule())
+
+    def test_subset_cap_fails_fast(self):
+        H = catalog_graphs()["quad-chain/flat-remainder"]
+        power_counting._TEMPLATES.clear()
+        G = next(iter_contractions(H, 5))
+        assert (1 << 21) * 21 > SUBSET_WORK_CAP
+        with pytest.raises(SizeLimitError, match=f"21 vertices exceeds the work cap {SUBSET_WORK_CAP}"):
+            check_contracted(G, KPZAllocationRule())
+        assert not power_counting._TEMPLATES  # refused before any template was built
+        assert issubclass(SizeLimitError, ValueError)
+
     def test_int64_overflow_raises(self):
-        huge = [(Fraction(1, 2**40 + 1), Fraction(0)),
-                (Fraction(1, 2**40 - 1), Fraction(0)),
-                (Fraction(7, 3), Fraction(0))]
-        with pytest.raises(OverflowError):
-            _scaled_int_labels(huge)
-        # each part fits, but their subset sum does not
-        with pytest.raises(OverflowError):
-            _scaled_int_labels([(Fraction(2**62), Fraction(0))] * 2)
-        with pytest.raises(OverflowError):
-            _scaled_int_labels([(Fraction(1), Fraction(0))], bound=Fraction(2**63))
-        q, r, denom = _scaled_int_labels(huge[:1] + [(Fraction(1, 2), Fraction(-1))])
-        assert denom == 2 * (2**40 + 1)
-        assert q.tolist() == [2, 2**40 + 1] and r.tolist() == [0, -denom]
-        src = """\
-graph wide
-vertex 0 origin
-vertex u star
-vertex v1 external
-vertex v2 external
-vertex v3 external
-star-edge 0 u
-edge u v1 label 1/1099511627777
-edge u v2 label 1/1099511627775
-edge u v3 label 7/3
-"""
-        for G in iter_contractions(parse_partial_graph(src), 2):
-            with pytest.raises(OverflowError):
-                check_contracted(G, NoAllocation())
+        # (label list, expect OverflowError) on one star with one external
+        # per label, at p = 2
+        def graph(labels):
+            lines = ["graph wide", "vertex 0 origin", "vertex u star", "star-edge 0 u"]
+            for i, label in enumerate(labels):
+                lines += [f"vertex v{i} external", f"edge u v{i} label {label}"]
+            return parse_partial_graph("\n".join(lines) + "\n")
+
+        cases = [
+            # common denominator 3 (2**80 - 1) beyond int64
+            (["1/1099511627777", "1/1099511627775", "7/3"], True),
+            # each label fits, but their subset sum does not
+            ([str(2**62), str(2**62)], True),
+            # the labels fit, but |s| * #vertices scaled by 2**61 does not
+            (["1/2305843009213693952", "1"], True),
+            # an exact large denominator that fits
+            (["1/1099511627777", "1/2-1d"], False),
+            # under the rule the full gluing's weights 2**61 - 3/2 fit only
+            # at their lowest common denominator, 2
+            ([str(2**60), str(2**60)], False),
+        ]
+        for labels, overflows in cases:
+            for G in iter_contractions(graph(labels), 2):
+                for rule in (NoAllocation(), KPZAllocationRule()):
+                    if overflows:
+                        with pytest.raises(OverflowError):
+                            check_contracted(G, rule)
+                    else:
+                        assert [check_contracted(G, rule)] == oracle_check_contracted(G, rule)
 
     def test_all_small_contractions_pass(self, pair, chain):
         for H in (pair, chain):
