@@ -258,17 +258,13 @@ class TruncatedKernel:
     def dx(self, t, x):
         """Space derivative (the edge kernel of all the graph integrals).
 
-        A sorted tensor grid is evaluated whole, with the shape spline on
-        its separable path.  Other inputs are evaluated point by point: the
-        cut heat part only where ``t > 0`` and ``rho < SUPPORT``, the
-        correction only where also ``rho > PLATEAU``, and 0 elsewhere.
+        ``t`` and ``x`` broadcast against each other and are evaluated
+        point by point: the cut heat part only where ``t > 0`` and
+        ``rho < SUPPORT``, the correction only where also ``rho > PLATEAU``,
+        and 0 elsewhere.
         """
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        tt, xx = np.broadcast_arrays(t, x)
+        tt, xx = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
         rho = parabolic_norm(tt, xx)
-        if _is_tensor_grid(t, x):
-            return _cut_heat_dx(tt, xx, rho) + self.correction_dx(t, x)
         tt, xx, rho_f = tt.ravel(), xx.ravel(), rho.ravel()
         live = np.flatnonzero((tt > 0) & (rho_f < SUPPORT))
         tl, xl, rl = tt[live], xx[live], rho_f[live]
@@ -1017,18 +1013,19 @@ def chat_fixed_point(
 # Exact small-scale limit of the first constant (independent quadrature)
 # ---------------------------------------------------------------------------
 
-def c0_exact_limit(model: PoissonNoiseModel, n_sigma: int = 120, n_y: int = 200) -> float:
+def c0_exact_limit(model: PoissonNoiseModel) -> float:
     """Limit of ``eps * C0`` by direct quadrature.
 
     Integrating the squared space-derivative chain of the full heat kernel
     in closed form collapses the four-dimensional integral to
     ``(1/2) int P(|s|, y) kappa_2(s, y) ds dy``; the remaining
-    two-dimensional integral is regularised by ``s = sigma^2``.
+    two-dimensional integral is regularised by ``s = sigma^2`` and taken
+    by a 120 x 200 Gauss-Legendre product rule in ``(sigma, y)``.
     """
     S = 2.0 * model.t_reach
     Y = 2.0 * model.x_reach
-    sig, wsig = _gauss_legendre(n_sigma, 0.0, math.sqrt(S))
-    y, wy = _gauss_legendre(n_y, -Y, Y)
+    sig, wsig = _gauss_legendre(120, 0.0, math.sqrt(S))
+    y, wy = _gauss_legendre(200, -Y, Y)
     ss = sig[:, None] ** 2
     yy = y[None, :]
     gauss = np.exp(-(yy ** 2) / (4 * ss)) / math.sqrt(math.pi)

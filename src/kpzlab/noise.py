@@ -194,15 +194,15 @@ class PoissonNoiseModel:
         return hashlib.sha256(payload).hexdigest()[:16]
 
     # -- exact covariance --------------------------------------------------
-    def kappa2(self, s, y, nodes: int = 64):
+    def kappa2(self, s, y):
         """Covariance ``kappa_2(s, y) = mu E[a^2] (phi * phi~)(s, y)``.
 
-        Evaluated by per-term 1-d correlation quadratures; broadcast over
-        numpy inputs.
+        Evaluated by per-term 1-d correlation quadratures (64 Gauss-Legendre
+        nodes); broadcast over numpy inputs.
         """
         s = np.asarray(s, dtype=float)
         y = np.asarray(y, dtype=float)
-        xg, wg = _gauss_legendre(nodes, -1.0, 1.0)
+        xg, wg = _gauss_legendre(64, -1.0, 1.0)
         out = np.zeros(np.broadcast(s, y).shape)
         for t1 in self.terms:
             for t2 in self.terms:
@@ -224,14 +224,12 @@ class PoissonNoiseModel:
         return self.mu * self.mark_moment(2) * out
 
 
-def default_even_model(mu: float = 1.0) -> PoissonNoiseModel:
+def default_even_model() -> PoissonNoiseModel:
     """The bundled space-even model: a single centred product bump."""
-    return PoissonNoiseModel(
-        [BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], mu=mu, name="even-bump"
-    )
+    return PoissonNoiseModel([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], name="even-bump")
 
 
-def default_asymmetric_model(mu: float = 1.0) -> PoissonNoiseModel:
+def default_asymmetric_model() -> PoissonNoiseModel:
     """A space-asymmetric model: two bumps shifted along a diagonal.
 
     The covariance of a single product bump is always even in space, so
@@ -242,7 +240,6 @@ def default_asymmetric_model(mu: float = 1.0) -> PoissonNoiseModel:
             BumpTerm(1.0, -0.10, 0.15, -0.10, 0.15),
             BumpTerm(1.0, 0.10, 0.15, 0.10, 0.15),
         ],
-        mu=mu,
         name="skew-bump",
     )
 
@@ -385,17 +382,17 @@ def sample_field(
     eps: float,
     grid: GridSpec,
     seed: int,
-    v_h: float = 0.0,
 ) -> FieldSample:
     """Draw the rescaled field on the grid from a periodised Poisson cloud.
 
     The cloud covers exactly the strip and time span that
-    ``field_from_cloud`` reads.
+    ``field_from_cloud`` reads; the field is in the rest frame
+    (``v_h = 0``).
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF1E1D]))
     cloud = draw_cloud(model, rng, -model.t_reach, grid.T / eps ** 2 + model.t_reach,
                        (1.0 / eps) / 2)
-    return field_from_cloud(model, eps, grid, cloud, v_h)
+    return field_from_cloud(model, eps, grid, cloud)
 
 
 # ---------------------------------------------------------------------------
@@ -516,21 +513,19 @@ class PairingWindows:
                                                taps_s, 0)
                     for weight, taps_s, taps_y, tt, xx in grids)
 
-    def interpolate(self, j: int | Sequence[int], s: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation of window ``j`` at cloud points.
+    def interpolate(self, js: Sequence[int], s: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Bilinear interpolation of the windows ``js`` at cloud points.
 
         Periodic in y with period :attr:`strip`; zero for ``s`` outside
         ``[s_grid[0], s_grid[-1]]``.  ``s`` and ``y`` broadcast against
-        each other.  ``j`` is one window index, or a tuple or list of them
-        that gives one trailing column per index.  One call finds the
-        points' cells and weights once and shares them across its windows;
-        each window's values are the same bits as a call for it alone.
+        each other, and the result has one trailing column per index in
+        ``js``.  One call finds the points' cells and weights once and
+        shares them across its windows; each window's column is the same
+        bits as a call for it alone.
         Memory grows with the points of one call; :func:`sample_pairings`
         calls once per block of :data:`POINT_BLOCK` points, a size that
         sets the memory used and never the values.
         """
-        single = isinstance(j, (int, np.integer))
-        js = (j,) if single else tuple(j)
         n_s, n_y = len(self.s_grid), len(self.y_grid)
         s, y = np.broadcast_arrays(s, y)
         # drawn points lie in [0, strip), where np.mod is the identity
@@ -575,7 +570,7 @@ class PairingWindows:
                 term *= weight_y
                 column += term
             column[outside] = 0.0
-        return out[0] if single else np.moveaxis(out, 0, -1)
+        return np.moveaxis(out, 0, -1)
 
     def window_integral(self, j: int, power: int = 1) -> float:
         Wv = self.windows[j]
@@ -692,8 +687,9 @@ def empirical_cumulants(
     return CumulantEstimate(order, value, stderr, len(x))
 
 
-def joint_second_cumulants(samples: np.ndarray, n_batches: int = 20):
-    """Covariance matrix of pairing columns with batch-means errors."""
+def joint_second_cumulants(samples: np.ndarray):
+    """Covariance matrix of pairing columns with 20-batch-means errors."""
+    n_batches = 20
     x = np.asarray(samples, dtype=float)
     n, k = x.shape
     if n < 100:
@@ -713,9 +709,9 @@ def joint_second_cumulants(samples: np.ndarray, n_batches: int = 20):
 # ---------------------------------------------------------------------------
 
 def make_test_functions(
-    t_window: tuple[float, float] = (0.02, 0.18), k: int = 1
+    t_window: tuple[float, float] = (0.02, 0.18)
 ) -> tuple[Callable, Callable]:
-    """L2-orthonormal smooth pair: time bump times cos / sin in space."""
+    """L2-orthonormal smooth pair: time bump times cos / sin of ``2 pi x``."""
     t_lo, t_hi = t_window
     mid = 0.5 * (t_lo + t_hi)
     half = 0.5 * (t_hi - t_lo)
@@ -727,16 +723,17 @@ def make_test_functions(
         return amp * smooth_bump((np.asarray(t) - mid) / half)
 
     def eta_cos(t, x):
-        return f(t) * math.sqrt(2.0) * np.cos(2 * math.pi * k * np.asarray(x))
+        return f(t) * math.sqrt(2.0) * np.cos(2 * math.pi * np.asarray(x))
 
     def eta_sin(t, x):
-        return f(t) * math.sqrt(2.0) * np.sin(2 * math.pi * k * np.asarray(x))
+        return f(t) * math.sqrt(2.0) * np.sin(2 * math.pi * np.asarray(x))
 
     return eta_cos, eta_sin
 
 
-def eta_inner_products(etas: Sequence[Callable], t_window, nt=400, nx=256):
-    """Grid quadrature of the Gram matrix of the test functions."""
+def eta_inner_products(etas: Sequence[Callable], t_window):
+    """Grid quadrature (400 times by 256 cells) of the Gram matrix of the test functions."""
+    nt, nx = 400, 256
     pad = 0.2 * (t_window[1] - t_window[0])
     tt = np.linspace(t_window[0] - pad, t_window[1] + pad, nt)[:, None]
     xx = (np.arange(nx) / nx)[None, :]

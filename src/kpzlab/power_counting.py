@@ -425,7 +425,9 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
             f"subset scan on {nv} vertices exceeds the work cap {SUBSET_WORK_CAP}"
         )
     t = _template(H, p)
-    if sum(map(len, classes)) != len(t.slots):
+    # as many slots as the template, and no slot in two classes
+    if (sum(map(len, classes)) != len(t.slots)
+            or len(frozenset().union(*classes)) != len(t.slots)):
         raise KeyError(f"the classes of {H.name}[p={p}] do not glue every external once")
     # (pair bit, q and r at t.denom, edge count, rule's value) per merged ex-edge
     ex_edges = []
@@ -601,8 +603,10 @@ def check_admissible(
     single pairwise identification of glued vertices the monotonicity and
     transfer bound.  The checks depend only on local edge-multiplicity
     profiles, which are cached, so the scan over all contractions is exact
-    but fast.
+    but fast.  ``p_max < 2`` raises ``ValueError``: it leaves no gluing.
     """
+    if p_max < 2:
+        raise ValueError("admissibility needs p_max >= 2")
     failures: list[str] = []
     seen_single: set = set()
     seen_pair: set = set()

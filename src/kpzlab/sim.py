@@ -5,7 +5,8 @@ semi-implicit scheme (implicit diffusion in Fourier space, explicit
 centred nonlinearity, transport and counterterms) driven by a sampled
 shot-noise field.  The reference solution exponentiates: the multiplicative
 stochastic heat equation with discretised space-time white noise is stepped
-explicitly in the Ito sense and the height is its scaled logarithm.
+explicitly in the Ito sense and the height is its scaled logarithm; the
+additive equation, its ``lam -> 0`` limit, shares that step loop.
 
 Both solve a batch of members as one ``(B, n_x)`` array.  The renormalised
 solver also takes several configurations that share ``n_x`` and ``T``
@@ -275,16 +276,6 @@ def solve_renormalised(
     return out[0] if single else out
 
 
-def _seed_batch(seed, n_x: int, h0):
-    """Seeds as a list, ``h0`` as a ``(B, n_x)`` array, and whether one int was given."""
-    single = np.ndim(seed) == 0
-    seeds = [seed] if single else list(seed)
-    if not seeds:
-        raise ValueError("empty batch")
-    h0 = np.zeros(n_x) if h0 is None else np.asarray(h0, dtype=float)
-    return seeds, np.broadcast_to(h0, (len(seeds), n_x)), single
-
-
 def _normal_rows(seeds, n_x: int, n_steps: int):
     """Per-step ``(B, n_x)`` standard normals, one stream per member seed.
 
@@ -302,51 +293,52 @@ def _normal_rows(seeds, n_x: int, n_steps: int):
             yield block[:, j]
 
 
-def solve_additive(config: SimConfig, seed: int | Sequence[int],
-                   h0: np.ndarray | None = None) -> Trajectory:
-    """Heat equation plus discretised space-time white noise (explicit).
+def _explicit_steps(config: SimConfig, seeds: Sequence[int], lam: float) -> np.ndarray:
+    """Explicit Ito steps of ``dz = z'' dt + c amp xi``; ``(len(seeds), n_x)`` at ``T``.
 
-    ``seed`` is one int or a sequence of them, one per member of a batch.
+    ``c = lam z`` from ``z = 1`` (the exponentiated height), or ``c = 1``
+    from ``z = 0`` when ``lam`` is 0 (the additive height).  For ``lam != 0``
+    positivity of ``z`` is asserted at every step.
     """
+    if not len(seeds):
+        raise ValueError("empty batch")
     n_x = config.n_x
     dx = 1.0 / n_x
     dt = config.step
-    seeds, h0, single = _seed_batch(seed, n_x, h0)
     right, left = _neighbours(n_x)
-    h = h0
     amp = math.sqrt(dt / dx)
-    for xi in _normal_rows(seeds, n_x, config.n_steps):
-        lap = (h.take(right, axis=1) - 2 * h + h.take(left, axis=1)) / (dx * dx)
-        h = h + dt * lap + amp * xi
-    return Trajectory(h[0] if single else h, config)
-
-
-def solve_hopf_cole(config: SimConfig, seed: int | Sequence[int],
-                    h0: np.ndarray | None = None) -> Trajectory:
-    """Exponentiated multiplicative heat equation, Ito stepping.
-
-    ``seed`` is one int or a sequence of them, one per member; a batch is
-    integrated as one ``(B, n_x)`` array, each member on its own noise
-    stream.  For ``lam = 0`` this falls back to the additive equation.
-    Positivity of the exponentiated field is asserted at every step.
-    """
-    if config.lam == 0.0:
-        return solve_additive(config, seed, h0)
-    n_x = config.n_x
-    dx = 1.0 / n_x
-    dt = config.step
-    lam = config.lam
-    seeds, h0, single = _seed_batch(seed, n_x, h0)
-    right, left = _neighbours(n_x)
-    z = np.exp(lam * h0)
-    amp = math.sqrt(dt / dx)
+    z = np.full((len(seeds), n_x), 1.0 if lam else 0.0)
     for step, xi in enumerate(_normal_rows(seeds, n_x, config.n_steps)):
         lap = (z.take(right, axis=1) - 2 * z + z.take(left, axis=1)) / (dx * dx)
-        z = z + dt * lap + lam * z * amp * xi
-        if z.min() <= 0.0:
-            raise PositivityError(step * dt)
-    h = np.log(z) / lam
-    return Trajectory(h[0] if single else h, config)
+        if not lam:
+            z = z + dt * lap + amp * xi
+        else:
+            z = z + dt * lap + lam * z * amp * xi
+            if z.min() <= 0.0:
+                raise PositivityError(step * dt)
+    return z
+
+
+def solve_additive(config: SimConfig, seeds: Sequence[int]) -> Trajectory:
+    """Heat equation plus discretised space-time white noise, from flat.
+
+    One member per seed, each on its own noise stream; ``final`` is
+    ``(len(seeds), n_x)``.  ``config.lam`` is not used.
+    """
+    return Trajectory(_explicit_steps(config, seeds, 0.0), config)
+
+
+def solve_hopf_cole(config: SimConfig, seeds: Sequence[int]) -> Trajectory:
+    """Exponentiated multiplicative heat equation from flat, Ito stepping.
+
+    One member per seed, each on the noise stream :func:`solve_additive`
+    gives it, integrated in one ``(len(seeds), n_x)`` array; the height is
+    ``log(z) / lam``.  For ``lam = 0`` this is the additive equation.
+    Positivity of the exponentiated field is asserted at every step.
+    """
+    lam = config.lam
+    z = _explicit_steps(config, seeds, lam)
+    return Trajectory(np.log(z) / lam if lam else z, config)
 
 
 # ---------------------------------------------------------------------------
@@ -359,26 +351,21 @@ def _child_seed(*key: int) -> int:
 
 def ensemble_renormalised(
     model: PoissonNoiseModel,
-    config: SimConfig | Sequence[SimConfig],
+    configs: Sequence[SimConfig],
     clouds: Sequence,
-) -> np.ndarray | list[np.ndarray]:
-    """Final height profiles of an ensemble, solved as one batch; (len(clouds), n_x).
+) -> list[np.ndarray]:
+    """Final height profiles of one ensemble per config, solved as one batch.
 
-    Member m's field is made from ``clouds[m]`` (a ``draw_cloud`` result
-    that covers every configured scale).  For a sequence of configs sharing
-    ``n_x`` and ``T``, member m of every config is driven by that same
-    cloud, all configs are solved in one batch, and the result is one
-    ensemble per config.
+    The configs share ``n_x`` and ``T``.  Member m of every config is driven
+    by the field made from ``clouds[m]`` (a ``draw_cloud`` result that
+    covers every configured scale), and each config's ensemble is a
+    ``(len(clouds), n_x)`` array.
     """
-    single = isinstance(config, SimConfig)
-    configs = [config] if single else list(config)
-
     def fields(c: SimConfig):
         grid = noise_grid_for(c)
         return (field_from_cloud(model, c.eps, grid, cloud, c.v_h) for cloud in clouds)
 
-    finals = [t.final for t in solve_renormalised(configs, [fields(c) for c in configs])]
-    return finals[0] if single else finals
+    return [t.final for t in solve_renormalised(configs, [fields(c) for c in configs])]
 
 
 def ensemble_hopf_cole(config: SimConfig, n_members: int,

@@ -223,30 +223,23 @@ def homogeneity(tau: Symbol) -> LabelValue:
     return tau.hom
 
 
-def _hom_value(tau: Symbol, kappa_bar: Fraction) -> Fraction:
-    return homogeneity(tau).eval_at(kappa_bar)
+def _hom_value(tau: Symbol) -> Fraction:
+    return homogeneity(tau).eval_at(KAPPA_BAR)
 
 
-def build_symbol_set(
-    kappa_bar: Fraction = KAPPA_BAR,
-    sigma: Fraction = Fraction(2),
-    max_rounds: int = 30,
-) -> list[tuple[Symbol, LabelValue]]:
-    """All symbols of homogeneity below ``sigma``, closed under the rules.
+def build_symbol_set() -> list[tuple[Symbol, LabelValue]]:
+    """All symbols of homogeneity below ``sigma = 2``, closed under the rules.
 
-    The closure rules: products of two derivative-sector symbols feed the
-    right-hand-side sector, which in turn feeds both integration maps.
-    Derivative-sector symbols are materialised slightly beyond ``sigma``
-    so that products with the most negative element cannot be missed.
+    Homogeneities are compared at ``KAPPA_BAR``.  The closure rules:
+    products of two derivative-sector symbols feed the right-hand-side
+    sector, which in turn feeds both integration maps.  Derivative-sector
+    symbols are materialised slightly beyond ``sigma`` so that products
+    with the most negative element cannot be missed.  Only finitely many
+    symbols lie below these bounds (the equation is subcritical), so the
+    closure stops after finitely many rounds.
     """
-    kappa_bar = Fraction(kappa_bar)
-    sigma = Fraction(sigma)
-    if not (0 < kappa_bar < Fraction(1, 2)):
-        raise ValueError("need 0 < kappa_bar < 1/2")
-    if sigma <= Fraction(3, 2) + kappa_bar:
-        raise ValueError("sigma must exceed 3/2 + kappa_bar")
-
-    psi_hom = -Fraction(1, 2) - kappa_bar
+    sigma = Fraction(2)
+    psi_hom = -Fraction(1, 2) - KAPPA_BAR
     up_bound = sigma - psi_hom  # products with Psi may still land below sigma
 
     def polys_below(bound: Fraction) -> list[Symbol]:
@@ -264,8 +257,9 @@ def build_symbol_set(
     v_set: set[Symbol] = {XI}
     u_set: set[Symbol] = set(polys_below(sigma))
 
-    for _ in range(max_rounds):
-        ranked = [(a, _hom_value(a, kappa_bar)) for a in sorted(u_prime, key=Symbol.sort_key)]
+    grew = True
+    while grew:
+        ranked = [(a, _hom_value(a)) for a in sorted(u_prime, key=Symbol.sort_key)]
         new_v = {
             product(a, b)
             for (a, ha), (b, hb) in itertools.combinations_with_replacement(ranked, 2)
@@ -277,27 +271,23 @@ def build_symbol_set(
         new_u = set()
         for tau in v_set:
             img = dinteg(tau)
-            if not img.is_zero() and _hom_value(img, kappa_bar) < up_bound:
+            if not img.is_zero() and _hom_value(img) < up_bound:
                 new_up.add(img)
             img = integ(tau)
-            if not img.is_zero() and _hom_value(img, kappa_bar) < sigma:
+            if not img.is_zero() and _hom_value(img) < sigma:
                 new_u.add(img)
         grew = grew or (new_up - u_prime) or (new_u - u_set)
         u_prime |= new_up
         u_set |= new_u
-        if not grew:
-            break
-    else:
-        raise RuntimeError("symbol closure did not stabilise; check parameters")
 
     everything = {
         tau
         for tau in (u_set | u_prime | v_set)
-        if _hom_value(tau, kappa_bar) < sigma
+        if _hom_value(tau) < sigma
     }
     return sorted(
         ((tau, homogeneity(tau)) for tau in everything),
-        key=lambda pair: (pair[1].eval_at(kappa_bar), str(pair[0])),
+        key=lambda pair: (pair[1].eval_at(KAPPA_BAR), str(pair[0])),
     )
 
 
@@ -390,27 +380,24 @@ def _apply_sum_of_generators(ell: RenormMap, combo: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def apply_renorm_map(ell: RenormMap, combo: dict, max_order: int = 6) -> dict:
+def apply_renorm_map(ell: RenormMap, combo: dict) -> dict:
     """``exp(-sum ell_i L_i)`` on a linear combination of symbols.
 
-    The generator sum is nilpotent on the symbols used here, so the
-    exponential series terminates; ``max_order`` only guards against
-    misuse.
+    Every generator removes noises from a symbol, so the generator sum is
+    nilpotent and the exponential series terminates.
     """
     total: dict[Symbol, object] = dict(combo)
-    current = dict(combo)
+    current = _apply_sum_of_generators(ell, combo)
     sign = 1
     factorial = 1
-    for order in range(1, max_order + 1):
-        current = _apply_sum_of_generators(ell, current)
-        if not current:
-            break
+    order = 0
+    while current:
+        order += 1
         sign = -sign
         factorial *= order
         for sym, c in current.items():
             total[sym] = total.get(sym, 0) + sign * c / factorial
-    else:
-        raise RuntimeError("generator action did not terminate")
+        current = _apply_sum_of_generators(ell, current)
     return {k: v for k, v in total.items() if v != 0}
 
 

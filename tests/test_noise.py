@@ -55,7 +55,7 @@ def test_gauss_legendre_rule_is_cached_and_read_only(n, a, b):
 
 class TestModel:
     def test_normalisation(self):
-        model = default_even_model(mu=2.0)
+        model = PoissonNoiseModel(default_even_model().terms, mu=2.0)
         # integral of the covariance must be exactly one:
         # mu E[a^2] (int phi)^2 = 1
         assert model.mu * model.mark_moment(2) * model.int_phi ** 2 == \
@@ -357,21 +357,23 @@ class TestInterpolate:
         for j, Wv in enumerate(w.windows):
             tol = 1e-12 * np.abs(Wv).max()
             s, y = np.meshgrid(w.s_grid, w.y_grid, indexing="ij")
-            assert np.allclose(w.interpolate(j, s, y), Wv, rtol=0, atol=tol)
+            assert np.allclose(w.interpolate([j], s, y)[..., 0], Wv, rtol=0, atol=tol)
             # cell midpoints: the mean of the four corners
             s_mid, y_mid = np.meshgrid(w.s_grid[:-1] + w.ds / 2, w.y_grid[:-1] + w.dy / 2,
                                        indexing="ij")
             corners = (Wv[:-1, :-1] + Wv[1:, :-1] + Wv[:-1, 1:] + Wv[1:, 1:]) / 4
-            assert np.allclose(w.interpolate(j, s_mid, y_mid), corners, rtol=0, atol=tol)
+            assert np.allclose(w.interpolate([j], s_mid, y_mid)[..., 0], corners,
+                               rtol=0, atol=tol)
             # across y = strip the last column is joined to the first
             y_seam = np.full(len(w.s_grid), w.strip - w.dy / 2)
             seam = (Wv[:, -1] + Wv[:, 0]) / 2
             for shift in (0.0, w.strip, -2 * w.strip):
-                assert np.allclose(w.interpolate(j, w.s_grid, y_seam + shift), seam,
-                                   rtol=0, atol=tol)
+                assert np.allclose(w.interpolate([j], w.s_grid, y_seam + shift)[..., 0],
+                                   seam, rtol=0, atol=tol)
             outside = np.array([w.s_grid[0] - 1e-9, w.s_grid[0] - 3.0,
                                 w.s_grid[-1] + 1e-9, w.s_grid[-1] + 3.0])
-            assert w.interpolate(j, outside, np.full(4, w.strip / 3)).tolist() == [0.0] * 4
+            assert w.interpolate([j], outside, np.full(4, w.strip / 3))[..., 0].tolist() \
+                == [0.0] * 4
 
     def test_column_by_row_matches_meshgrid_bit_for_bit(self, windows):
         w = windows
@@ -382,8 +384,8 @@ class TestInterpolate:
         outside = (s < w.s_grid[0]) | (s > w.s_grid[-1])
         assert outside.any() and (~outside).any()
         for j in range(2):
-            got = w.interpolate(j, s[:, None], y[None, :])
-            want = w.interpolate(j, s_mesh, y_mesh)
+            got = w.interpolate([j], s[:, None], y[None, :])[..., 0]
+            want = w.interpolate([j], s_mesh, y_mesh)[..., 0]
             assert np.array_equal(got, want)
             assert np.all(got[outside] == 0.0) and np.any(got[~outside] != 0.0)
 
@@ -392,7 +394,7 @@ class TestInterpolate:
         s = rng.uniform(windows.s_grid[0] - 1.0, windows.s_grid[-1] + 1.0, 50_000)
         y = rng.uniform(-3 * windows.strip, 3 * windows.strip, 50_000)
         for j in range(2):
-            assert np.array_equal(windows.interpolate(j, s, y),
+            assert np.array_equal(windows.interpolate([j], s, y)[..., 0],
                                   fancy_index_interpolate(windows, j, s, y))
 
     def test_edges_of_both_grids_match_fancy_indexing_bit_for_bit(self, windows):
@@ -409,7 +411,7 @@ class TestInterpolate:
         # each y alone, so no other point decides whether the call wraps y
         for y in [np.full(len(s), y_edge) for y_edge in y_edges] + [np.resize(y_edges, len(s))]:
             for j in range(2):
-                got = w.interpolate(j, s, y)
+                got = w.interpolate([j], s, y)[..., 0]
                 assert np.array_equal(got, fancy_index_interpolate(w, j, s, y))
                 assert np.all(got[outside] == 0.0)
 
@@ -419,7 +421,7 @@ class TestInterpolate:
         y = np.linspace(-2.5 * w.strip, 2.5 * w.strip, 67)
         s_mesh, y_mesh = np.meshgrid(s, y, indexing="ij")
         for s_in, y_in in ((s_mesh, y_mesh), (s[:, None], y[None, :])):
-            single = [w.interpolate(j, s_in, y_in) for j in range(2)]
+            single = [w.interpolate([j], s_in, y_in)[..., 0] for j in range(2)]
             for js in ((0, 1), [1, 0], (1,)):
                 got = w.interpolate(js, s_in, y_in)
                 assert got.shape == (len(s), len(y), len(js))
@@ -468,7 +470,7 @@ class TestSamplePairings:
         offsets = np.cumsum(counts) - counts
         want = np.empty((n, 2))
         for j in range(2):
-            values = a * w.interpolate(j, s, y)
+            values = a * w.interpolate([j], s, y)[..., 0]
             mean = model.mu * model.mark_moment(1) * w.window_integral(j)
             want[:, j] = np.add.reduceat(values, offsets) - mean
         assert np.array_equal(got, want)
@@ -477,7 +479,11 @@ class TestSamplePairings:
         # the time bump alone: constant in x, so kappa_3 = mu E[a^3] int W^3 is not 0
         model = PoissonNoiseModel([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], mu=2.0, marks=TWO_MARKS)
         eps = 0.2
-        bump, _ = make_test_functions((0.02, 0.18), k=0)
+        eta_cos, _ = make_test_functions((0.02, 0.18))
+
+        def bump(t, x):  # eta_cos at x = 0, where its cosine is exactly 1
+            return eta_cos(t, np.zeros(np.shape(x)))
+
         w = PairingWindows(model, eps, [bump], (0.02, 0.18))
         draws = sample_pairings(model, eps, w, 10_000, seed=0)
         for n in (2, 3):

@@ -585,7 +585,10 @@ class TestContractedChecker:
         full = [G for G in iter_contractions(pair, 2) if len(G.classes) == 1][0]
         partial = ContractedGraph(source=pair, p=2, classes=(frozenset(
             slot for slot in full.classes[0] if slot != (2, "v2")),))
-        for G in (partial, ContractedGraph(source=pair, p=2, classes=())):
+        # as many slots as the template, but (1, v1) glued twice and (1, v2) never
+        overlapping = ContractedGraph(source=pair, p=2, classes=(
+            frozenset({(1, "v1"), (2, "v1")}), frozenset({(1, "v1"), (2, "v2")})))
+        for G in (partial, overlapping, ContractedGraph(source=pair, p=2, classes=())):
             with pytest.raises(KeyError):
                 G.edge_list()
             with pytest.raises(KeyError, match="do not glue every external"):
@@ -644,6 +647,12 @@ class TestAdmissibility:
         for H in (pair, chain):
             report = check_admissible(KPZAllocationRule(), H, p_max=3)
             assert report.verdict, [str(w.subset) for w in report.witnesses]
+
+    @pytest.mark.parametrize("p_max", [1, 0])
+    def test_p_max_below_two_rejected(self, pair, p_max):
+        # no p >= 2 is left, so there is no gluing to check
+        with pytest.raises(ValueError, match="p_max >= 2"):
+            check_admissible(KPZAllocationRule(), pair, p_max=p_max)
 
     def test_broken_rule_fails_subset_floor(self, pair):
         report = check_admissible(BrokenRule(), pair, p_max=3)

@@ -30,8 +30,14 @@ def small_config(**kw):
 
 
 def fields(model, config, seeds):
+    """One field per seed, drawn in the config's frame."""
     grid = sim.noise_grid_for(config)
-    return [sample_field(model, config.eps, grid, s, config.v_h) for s in seeds]
+    eps = config.eps
+    return [field_from_cloud(model, eps, grid,
+                             draw_cloud(model, np.random.default_rng(s), -model.t_reach,
+                                        grid.T / eps ** 2 + model.t_reach, 0.5 / eps),
+                             config.v_h)
+            for s in seeds]
 
 
 class TestBatches:
@@ -70,9 +76,9 @@ class TestBatches:
         batch = sim.solve_hopf_cole(config, [11, 12, 13])
         assert batch.final.shape == (3, config.n_x)
         for b, seed in enumerate((11, 12, 13)):
-            single = sim.solve_hopf_cole(config, seed)
-            assert single.final.shape == (config.n_x,)
-            assert np.array_equal(batch.final[b], single.final)
+            single = sim.solve_hopf_cole(config, [seed])
+            assert single.final.shape == (1, config.n_x)
+            assert np.array_equal(batch.final[b], single.final[0])
 
     def test_normal_blocks_do_not_change_the_draws(self, monkeypatch):
         config = small_config(lam=0.7)
@@ -89,7 +95,7 @@ class TestBatches:
         rng = np.random.default_rng(0)
         clouds = [draw_cloud(model, rng, -1.0, config.T / config.eps ** 2 + 1.0,
                              0.5 / config.eps) for _ in range(3)]
-        by_cloud = sim.ensemble_renormalised(model, config, clouds)
+        (by_cloud,) = sim.ensemble_renormalised(model, [config], clouds)
         assert by_cloud.shape == (3, config.n_x)
         for m in range(3):
             noise = field_from_cloud(model, config.eps, grid, clouds[m], config.v_h)
@@ -99,7 +105,7 @@ class TestBatches:
         for m in range(2):
             seed = int(np.random.SeedSequence([9, 7, m]).generate_state(1)[0])
             assert np.array_equal(reference[m],
-                                  sim.solve_hopf_cole(config, seed).final)
+                                  sim.solve_hopf_cole(config, [seed]).final[0])
 
     def test_mismatched_or_empty_batches_rejected(self):
         model = default_even_model()
@@ -110,7 +116,7 @@ class TestBatches:
         with pytest.raises(ValueError, match="empty"):
             sim.solve_hopf_cole(config, [])
         with pytest.raises(ValueError, match="empty"):
-            sim.ensemble_renormalised(model, config, [])
+            sim.ensemble_renormalised(model, [config], [])
         grid = sim.noise_grid_for(config)
         finer = sample_field(model, config.eps, GridSpec(grid.T, grid.nt, 2 * grid.nx), 3)
         with pytest.raises(ValueError, match="different noise grids"):
@@ -149,7 +155,8 @@ class TestBatches:
         by_cloud = sim.ensemble_renormalised(model, configs, clouds)
         for config, cloud_run in zip(configs, by_cloud):
             assert cloud_run.shape == (3, config.n_x)
-            assert np.array_equal(cloud_run, sim.ensemble_renormalised(model, config, clouds))
+            assert np.array_equal(cloud_run,
+                                  sim.ensemble_renormalised(model, [config], clouds)[0])
 
     def test_config_batch_needs_one_grid_and_horizon(self):
         model = default_even_model()
@@ -178,10 +185,10 @@ class TestFailures:
 
     def test_one_non_positive_member_fails_the_batch(self):
         config = sim.SimConfig(lam=2.0, eps=0.2, n_x=16, T=0.05)
-        sim.solve_hopf_cole(config, 0)
-        sim.solve_hopf_cole(config, 2)
+        sim.solve_hopf_cole(config, [0])
+        sim.solve_hopf_cole(config, [2])
         with pytest.raises(sim.PositivityError) as alone:
-            sim.solve_hopf_cole(config, 1)
+            sim.solve_hopf_cole(config, [1])
         with pytest.raises(sim.PositivityError) as batch:
             sim.solve_hopf_cole(config, [0, 1, 2])
         assert batch.value.time == alone.value.time
@@ -222,10 +229,10 @@ class TestExactBehaviour:
         gaps = []
         for lam in (0.2, 0.1, 0.05):
             config = sim.SimConfig(lam=lam, eps=0.2, n_x=32, T=0.05)
-            hc = sim.solve_hopf_cole(config, 21).final
-            add = sim.solve_additive(config, 21).final
+            hc = sim.solve_hopf_cole(config, [21]).final
+            add = sim.solve_additive(config, [21]).final
             gaps.append(np.sqrt(np.mean((hc - add) ** 2)))
-        scale = np.sqrt(np.mean(sim.solve_additive(config, 21).final ** 2))
+        scale = np.sqrt(np.mean(sim.solve_additive(config, [21]).final ** 2))
         assert gaps[0] < 0.2 * scale
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 1.7 < coarse / fine < 2.3
@@ -296,11 +303,11 @@ class TestNoiseSplit:
         PoissonNoiseModel([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], mu=2.0,
                           marks=((0.3, -1.0), (0.7, 2.0))),
     ])
-    @pytest.mark.parametrize("v_h", [0.0, 0.4])
+    @pytest.mark.parametrize("v_h", [0.0])  # sample_field draws in the rest frame
     def test_sample_field_is_draw_then_evaluate(self, model, v_h):
         eps = 0.2
         grid = sim.noise_grid_for(small_config(eps=eps))
-        sample = sample_field(model, eps, grid, 17, v_h)
+        sample = sample_field(model, eps, grid, 17)
         rng = np.random.default_rng(np.random.SeedSequence([17, 0xF1E1D]))
         cloud = draw_cloud(model, rng, -model.t_reach,
                            grid.T / eps ** 2 + model.t_reach, 0.5 / eps)

@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from kpzlab import sim
 from kpzlab.graphs import LabelValue
 from kpzlab.symbols import (
@@ -105,10 +103,6 @@ class TestSymbolSet:
         symbols = {tau for tau, _ in build_symbol_set()}
         assert ONE in symbols
         assert poly(0, 1) in symbols
-
-    def test_sigma_guard(self):
-        with pytest.raises(ValueError):
-            build_symbol_set(sigma=Fraction(3, 2))
 
     def test_homs_reported_consistently(self):
         # homogeneity() reads the value each symbol stored when it was
