@@ -205,21 +205,22 @@ class TruncatedKernel:
         return a * b * c, (da * b + a * db) * c * drho_dx
 
     def _shape_eval(self, t, x, dx=0):
-        """The annulus shape (or its x-derivative), zero off its box.
+        """The annulus shape (or, with ``dx=1``, its x-derivative), zero off its box.
 
-        A sorted tensor grid (see ``_is_tensor_grid``) is evaluated on its
-        in-box block with separable B-spline bases.  Every other input is
-        evaluated point by point, on the points inside the box only.
+        The shape itself on a sorted tensor grid (see ``_is_tensor_grid``)
+        is evaluated on its in-box block with separable B-spline bases.
+        Every other input, and every derivative, is evaluated point by
+        point, on the points inside the box only.
         """
         shape = np.broadcast(t, x).shape
-        if _is_tensor_grid(t, x):
+        if not dx and _is_tensor_grid(t, x):
             out = np.zeros(shape)
             tc, xr = t[:, 0], x[0]
             i0, i1 = np.searchsorted(tc, 0.0), np.searchsorted(tc, SHAPE_BOX, "right")
             j0 = np.searchsorted(xr, -SHAPE_BOX)
             j1 = np.searchsorted(xr, SHAPE_BOX, "right")
             if i0 < i1 and j0 < j1:
-                out[i0:i1, j0:j1] = self.shape(tc[i0:i1], xr[j0:j1], dy=dx)
+                out[i0:i1, j0:j1] = self.shape(tc[i0:i1], xr[j0:j1])
             return out
         tt, xx = (a.ravel() for a in np.broadcast_arrays(t, x))
         inside = np.flatnonzero((tt >= 0) & (tt <= SHAPE_BOX) & (np.abs(xx) <= SHAPE_BOX))
@@ -239,8 +240,10 @@ class TruncatedKernel:
         return total * self.mask(t, x)
 
     def correction_dx(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
+        """The correction's x-derivative, point by point (``dx`` passes flat points)."""
+        shape = np.broadcast(t, x).shape
+        t, x = (a.ravel() for a in np.broadcast_arrays(np.asarray(t, dtype=float),
+                                                       np.asarray(x, dtype=float)))
         poly = self._shape_eval(t, x)
         poly_dx = self._shape_eval(t, x, dx=1)
         for coeff, (p, q) in zip(self.corrections, TOUCH_UP_POWERS):
@@ -249,7 +252,7 @@ class TruncatedKernel:
                 if q:
                     poly_dx = poly_dx + coeff * 2 * q * t ** p * x ** (2 * q - 1)
         mask, mask_dx = self._mask_and_dx(t, x)
-        return poly_dx * mask + poly * mask_dx
+        return (poly_dx * mask + poly * mask_dx).reshape(shape)
 
     def value(self, t, x):
         rho = parabolic_norm(t, x)

@@ -23,6 +23,7 @@ raises ``cumulants.SizeLimitError`` before anything is built.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,9 +87,14 @@ class KPZAllocationRule:
         """Per-edge value for each neighbour group of an ex-vertex.
 
         ``multiplicities[i]`` is the number of parallel edges to the i-th
-        distinct neighbour; the return value is parallel to it.
+        distinct neighbour; the return value is parallel to it.  The values
+        depend on the tuple alone and are computed once per tuple.
         """
-        mults = tuple(multiplicities)
+        return self._values(tuple(multiplicities))
+
+    @staticmethod
+    @functools.cache
+    def _values(mults: tuple[int, ...]) -> tuple[Fraction, ...]:
         deg = sum(mults)
         if deg < 2:
             raise UnsupportedConfigurationError("glued vertices have degree >= 2")

@@ -13,10 +13,17 @@ solver also takes several configurations that share ``n_x`` and ``T``
 (noise scales, couplings, counterterms), each with its own batch of
 fields, and integrates them all in one step loop.
 
+At ``dt = dx^2/4`` a solve is thousands of small steps, so both loops make
+few NumPy calls per step: the heights sit in a ``(B, n_x + 2)`` array with
+halo columns, so neighbours are slices, coefficients are folded into
+member columns and buffers are preallocated.  Every operation is
+elementwise or acts row by row, so a member's result does not depend on
+its batch (see ``_solve_forced`` for why there is no matmul).
+
 The comparison machinery is distributional: ensemble statistics (mean and
 variance profiles, two-point covariance, a one-point empirical law) with
-bootstrap errors, and the scale-convergence study that drives them across
-a list of noise scales.
+bootstrap errors computed for all resamples at once, and the
+scale-convergence study that drives them across a list of noise scales.
 """
 
 from __future__ import annotations
@@ -48,6 +55,8 @@ __all__ = [
 BLOWUP_THRESHOLD = 1e6
 #: Byte budget of one block of Hopf-Cole normals, shared by all members.
 NORMAL_BLOCK_BYTES = 1 << 20
+#: Byte budget of one block of resampled ensembles in the bootstrap.
+BOOTSTRAP_BLOCK_BYTES = 1 << 20
 
 
 class BlowupError(RuntimeError):
@@ -145,12 +154,6 @@ def _implicit_multiplier(n_x: int, dt: float) -> np.ndarray:
     return 1.0 / (1.0 - dt * lap)
 
 
-def _neighbours(n_x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of each cell's right and left neighbour on the circle."""
-    cells = np.arange(n_x)
-    return (cells + 1) % n_x, (cells - 1) % n_x
-
-
 def _coarse_noise(sample: FieldSample, config: SimConfig) -> np.ndarray:
     """Cell-average the noise rows onto the solver grid."""
     if (abs(sample.grid.T - config.T) > 1e-12 or sample.eps != config.eps
@@ -177,36 +180,70 @@ def _solve_forced(
     ``lam``, ``v_h`` and ``v_v`` are ``(B, 1)`` member columns, and
     ``config`` supplies only the grid and the step.  Each group is
     ``(coarse, dt_noise)`` with ``coarse`` of shape ``(rows, B_g, n_x)``;
-    it forces the next B_g members, at time t by its row ``t // dt_noise``.
-    Every operation acts along the last axis, so each member is integrated
-    exactly as it would be alone.
+    it forces the next B_g members, at step ``s`` by its row
+    ``min(int(s * dt / dt_noise), rows - 1)``.
+
+    The heights live in the interior of a ``(B, n_x + 2)`` array whose two
+    halo columns are refreshed from the opposite ends each step.  The
+    centred difference ``d = h[i+1] - h[i-1]`` is then one subtraction over
+    the flattened array, and with the constants folded into member columns
+    ``a = dt lam / (4 dx^2)`` and ``b = dt v_h / (2 dx)`` a step forms
+    ``rhs = h + d (a d - b) + drive`` in full-width buffers (their halo
+    columns hold unused values) before the implicit multiplier is applied
+    in Fourier space.  The drive ``dt (force - v_v)`` is formed again only
+    at the steps where some group's row changes, found before the loop.
+    A step is about ten NumPy calls on preallocated buffers, the rfft,
+    multiply and irfft among them, and the two transforms are about two
+    thirds of its time.  Every operation acts elementwise or row by row,
+    so each member is integrated bit for bit as it would be alone; a dense
+    circulant matmul would be faster, but BLAS gives rows that change with
+    the batch size.
     """
     n_x = config.n_x
     dx = 1.0 / n_x
     dt = config.step
+    n_steps = config.n_steps
     mult = _implicit_multiplier(n_x, dt)
-    right, left = _neighbours(n_x)
-    h = h0
-    force = np.empty_like(h0)
+    a = dt * lam / (4.0 * dx * dx)
+    b = dt * v_h / (2.0 * dx)
+    steps = np.arange(n_steps)
+    schedule = [np.minimum((steps * dt / dt_noise).astype(np.int64), len(coarse) - 1)
+                for coarse, dt_noise in groups]
+    changed = np.zeros(n_steps, dtype=bool)
+    changed[0] = True
+    for rows in schedule:
+        changed[1:] |= rows[1:] != rows[:-1]
+    targets = np.cumsum([0] + [coarse.shape[1] for coarse, _ in groups])
+    padded = np.empty((len(h0), n_x + 2))
+    h = padded[:, 1:-1]
+    h[:] = h0
+    d = np.zeros_like(padded)  # full width: its halo columns are never read back
+    rhs, drive = np.empty_like(padded), np.zeros_like(padded)
+    # flat slices: d[:, 1:-1] = padded[:, 2:] - padded[:, :-2] in one call
+    flat, d_flat = padded.reshape(-1), d.reshape(-1)[1:-1]
     spectrum = np.empty((len(h0), n_x // 2 + 1), dtype=complex)
-    targets = np.split(force, np.cumsum([coarse.shape[1] for coarse, _ in groups])[:-1])
-    rows = [-1] * len(groups)
-    for step in range(config.n_steps):
-        t = step * dt
-        for g, (coarse, dt_noise) in enumerate(groups):
-            row = min(int(t / dt_noise), len(coarse) - 1)
-            if row != rows[g]:  # copy a group's row only when its slice changes
-                targets[g][:] = coarse[row]
-                rows[g] = row
-        grad = (h.take(right, axis=-1) - h.take(left, axis=-1)) / (2.0 * dx)
-        rhs = h + dt * (lam * grad ** 2 - v_h * grad - v_v + force)
-        np.multiply(np.fft.rfft(rhs, axis=-1, out=spectrum), mult, out=spectrum)
-        h = np.fft.irfft(spectrum, n=n_x, axis=-1)
+    for step, new_row in enumerate(changed.tolist()):
+        if new_row:
+            for (coarse, _), rows, lo, hi in zip(groups, schedule, targets, targets[1:]):
+                drive[lo:hi, 1:-1] = coarse[rows[step]]
+            drive[:, 1:-1] -= v_v
+            drive *= dt
+        padded[:, 0] = padded[:, n_x]
+        padded[:, -1] = padded[:, 1]
+        np.subtract(flat[2:], flat[:-2], out=d_flat)
+        np.multiply(a, d, out=rhs)
+        rhs -= b
+        rhs *= d
+        rhs += padded
+        rhs += drive
+        np.fft.rfft(rhs[:, 1:-1], axis=-1, out=spectrum)
+        spectrum *= mult
+        np.fft.irfft(spectrum, n=n_x, axis=-1, out=h)
         if step % 256 == 0 and np.max(np.abs(h)) > BLOWUP_THRESHOLD:
-            raise BlowupError(t)
+            raise BlowupError(step * dt)
     if np.max(np.abs(h)) > BLOWUP_THRESHOLD:
         raise BlowupError(config.T)
-    return h
+    return h.copy()
 
 
 def _forcing_group(config: SimConfig, noise, h0: np.ndarray):
@@ -276,11 +313,13 @@ def solve_renormalised(
     return out[0] if single else out
 
 
-def _normal_rows(seeds, n_x: int, n_steps: int):
-    """Per-step ``(B, n_x)`` standard normals, one stream per member seed.
+def _normal_rows(seeds, n_x: int, n_steps: int, scale: float, offset: float):
+    """Per-step ``(B, n_x)`` rows of ``offset + scale * xi``, ``xi`` standard normal.
 
-    Each stream fills a block of k rows at once, which yields the same
-    numbers as k separate ``(n_x,)`` draws.
+    One stream per member seed.  Each stream fills a block of k rows at
+    once, which yields the same numbers as k separate ``(n_x,)`` draws, and
+    the block is scaled and shifted elementwise, so the rows do not depend
+    on k.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xADD])) for s in seeds]
     k = max(1, NORMAL_BLOCK_BYTES // (8 * len(rngs) * n_x))
@@ -289,6 +328,8 @@ def _normal_rows(seeds, n_x: int, n_steps: int):
         rows = min(k, n_steps - start)
         for rng, out in zip(rngs, block):
             rng.standard_normal(out=out[:rows])
+        block *= scale
+        block += offset
         for j in range(rows):
             yield block[:, j]
 
@@ -297,26 +338,41 @@ def _explicit_steps(config: SimConfig, seeds: Sequence[int], lam: float) -> np.n
     """Explicit Ito steps of ``dz = z'' dt + c amp xi``; ``(len(seeds), n_x)`` at ``T``.
 
     ``c = lam z`` from ``z = 1`` (the exponentiated height), or ``c = 1``
-    from ``z = 0`` when ``lam`` is 0 (the additive height).  For ``lam != 0``
-    positivity of ``z`` is asserted at every step.
+    from ``z = 0`` when ``lam`` is 0 (the additive height).  With
+    ``c2 = dt / dx^2`` a step is ``z <- c2 (z_r + z_l) + z (1 - 2 c2 + lam amp xi)``,
+    or ``z <- c2 (z_r + z_l) + (1 - 2 c2) z + amp xi`` at ``lam = 0``; the
+    noise rows arrive already scaled and shifted, and the neighbours come
+    from a ``(B, n_x + 2)`` array with refreshed halo columns.  A step is
+    about eight NumPy calls.  For ``lam != 0`` positivity of ``z`` is
+    asserted at every step.
     """
     if not len(seeds):
         raise ValueError("empty batch")
     n_x = config.n_x
     dx = 1.0 / n_x
     dt = config.step
-    right, left = _neighbours(n_x)
+    c2 = dt / (dx * dx)
+    keep = 1.0 - 2.0 * c2
     amp = math.sqrt(dt / dx)
-    z = np.full((len(seeds), n_x), 1.0 if lam else 0.0)
-    for step, xi in enumerate(_normal_rows(seeds, n_x, config.n_steps)):
-        lap = (z.take(right, axis=1) - 2 * z + z.take(left, axis=1)) / (dx * dx)
-        if not lam:
-            z = z + dt * lap + amp * xi
+    padded = np.full((len(seeds), n_x + 2), 1.0 if lam else 0.0)
+    z = padded[:, 1:-1]
+    near, own = np.empty_like(z), np.empty_like(z)
+    rows = (_normal_rows(seeds, n_x, config.n_steps, lam * amp, keep) if lam
+            else _normal_rows(seeds, n_x, config.n_steps, amp, 0.0))
+    for step, xi in enumerate(rows):
+        padded[:, 0] = padded[:, n_x]
+        padded[:, -1] = padded[:, 1]
+        np.add(padded[:, 2:], padded[:, :-2], out=near)
+        near *= c2
+        if lam:
+            np.multiply(z, xi, out=own)
         else:
-            z = z + dt * lap + lam * z * amp * xi
-            if z.min() <= 0.0:
-                raise PositivityError(step * dt)
-    return z
+            np.multiply(z, keep, out=own)
+            own += xi
+        np.add(near, own, out=z)
+        if lam and z.min() <= 0.0:
+            raise PositivityError(step * dt)
+    return z.copy()
 
 
 def solve_additive(config: SimConfig, seeds: Sequence[int]) -> Trajectory:
@@ -379,16 +435,36 @@ def ensemble_hopf_cole(config: SimConfig, n_members: int,
 # ---------------------------------------------------------------------------
 
 def _profile_stats(ensemble: np.ndarray) -> dict:
-    mean = ensemble.mean(axis=0)
-    var = ensemble.var(axis=0, ddof=1)
-    centred = ensemble - mean[None, :]
-    n_x = ensemble.shape[1]
-    # cov[r] averages c[i] * c[i - r] over members and cells (np.roll by r):
-    # a sum along the r-th circular diagonal of the cell-by-cell Gram matrix
-    cells = np.arange(n_x)
-    shifts = (cells[None, :] - cells[:n_x // 2, None]) % n_x
-    cov = (centred.T @ centred)[cells, shifts].sum(axis=1) / centred.size
-    return {"mean": mean, "var": var, "cov": cov, "point": ensemble[:, 0]}
+    """Statistics of ``(..., m, n_x)`` ensembles, keeping the leading axes.
+
+    ``cov[r]`` averages ``c[i] c[i - r]`` over members and cells for the
+    centred members ``c``: the circular autocorrelation, read from the
+    summed power spectrum.
+    """
+    mean = ensemble.mean(axis=-2)
+    var = ensemble.var(axis=-2, ddof=1)
+    centred = ensemble - mean[..., None, :]
+    m, n_x = ensemble.shape[-2:]
+    power = (np.abs(np.fft.rfft(centred, axis=-1)) ** 2).sum(axis=-2)
+    cov = np.fft.irfft(power, n=n_x, axis=-1)[..., :n_x // 2] / (m * n_x)
+    return {"mean": mean, "var": var, "cov": cov, "point": ensemble[..., 0]}
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> dict:
+    """Distances between the statistics of ``(..., m, n_x)`` ensembles ``a`` and ``b``."""
+    sa, sb = _profile_stats(a), _profile_stats(b)
+
+    def rms(key):
+        return np.sqrt(np.mean((sa[key] - sb[key]) ** 2, axis=-1))
+
+    # empirical laws at cell 0, compared at every value either sample takes
+    pa, pb = sa["point"], sb["point"]
+    xs = np.concatenate([pa, pb], axis=-1)[..., :, None]
+    cdf_a = (pa[..., None, :] <= xs).mean(axis=-1)
+    cdf_b = (pb[..., None, :] <= xs).mean(axis=-1)
+    return {"mean_profile": rms("mean"), "variance_profile": rms("var"),
+            "two_point": rms("cov"),
+            "one_point_ks": np.max(np.abs(cdf_a - cdf_b), axis=-1)}
 
 
 def compare_statistics(
@@ -401,32 +477,31 @@ def compare_statistics(
 
     Observables: mean profile, variance profile, two-point covariance
     (RMS distances over space) and the Kolmogorov distance of the height
-    law at a fixed point.
+    law at a fixed point.  Both ensembles need two members or more and
+    the bootstrap two resamples or more, or no stderr exists.
+
+    The resample indices are drawn one resample at a time, ``a`` then
+    ``b``, and every resample's statistics are computed at once on
+    ``(R, m, n_x)`` stacks, R resamples per block of at most
+    ``BOOTSTRAP_BLOCK_BYTES``.
     """
     if ensemble_a.shape[1] != ensemble_b.shape[1]:
         raise ValueError("ensembles live on different grids")
-
-    def distances(a, b):
-        sa, sb = _profile_stats(a), _profile_stats(b)
-        out = {
-            "mean_profile": float(np.sqrt(np.mean((sa["mean"] - sb["mean"]) ** 2))),
-            "variance_profile": float(np.sqrt(np.mean((sa["var"] - sb["var"]) ** 2))),
-            "two_point": float(np.sqrt(np.mean((sa["cov"] - sb["cov"]) ** 2))),
-        }
-        xs = np.sort(np.concatenate([sa["point"], sb["point"]]))
-        cdf_a = np.searchsorted(np.sort(sa["point"]), xs, side="right") / len(sa["point"])
-        cdf_b = np.searchsorted(np.sort(sb["point"]), xs, side="right") / len(sb["point"])
-        out["one_point_ks"] = float(np.max(np.abs(cdf_a - cdf_b)))
-        return out
-
-    base = distances(ensemble_a, ensemble_b)
+    na, nb = len(ensemble_a), len(ensemble_b)
+    if min(na, nb) < 2 or n_bootstrap < 2:
+        raise ValueError(f"want two or more members and resamples, got {na} and "
+                         f"{nb} members and {n_bootstrap} resamples")
+    base = {k: float(v) for k, v in _distances(ensemble_a, ensemble_b).items()}
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
-    boots: dict[str, list] = {k: [] for k in base}
-    for _ in range(n_bootstrap):
-        ia = rng.integers(0, len(ensemble_a), len(ensemble_a))
-        ib = rng.integers(0, len(ensemble_b), len(ensemble_b))
-        for k, v in distances(ensemble_a[ia], ensemble_b[ib]).items():
-            boots[k].append(v)
+    ia = np.empty((n_bootstrap, na), dtype=np.int64)
+    ib = np.empty((n_bootstrap, nb), dtype=np.int64)
+    for r in range(n_bootstrap):
+        ia[r] = rng.integers(0, na, na)
+        ib[r] = rng.integers(0, nb, nb)
+    per_block = max(1, BOOTSTRAP_BLOCK_BYTES // (8 * (na + nb) * ensemble_a.shape[1]))
+    blocks = [_distances(ensemble_a[ia[lo:lo + per_block]], ensemble_b[ib[lo:lo + per_block]])
+              for lo in range(0, n_bootstrap, per_block)]
+    boots = {k: np.concatenate([blk[k] for blk in blocks]) for k in base}
     return {
         "distances": base,
         "bootstrap_stderr": {k: float(np.std(v, ddof=1)) for k, v in boots.items()},

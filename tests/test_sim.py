@@ -40,6 +40,75 @@ def fields(model, config, seeds):
             for s in seeds]
 
 
+def stepped_renormalised(config, samples, h0):
+    """The renormalised step as first written: neighbours by ``take``, fresh
+    temporaries every step and the forcing row looked up at every step."""
+    n_x, dt = config.n_x, config.step
+    dx = 1.0 / n_x
+    mult = sim._implicit_multiplier(n_x, dt)
+    coarse = np.stack([sim._coarse_noise(s, config) for s in samples], axis=1)
+    dt_noise = samples[0].grid.dt
+    cells = np.arange(n_x)
+    right, left = (cells + 1) % n_x, (cells - 1) % n_x
+    h = np.broadcast_to(h0, (len(samples), n_x))
+    for step in range(config.n_steps):
+        force = coarse[min(int(step * dt / dt_noise), len(coarse) - 1)]
+        grad = (h.take(right, axis=-1) - h.take(left, axis=-1)) / (2.0 * dx)
+        rhs = h + dt * (config.lam * grad ** 2 - config.v_h * grad - config.v_v + force)
+        h = np.fft.irfft(np.fft.rfft(rhs, axis=-1) * mult, n=n_x, axis=-1)
+    return h
+
+
+def stepped_hopf_cole(config, seeds):
+    """The explicit Ito step as first written, one ``(n_x,)`` normal draw
+    per member and step from the member's own stream."""
+    n_x, dt, lam = config.n_x, config.step, config.lam
+    dx = 1.0 / n_x
+    amp = math.sqrt(dt / dx)
+    rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xADD])) for s in seeds]
+    cells = np.arange(n_x)
+    right, left = (cells + 1) % n_x, (cells - 1) % n_x
+    z = np.full((len(seeds), n_x), 1.0 if lam else 0.0)
+    for _ in range(config.n_steps):
+        xi = np.stack([rng.standard_normal(n_x) for rng in rngs])
+        lap = (z.take(right, axis=1) - 2 * z + z.take(left, axis=1)) / (dx * dx)
+        z = z + dt * lap + (lam * z * amp * xi if lam else amp * xi)
+    return np.log(z) / lam if lam else z
+
+
+def resampled_statistics(ensemble_a, ensemble_b, n_bootstrap, seed):
+    """``compare_statistics`` as first written: one resample at a time, the
+    two-point covariance summed along the diagonals of the Gram matrix."""
+    def stats(ensemble):
+        mean = ensemble.mean(axis=0)
+        centred = ensemble - mean
+        n_x = ensemble.shape[1]
+        cells = np.arange(n_x)
+        shifts = (cells[None, :] - cells[:n_x // 2, None]) % n_x
+        cov = (centred.T @ centred)[cells, shifts].sum(axis=1) / centred.size
+        return mean, ensemble.var(axis=0, ddof=1), cov, ensemble[:, 0]
+
+    def distances(a, b):
+        sa, sb = stats(a), stats(b)
+        out = dict(zip(("mean_profile", "variance_profile", "two_point"),
+                       (float(np.sqrt(np.mean((u - v) ** 2))) for u, v in zip(sa, sb))))
+        xs = np.sort(np.concatenate([sa[3], sb[3]]))
+        cdf_a = np.searchsorted(np.sort(sa[3]), xs, side="right") / len(a)
+        cdf_b = np.searchsorted(np.sort(sb[3]), xs, side="right") / len(b)
+        out["one_point_ks"] = float(np.max(np.abs(cdf_a - cdf_b)))
+        return out
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
+    boots = []
+    for _ in range(n_bootstrap):
+        ia = rng.integers(0, len(ensemble_a), len(ensemble_a))
+        ib = rng.integers(0, len(ensemble_b), len(ensemble_b))
+        boots.append(distances(ensemble_a[ia], ensemble_b[ib]))
+    return {"distances": distances(ensemble_a, ensemble_b),
+            "bootstrap_stderr": {k: float(np.std([b[k] for b in boots], ddof=1))
+                                 for k in boots[0]}}
+
+
 class TestBatches:
     def test_renormalised_batch_matches_single_solves(self):
         model = default_asymmetric_model()
@@ -172,6 +241,51 @@ class TestBatches:
             sim.solve_renormalised([], [])
 
 
+class TestAgainstSteppedOracles:
+    # the production loops reorder the same arithmetic, so they agree with
+    # the oracles to rounding: well inside this relative tolerance, and far
+    # from the 1e-3 a forcing row taken one step early or late would give
+    RTOL = 1e-10
+
+    def test_renormalised_matches_the_stepped_loop(self):
+        model = default_asymmetric_model()
+        configs = [small_config(eps=0.2, lam=0.8, ell=ELL, v_h=0.3),
+                   small_config(eps=0.1, lam=-1.3, ell=ELL, v_h=-0.2)]
+        x = np.arange(32) / 32
+        h0 = 0.1 * np.cos(2 * math.pi * x)
+        noises = [fields(model, configs[0], (1, 2, 3)), fields(model, configs[1], (4, 5))]
+        batch = sim.solve_renormalised(configs, noises, h0)
+        for config, samples, trajectory in zip(configs, noises, batch):
+            rows_per_step = samples[0].grid.dt / config.step
+            assert rows_per_step != round(rows_per_step)
+            want = stepped_renormalised(config, samples, h0)
+            scale = np.max(np.abs(want))
+            assert scale > 0.05
+            np.testing.assert_allclose(trajectory.final, want, rtol=0, atol=self.RTOL * scale)
+
+    @pytest.mark.parametrize("lam", [0.7, 0.0, -0.5])
+    def test_hopf_cole_matches_the_stepped_loop(self, lam):
+        config = small_config(lam=lam)
+        want = stepped_hopf_cole(config, [11, 12, 13])
+        got = sim.solve_hopf_cole(config, [11, 12, 13]).final
+        np.testing.assert_allclose(got, want, rtol=0, atol=self.RTOL * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("block_bytes", [1 << 20, 8 * (7 + 5) * 16 * 3])
+    def test_bootstrap_matches_the_resample_loop(self, monkeypatch, block_bytes):
+        # the small budget gives three resamples per block, the last one short
+        monkeypatch.setattr(sim, "BOOTSTRAP_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((7, 16)).cumsum(axis=1)
+        b = 1.3 * rng.standard_normal((5, 16)).cumsum(axis=1)
+        got = sim.compare_statistics(a, b, n_bootstrap=50, seed=4)
+        want = resampled_statistics(a, b, 50, 4)
+        for part in ("distances", "bootstrap_stderr"):
+            assert got[part].keys() == want[part].keys()
+            for key, value in want[part].items():
+                assert value > 0
+                assert abs(got[part][key] - value) <= self.RTOL * value, (part, key)
+
+
 class TestFailures:
     def test_one_blowing_member_fails_the_batch(self):
         model = default_even_model()
@@ -289,6 +403,15 @@ class TestStatistics:
                          for r in range(n_x // 2)])
         cov = sim._profile_stats(ensemble)["cov"]
         assert np.max(np.abs(cov - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+    @pytest.mark.parametrize("members,n_bootstrap", [((6, 1), 200), ((1, 6), 200),
+                                                     ((6, 6), 1), ((6, 6), 0)])
+    def test_too_few_members_or_resamples_rejected(self, members, n_bootstrap):
+        # the bootstrap stderr was NaN here, with a degrees-of-freedom warning
+        rng = np.random.default_rng(2)
+        a, b = (rng.standard_normal((m, 16)) for m in members)
+        with pytest.raises(ValueError, match="two or more"):
+            sim.compare_statistics(a, b, n_bootstrap=n_bootstrap)
 
     def test_identical_ensembles_have_zero_distance(self):
         ensemble = np.random.default_rng(3).standard_normal((6, 16))
