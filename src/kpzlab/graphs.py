@@ -40,7 +40,6 @@ __all__ = [
     "GraphParseError",
     "parse_partial_graph",
     "iter_contractions",
-    "edge_sets",
     "automorphisms",
     "canonical_key",
 ]
@@ -220,9 +219,6 @@ class PartialGraph:
 
     def incident(self, vertex: str) -> tuple[GraphEdge, ...]:
         return tuple(e for e in self.edges if e.touches(vertex))
-
-    def edge_list(self) -> tuple[GraphEdge, ...]:
-        return self.edges
 
     def label_sum(self) -> LabelValue:
         total = ZERO_LABEL
@@ -480,28 +476,6 @@ def iter_contractions(H: PartialGraph, p: int) -> Iterator[ContractedGraph]:
             classes.append(_GLUED_CLASSES.setdefault(cls, cls))
         gluing = _sorted_classes(classes)
         yield ContractedGraph(source=H, p=p, classes=_GLUINGS.setdefault(gluing, gluing))
-
-
-# ---------------------------------------------------------------------------
-# Edge subsets
-# ---------------------------------------------------------------------------
-
-def edge_sets(graph, S: Iterable[str]):
-    """``(E0, E)``: edges entirely inside ``S`` and edges meeting ``S``."""
-    subset = set(S)
-    known = set(graph.vertex_ids)
-    for v in subset:
-        if v not in known:
-            raise KeyError(f"unknown vertex {v!r}")
-    inside = []
-    meeting = []
-    for e in graph.edge_list():
-        ends = e.endpoints()
-        if ends & subset:
-            meeting.append(e)
-            if ends <= subset:
-                inside.append(e)
-    return tuple(inside), tuple(meeting)
 
 
 # ---------------------------------------------------------------------------

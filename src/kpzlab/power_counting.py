@@ -1,24 +1,23 @@
 """Scale allocation rules and the divergence/decay conditions on graphs.
 
-Two families of checks live here.  On a partial graph ``H`` the local
-condition bounds every subgraph's internal label weight (after the
-neighbour-count corrections ``c_e``) and the global condition bounds the
-label weight of every subgraph avoiding the star set from below.  On a
-contracted graph, the glued vertices first donate their collapse factor to
-incident edges through an allocation rule; the resulting labels ``a_e``
-must satisfy the same two kinds of inequalities subset by subset.
+On a partial graph ``H`` the local condition (A) bounds every subgraph's
+internal label weight, after the neighbour-count corrections ``c_e``, and
+the decay condition (B) bounds from below the label weight meeting every
+subgraph that avoids the star set.  On a contracted graph the glued
+vertices first donate their collapse factor to incident edges through an
+allocation rule, and the resulting labels ``a_e`` must satisfy the same
+two kinds of inequalities subset by subset.
 
-All verdicts are exact: label arithmetic is rational in ``q + r*delta``
-and subset scans on contracted graphs run on integer-scaled numpy arrays.
-``check_contracted`` reads what the contractions of one source graph at one
-``p`` share from a template built once per (source, p) and cached: the
-vertex layout, the internal edges of every copy merged into integer
-(q, r) sums at the common denominator of the source's labels, and each
-external slot's neighbour and integer label.  A call only groups the glued
-slots, applies the allocation rule, rescales to one denominator and scans.
-The cache holds no results.  A scan whose scaled weights could leave int64
-raises ``OverflowError``; one of more than ``SUBSET_WORK_CAP`` work items
-raises ``cumulants.SizeLimitError`` before anything is built.
+All four conditions run on one exact integer scan.  Labels ``q + r*delta``
+are scaled to a common denominator, one zeta transform of int64 rows gives
+the weight inside every vertex subset (bitmask), and the weight meeting a
+subset is the total less the weight inside its complement.  Weights that
+could leave int64 raise ``OverflowError``; a scan of more than
+``SUBSET_WORK_CAP`` work items raises ``cumulants.SizeLimitError`` before
+anything is built.  Conditions A and B report every failing subset, sorted
+by (size, names); ``check_contracted`` reports the smallest failing subset
+of each condition, and builds what the contractions of one source graph
+share once, into a cached template that holds no results.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .graphs import (
     LabelValue,
     PartialGraph,
     ZERO_LABEL,
-    edge_sets,
     iter_contractions,
 )
 
@@ -50,7 +48,6 @@ __all__ = [
     "allocation_assignment",
     "Witness",
     "ConditionReport",
-    "c_e_weights",
     "c_e_weight_value",
     "check_condition_A",
     "check_condition_B",
@@ -200,33 +197,101 @@ def c_e_weight_value(n_ext: int, same_neighbour: bool, contains_origin: bool) ->
     return S_DIM * Fraction(n_ext - 1, 2 * (n_ext + 1))
 
 
-def c_e_weights(H: PartialGraph, S: Iterable[str]) -> dict[int, Fraction]:
-    """Corrections ``c_e`` for the subset ``S``, keyed by edge index.
+# ---------------------------------------------------------------------------
+# Integer subset scans
+# ---------------------------------------------------------------------------
 
-    Nonzero only on external edges of the externals inside ``S``.
+def _check_scan_size(nv: int) -> None:
+    """Refuse a scan of more than ``SUBSET_WORK_CAP`` work items."""
+    if (1 << nv) * nv > SUBSET_WORK_CAP:
+        raise SizeLimitError(
+            f"subset scan on {nv} vertices exceeds the work cap {SUBSET_WORK_CAP}"
+        )
+
+
+def _check_int64(denom: int, *bounds: int) -> None:
+    """Raise ``OverflowError`` unless every scaled bound fits in int64."""
+    if max(bounds) > _INT64_MAX:
+        raise OverflowError(
+            f"labels scaled by their common denominator {denom} overflow int64"
+        )
+
+
+def _zeta_inside_sums(nv: int, bits: list[int], *rows: list[int]) -> np.ndarray:
+    """One row per input row: for every vertex subset (bitmask), the weight inside it.
+
+    ``bits[j]`` is the two-vertex mask of the j-th edge; no two edges share one.
     """
-    subset = set(S)
-    ext_in = [v for v in H.external_ids if v in subset]
-    out = {i: Fraction(0) for i in range(len(H.edges))}
-    if not ext_in:
-        return out
-    neighbours = {v: H.incident(v)[0].other(v) for v in ext_in}
-    n = len(ext_in)
-    same = n == 2 and len(set(neighbours.values())) == 1
-    value = c_e_weight_value(n, same, H.origin in subset)
-    for i, e in enumerate(H.edges):
-        if any(e.touches(v) for v in ext_in):
-            out[i] = value
+    out = np.zeros((len(rows), 1 << nv), dtype=np.int64)
+    out[:, bits] = rows
+    # subset-sum (zeta) transform of all rows at once: a row's length is a
+    # multiple of every block, so the blocks never straddle two rows
+    for bit in range(nv):
+        view = out.reshape(-1, 2, 1 << bit)
+        view[:, 1] += view[:, 0]
     return out
+
+
+def _witness(mask: int, names: Sequence[str], lhs_q: np.ndarray, lhs_r: np.ndarray,
+             rhs: np.ndarray, denom: int, condition: str) -> Witness:
+    """The failing subset ``mask``, its vertices in bit order, with both sides."""
+    return Witness(
+        tuple(name for i, name in enumerate(names) if mask >> i & 1),
+        LabelValue(Fraction(int(lhs_q[mask]), denom), Fraction(int(lhs_r[mask]), denom)),
+        LabelValue.coerce(Fraction(int(rhs[mask]), denom)),
+        condition,
+    )
+
+
+def _partial_sums(H: PartialGraph, values: Sequence[Fraction]):
+    """The integer subset scan of ``H``, shared by conditions A and B.
+
+    Vertex ``i`` is ``names[i]``, the names in sorted order, so a mask
+    lists its subset as a witness reports it.  Labels and ``values`` are
+    scaled to their common denominator ``denom``.  Returns ``names``,
+    ``denom``, the scaled values, every mask, and per mask its size, its
+    internals, its externals and (q, r, count) zeta rows: the label weight
+    inside it and the externals whose one edge lies inside it.  A scan of
+    more than ``SUBSET_WORK_CAP`` work items raises ``SizeLimitError``
+    before anything is built; unless the label sums less the largest value
+    once per external, and ``|s| * #vertices``, fit in int64 it raises
+    ``OverflowError``.
+    """
+    names = tuple(sorted(H.vertex_ids))
+    nv = len(names)
+    _check_scan_size(nv)
+    bit = {v: 1 << i for i, v in enumerate(names)}
+    kinds = H.kind_map
+    denom = lcm(*(x.denominator for e in H.edges for x in (e.label.q, e.label.r)),
+                *(x.denominator for x in values))
+    merged: dict[int, list[int]] = {}  # parallel edges share a mask
+    for e in H.edges:
+        sums = merged.setdefault(bit[e.u] | bit[e.v], [0, 0, 0])
+        sums[0] += int(e.label.q * denom)
+        sums[1] += int(e.label.r * denom)
+        sums[2] += "external" in (kinds[e.u], kinds[e.v])
+    scaled = [int(x * denom) for x in values]
+    qs, rs, kept = zip(*merged.values())
+    _check_int64(denom, sum(map(abs, qs)) + max(scaled) * len(H.external_ids),
+                 sum(map(abs, rs)), int(S_DIM * denom) * nv)
+    masks = np.arange(1 << nv, dtype=np.int64)
+    counts = [np.bitwise_count(masks & sum(bit[v] for v in vs)).astype(np.int64)
+              for vs in (names, H.internal_ids, H.external_ids)]
+    return names, denom, scaled, masks, *counts, *_zeta_inside_sums(nv, list(merged), qs, rs, kept)
 
 
 # ---------------------------------------------------------------------------
 # Conditions on a partial graph
 # ---------------------------------------------------------------------------
 
-def _subsets(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
+def _partial_report(H: PartialGraph, condition: str, bad: np.ndarray, names, lhs_q: np.ndarray,
+                    lhs_r: np.ndarray, rhs: np.ndarray, denom: int) -> ConditionReport:
+    """Every failing subset as a witness, sorted by (size, names)."""
+    witnesses = [_witness(int(m), names, lhs_q, lhs_r, rhs, denom, condition)
+                 for m in np.flatnonzero(bad)]
+    witnesses.sort(key=lambda w: (len(w.subset), w.subset))
+    return ConditionReport(H.name, condition, not witnesses, homogeneity_exponent(H),
+                           tuple(witnesses))
 
 
 def check_condition_A(H: PartialGraph) -> ConditionReport:
@@ -234,32 +299,34 @@ def check_condition_A(H: PartialGraph) -> ConditionReport:
 
     For every subset with at least two vertices and an internal vertex,
     the corrected internal label weight must stay strictly below
-    ``|s| * (#internal - [subset inside internal part])``.
+    ``|s| * (#internal - [subset inside internal part])``.  The correction
+    of a subset ``S`` is ``c_e_weight_value(#externals in S, same
+    neighbour, origin in S)`` on each external edge inside ``S``.
+
+    One integer zeta scan gives, for every subset at once, the label
+    weight inside it and the number of externals whose edge lies inside
+    it; the correction is that number times the subset's ``c_e`` value.
+    Every failing subset is a witness, its vertices sorted by name, and
+    the witnesses are sorted by (size, names).  A graph of more than
+    ``SUBSET_WORK_CAP`` work items raises ``SizeLimitError`` before the
+    scan, and labels whose scaled sums leave int64 raise ``OverflowError``.
     """
-    internals = set(H.internal_ids)
-    witnesses: list[Witness] = []
-    for subset in _subsets(H.vertex_ids):
-        sub = set(subset)
-        if len(sub) < 2 or not (sub & internals):
-            continue
-        inside, _ = edge_sets(H, sub)
-        ce = c_e_weights(H, sub)
-        index = {id(e): i for i, e in enumerate(H.edges)}
-        lhs = ZERO_LABEL
-        for e in inside:
-            lhs = lhs + e.label - ce[index[id(e)]]
-        n_in = len(sub & internals) - (1 if sub <= internals else 0)
-        rhs = LabelValue.coerce(S_DIM * n_in)
-        if not (lhs < rhs):
-            witnesses.append(Witness(tuple(sorted(sub)), lhs, rhs, "local-integrability"))
-    witnesses.sort(key=lambda w: (len(w.subset), w.subset))
-    return ConditionReport(
-        graph=H.name,
-        condition="local-integrability",
-        verdict=not witnesses,
-        exponent=homogeneity_exponent(H),
-        witnesses=tuple(witnesses),
-    )
+    n_ext = len(H.external_ids)
+    # every c_e case, at index n + (n_ext + 1) * (same + 2 * origin)
+    cases = [(n, same, origin) for origin in (False, True) for same in (False, True)
+             for n in range(n_ext + 1)]
+    names, denom, c_e, masks, sizes, n_in, n_ex, inside_q, inside_r, kept = \
+        _partial_sums(H, [c_e_weight_value(*case) for case in cases])
+    bit = {v: 1 << i for i, v in enumerate(names)}
+    neighbour = {v: H.incident(v)[0].other(v) for v in H.external_ids}
+    pairs = [bit[a] | bit[b] for a, b in itertools.combinations(H.external_ids, 2)
+             if neighbour[a] == neighbour[b]]
+    same = np.isin(masks & sum(bit[v] for v in H.external_ids), pairs)
+    origin = (masks & bit[H.origin]) != 0
+    lhs_q = inside_q - np.array(c_e)[n_ex + (n_ext + 1) * (same + 2 * origin)] * kept
+    rhs = int(S_DIM * denom) * (n_in - (n_in == sizes))
+    bad = (sizes >= 2) & (n_in > 0) & ((lhs_q > rhs) | ((lhs_q == rhs) & (inside_r >= 0)))
+    return _partial_report(H, "local-integrability", bad, names, lhs_q, inside_r, rhs, denom)
 
 
 def check_condition_B(H: PartialGraph) -> ConditionReport:
@@ -268,32 +335,22 @@ def check_condition_B(H: PartialGraph) -> ConditionReport:
     Every non-empty subset of ``H`` minus the origin and star vertex must
     meet edges of total label weight strictly above
     ``|s| * (#internal + #external / 2)``.
+
+    One integer zeta scan gives every subset's inside weight; the weight
+    meeting a subset is the total less the weight inside its complement.
+    Witnesses, size cap and int64 guard are those of ``check_condition_A``.
     """
-    internals = set(H.internal_ids)
-    externals = set(H.external_ids)
-    allowed = [v for v in H.vertex_ids if v not in (H.origin, H.star)]
-    witnesses: list[Witness] = []
-    for subset in _subsets(allowed):
-        if not subset:
-            continue
-        sub = set(subset)
-        _, meeting = edge_sets(H, sub)
-        lhs = ZERO_LABEL
-        for e in meeting:
-            lhs = lhs + e.label
-        rhs = LabelValue.coerce(
-            S_DIM * (len(sub & internals) + Fraction(len(sub & externals), 2))
-        )
-        if not (lhs > rhs):
-            witnesses.append(Witness(tuple(sorted(sub)), lhs, rhs, "large-scale-decay"))
-    witnesses.sort(key=lambda w: (len(w.subset), w.subset))
-    return ConditionReport(
-        graph=H.name,
-        condition="large-scale-decay",
-        verdict=not witnesses,
-        exponent=homogeneity_exponent(H),
-        witnesses=tuple(witnesses),
+    names, denom, (half_s,), masks, sizes, n_in, n_ex, inside_q, inside_r, _ = \
+        _partial_sums(H, [S_DIM / 2])
+    # the complement of mask m is 2**nv - 1 - m, read by reversing
+    meet_q = inside_q[-1] - inside_q[::-1]
+    meet_r = inside_r[-1] - inside_r[::-1]
+    rhs = half_s * (2 * n_in + n_ex)
+    starred = sum(1 << names.index(v) for v in (H.origin, H.star))
+    bad = ((masks & starred) == 0) & (sizes >= 1) & (
+        (meet_q < rhs) | ((meet_q == rhs) & (meet_r <= 0))
     )
+    return _partial_report(H, "large-scale-decay", bad, names, meet_q, meet_r, rhs, denom)
 
 
 def homogeneity_exponent(H: PartialGraph) -> LabelValue:
@@ -383,22 +440,6 @@ def _build_template(H: PartialGraph, p: int) -> _SourceTemplate:
     )
 
 
-def _zeta_inside_sums(nv: int, bits: list[int], q: list[int], r: list[int]) -> np.ndarray:
-    """Rows (q, r): for every vertex subset (bitmask), the weight inside it.
-
-    ``bits[j]`` is the two-vertex mask of the j-th merged edge.
-    """
-    out = np.zeros((2, 1 << nv), dtype=np.int64)
-    out[0, bits] = q
-    out[1, bits] = r
-    # subset-sum (zeta) transform of both rows at once: a row's length is a
-    # multiple of every block, so the blocks never straddle the two rows
-    for bit in range(nv):
-        view = out.reshape(-1, 2, 1 << bit)
-        view[:, 1] += view[:, 0]
-    return out
-
-
 def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionReport:
     """Both subset conditions on the merged contracted graph.
 
@@ -426,10 +467,7 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
     H, p, classes = G.source, G.p, G.classes
     n_fixed = 1 + p * len(H.internal_ids)
     nv = n_fixed + len(classes)
-    if (1 << nv) * nv > SUBSET_WORK_CAP:
-        raise SizeLimitError(
-            f"subset scan on {nv} vertices exceeds the work cap {SUBSET_WORK_CAP}"
-        )
+    _check_scan_size(nv)
     t = _template(H, p)
     # as many slots as the template, and no slot in two classes
     if (sum(map(len, classes)) != len(t.slots)
@@ -468,10 +506,7 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
         qs = [q // common for q in qs]
         rs = [r // common for r in rs]
     s_scaled = int(S_DIM * denom)
-    if max(sum(map(abs, qs)), sum(map(abs, rs)), s_scaled * nv) > _INT64_MAX:
-        raise OverflowError(
-            f"labels scaled by their common denominator {denom} overflow int64"
-        )
+    _check_int64(denom, sum(map(abs, qs)), sum(map(abs, rs)), s_scaled * nv)
 
     inside_q, inside_r = _zeta_inside_sums(nv, bits, qs, rs)
     total_q, total_r = int(inside_q[-1]), int(inside_r[-1])
@@ -479,14 +514,12 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
     masks = np.arange(1 << nv, dtype=np.uint64)
     sizes = np.bitwise_count(masks).astype(np.int64)
 
+    names = t.names + G.ex_vertices
     witnesses: list[Witness] = []
 
-    def subset_names(mask: int) -> tuple[str, ...]:
-        return tuple(t.names[i] if i < n_fixed else G.ex_vertex(i - n_fixed)
-                     for i in range(nv) if mask >> i & 1)
-
-    def label_of(qv: int, rv: int) -> LabelValue:
-        return LabelValue(Fraction(qv, denom), Fraction(rv, denom))
+    def smallest(bad: np.ndarray) -> int:
+        order = np.flatnonzero(bad)
+        return int(order[np.argmin(sizes[order])])
 
     # condition 1: strict upper bound on interior weight, |S| >= 2
     rhs1 = s_scaled * (sizes - 1)
@@ -494,14 +527,8 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
         (inside_q > rhs1) | ((inside_q == rhs1) & (inside_r >= 0))
     )
     if bad1.any():
-        order = np.flatnonzero(bad1)
-        best = order[np.argmin(sizes[order])]
-        witnesses.append(Witness(
-            subset_names(int(best)),
-            label_of(int(inside_q[best]), int(inside_r[best])),
-            LabelValue.coerce(Fraction(int(rhs1[best]), denom)),
-            "glued-local-integrability",
-        ))
+        witnesses.append(_witness(smallest(bad1), names, inside_q, inside_r, rhs1, denom,
+                                  "glued-local-integrability"))
 
     # condition 2: strict lower bound on meeting weight, S avoiding the stars;
     # the complement of mask m is 2**nv - 1 - m, read by reversing
@@ -511,17 +538,11 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
     eligible = ((masks & np.uint64(t.star_mask)) == 0) & (sizes >= 1)
     bad2 = eligible & ((meet_q < rhs2) | ((meet_q == rhs2) & (meet_r <= 0)))
     if bad2.any():
-        order = np.flatnonzero(bad2)
-        best = order[np.argmin(sizes[order])]
-        witnesses.append(Witness(
-            subset_names(int(best)),
-            label_of(int(meet_q[best]), int(meet_r[best])),
-            LabelValue.coerce(Fraction(int(rhs2[best]), denom)),
-            "glued-large-scale-decay",
-        ))
+        witnesses.append(_witness(smallest(bad2), names, meet_q, meet_r, rhs2, denom,
+                                  "glued-large-scale-decay"))
 
     n_free = nv - (1 + p)  # the origin and each copy's star are starred
-    alpha = label_of(s_scaled * n_free - total_q, -total_r)
+    alpha = LabelValue(Fraction(s_scaled * n_free - total_q, denom), Fraction(-total_r, denom))
     return ConditionReport(
         graph=f"{H.name}[p={p}]",
         condition="glued-graph",

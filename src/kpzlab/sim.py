@@ -246,15 +246,14 @@ def _solve_forced(
     return h.copy()
 
 
-def _forcing_group(config: SimConfig, noise, h0: np.ndarray):
+def _forcing_group(config: SimConfig, noise):
     """One configuration's ``(coarse, dt_noise)`` and whether it is a lone member.
 
-    A lone member (one ``FieldSample``, or no noise and one profile ``h0``)
-    keeps no member axis in its heights.
+    A lone member (one ``FieldSample``, or no noise) keeps no member axis in
+    its heights.
     """
     if noise is None:
-        lone = h0.ndim == 1
-        return (np.zeros((1, 1 if lone else len(h0), config.n_x)), config.T), lone
+        return (np.zeros((1, 1, config.n_x)), config.T), True
     if isinstance(noise, FieldSample):
         return (_coarse_noise(noise, config)[:, None], noise.grid.dt), True
     grid, members = None, []
@@ -287,7 +286,8 @@ def solve_renormalised(
     such batch per config, and every member of every config is integrated
     in one step loop, each with its own coupling, counterterms and noise
     grid.  The result is one ``Trajectory`` per config, each equal to the
-    config's own solve.  ``h0`` is the start of every member.
+    config's own solve.  ``h0`` is the start of every member, one profile
+    of shape ``(n_x,)``; any other shape raises ``ValueError``.
     """
     single = isinstance(config, SimConfig)
     configs = [config] if single else list(config)
@@ -298,7 +298,9 @@ def solve_renormalised(
     if any(c.n_x != n_x or c.T != T for c in configs):
         raise ValueError("configurations differ in n_x or T")
     h0 = np.zeros(n_x) if h0 is None else np.asarray(h0, dtype=float)
-    groups, lone = zip(*(_forcing_group(c, b, h0) for c, b in zip(configs, batches)))
+    if h0.shape != (n_x,):
+        raise ValueError(f"h0 has shape {h0.shape}, want one profile of shape ({n_x},)")
+    groups, lone = zip(*(_forcing_group(c, b) for c, b in zip(configs, batches)))
     sizes = [coarse.shape[1] for coarse, _ in groups]
 
     def column(values):
@@ -480,8 +482,10 @@ def compare_statistics(
     law at a fixed point.  Both ensembles need two members or more and
     the bootstrap two resamples or more, or no stderr exists.
 
-    The resample indices are drawn one resample at a time, ``a`` then
-    ``b``, and every resample's statistics are computed at once on
+    The resample indices come from one draw of shape ``(R, na + nb)``;
+    row r holds resample r's indices into ``a`` then ``b``, the same
+    numbers as one draw per resample and ensemble.  Every resample's
+    statistics are computed at once on
     ``(R, m, n_x)`` stacks, R resamples per block of at most
     ``BOOTSTRAP_BLOCK_BYTES``.
     """
@@ -493,11 +497,8 @@ def compare_statistics(
                          f"{nb} members and {n_bootstrap} resamples")
     base = {k: float(v) for k, v in _distances(ensemble_a, ensemble_b).items()}
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
-    ia = np.empty((n_bootstrap, na), dtype=np.int64)
-    ib = np.empty((n_bootstrap, nb), dtype=np.int64)
-    for r in range(n_bootstrap):
-        ia[r] = rng.integers(0, na, na)
-        ib[r] = rng.integers(0, nb, nb)
+    rows = rng.integers(0, np.repeat([na, nb], [na, nb]), (n_bootstrap, na + nb))
+    ia, ib = rows[:, :na], rows[:, na:]
     per_block = max(1, BOOTSTRAP_BLOCK_BYTES // (8 * (na + nb) * ensemble_a.shape[1]))
     blocks = [_distances(ensemble_a[ia[lo:lo + per_block]], ensemble_b[ib[lo:lo + per_block]])
               for lo in range(0, n_bootstrap, per_block)]

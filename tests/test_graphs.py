@@ -10,7 +10,6 @@ from kpzlab.graphs import (
     LabelValue,
     automorphisms,
     canonical_key,
-    edge_sets,
     iter_contractions,
     parse_partial_graph,
 )
@@ -207,25 +206,6 @@ edge u a1 label 2+1d
             ex = set(c.ex_vertices)
             for e in c.edge_list():
                 assert not (e.u in ex and e.v in ex)
-
-
-class TestEdgeSets:
-    def test_inside_and_meeting(self, pair_graph):
-        e0, e = edge_sets(pair_graph, {"u", "v1"})
-        assert {frozenset((x.u, x.v)) for x in e0} == {frozenset(("u", "v1"))}
-        assert len(e) == 3
-
-    def test_empty_subset(self, pair_graph):
-        assert edge_sets(pair_graph, set()) == ((), ())
-
-    def test_chain_externals(self, chain_graph):
-        e0, e = edge_sets(chain_graph, {"a1", "a2", "a3"})
-        assert e0 == ()
-        assert len(e) == 3
-
-    def test_unknown_vertex(self, pair_graph):
-        with pytest.raises(KeyError):
-            edge_sets(pair_graph, {"nope"})
 
 
 class TestIsomorphism:

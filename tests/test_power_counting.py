@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -9,8 +11,9 @@ from kpzlab import power_counting
 from kpzlab.cumulants import SizeLimitError
 from kpzlab.graphs import (
     ContractedGraph,
+    GraphEdge,
     LabelValue,
-    edge_sets,
+    PartialGraph,
     iter_contractions,
     parse_partial_graph,
 )
@@ -23,7 +26,6 @@ from kpzlab.power_counting import (
     Witness,
     allocation_assignment,
     c_e_weight_value,
-    c_e_weights,
     check_admissible,
     check_condition_A,
     check_condition_B,
@@ -263,6 +265,53 @@ class TestSubgraphWeights:
             assert raw == closed
 
 
+# ---------------------------------------------------------------------------
+# Fraction oracle for the partial-graph conditions: one subset at a time
+# ---------------------------------------------------------------------------
+
+def edge_sets(graph, S):
+    """``(E0, E)``: edges entirely inside ``S`` and edges meeting ``S``."""
+    subset = set(S)
+    known = set(graph.vertex_ids)
+    for v in subset:
+        if v not in known:
+            raise KeyError(f"unknown vertex {v!r}")
+    inside = []
+    meeting = []
+    for e in graph.edges:
+        ends = e.endpoints()
+        if ends & subset:
+            meeting.append(e)
+            if ends <= subset:
+                inside.append(e)
+    return tuple(inside), tuple(meeting)
+
+
+def c_e_weights(H, S):
+    """Corrections ``c_e`` for the subset ``S``, keyed by edge index.
+
+    Nonzero only on external edges of the externals inside ``S``.
+    """
+    subset = set(S)
+    ext_in = [v for v in H.external_ids if v in subset]
+    out = {i: Fraction(0) for i in range(len(H.edges))}
+    if not ext_in:
+        return out
+    neighbours = {v: H.incident(v)[0].other(v) for v in ext_in}
+    n = len(ext_in)
+    same = n == 2 and len(set(neighbours.values())) == 1
+    value = c_e_weight_value(n, same, H.origin in subset)
+    for i, e in enumerate(H.edges):
+        if any(e.touches(v) for v in ext_in):
+            out[i] = value
+    return out
+
+
+def subsets(items):
+    for r in range(len(items) + 1):
+        yield from itertools.combinations(items, r)
+
+
 def local_values(H, subset):
     """(lhs, rhs) of the local condition on ``subset``: corrected inside labels."""
     sub = set(subset)
@@ -281,6 +330,74 @@ def decay_values(H, subset):
     n_in, n_ex = len(sub & set(H.internal_ids)), len(sub & set(H.external_ids))
     return (sum((e.label for e in meeting), LabelValue()),
             LabelValue.coerce(S_DIM * (n_in + Fraction(n_ex, 2))))
+
+
+def oracle_partial_report(H, condition, candidates, values, fails):
+    """Every failing subset among ``candidates`` as a witness, by (size, names)."""
+    witnesses = []
+    for sub in candidates:
+        lhs, rhs = values(H, sub)
+        if fails(lhs, rhs):
+            witnesses.append(Witness(tuple(sorted(sub)), lhs, rhs, condition))
+    witnesses.sort(key=lambda w: (len(w.subset), w.subset))
+    return ConditionReport(graph=H.name, condition=condition, verdict=not witnesses,
+                           exponent=homogeneity_exponent(H), witnesses=tuple(witnesses))
+
+
+def oracle_condition_A(H):
+    internals = set(H.internal_ids)
+    return oracle_partial_report(
+        H, "local-integrability",
+        [s for s in subsets(H.vertex_ids) if len(s) >= 2 and internals & set(s)],
+        local_values, lambda lhs, rhs: not lhs < rhs)
+
+
+def oracle_condition_B(H):
+    allowed = [v for v in H.vertex_ids if v not in (H.origin, H.star)]
+    return oracle_partial_report(
+        H, "large-scale-decay", [s for s in subsets(allowed) if s],
+        decay_values, lambda lhs, rhs: not lhs > rhs)
+
+
+def relabelled(H, rng, shift):
+    """``H`` with fresh vertex names, shuffled declarations and edge ends.
+
+    With ``shift``, every label but the star edge's moves by a random
+    multiple of 1/4 and of delta (a label it would zero stays).
+    """
+    pool = [a + b for a in "0auvwx" for b in ["", *"0auvwx"]]
+    name = dict(zip(H.vertex_ids, rng.sample(pool, len(H.kinds))))
+    kinds = [(name[v], k) for v, k in H.kinds]
+    edges = []
+    for e in H.edges:
+        u, v = (name[e.u], name[e.v])[::rng.choice((1, -1))]
+        label = e.label
+        if shift and not e.distinguished:
+            moved = label + LabelValue(Fraction(rng.randint(-4, 4), 4), rng.randint(-1, 1))
+            label = label if moved.is_zero() else moved
+        edges.append(GraphEdge(u, v, label, e.distinguished))
+    rng.shuffle(kinds)
+    rng.shuffle(edges)
+    return PartialGraph(name=H.name, kinds=tuple(kinds), edges=tuple(edges))
+
+
+class TestEdgeSets:
+    def test_inside_and_meeting(self, pair):
+        e0, e = edge_sets(pair, {"u", "v1"})
+        assert {frozenset((x.u, x.v)) for x in e0} == {frozenset(("u", "v1"))}
+        assert len(e) == 3
+
+    def test_empty_subset(self, pair):
+        assert edge_sets(pair, set()) == ((), ())
+
+    def test_chain_externals(self, chain):
+        e0, e = edge_sets(chain, {"a1", "a2", "a3"})
+        assert e0 == ()
+        assert len(e) == 3
+
+    def test_unknown_vertex(self, pair):
+        with pytest.raises(KeyError):
+            edge_sets(pair, {"nope"})
 
 
 class TestConditionsOnPartialGraphs:
@@ -324,6 +441,55 @@ edge u a1 label 2+1d
 """
         g = parse_partial_graph(src)
         assert homogeneity_exponent(g) == LabelValue(Fraction(-1, 2), -1)
+
+    def test_matches_fraction_oracle(self, pair, chain):
+        # every report field (verdict, exponent, each witness's subset, lhs,
+        # rhs and condition, and the witness order) equals the subset-by-subset
+        # Fraction scan, on the catalog and on renamed copies whose sorted
+        # name order differs, half of them with shifted labels
+        graphs = [pair, chain, parse_partial_graph(MARGINAL_SOURCE)]
+        graphs += list(catalog_graphs().values())
+        rng = random.Random(22)
+        cases = graphs + [relabelled(H, rng, shift=i % 2) for H in graphs for i in range(28)]
+        failing = multiple = 0
+        for H in cases:
+            for check, oracle in ((check_condition_A, oracle_condition_A),
+                                  (check_condition_B, oracle_condition_B)):
+                report = check(H)
+                assert report == oracle(H), H
+                failing += not report.verdict
+                multiple += len(report.witnesses) > 1
+        assert len(cases) - len(graphs) >= 600
+        assert 0 < multiple < failing < 2 * len(cases)
+
+    def test_scan_cap_fails_fast(self):
+        # a 30-vertex chain is 2**30 subsets: refused before anything is built
+        lines = ["graph long-chain", "vertex 0 origin", "vertex u star", "star-edge 0 u",
+                 "vertex a external", "edge w27 a label 2+1d"]
+        previous = "u"
+        for i in range(1, 28):
+            lines += [f"vertex w{i} internal", f"edge {previous} w{i} label 2+1d"]
+            previous = f"w{i}"
+        H = parse_partial_graph("\n".join(lines) + "\n")
+        assert len(H.vertex_ids) == 30
+        for check in (check_condition_A, check_condition_B):
+            start = time.perf_counter()
+            with pytest.raises(SizeLimitError,
+                               match=f"30 vertices exceeds the work cap {SUBSET_WORK_CAP}"):
+                check(H)
+            assert time.perf_counter() - start < 1.0
+
+    def test_int64_overflow_raises(self):
+        # each label fits, but their subset sum does not
+        wide = parse_partial_graph(PAIR_SOURCE.replace("2+1d", str(2**62)))
+        for check in (check_condition_A, check_condition_B):
+            with pytest.raises(OverflowError):
+                check(wide)
+        # an exact large denominator that fits
+        fine = parse_partial_graph(
+            PAIR_SOURCE.replace("u v1 label 2+1d", "u v1 label 1/1099511627777"))
+        assert check_condition_A(fine) == oracle_condition_A(fine)
+        assert check_condition_B(fine) == oracle_condition_B(fine)
 
 
 def reference_merged_weights(G, rule):

@@ -136,8 +136,10 @@ class TestBatches:
             assert np.array_equal(batch.final[b], single.final)
         quiet = sim.solve_renormalised(config, None, h0)
         assert quiet.final.shape == (config.n_x,)
-        assert np.array_equal(sim.solve_renormalised(config, None, [h0, h0]).final,
-                              [quiet.final, quiet.final])
+        # h0 is one profile: a stack of them, or one of another length, is refused
+        for bad in ([h0, h0], h0[:-1], 0.0):
+            with pytest.raises(ValueError, match="h0 has shape"):
+                sim.solve_renormalised(config, None, bad)
 
     @pytest.mark.parametrize("lam", [0.7, 0.0])
     def test_hopf_cole_batch_matches_single_solves(self, lam):
