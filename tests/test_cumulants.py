@@ -6,7 +6,8 @@ from math import prod
 
 import pytest
 
-from kpzlab.cumulants import GROUND_SET_CAP, IndexKey, SizeLimitError, iter_wick_partitions
+from kpzlab.cumulants import (GROUND_SET_CAP, IndexKey, SetPartition, SizeLimitError,
+                              iter_wick_partitions)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -173,6 +174,24 @@ class TestWickPartitions:
             }
             assert len(direct) == len(set(direct))
             assert set(direct) == filtered
+
+    def test_enumeration_equals_validated_construction(self):
+        # the enumeration skips the public constructor's check; its blocks
+        # must pass that check and give equal, equally hashed partitions
+        for m, p in [(3, 3), (2, 4), (4, 2)]:
+            parts = list(iter_wick_partitions(m, p))
+            assert parts
+            for part in parts:
+                checked = SetPartition(part.blocks)
+                assert checked == part and hash(checked) == hash(part)
+                assert set().union(*part.blocks) == set(grid(m, p))
+
+    def test_public_constructor_still_checks(self):
+        a, b, c = IndexKey(1, 1), IndexKey(2, 1), IndexKey(3, 1)
+        with pytest.raises(ValueError, match="disjoint"):
+            SetPartition((frozenset({a, b}), frozenset({b, c})))
+        with pytest.raises(ValueError, match="non-empty"):
+            SetPartition((frozenset({a, b}), frozenset()))
 
     def test_size_cap_fails_fast(self):
         for m, p in [(4, 4), (13, 1), (1, 13), (5, 3)]:

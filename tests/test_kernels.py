@@ -37,7 +37,9 @@ def test_tensor_grid_matches_pointwise(kernel, method, monkeypatch):
     def no_pointwise(*args, **kwargs):
         raise AssertionError("a tensor grid was evaluated point by point")
 
+    # points would go through FITPACK's ``ev`` or through the cell blocks
     monkeypatch.setattr(kernel.shape, "ev", no_pointwise)
+    monkeypatch.setattr(kernels._BlockSpline, "__call__", no_pointwise)
     got = getattr(kernel, method)(t, x)
     scale = np.max(np.abs(want))
     assert scale > 0 and np.count_nonzero(want) > want.size // 10
@@ -123,6 +125,34 @@ def test_dx_on_points_evaluates_only_the_support(kernel, monkeypatch):
     scalar = kernel.dx(0.6, 0.3)
     assert np.ndim(scalar) == 0 and scalar != 0
     assert scalar == _dense_dx(kernel, np.array([0.6]), np.array([0.3]))[0]
+
+
+def test_shape_blocks_match_fitpack(kernel):
+    """Point evaluations of the annulus shape and of its x-derivative read the
+    shape's cell blocks for x >= 0 through its evenness.  They agree with
+    FITPACK's ``ev`` to rounding, not bit for bit: at random points, at every
+    knot, 1e-9 either side of each cell edge and on the box's edges.  Off the
+    box both are 0."""
+    box = kernels.SHAPE_BOX
+    t_knots, x_knots = (np.unique(k) for k in kernel.shape.get_knots())
+    step = 1e-9
+    t_edges = np.concatenate([t_knots - step, t_knots + step])
+    x_edges = np.concatenate([x_knots - step, x_knots + step])
+    grids = [np.meshgrid(t_knots, x_knots), np.meshgrid(t_edges, x_edges),
+             np.meshgrid(t_knots, [box, -box, 0.0]), np.meshgrid([0.0, box], x_knots)]
+    rng = np.random.default_rng(12)
+    t = np.concatenate([rng.uniform(-0.1, 1.1, 4000)] + [g[0].ravel() for g in grids])
+    x = np.concatenate([rng.uniform(-1.1, 1.1, 4000)] + [g[1].ravel() for g in grids])
+    value, slope = kernel._shape_eval(t, x, dx=True)
+    assert np.array_equal(kernel._shape_eval(t, x), value)
+    inside = (t >= 0) & (t <= box) & (np.abs(x) <= box)
+    assert 0 < inside[:4000].sum() < 4000 and inside[4000 + t_knots.size * x_knots.size:].any()
+    for got, dy in ((value, 0), (slope, 1)):
+        want = kernel.shape.ev(t[inside], x[inside], dy=dy)
+        scale = np.max(np.abs(want))
+        assert scale > 1.0
+        np.testing.assert_allclose(got[inside], want, rtol=0, atol=1e-12 * scale)
+        assert np.all(got[~inside] == 0.0)
 
 
 def _loop_annulus_shape(nt, nx):
@@ -412,9 +442,62 @@ def test_unsheared_leg_table_keeps_the_tensor_grid_path(kernel, monkeypatch):
     def no_pointwise(*args, **kwargs):
         raise AssertionError("the leg table evaluated the kernel point by point")
 
+    # points would go through FITPACK's ``ev`` or through the cell blocks
     monkeypatch.setattr(kernel.shape, "ev", no_pointwise)
+    monkeypatch.setattr(kernels._BlockSpline, "__call__", no_pointwise)
     table = kernels.LegTable(default_asymmetric_model(), kernel, 0.5)
+    monkeypatch.undo()  # the table itself reads its cell blocks
     assert np.all(np.isfinite(table.ev(np.array([(0.0, 0.1), (1.0, 0.5)]))))
+
+
+def _per_node_leg_values(model, kernel, eps, shear, t_axis, x_axis):
+    """The leg table's node values with one kernel call per (s, y) node pair
+    after each term's time support and one per y node inside it."""
+    g, w = _gauss_legendre(kernels.LEG_QUAD_NODES, -1.0, 1.0)
+    u, wu = _gauss_legendre(kernels.LEG_QUAD_NODES, 0.0, 1.0)
+    values = np.zeros((len(t_axis), len(x_axis)))
+    for term in model.terms:
+        s_lo = term.t_center - term.t_halfwidth
+        s_hi = term.t_center + term.t_halfwidth
+        y_nodes = term.x_center + term.x_halfwidth * g
+        y_w = smooth_bump_dx(g) * w
+        s_nodes = term.t_center + term.t_halfwidth * g
+        s_w = smooth_bump(g) * w * term.t_halfwidth * term.amplitude
+        after = t_axis >= s_hi
+        for sn, sw in zip(s_nodes, s_w):
+            tt = eps ** 2 * (t_axis - sn)
+            rows = after & (tt > 0) & (tt < kernels.SUPPORT ** 2)
+            block = np.zeros((len(t_axis), len(x_axis)))
+            for yn, yw in zip(y_nodes, y_w):
+                xs = x_axis[None, :] - (yn + shear * sn)
+                block[rows] += yw * kernel.value(tt[rows, None], eps * xs)
+            values += sw * eps * block
+        inside = np.flatnonzero((t_axis > s_lo) & (t_axis < s_hi))
+        reach = np.sqrt(t_axis[inside] - s_lo)[:, None]
+        sigma = reach * u
+        s = t_axis[inside, None] - sigma ** 2
+        weight = eps * term.amplitude * 2.0 * sigma * reach * wu \
+            * smooth_bump((s - term.t_center) / term.t_halfwidth)
+        for yn, yw in zip(y_nodes, y_w):
+            k = kernel.value((eps * sigma[..., None]) ** 2,
+                             eps * (x_axis - (yn + shear * s[..., None])))
+            values[inside] += yw * np.einsum("rk,rkx->rx", weight, k)
+    return values
+
+
+@pytest.mark.parametrize("make_model, shear", [(default_even_model, 0.0),
+                                               (default_asymmetric_model, 0.3)])
+def test_leg_node_values_match_per_node_loop(kernel, make_model, shear):
+    """One kernel call per s node on a sorted tensor grid covering every y
+    node gives the per-node loop's values to rounding."""
+    model = make_model()
+    t_axis = kernels._graded_axis(4.0, 1.0 / EPS ** 2 + model.t_reach + 1.0, 0.08, 1.10)
+    x_axis = kernels._graded_axis(4.0, 1.0 / EPS + model.x_reach + 1.0, 0.08, 1.10)
+    got = kernels._leg_node_values(model, kernel, EPS, shear, t_axis, x_axis)
+    want = _per_node_leg_values(model, kernel, EPS, shear, t_axis, x_axis)
+    scale = np.max(np.abs(want))
+    assert scale > 0.1 and np.count_nonzero(want) > want.size // 3
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
 
 def test_leg_table_ev_is_the_spline_inside_its_box(leg_table, sheared_leg_table):
@@ -480,6 +563,28 @@ def test_leg_table_cache_evicts_least_recently_used(monkeypatch):
     assert kept == {round(s, 12) for s in [shears[0]] + shears[4:]}
     cache.clear()
     assert not cache
+
+
+def test_leg_table_cache_keys_on_the_kernel(monkeypatch):
+    built = []
+
+    class StubTable:
+        def __init__(self, model, kernel, eps, shear):
+            built.append(kernel)
+
+    monkeypatch.setattr(kernels, "LegTable", StubTable)
+    monkeypatch.setattr(kernels, "_LEG_TABLE_CACHE", OrderedDict())
+    model = default_even_model()
+    first, second = SimpleNamespace(), SimpleNamespace()
+    a = kernels.get_leg_table(model, first, EPS)
+    b = kernels.get_leg_table(model, second, EPS)
+    assert a is not b and [id(k) for k in built] == [id(first), id(second)]
+    assert kernels.get_leg_table(model, first, EPS) is a
+    assert kernels.get_leg_table(model, second, EPS) is b
+    assert len(built) == 2
+    # each entry keeps its kernel alive, so its id cannot be taken by another
+    assert {id(entry[0]) for entry in kernels._LEG_TABLE_CACHE.values()} \
+        == {id(first), id(second)}
 
 
 def test_c0_levels_off_at_its_exact_limit(kernel):
