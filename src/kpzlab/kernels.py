@@ -32,8 +32,6 @@ from .noise import PoissonNoiseModel, smooth_bump, smooth_bump_dx, _gauss_legend
 
 __all__ = [
     "parabolic_norm",
-    "heat_kernel",
-    "heat_kernel_dx",
     "TruncatedKernel",
     "build_truncated_kernel",
     "Diagram",
@@ -54,36 +52,6 @@ def parabolic_norm(t, x):
     t = np.asarray(t, dtype=float)
     x2 = np.square(np.asarray(x, dtype=float))
     return (t * t + x2 * x2) ** 0.25
-
-
-def _positive_time(t, x):
-    """``t`` and ``x`` broadcast together and flattened, and the indices
-    of the points with ``t > 0``, where the heat kernel lives."""
-    tt, xx = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    pos = np.flatnonzero(tt > 0)
-    return tt.shape, tt.ravel()[pos], xx.ravel()[pos], pos
-
-
-# At tiny positive t, -x^2/(4t) and -x/(2t) may overflow to -inf.  The
-# Gaussian is then exactly 0, and so is the kernel: no value is NaN.
-
-def heat_kernel(t, x):
-    shape, tp, xp, pos = _positive_time(t, x)
-    out = np.zeros(math.prod(shape))
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(-xp ** 2 / (4 * tp)) / np.sqrt(4 * math.pi * tp)
-    return out.reshape(shape)
-
-
-def heat_kernel_dx(t, x):
-    shape, tp, xp, pos = _positive_time(t, x)
-    out = np.zeros(math.prod(shape))
-    with np.errstate(over="ignore"):
-        slope = -xp / (2 * tp)
-        gauss = np.exp(-xp ** 2 / (4 * tp))
-    slope[np.isinf(slope)] = 0.0  # where the Gaussian is 0
-    out[pos] = slope * gauss / np.sqrt(4 * math.pi * tp)
-    return out.reshape(shape)
 
 
 #: Below this ``exp(-1/v)`` underflows to exactly 0, and so do the step and
@@ -156,17 +124,18 @@ def _chi_d(rho):
 def _cut_heat_dx(t, x, rho):
     """Space derivative of the cut heat kernel ``G * chi(rho)`` at ``t > 0``.
 
-    ``G`` and ``d_x G`` share one Gaussian, and each is the same number as
-    ``heat_kernel`` and ``heat_kernel_dx`` give.
+    ``G`` and ``d_x G`` share one Gaussian.  ``x^3`` is taken as
+    ``x * x * x``: numpy's ``x ** 3`` takes a slow path for negative ``x``,
+    about 70 ns a point on a 2-vCPU x86 host against 1.
     """
     with np.errstate(over="ignore"):
         slope = -x / (2 * t)
         gauss = np.exp(-x ** 2 / (4 * t))
     slope = np.where(np.isinf(slope), 0.0, slope)  # where the Gaussian is 0
     root = np.sqrt(4 * math.pi * t)
-    rr = np.where(rho > 0, rho, 1.0)
+    rr = np.where(rho > 0, rho, 1.0)  # rho is 0 where t * t and x^4 underflow
     return slope * gauss / root * _chi(rho) \
-        + gauss / root * _chi_d(rho) * (x ** 3 / rr ** 3)
+        + gauss / root * _chi_d(rho) * (x * x * x / rr ** 3)
 
 
 def _is_tensor_grid(t, x):
@@ -175,16 +144,38 @@ def _is_tensor_grid(t, x):
             and np.all(np.diff(t[:, 0]) >= 0) and np.all(np.diff(x[0]) >= 0))
 
 
-def _on_support_block(t, x, f):
-    """``f`` on the block ``0 < t < SUPPORT^2``, ``|x| < SUPPORT`` of a sorted
-    tensor grid, and 0 off it, where ``t <= 0`` or ``rho >= SUPPORT``."""
-    tc, xr = t[:, 0], x[0]
-    rows = slice(np.searchsorted(tc, 0.0, "right"), np.searchsorted(tc, SUPPORT ** 2))
-    cols = slice(np.searchsorted(xr, -SUPPORT, "right"), np.searchsorted(xr, SUPPORT))
-    out = np.zeros((len(tc), len(xr)))
-    if rows.start < rows.stop and cols.start < cols.stop:
-        out[rows, cols] = f(t[rows], x[:, cols])
-    return out
+def _on_support(t, x, f):
+    """``f(t, x, rho)`` where the kernel can be non-zero, and 0 elsewhere.
+
+    Every part of the kernel is exactly 0 where ``t <= 0`` or ``rho >=
+    SUPPORT``.  On a sorted tensor grid (see ``_is_tensor_grid``) ``f``
+    takes the grid's block ``0 < t < SUPPORT^2``, ``|x| < SUPPORT``, as a
+    column and a row; any other input is broadcast and flattened, and ``f``
+    takes only the points with ``t > 0`` and ``rho < SUPPORT``.  So an
+    infinite ``t`` or ``x`` gives 0, and NaN raises ``ValueError``.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if np.isnan(t).any() or np.isnan(x).any():
+        raise ValueError("the kernel is not defined at NaN t or x")
+    if _is_tensor_grid(t, x):
+        tc, xr = t[:, 0], x[0]
+        rows = slice(np.searchsorted(tc, 0.0, "right"), np.searchsorted(tc, SUPPORT ** 2))
+        cols = slice(np.searchsorted(xr, -SUPPORT, "right"), np.searchsorted(xr, SUPPORT))
+        out = np.zeros((len(tc), len(xr)))
+        if rows.start < rows.stop and cols.start < cols.stop:
+            tb, xb = t[rows], x[:, cols]
+            out[rows, cols] = f(tb, xb, parabolic_norm(tb, xb))
+        return out
+    tt, xx = np.broadcast_arrays(t, x)
+    with np.errstate(over="ignore"):  # rho = inf is off the support
+        rho = parabolic_norm(tt, xx).ravel()
+    shape = tt.shape
+    tt, xx = tt.ravel(), xx.ravel()
+    live = np.flatnonzero((tt > 0) & (rho < SUPPORT))
+    out = np.zeros(rho.size)
+    out[live] = f(tt[live], xx[live], rho[live])
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -202,10 +193,11 @@ class TruncatedKernel:
     are exactly 0 where ``t <= 0`` (the heat kernel and the mask's time step
     vanish) or ``rho >= SUPPORT`` (the cutoff and the mask's outer step
     vanish); the correction is exactly 0 where ``rho <= PLATEAU`` as well.
-    ``value`` and ``correction`` on a sorted tensor grid (see
-    ``_is_tensor_grid``) evaluate only its block ``0 < t < SUPPORT^2``,
-    ``|x| < SUPPORT``; ``dx`` evaluates each part only on the points where it
-    can be non-zero.
+    ``value``, ``correction``, ``correction_dx`` and ``dx`` each hand one
+    formula in ``(t, x, rho)`` to ``_on_support``, which evaluates it on a
+    sorted tensor grid's support block, or else on the live points only,
+    and gives 0 elsewhere; ``dx`` adds the correction's derivative only on
+    its live points with ``rho > PLATEAU``.
     """
 
     corrections: tuple[float, ...]
@@ -226,14 +218,14 @@ class TruncatedKernel:
         a, b, c = self._mask_parts(t, parabolic_norm(t, x))
         return a * b * c
 
-    def _mask_and_dx(self, t, x):
-        """The mask and its x-derivative, from one evaluation of the mask's parts."""
-        rho = parabolic_norm(t, x)
+    def _mask_and_dx(self, t, x, rho):
+        """The mask and its x-derivative at ``t > 0``, from one evaluation of
+        the mask's parts."""
         a, b, c = self._mask_parts(t, rho)
         da = _smooth_step_d((rho - PLATEAU) / MASK_IN) / MASK_IN
         db = -_smooth_step_d((SUPPORT - rho) / MASK_OUT) / MASK_OUT
         rr = np.where(rho > 0, rho, 1.0)
-        drho_dx = np.broadcast_to(x, rho.shape) ** 3 / rr ** 3
+        drho_dx = x * x * x / rr ** 3
         return a * b * c, (da * b + a * db) * c * drho_dx
 
     # -- the annulus shape ---------------------------------------------------
@@ -313,64 +305,51 @@ class TruncatedKernel:
         return total
 
     def correction(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if _is_tensor_grid(t, x):
-            return _on_support_block(
-                t, x, lambda tb, xb: self._correction_at(tb, xb, parabolic_norm(tb, xb)))
-        return self._correction_at(t, x, parabolic_norm(t, x))
+        return _on_support(t, x, self._correction_at)
 
-    def correction_dx(self, t, x):
-        """The correction's x-derivative, point by point (``dx`` passes flat points)."""
-        shape = np.broadcast(t, x).shape
-        t, x = (a.ravel() for a in np.broadcast_arrays(np.asarray(t, dtype=float),
-                                                       np.asarray(x, dtype=float)))
+    def _correction_dx_at(self, t, x, rho):
+        """The correction's x-derivative at ``t``, ``x`` of parabolic norm ``rho``."""
         table, table_dx = self._touch_up_tables
         poly, poly_dx = self._shape_eval(t, x, dx=True)
         poly += self._touch_ups(t, x, table)
         poly_dx += x * self._touch_ups(t, x, table_dx)
-        mask, mask_dx = self._mask_and_dx(t, x)
-        return (poly_dx * mask + poly * mask_dx).reshape(shape)
+        mask, mask_dx = self._mask_and_dx(t, x, rho)
+        return poly_dx * mask + poly * mask_dx
+
+    def correction_dx(self, t, x):
+        return _on_support(t, x, self._correction_dx_at)
 
     def value(self, t, x):
-        """The kernel.  On a sorted tensor grid each part is taken once on the
-        support block, with one parabolic norm for the cutoff and the mask."""
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if not _is_tensor_grid(t, x):
-            rho = parabolic_norm(t, x)
-            return heat_kernel(t, x) * _chi(rho) + self._correction_at(t, x, rho)
+        """The kernel, with one parabolic norm for the cutoff and the mask.
 
-        def on_block(tb, xb):
-            rho = parabolic_norm(tb, xb)
+        At tiny ``t`` the Gaussian's exponent may overflow to -inf; the
+        Gaussian is then exactly 0, and so is the kernel: no value is NaN.
+        """
+        def formula(t, x, rho):
             with np.errstate(over="ignore"):
-                heat = np.exp(-xb ** 2 / (4 * tb))
-            heat /= np.sqrt(4 * math.pi * tb)
+                heat = np.exp(-x ** 2 / (4 * t))
+            heat /= np.sqrt(4 * math.pi * t)
             heat *= _chi(rho)
-            heat += self._correction_at(tb, xb, rho)
+            heat += self._correction_at(t, x, rho)
             return heat
 
-        return _on_support_block(t, x, on_block)
+        return _on_support(t, x, formula)
 
     def dx(self, t, x):
         """Space derivative (the edge kernel of all the graph integrals).
 
-        ``t`` and ``x`` broadcast against each other and are evaluated
-        point by point: the cut heat part only where ``t > 0`` and
-        ``rho < SUPPORT``, the correction only where also ``rho > PLATEAU``,
-        and 0 elsewhere.  The correction's shape and its x-derivative are
-        read together from the shape's cell blocks.
+        The correction's part is taken only where also ``rho > PLATEAU``;
+        its shape and x-derivative are read together from the shape's cell
+        blocks.
         """
-        tt, xx = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-        rho = parabolic_norm(tt, xx)
-        tt, xx, rho_f = tt.ravel(), xx.ravel(), rho.ravel()
-        live = np.flatnonzero((tt > 0) & (rho_f < SUPPORT))
-        tl, xl, rl = tt[live], xx[live], rho_f[live]
-        out = np.zeros(rho.size)
-        out[live] = _cut_heat_dx(tl, xl, rl)
-        ring = np.flatnonzero(rl > PLATEAU)
-        out[live[ring]] += self.correction_dx(tl[ring], xl[ring])
-        return out.reshape(rho.shape)
+        def formula(t, x, rho):
+            t, x = np.broadcast_arrays(t, x)  # a tensor-grid block is a column and a row
+            out = _cut_heat_dx(t, x, rho)
+            ring = rho > PLATEAU
+            out[ring] += self._correction_dx_at(t[ring], x[ring], rho[ring])
+            return out
+
+        return _on_support(t, x, formula)
 
 
 def _plateau_moments():
@@ -391,7 +370,7 @@ def _plateau_moments():
             xg, wx = _gauss_legendre(30, xlo, xhi)
             tt = tg[:, None]
             xx = xg[None, :]
-            g = heat_kernel(tt, xx)
+            g = np.exp(-xx ** 2 / (4 * tt)) / np.sqrt(4 * math.pi * tt)
             omc = 1.0 - _chi(parabolic_norm(tt, xx))
             base = 2.0 * g * omc * wt[:, None] * wx[None, :]  # even in x
             deficit[0] += np.sum(base)
@@ -1022,8 +1001,9 @@ def evaluate_diagram(
     parity, and ``(0, 0)`` is returned without sampling.  Each distinct leg
     is read from the ``LegTable`` once per sample.
 
-    Raises ``ValueError`` unless ``eps`` is finite and positive and
-    ``budget`` is at least 2, the fewest samples that give a stderr.
+    Raises ``ValueError`` unless ``eps`` is finite and positive, ``budget``
+    is at least 2, the fewest samples that give a stderr, and ``v_h`` is
+    finite.
     """
     import zlib
 
@@ -1031,6 +1011,8 @@ def evaluate_diagram(
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if budget < 2:
         raise ValueError(f"budget must be at least 2 samples, got {budget!r}")
+    if not math.isfinite(v_h):
+        raise ValueError(f"v_h must be finite, got {v_h!r}")
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, zlib.crc32(diagram.name.encode())])
     )

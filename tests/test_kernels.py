@@ -57,13 +57,39 @@ def test_non_monotone_axis_falls_back_to_pointwise(kernel, method):
                                atol=1e-12 * np.max(np.abs(want)))
 
 
+# The heat kernel and its x-derivative, 0 where t <= 0: the oracles of the
+# kernel's cut heat part.  At tiny positive t, -x^2/(4t) and -x/(2t) may
+# overflow to -inf; the Gaussian is then exactly 0, and no value is NaN.
+
+def heat_kernel(t, x):
+    tt, xx = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    pos = tt > 0
+    out = np.zeros(tt.shape)
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(-xx[pos] ** 2 / (4 * tt[pos])) / np.sqrt(4 * np.pi * tt[pos])
+    return out
+
+
+def heat_kernel_dx(t, x):
+    tt, xx = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    pos = tt > 0
+    tp, xp = tt[pos], xx[pos]
+    with np.errstate(over="ignore"):
+        slope = -xp / (2 * tp)
+        gauss = np.exp(-xp ** 2 / (4 * tp))
+    slope[np.isinf(slope)] = 0.0  # where the Gaussian is 0
+    out = np.zeros(tt.shape)
+    out[pos] = slope * gauss / np.sqrt(4 * np.pi * tp)
+    return out
+
+
 def _dense_dx(kernel, t, x):
     """``dx`` with every term evaluated at every point."""
     rho = kernels.parabolic_norm(t, x)
     rr = np.where(rho > 0, rho, 1.0)
-    return (kernels.heat_kernel_dx(t, x) * kernels._chi(rho)
-            + kernels.heat_kernel(t, x) * kernels._chi_d(rho) * (x ** 3 / rr ** 3)
-            + kernel.correction_dx(t, x))
+    return (heat_kernel_dx(t, x) * kernels._chi(rho)
+            + heat_kernel(t, x) * kernels._chi_d(rho) * (x * x * x / rr ** 3)
+            + kernel._correction_dx_at(t, x, rho))
 
 
 def test_dx_is_the_x_derivative_of_value(kernel):
@@ -83,11 +109,25 @@ def test_tiny_positive_times_give_exact_zeros(kernel):
     t = np.array([1e-310, 1e-310, 1e-312, 1e-320, 5e-324])
     x = np.array([0.7, 0.0, 0.0, 1e-10, -0.2])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        heat = kernels.heat_kernel(t, x)
-        assert np.all(kernels.heat_kernel_dx(t, x) == 0.0)
+        heat = heat_kernel(t, x)
+        assert np.all(heat_kernel_dx(t, x) == 0.0)
         assert np.all(kernel.dx(t, x) == 0.0)
         assert np.array_equal(kernel.value(t, x), heat)
     assert np.all(heat[[0, 3, 4]] == 0.0) and np.all(heat[1:3] > 0)
+
+
+def _record_formula(monkeypatch, name):
+    """Patch the private formula ``name`` of ``TruncatedKernel`` to record the
+    points and norms it is handed; returns the list of records."""
+    seen = []
+    formula = getattr(kernels.TruncatedKernel, name)
+
+    def recording(self, t, x, rho):
+        seen.append((t.copy(), x.copy(), rho.copy()))
+        return formula(self, t, x, rho)
+
+    monkeypatch.setattr(kernels.TruncatedKernel, name, recording)
+    return seen
 
 
 def test_dx_on_points_evaluates_only_the_support(kernel, monkeypatch):
@@ -103,21 +143,15 @@ def test_dx_on_points_evaluates_only_the_support(kernel, monkeypatch):
     x = np.concatenate([edges[:, 1], x])
     want = _dense_dx(kernel, t, x)
 
-    seen = []
-    correction_dx = kernels.TruncatedKernel.correction_dx
-
-    def counting(self, tt, xx):
-        seen.append((np.asarray(tt).copy(), np.asarray(xx).copy()))
-        return correction_dx(self, tt, xx)
-
-    monkeypatch.setattr(kernels.TruncatedKernel, "correction_dx", counting)
+    seen = _record_formula(monkeypatch, "_correction_dx_at")
     got = kernel.dx(t, x)
     assert np.array_equal(got, want)
 
     rho = kernels.parabolic_norm(t, x)
     ring = (t > 0) & (rho > kernels.PLATEAU) & (rho < kernels.SUPPORT)
-    ((ct, cx),) = seen
+    ((ct, cx, cr),) = seen
     assert np.array_equal(ct, t[ring]) and np.array_equal(cx, x[ring])
+    assert np.array_equal(cr, rho[ring])
     assert np.all(got[(t <= 0) | (rho >= kernels.SUPPORT)] == 0.0)
     assert np.count_nonzero(got) > len(t) // 5
     # broadcast and scalar inputs take the same route
@@ -125,6 +159,51 @@ def test_dx_on_points_evaluates_only_the_support(kernel, monkeypatch):
     scalar = kernel.dx(0.6, 0.3)
     assert np.ndim(scalar) == 0 and scalar != 0
     assert scalar == _dense_dx(kernel, np.array([0.6]), np.array([0.3]))[0]
+
+
+def test_value_and_correction_on_points_evaluate_only_the_support(kernel, monkeypatch):
+    rng = np.random.default_rng(13)
+    t = rng.uniform(-0.3, 1.3, 3000)
+    x = rng.uniform(-1.3, 1.3, 3000)
+    # t = 0, rho = 1, |x| = 1, negative t, far outside
+    edges = np.array([(0.0, 0.0), (0.0, 0.4), (0.0, -1.0), (1.0, 0.0), (0.6, 0.8 ** 0.5),
+                      (0.5, 1.0), (0.5, -1.0), (-0.2, 0.1), (1e3, 50.0)])
+    t = np.concatenate([edges[:, 0], t])
+    x = np.concatenate([edges[:, 1], x])
+    rho = kernels.parabolic_norm(t, x)
+    live = (t > 0) & (rho < kernels.SUPPORT)
+    correction = kernel._correction_at(t, x, rho)
+    wants = {"value": heat_kernel(t, x) * kernels._chi(rho) + correction,
+             "correction": correction}
+
+    seen = _record_formula(monkeypatch, "_correction_at")
+    for method, want in wants.items():
+        seen.clear()
+        got = getattr(kernel, method)(t, x)
+        assert np.array_equal(got, want)
+        ((ct, cx, cr),) = seen
+        assert np.array_equal(ct, t[live]) and np.array_equal(cx, x[live])
+        assert np.array_equal(cr, rho[live])
+        assert np.all(got[~live] == 0.0)
+        assert np.count_nonzero(got) > len(t) // 5
+
+
+@pytest.mark.parametrize("method", TENSOR_METHODS + ["correction_dx", "dx"])
+def test_infinite_points_give_zero_and_nan_raises(kernel, method):
+    f = getattr(kernel, method)
+    inf, nan = np.inf, np.nan
+    t = np.array([inf, -inf, 0.5, 0.5, inf, -inf, 1e200, 0.5, 0.5])
+    x = np.array([0.0, 0.3, inf, -inf, inf, -inf, 0.1, 1e200, 0.2])
+    got = f(t, x)
+    assert np.all(got[:-1] == 0.0) and got[-1] != 0.0
+    # a sorted tensor grid with infinite ends: only its one finite point is live
+    grid = f(np.array([[-inf], [0.5], [inf]]), np.array([[-inf, 0.2, inf]]))
+    np.testing.assert_allclose(grid, np.diag([0.0, got[-1], 0.0]), rtol=1e-12, atol=0)
+    for bad_t, bad_x in [(nan, 0.2), (0.5, nan), (np.array([0.5, nan]), 0.2),
+                         (np.array([[nan]]), np.array([[0.2]])),
+                         (np.array([[0.1], [nan], [0.5]]), np.array([[0.2]]))]:
+        with pytest.raises(ValueError):
+            f(bad_t, bad_x)
 
 
 def test_shape_blocks_match_fitpack(kernel):
@@ -671,16 +750,21 @@ def test_proposal_density_blocks_leave_the_estimate_unchanged(kernel, leg_table,
     assert kernels.evaluate_diagram(*args) == whole
 
 
-@pytest.mark.parametrize("eps, budget", [(0.25, 0), (0.25, 1), (-0.25, 1000),
-                                         (float("nan"), 1000)])
-def test_bad_eps_or_budget_raises_value_error(kernel, eps, budget):
+@pytest.mark.parametrize("eps, budget, v_h", [
+    pytest.param(0.25, 0, 0.0, id="0.25-0"), pytest.param(0.25, 1, 0.0, id="0.25-1"),
+    pytest.param(-0.25, 1000, 0.0, id="-0.25-1000"),
+    pytest.param(float("nan"), 1000, 0.0, id="nan-1000"),
+    (0.25, 1000, float("nan")), (0.25, 1000, float("inf")), (0.25, 1000, -float("inf"))])
+def test_bad_eps_or_budget_raises_value_error(kernel, eps, budget, v_h):
     model = default_even_model()
     with pytest.raises(ValueError):
-        kernels.evaluate_diagram(kernels.DIAGRAMS["C0"], model, kernel, eps, budget)
+        kernels.evaluate_diagram(kernels.DIAGRAMS["C0"], model, kernel, eps, budget,
+                                 v_h=v_h)
     with pytest.raises(ValueError):
-        kernels.compute_constant("C0", model, kernel, eps, mc_budget=budget)
+        kernels.compute_constant("C0", model, kernel, eps, mc_budget=budget, v_h=v_h)
+    # the first iterate shears by 4 lam^2 * 0, which is NaN for a non-finite lam
     with pytest.raises(ValueError):
-        kernels.chat_fixed_point(model, kernel, eps, mc_budget=budget)
+        kernels.chat_fixed_point(model, kernel, eps, lam=v_h or 1.0, mc_budget=budget)
 
 
 def test_chat_fixed_point_on_skew_model(kernel):
