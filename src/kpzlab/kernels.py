@@ -168,10 +168,10 @@ def _on_support(t, x, f):
             out[rows, cols] = f(tb, xb, parabolic_norm(tb, xb))
         return out
     tt, xx = np.broadcast_arrays(t, x)
-    with np.errstate(over="ignore"):  # rho = inf is off the support
-        rho = parabolic_norm(tt, xx).ravel()
     shape = tt.shape
     tt, xx = tt.ravel(), xx.ravel()
+    with np.errstate(over="ignore"):  # rho = inf is off the support
+        rho = parabolic_norm(tt, xx)
     live = np.flatnonzero((tt > 0) & (rho < SUPPORT))
     out = np.zeros(rho.size)
     out[live] = f(tt[live], xx[live], rho[live])

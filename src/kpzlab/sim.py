@@ -1,24 +1,30 @@
 """Interface growth on the circle: the counterterm equation and the log-transform reference.
 
-Two solvers live here.  The renormalised equation is integrated by a
-semi-implicit scheme (implicit diffusion in Fourier space, explicit
-centred nonlinearity, transport and counterterms) driven by a sampled
-shot-noise field.  The reference solution exponentiates: the multiplicative
-stochastic heat equation with discretised space-time white noise is stepped
-explicitly in the Ito sense and the height is its scaled logarithm; the
-additive equation, its ``lam -> 0`` limit, shares that step loop.
+Two solvers live here.  The renormalised equation
+``dh = h'' + lam h'^2 - v_h h' + f - v_v``, driven by a sampled shot-noise
+field ``f``, is with smooth noise exactly the log-transform of the linear
+equation ``dz = z'' - v_h z' + lam (f - v_v) z`` for ``z = exp(lam h)``
+(Bertini and Giacomin, Comm. Math. Phys. 183:571, 1997).  So it is stepped
+in ``z`` by Strang splitting (SIAM J. Numer. Anal. 5:506, 1968): diffusion
+and transport as one Fourier multiplier, the forcing as a pointwise
+exponential, and ``h`` itself, with additive forcing, at ``lam = 0``.  The
+reference solution exponentiates too: the multiplicative stochastic heat
+equation with discretised space-time white noise is stepped explicitly in
+the Ito sense and the height is its scaled logarithm; the additive
+equation, its ``lam -> 0`` limit, shares that step loop.
 
 Both solve a batch of members as one ``(B, n_x)`` array.  The renormalised
 solver also takes several configurations that share ``n_x`` and ``T``
 (noise scales, couplings, counterterms), each with its own batch of
-fields, and integrates them all in one step loop.
+fields, and integrates them all in one loop.
 
-At ``dt = dx^2/4`` a solve is thousands of small steps, so both loops make
-few NumPy calls per step: the heights sit in a ``(B, n_x + 2)`` array with
-halo columns, so neighbours are slices, coefficients are folded into
-member columns and buffers are preallocated.  Every operation is
-elementwise or acts row by row, so a member's result does not depend on
-its batch (see ``_solve_forced`` for why there is no matmul).
+Both loops run on the config step ``dt <= dx^2/4``.  The reference takes
+one explicit step per ``dt``, a few NumPy calls on a ``(B, n_x + 2)``
+array whose halo columns make neighbours slices; the renormalised solver
+takes ``SPLIT_STEPS`` of them per sub-step, five NumPy calls at most.
+Every operation is elementwise or acts row by row, so a member's result
+does not depend on its batch (see ``_solve_forced`` for why there is no
+matmul).
 
 The comparison machinery is distributional: ensemble statistics (mean and
 variance profiles, two-point covariance, a one-point empirical law) with
@@ -53,6 +59,8 @@ __all__ = [
 ]
 
 BLOWUP_THRESHOLD = 1e6
+#: Config steps per splitting sub-step of the renormalised solver.
+SPLIT_STEPS = 4
 #: Byte budget of one block of Hopf-Cole normals, shared by all members.
 NORMAL_BLOCK_BYTES = 1 << 20
 #: Byte budget of one block of resampled ensembles in the bootstrap.
@@ -62,7 +70,8 @@ BOOTSTRAP_BLOCK_BYTES = 1 << 20
 class BlowupError(RuntimeError):
     def __init__(self, t):
         self.time = t
-        super().__init__(f"solution exceeded {BLOWUP_THRESHOLD:g} at t={t:.6g}")
+        super().__init__(f"solution blew up at t={t:.6g}: exp(lam h) not finite and "
+                         f"positive, or |h| beyond {BLOWUP_THRESHOLD:g} at lam = 0")
 
 
 class PositivityError(RuntimeError):
@@ -111,7 +120,14 @@ class SimConfig:
 
     @property
     def step(self) -> float:
-        """Largest stable step ``<= dx^2/4`` that divides ``T`` evenly."""
+        """The config step: the largest ``<= dx^2/4`` that divides ``T`` evenly.
+
+        The explicit reference takes one step per config step, at which it
+        is stable.  The renormalised solver's linear flow is the implicit
+        multiplier of this step raised to ``n_steps``, its forcing is the
+        noise rows read at each config step, and it splits ``SPLIT_STEPS``
+        config steps per sub-step.
+        """
         dx = 1.0 / self.n_x
         steps = int(math.ceil(self.T / (dx * dx / 4.0)))
         return self.T / steps
@@ -175,75 +191,106 @@ def _solve_forced(
     groups: Sequence[tuple[np.ndarray, float]],
     h0: np.ndarray,
 ) -> np.ndarray:
-    """Semi-implicit integration of a ``(B, n_x)`` batch; the final heights.
+    """Strang splitting of a ``(B, n_x)`` batch; the final heights.
 
     ``lam``, ``v_h`` and ``v_v`` are ``(B, 1)`` member columns, and
     ``config`` supplies only the grid and the step.  Each group is
     ``(coarse, dt_noise)`` with ``coarse`` of shape ``(rows, B_g, n_x)``;
-    it forces the next B_g members, at step ``s`` by its row
+    it forces the next B_g members, at config step ``s`` by its row
     ``min(int(s * dt / dt_noise), rows - 1)``.
 
-    The heights live in the interior of a ``(B, n_x + 2)`` array whose two
-    halo columns are refreshed from the opposite ends each step.  The
-    centred difference ``d = h[i+1] - h[i-1]`` is then one subtraction over
-    the flattened array, and with the constants folded into member columns
-    ``a = dt lam / (4 dx^2)`` and ``b = dt v_h / (2 dx)`` a step forms
-    ``rhs = h + d (a d - b) + drive`` in full-width buffers (their halo
-    columns hold unused values) before the implicit multiplier is applied
-    in Fourier space.  The drive ``dt (force - v_v)`` is formed again only
-    at the steps where some group's row changes, found before the loop.
-    A step is about ten NumPy calls on preallocated buffers, the rfft,
-    multiply and irfft among them, and the two transforms are about two
-    thirds of its time.  Every operation acts elementwise or row by row,
-    so each member is integrated bit for bit as it would be alone; a dense
+    A member with ``lam != 0`` is stepped in ``u = exp(lam h)``, which
+    solves the linear equation ``du = u'' - v_h u' + lam (f - v_v) u``;
+    a member with ``lam = 0`` is stepped in ``u = h``.  The config steps
+    are cut into sub-steps of ``SPLIT_STEPS`` (the last one shorter), a
+    fixed grid that no group's rows move, and a sub-step of ``m`` config
+    steps is ``u <- M^(m/2) (A M^(m/2) u + B)``.  ``M`` is the implicit
+    multiplier of one config step times the exact transport phase
+    ``exp(-2 pi i k v_h dt)`` (1 at the Nyquist mode, which the lattice
+    cannot shift), so the linear part of a solve is exactly ``M^n_steps``.
+    With ``S`` the sub-step's sum of ``dt (f_row(s) - v_v)`` over its config
+    steps, ``A = exp(lam S)`` and ``B = 0``, or ``A = 1`` and ``B = S`` at
+    ``lam = 0``.  ``S`` is formed again only at the sub-steps whose rows
+    differ from the previous one's, found before the loop.
+
+    Consecutive half powers merge, so a sub-step is one irfft, one
+    multiply, an add if some member has ``lam = 0``, one rfft and one
+    multiply on preallocated buffers.  At each new ``S``, and at the end,
+    the batch is checked: a ``lam != 0`` member's ``u`` must be finite and
+    positive, and a ``lam = 0`` member's finite and at most
+    ``BLOWUP_THRESHOLD`` in size, or ``BlowupError`` is raised at that
+    sub-step's time.  Every operation acts elementwise or row by row, so
+    each member is integrated bit for bit as it would be alone; a dense
     circulant matmul would be faster, but BLAS gives rows that change with
     the batch size.
     """
     n_x = config.n_x
-    dx = 1.0 / n_x
     dt = config.step
     n_steps = config.n_steps
-    mult = _implicit_multiplier(n_x, dt)
-    a = dt * lam / (4.0 * dx * dx)
-    b = dt * v_h / (2.0 * dx)
-    steps = np.arange(n_steps)
-    schedule = [np.minimum((steps * dt / dt_noise).astype(np.int64), len(coarse) - 1)
-                for coarse, dt_noise in groups]
-    changed = np.zeros(n_steps, dtype=bool)
-    changed[0] = True
-    for rows in schedule:
-        changed[1:] |= rows[1:] != rows[:-1]
+    starts = np.arange(0, n_steps, SPLIT_STEPS)
+    lengths = np.diff(starts, append=n_steps)
+    times = np.arange(n_steps) * dt
+    # each group's rows, one line of SPLIT_STEPS per sub-step, -1 past the end
+    windows = []
+    for coarse, dt_noise in groups:
+        window = np.full((len(starts), SPLIT_STEPS), -1)
+        window.reshape(-1)[:n_steps] = np.minimum((times / dt_noise).astype(np.int64),
+                                                  len(coarse) - 1)
+        windows.append(window)
+    fresh = np.ones(len(starts), dtype=bool)
+    fresh[1:] = np.any([(w[1:] != w[:-1]).any(axis=1) for w in windows], axis=0)
     targets = np.cumsum([0] + [coarse.shape[1] for coarse, _ in groups])
-    padded = np.empty((len(h0), n_x + 2))
-    h = padded[:, 1:-1]
-    h[:] = h0
-    d = np.zeros_like(padded)  # full width: its halo columns are never read back
-    rhs, drive = np.empty_like(padded), np.zeros_like(padded)
-    # flat slices: d[:, 1:-1] = padded[:, 2:] - padded[:, :-2] in one call
-    flat, d_flat = padded.reshape(-1), d.reshape(-1)[1:-1]
-    spectrum = np.empty((len(h0), n_x // 2 + 1), dtype=complex)
-    for step, new_row in enumerate(changed.tolist()):
-        if new_row:
-            for (coarse, _), rows, lo, hi in zip(groups, schedule, targets, targets[1:]):
-                drive[lo:hi, 1:-1] = coarse[rows[step]]
-            drive[:, 1:-1] -= v_v
-            drive *= dt
-        padded[:, 0] = padded[:, n_x]
-        padded[:, -1] = padded[:, 1]
-        np.subtract(flat[2:], flat[:-2], out=d_flat)
-        np.multiply(a, d, out=rhs)
-        rhs -= b
-        rhs *= d
-        rhs += padded
-        rhs += drive
-        np.fft.rfft(rhs[:, 1:-1], axis=-1, out=spectrum)
-        spectrum *= mult
-        np.fft.irfft(spectrum, n=n_x, axis=-1, out=h)
-        if step % 256 == 0 and np.max(np.abs(h)) > BLOWUP_THRESHOLD:
-            raise BlowupError(step * dt)
-    if np.max(np.abs(h)) > BLOWUP_THRESHOLD:
-        raise BlowupError(config.T)
-    return h.copy()
+    k = np.arange(n_x // 2 + 1)
+    k[-1] = 0  # the Nyquist mode is a standing wave on the lattice: no transport
+    mult = _implicit_multiplier(n_x, dt)
+
+    def flow(p):
+        """``M^p``: ``p`` config steps of diffusion and transport."""
+        power = mult ** p
+        return power * np.exp(-2j * math.pi * k * v_h * (p * dt)) if v_h.any() else power
+
+    hopf = lam != 0
+    additive = not hopf.all()
+    between = flow(SPLIT_STEPS)  # the merged halves of two full sub-steps
+    last = len(starts) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.where(hopf, np.exp(lam * h0), h0)
+        total, mul, add = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+        spectrum = np.fft.rfft(u, axis=-1) * flow(lengths[0] / 2)
+        for j, (start, new_rows) in enumerate(zip(starts.tolist(), fresh.tolist())):
+            np.fft.irfft(spectrum, n=n_x, axis=-1, out=u)
+            if new_rows:
+                for w, (coarse, _), lo, hi in zip(windows, groups, targets, targets[1:]):
+                    total[lo:hi] = sum(coarse[r] for r in w[j, :lengths[j]].tolist())
+                total -= lengths[j] * v_v
+                total *= dt
+                np.exp(lam * total, out=mul)
+                np.multiply(total, ~hopf, out=add)
+            u *= mul
+            if additive:
+                u += add
+            if new_rows and _blown(u, hopf):
+                raise BlowupError(start * dt)
+            np.fft.rfft(u, axis=-1, out=spectrum)
+            if j < last - 1:
+                spectrum *= between
+            elif j == last - 1:
+                spectrum *= flow((lengths[j] + lengths[last]) / 2)
+            else:
+                spectrum *= flow(lengths[j] / 2)
+        np.fft.irfft(spectrum, n=n_x, axis=-1, out=u)
+        if _blown(u, hopf):
+            raise BlowupError(config.T)
+    rows = hopf[:, 0]
+    u[rows] = np.log(u[rows]) / lam[rows]
+    return u
+
+
+def _blown(u: np.ndarray, hopf: np.ndarray) -> bool:
+    """Some ``exp(lam h)`` row not finite and positive, or some ``h`` row
+    not finite or beyond ``BLOWUP_THRESHOLD``."""
+    return bool(np.any(np.where(hopf, u <= 0.0, np.abs(u) > BLOWUP_THRESHOLD)
+                       | ~np.isfinite(u)))
 
 
 def _forcing_group(config: SimConfig, noise):

@@ -41,8 +41,10 @@ def fields(model, config, seeds):
 
 
 def stepped_renormalised(config, samples, h0):
-    """The renormalised step as first written: neighbours by ``take``, fresh
-    temporaries every step and the forcing row looked up at every step."""
+    """The semi-implicit step of dh = h'' + lam h'^2 - v_h h' + f - v_v at
+    dt = ``config.step``, as first written: neighbours by ``take``, fresh
+    temporaries every step and the forcing row looked up at every step.
+    The production solver's splitting converges to it as ``n_x`` grows."""
     n_x, dt = config.n_x, config.step
     dx = 1.0 / n_x
     mult = sim._implicit_multiplier(n_x, dt)
@@ -57,6 +59,35 @@ def stepped_renormalised(config, samples, h0):
         rhs = h + dt * (config.lam * grad ** 2 - config.v_h * grad - config.v_v + force)
         h = np.fft.irfft(np.fft.rfft(rhs, axis=-1) * mult, n=n_x, axis=-1)
     return h
+
+
+def split_renormalised(config, samples, h0):
+    """The Strang step as first written: every sub-step of ``SPLIT_STEPS``
+    config steps takes half the linear flow, the forcing of each config
+    step in turn and the other half, each half its own transform pair."""
+    n_x, dt, lam = config.n_x, config.step, config.lam
+    k = np.arange(n_x // 2 + 1)
+    k[-1] = 0  # the Nyquist mode is not transported
+    coarse = np.stack([sim._coarse_noise(s, config) for s in samples], axis=1)
+    dt_noise = samples[0].grid.dt
+
+    def half(u, steps):
+        flow = (sim._implicit_multiplier(n_x, dt) ** (steps / 2)
+                * np.exp(-1j * math.pi * k * config.v_h * steps * dt))
+        return np.fft.irfft(np.fft.rfft(u, axis=-1) * flow, n=n_x, axis=-1)
+
+    h = np.broadcast_to(h0, (len(samples), n_x))
+    u = np.exp(lam * h) if lam else h
+    for start in range(0, config.n_steps, sim.SPLIT_STEPS):
+        steps = range(start, min(start + sim.SPLIT_STEPS, config.n_steps))
+        u = half(u, len(steps))
+        total = 0.0
+        for step in steps:
+            force = coarse[min(int(step * dt / dt_noise), len(coarse) - 1)]
+            total = total + dt * (force - config.v_v)
+        u = u * np.exp(lam * total) if lam else u + total
+        u = half(u, len(steps))
+    return np.log(u) / lam if lam else u
 
 
 def stepped_hopf_cole(config, seeds):
@@ -252,15 +283,19 @@ class TestAgainstSteppedOracles:
     def test_renormalised_matches_the_stepped_loop(self):
         model = default_asymmetric_model()
         configs = [small_config(eps=0.2, lam=0.8, ell=ELL, v_h=0.3),
-                   small_config(eps=0.1, lam=-1.3, ell=ELL, v_h=-0.2)]
+                   small_config(eps=0.1, lam=-1.3, ell=ELL, v_h=-0.2),
+                   small_config(eps=0.1, lam=0.0, ell=ELL, v_h=0.5)]
         x = np.arange(32) / 32
         h0 = 0.1 * np.cos(2 * math.pi * x)
-        noises = [fields(model, configs[0], (1, 2, 3)), fields(model, configs[1], (4, 5))]
+        noises = [fields(model, configs[0], (1, 2, 3)), fields(model, configs[1], (4, 5)),
+                  fields(model, configs[2], (6,))]
         batch = sim.solve_renormalised(configs, noises, h0)
+        # the last sub-step is shorter than the others
+        assert configs[0].n_steps % sim.SPLIT_STEPS != 0
         for config, samples, trajectory in zip(configs, noises, batch):
             rows_per_step = samples[0].grid.dt / config.step
             assert rows_per_step != round(rows_per_step)
-            want = stepped_renormalised(config, samples, h0)
+            want = split_renormalised(config, samples, h0)
             scale = np.max(np.abs(want))
             assert scale > 0.05
             np.testing.assert_allclose(trajectory.final, want, rtol=0, atol=self.RTOL * scale)
@@ -271,6 +306,41 @@ class TestAgainstSteppedOracles:
         want = stepped_hopf_cole(config, [11, 12, 13])
         got = sim.solve_hopf_cole(config, [11, 12, 13]).final
         np.testing.assert_allclose(got, want, rtol=0, atol=self.RTOL * np.max(np.abs(want)))
+
+    def test_renormalised_tends_to_the_semi_implicit_scheme(self):
+        # the splitting and the semi-implicit dx^2/4 scheme discretise one
+        # equation; the gap of their mean heights is second order in dx
+        # (4.08 and 4.03 per doubling here), and it is no rounding effect
+        model = default_even_model()
+        gaps = []
+        for n_x in (32, 64, 128):
+            config = sim.SimConfig(lam=1.0, eps=0.2, n_x=n_x, T=0.05)
+            samples = fields(model, config, (1, 2, 3, 4))
+            split = sim.solve_renormalised(config, samples).final
+            gaps.append(abs(np.mean(split - stepped_renormalised(config, samples, 0.0))))
+        assert gaps[-1] > 1e-5
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.0 < coarse / fine < 5.0
+
+    def test_four_steps_per_split_keep_the_budget(self, monkeypatch):
+        # budget: four config steps per sub-step move no height by more than
+        # 0.005 from one step per sub-step, under 1 % of the heights and a
+        # fifth of the gap to the semi-implicit scheme, on the skew model at
+        # eps = 0.2, n_x = 64 (0.0024 measured, a ninth of that gap).  The
+        # error is second order in the sub-step, so the gap of two steps per
+        # sub-step is about a fifth of the gap of four (15 against 3)
+        model = default_asymmetric_model()
+        config = sim.SimConfig(lam=1.0, eps=0.2, n_x=64, T=0.05)
+        samples = fields(model, config, (1, 2, 3, 4))
+        finals = {}
+        for steps in (4, 2, 1):
+            monkeypatch.setattr(sim, "SPLIT_STEPS", steps)
+            finals[steps] = sim.solve_renormalised(config, samples).final
+        four, two = (np.max(np.abs(finals[m] - finals[1])) for m in (4, 2))
+        assert four <= 0.005
+        assert four <= 0.01 * np.max(np.abs(finals[1]))
+        assert 5 * four <= np.max(np.abs(finals[1] - stepped_renormalised(config, samples, 0.0)))
+        assert 3.5 < four / two < 6.5
 
     @pytest.mark.parametrize("block_bytes", [1 << 20, 8 * (7 + 5) * 16 * 3])
     def test_bootstrap_matches_the_resample_loop(self, monkeypatch, block_bytes):
@@ -298,6 +368,33 @@ class TestFailures:
         bad = FieldSample(samples[1].values * 1e12, samples[1].grid, samples[1].eps, 0.0)
         with pytest.raises(sim.BlowupError):
             sim.solve_renormalised(config, [samples[0], bad, samples[2]])
+
+    @pytest.mark.parametrize("lam,scale,fill", [(-1.3, 1e12, 0.0), (-1.3, 0.0, 1e12),
+                                                (0.0, 1e12, 0.0)],
+                             ids=["overflow", "underflow", "additive"])
+    def test_blowup_is_raised_at_the_bad_row(self, lam, scale, fill):
+        # one row of one member's field becomes scale * row + fill.  At
+        # lam = -1.3, exp(lam S) overflows where the scaled row is negative,
+        # or underflows to 0 at every cell under the constant fill, which
+        # leaves a finite u = 0 that only the positivity check sees; at
+        # lam = 0 the heights pass BLOWUP_THRESHOLD.  Each time the check in
+        # the first sub-step the row forces raises, alone and inside a
+        # config batch alike
+        model = default_even_model()
+        config = small_config(lam=lam)
+        good, spoilt = fields(model, config, (1, 2))
+        row = 3
+        values = spoilt.values.copy()
+        values[row] = scale * values[row] + fill
+        bad = FieldSample(values, spoilt.grid, spoilt.eps, spoilt.v_h)
+        sim.solve_renormalised(config, [good, spoilt])
+        with pytest.raises(sim.BlowupError) as alone:
+            sim.solve_renormalised(config, bad)
+        with pytest.raises(sim.BlowupError) as batch:
+            sim.solve_renormalised([small_config(lam=0.8), config], [[good], [good, bad]])
+        assert batch.value.time == alone.value.time
+        t_row = row * spoilt.grid.dt
+        assert abs(alone.value.time - t_row) < (sim.SPLIT_STEPS + 1) * config.step
 
     def test_one_non_positive_member_fails_the_batch(self):
         config = sim.SimConfig(lam=2.0, eps=0.2, n_x=16, T=0.05)
@@ -332,6 +429,23 @@ class TestExactBehaviour:
         with_ell3, without = sim.solve_renormalised([full, control], [samples, samples])
         gap = without.final - with_ell3.final
         assert np.allclose(gap, 2 * lam ** 2 * ELL[2] * full.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.8, 0.0])
+    def test_mirror_marks_give_exact_negatives(self, lam):
+        # one cloud draw with the marks (p, a) and with the mirror law
+        # (p, -a) gives exactly negated fields, and with ell = 0 and v_h = 0
+        # the equation maps (lam, field, h) to (-lam, -field, -h)
+        skew = default_asymmetric_model()
+        marks = ((0.9, 0.5), (0.1, 2.5))
+        law, mirror = (PoissonNoiseModel(skew.terms, marks=m, name="skew-bump")
+                       for m in (marks, tuple((p, -a) for p, a in marks)))
+        configs = [small_config(lam=lam), small_config(lam=-lam)]
+        noises = [fields(law, configs[0], (1, 2, 3)), fields(mirror, configs[1], (1, 2, 3))]
+        for sample, mirrored in zip(*noises):
+            assert np.array_equal(mirrored.values, -sample.values)
+        plus, minus = sim.solve_renormalised(configs, noises)
+        assert np.max(np.abs(plus.final)) > 0.05
+        assert np.array_equal(minus.final, -plus.final)
 
     def test_default_step_is_stable_and_ends_at_T(self):
         # the step has no other source, so nothing else enforces these
