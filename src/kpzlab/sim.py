@@ -1,6 +1,6 @@
 """Interface growth on the circle: the counterterm equation and the log-transform reference.
 
-Two solvers live here.  The renormalised equation
+Two solvers live here, on one step loop.  The renormalised equation
 ``dh = h'' + lam h'^2 - v_h h' + f - v_v``, driven by a sampled shot-noise
 field ``f``, is with smooth noise exactly the log-transform of the linear
 equation ``dz = z'' - v_h z' + lam (f - v_v) z`` for ``z = exp(lam h)``
@@ -8,23 +8,22 @@ equation ``dz = z'' - v_h z' + lam (f - v_v) z`` for ``z = exp(lam h)``
 in ``z`` by Strang splitting (SIAM J. Numer. Anal. 5:506, 1968): diffusion
 and transport as one Fourier multiplier, the forcing as a pointwise
 exponential, and ``h`` itself, with additive forcing, at ``lam = 0``.  The
-reference solution exponentiates too: the multiplicative stochastic heat
-equation with discretised space-time white noise is stepped explicitly in
-the Ito sense and the height is its scaled logarithm; the additive
-equation, its ``lam -> 0`` limit, shares that step loop.
+reference is the Hopf-Cole solution ``log(z) / lam`` of the multiplicative
+stochastic heat equation ``dz = z'' + lam z xi`` in the Ito sense, with
+discretised space-time white noise ``xi``.  It is stepped the same way,
+forced by one normal row per member and sub-step: its Ito correction is a
+constant counterterm, and at ``lam = 0`` it is the additive equation.
 
 Both solve a batch of members as one ``(B, n_x)`` array.  The renormalised
 solver also takes several configurations that share ``n_x`` and ``T``
 (noise scales, couplings, counterterms), each with its own batch of
 fields, and integrates them all in one loop.
 
-Both loops run on the config step ``dt <= dx^2/4``.  The reference takes
-one explicit step per ``dt``, a few NumPy calls on a ``(B, n_x + 2)``
-array whose halo columns make neighbours slices; the renormalised solver
-takes ``SPLIT_STEPS`` of them per sub-step, five NumPy calls at most.
-Every operation is elementwise or acts row by row, so a member's result
-does not depend on its batch (see ``_solve_forced`` for why there is no
-matmul).
+Both run on the config step ``dt <= dx^2/4`` and take ``SPLIT_STEPS`` of
+them per sub-step: an inverse and a forward FFT and a few elementwise
+NumPy calls on the whole batch.  Every operation is elementwise or acts row
+by row, so a member's result does not depend on its batch (see
+``_solve_forced`` for why there is no matmul).
 
 The comparison machinery is distributional: ensemble statistics (mean and
 variance profiles, two-point covariance, a one-point empirical law) with
@@ -46,10 +45,8 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "BlowupError",
-    "PositivityError",
     "renormalised_coefficients_closed_form",
     "solve_renormalised",
-    "solve_additive",
     "solve_hopf_cole",
     "ensemble_renormalised",
     "ensemble_hopf_cole",
@@ -59,9 +56,11 @@ __all__ = [
 ]
 
 BLOWUP_THRESHOLD = 1e6
-#: Config steps per splitting sub-step of the renormalised solver.
+#: Config steps per splitting sub-step of both solvers.
 SPLIT_STEPS = 4
-#: Byte budget of one block of Hopf-Cole normals, shared by all members.
+#: Byte budget of one block of the reference's normals, one row per member
+#: and sub-step, shared by all members; the reference is checked for
+#: blow-up once per block.
 NORMAL_BLOCK_BYTES = 1 << 20
 #: Byte budget of one block of resampled ensembles in the bootstrap.
 BOOTSTRAP_BLOCK_BYTES = 1 << 20
@@ -72,14 +71,6 @@ class BlowupError(RuntimeError):
         self.time = t
         super().__init__(f"solution blew up at t={t:.6g}: exp(lam h) not finite and "
                          f"positive, or |h| beyond {BLOWUP_THRESHOLD:g} at lam = 0")
-
-
-class PositivityError(RuntimeError):
-    def __init__(self, t):
-        self.time = t
-        super().__init__(
-            f"multiplicative solution lost positivity at t={t:.6g}; raise n_x"
-        )
 
 
 def renormalised_coefficients_closed_form(ell: Sequence, lam) -> tuple:
@@ -122,11 +113,11 @@ class SimConfig:
     def step(self) -> float:
         """The config step: the largest ``<= dx^2/4`` that divides ``T`` evenly.
 
-        The explicit reference takes one step per config step, at which it
-        is stable.  The renormalised solver's linear flow is the implicit
-        multiplier of this step raised to ``n_steps``, its forcing is the
-        noise rows read at each config step, and it splits ``SPLIT_STEPS``
-        config steps per sub-step.
+        Both solvers split ``SPLIT_STEPS`` config steps per sub-step, and the
+        linear flow of a solve is the implicit multiplier of this step raised
+        to ``n_steps``.  The renormalised solver reads its noise rows at each
+        config step; the reference draws one normal row per sub-step, with
+        the variance of the white noise over its config steps.
         """
         dx = 1.0 / self.n_x
         steps = int(math.ceil(self.T / (dx * dx / 4.0)))
@@ -183,63 +174,54 @@ def _coarse_noise(sample: FieldSample, config: SimConfig) -> np.ndarray:
     return values.reshape(values.shape[0], n_x, factor).mean(axis=2)
 
 
+def _substeps(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """First config step and length of each sub-step: ``SPLIT_STEPS`` config
+    steps each, the last one shorter when they do not divide ``n_steps``."""
+    starts = np.arange(0, n_steps, SPLIT_STEPS)
+    return starts, np.diff(starts, append=n_steps)
+
+
 def _solve_forced(
     config: SimConfig,
     lam: np.ndarray,
     v_h: np.ndarray,
-    v_v: np.ndarray,
-    groups: Sequence[tuple[np.ndarray, float]],
+    forcing: Iterable[tuple[np.ndarray | None, np.ndarray | None, bool]],
     h0: np.ndarray,
 ) -> np.ndarray:
     """Strang splitting of a ``(B, n_x)`` batch; the final heights.
 
-    ``lam``, ``v_h`` and ``v_v`` are ``(B, 1)`` member columns, and
-    ``config`` supplies only the grid and the step.  Each group is
-    ``(coarse, dt_noise)`` with ``coarse`` of shape ``(rows, B_g, n_x)``;
-    it forces the next B_g members, at config step ``s`` by its row
-    ``min(int(s * dt / dt_noise), rows - 1)``.
-
-    A member with ``lam != 0`` is stepped in ``u = exp(lam h)``, which
-    solves the linear equation ``du = u'' - v_h u' + lam (f - v_v) u``;
-    a member with ``lam = 0`` is stepped in ``u = h``.  The config steps
-    are cut into sub-steps of ``SPLIT_STEPS`` (the last one shorter), a
-    fixed grid that no group's rows move, and a sub-step of ``m`` config
-    steps is ``u <- M^(m/2) (A M^(m/2) u + B)``.  ``M`` is the implicit
-    multiplier of one config step times the exact transport phase
+    ``lam`` and ``v_h`` are ``(B, 1)`` member columns, and ``config``
+    supplies only the grid and the step.  A member with ``lam != 0`` is
+    stepped in ``u = exp(lam h)``, which solves the linear equation
+    ``du = u'' - v_h u' + lam (f - v_v) u``; a member with ``lam = 0`` is
+    stepped in ``u = h``.  A sub-step of ``m`` config steps (see
+    ``_substeps``) is ``u <- M^(m/2) (A M^(m/2) u + B)``.  ``M`` is the
+    implicit multiplier of one config step times the exact transport phase
     ``exp(-2 pi i k v_h dt)`` (1 at the Nyquist mode, which the lattice
     cannot shift), so the linear part of a solve is exactly ``M^n_steps``.
-    With ``S`` the sub-step's sum of ``dt (f_row(s) - v_v)`` over its config
-    steps, ``A = exp(lam S)`` and ``B = 0``, or ``A = 1`` and ``B = S`` at
-    ``lam = 0``.  ``S`` is formed again only at the sub-steps whose rows
-    differ from the previous one's, found before the loop.
+
+    ``forcing`` yields ``(A, B, check)`` per sub-step, ``None`` for ``A = 1``
+    or ``B = 0``, and ``check`` where the batch is to be checked.  With the
+    sub-step's increment ``S``, ``A = exp(lam S)`` and ``B = 0``, or
+    ``A = 1`` and ``B = S`` at ``lam = 0``: ``S = dt (F - m v_v)`` for a
+    field's rows ``F`` summed over the sub-step (``_field_forcing``), and
+    ``S = sqrt(m) amp xi - m dt v_v`` for the reference's normal row ``xi``,
+    ``amp^2 = dt / dx``, whose Ito correction is the constant counterterm
+    ``v_v = lam / (2 dx)`` (``_normal_forcing``).
 
     Consecutive half powers merge, so a sub-step is one irfft, one
     multiply, an add if some member has ``lam = 0``, one rfft and one
-    multiply on preallocated buffers.  At each new ``S``, and at the end,
-    the batch is checked: a ``lam != 0`` member's ``u`` must be finite and
-    positive, and a ``lam = 0`` member's finite and at most
-    ``BLOWUP_THRESHOLD`` in size, or ``BlowupError`` is raised at that
-    sub-step's time.  Every operation acts elementwise or row by row, so
-    each member is integrated bit for bit as it would be alone; a dense
-    circulant matmul would be faster, but BLAS gives rows that change with
-    the batch size.
+    multiply on preallocated buffers.  Where ``check`` is set, and at the
+    end, a ``lam != 0`` member's ``u`` must be finite and positive, and a
+    ``lam = 0`` member's finite and at most ``BLOWUP_THRESHOLD`` in size, or
+    ``BlowupError`` is raised at that sub-step's time.  Every operation acts
+    elementwise or row by row, so each member is integrated bit for bit as
+    it would be alone; a dense circulant matmul would be faster, but BLAS
+    gives rows that change with the batch size.
     """
     n_x = config.n_x
     dt = config.step
-    n_steps = config.n_steps
-    starts = np.arange(0, n_steps, SPLIT_STEPS)
-    lengths = np.diff(starts, append=n_steps)
-    times = np.arange(n_steps) * dt
-    # each group's rows, one line of SPLIT_STEPS per sub-step, -1 past the end
-    windows = []
-    for coarse, dt_noise in groups:
-        window = np.full((len(starts), SPLIT_STEPS), -1)
-        window.reshape(-1)[:n_steps] = np.minimum((times / dt_noise).astype(np.int64),
-                                                  len(coarse) - 1)
-        windows.append(window)
-    fresh = np.ones(len(starts), dtype=bool)
-    fresh[1:] = np.any([(w[1:] != w[:-1]).any(axis=1) for w in windows], axis=0)
-    targets = np.cumsum([0] + [coarse.shape[1] for coarse, _ in groups])
+    starts, lengths = _substeps(config.n_steps)
     k = np.arange(n_x // 2 + 1)
     k[-1] = 0  # the Nyquist mode is a standing wave on the lattice: no transport
     mult = _implicit_multiplier(n_x, dt)
@@ -250,26 +232,18 @@ def _solve_forced(
         return power * np.exp(-2j * math.pi * k * v_h * (p * dt)) if v_h.any() else power
 
     hopf = lam != 0
-    additive = not hopf.all()
     between = flow(SPLIT_STEPS)  # the merged halves of two full sub-steps
     last = len(starts) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.where(hopf, np.exp(lam * h0), h0)
-        total, mul, add = np.empty_like(u), np.empty_like(u), np.empty_like(u)
         spectrum = np.fft.rfft(u, axis=-1) * flow(lengths[0] / 2)
-        for j, (start, new_rows) in enumerate(zip(starts.tolist(), fresh.tolist())):
+        for j, (start, (mul, add, check)) in enumerate(zip(starts.tolist(), forcing)):
             np.fft.irfft(spectrum, n=n_x, axis=-1, out=u)
-            if new_rows:
-                for w, (coarse, _), lo, hi in zip(windows, groups, targets, targets[1:]):
-                    total[lo:hi] = sum(coarse[r] for r in w[j, :lengths[j]].tolist())
-                total -= lengths[j] * v_v
-                total *= dt
-                np.exp(lam * total, out=mul)
-                np.multiply(total, ~hopf, out=add)
-            u *= mul
-            if additive:
+            if mul is not None:
+                u *= mul
+            if add is not None:
                 u += add
-            if new_rows and _blown(u, hopf):
+            if check and _blown(u, hopf):
                 raise BlowupError(start * dt)
             np.fft.rfft(u, axis=-1, out=spectrum)
             if j < last - 1:
@@ -284,6 +258,46 @@ def _solve_forced(
     rows = hopf[:, 0]
     u[rows] = np.log(u[rows]) / lam[rows]
     return u
+
+
+def _field_forcing(config: SimConfig, lam: np.ndarray, v_v: np.ndarray,
+                   groups: Sequence[tuple[np.ndarray, float]]):
+    """``(A, B, check)`` per sub-step for members driven by noise fields.
+
+    ``lam`` and ``v_v`` are ``(B, 1)`` member columns.  Each group is
+    ``(coarse, dt_noise)`` with ``coarse`` of shape ``(rows, B_g, n_x)``; it
+    forces the next B_g members, at config step ``s`` by its row
+    ``min(int(s * dt / dt_noise), rows - 1)``.  ``A`` and ``B`` are formed
+    again, and checked, only at the sub-steps whose rows differ from the
+    previous one's, found beforehand; in between the same buffers are
+    yielded unchecked.
+    """
+    n_steps, dt = config.n_steps, config.step
+    starts, lengths = _substeps(n_steps)
+    times = np.arange(n_steps) * dt
+    # each group's rows, one line of SPLIT_STEPS per sub-step, -1 past the end
+    windows = []
+    for coarse, dt_noise in groups:
+        window = np.full((len(starts), SPLIT_STEPS), -1)
+        window.reshape(-1)[:n_steps] = np.minimum((times / dt_noise).astype(np.int64),
+                                                  len(coarse) - 1)
+        windows.append(window)
+    fresh = np.ones(len(starts), dtype=bool)
+    fresh[1:] = np.any([(w[1:] != w[:-1]).any(axis=1) for w in windows], axis=0)
+    targets = np.cumsum([0] + [coarse.shape[1] for coarse, _ in groups])
+    hopf = lam != 0
+    total = np.empty((targets[-1], config.n_x))
+    mul, add = np.empty_like(total), (None if hopf.all() else np.empty_like(total))
+    for j, new_rows in enumerate(fresh.tolist()):
+        if new_rows:
+            for w, (coarse, _), lo, hi in zip(windows, groups, targets, targets[1:]):
+                total[lo:hi] = sum(coarse[r] for r in w[j, :lengths[j]].tolist())
+            total -= lengths[j] * v_v
+            total *= dt
+            np.exp(lam * total, out=mul)
+            if add is not None:
+                np.multiply(total, ~hopf, out=add)
+        yield mul, add, new_rows
 
 
 def _blown(u: np.ndarray, hopf: np.ndarray) -> bool:
@@ -353,97 +367,74 @@ def solve_renormalised(
     def column(values):
         return np.repeat(values, sizes)[:, None]
 
-    final = _solve_forced(configs[0], column([c.lam for c in configs]),
-                          column([c.v_h for c in configs]),
-                          column([c.v_v for c in configs]), groups,
+    lam = column([c.lam for c in configs])
+    forcing = _field_forcing(configs[0], lam, column([c.v_v for c in configs]), groups)
+    final = _solve_forced(configs[0], lam, column([c.v_h for c in configs]), forcing,
                           np.broadcast_to(h0, (sum(sizes), n_x)))
     out = [Trajectory(h[0] if one else h, c) for c, one, h
            in zip(configs, lone, np.split(final, np.cumsum(sizes)[:-1]))]
     return out[0] if single else out
 
 
-def _normal_rows(seeds, n_x: int, n_steps: int, scale: float, offset: float):
-    """Per-step ``(B, n_x)`` rows of ``offset + scale * xi``, ``xi`` standard normal.
+def _normal_forcing(config: SimConfig, seeds: Sequence[int]):
+    """``(A, B, check)`` per sub-step for the reference, one member per seed.
 
-    One stream per member seed.  Each stream fills a block of k rows at
-    once, which yields the same numbers as k separate ``(n_x,)`` draws, and
-    the block is scaled and shifted elementwise, so the rows do not depend
-    on k.
+    Over a sub-step of ``m`` config steps the white noise of amplitude
+    ``amp = sqrt(dt / dx)`` per config step sums to ``sqrt(m) amp xi``, with
+    one standard-normal row ``xi`` per member from the stream
+    ``SeedSequence([seed, 0xADD])``.  The increment is
+    ``S = sqrt(m) amp xi - m dt v_v`` with ``v_v = lam / (2 dx)``, so that
+    ``A = exp(lam S) = exp(lam sqrt(m) amp xi - m lam^2 amp^2 / 2)`` is the
+    Ito-exact factor; at ``lam = 0``, ``B = S``.  Each stream fills a block
+    of k rows at once, which yields the same numbers as k separate
+    ``(n_x,)`` draws, and the block is turned into ``A`` or ``B``
+    elementwise, so the rows do not depend on k.  ``check`` is set at each
+    block's last sub-step.
     """
+    n_x, dt, lam = config.n_x, config.step, config.lam
+    _, lengths = _substeps(config.n_steps)
+    amp = math.sqrt(dt * n_x)
+    scales = (np.sqrt(lengths) * amp)[:, None]
+    counterterms = (lengths * dt * (lam * n_x / 2))[:, None]
     rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xADD])) for s in seeds]
     k = max(1, NORMAL_BLOCK_BYTES // (8 * len(rngs) * n_x))
     block = np.empty((len(rngs), k, n_x))
-    for start in range(0, n_steps, k):
-        rows = min(k, n_steps - start)
+    for lo in range(0, len(lengths), k):
+        rows = min(k, len(lengths) - lo)
         for rng, out in zip(rngs, block):
             rng.standard_normal(out=out[:rows])
-        block *= scale
-        block += offset
-        for j in range(rows):
-            yield block[:, j]
-
-
-def _explicit_steps(config: SimConfig, seeds: Sequence[int], lam: float) -> np.ndarray:
-    """Explicit Ito steps of ``dz = z'' dt + c amp xi``; ``(len(seeds), n_x)`` at ``T``.
-
-    ``c = lam z`` from ``z = 1`` (the exponentiated height), or ``c = 1``
-    from ``z = 0`` when ``lam`` is 0 (the additive height).  With
-    ``c2 = dt / dx^2`` a step is ``z <- c2 (z_r + z_l) + z (1 - 2 c2 + lam amp xi)``,
-    or ``z <- c2 (z_r + z_l) + (1 - 2 c2) z + amp xi`` at ``lam = 0``; the
-    noise rows arrive already scaled and shifted, and the neighbours come
-    from a ``(B, n_x + 2)`` array with refreshed halo columns.  A step is
-    about eight NumPy calls.  For ``lam != 0`` positivity of ``z`` is
-    asserted at every step.
-    """
-    if not len(seeds):
-        raise ValueError("empty batch")
-    n_x = config.n_x
-    dx = 1.0 / n_x
-    dt = config.step
-    c2 = dt / (dx * dx)
-    keep = 1.0 - 2.0 * c2
-    amp = math.sqrt(dt / dx)
-    padded = np.full((len(seeds), n_x + 2), 1.0 if lam else 0.0)
-    z = padded[:, 1:-1]
-    near, own = np.empty_like(z), np.empty_like(z)
-    rows = (_normal_rows(seeds, n_x, config.n_steps, lam * amp, keep) if lam
-            else _normal_rows(seeds, n_x, config.n_steps, amp, 0.0))
-    for step, xi in enumerate(rows):
-        padded[:, 0] = padded[:, n_x]
-        padded[:, -1] = padded[:, 1]
-        np.add(padded[:, 2:], padded[:, :-2], out=near)
-        near *= c2
+        increments = block[:, :rows]
+        increments *= scales[lo:lo + rows]
         if lam:
-            np.multiply(z, xi, out=own)
-        else:
-            np.multiply(z, keep, out=own)
-            own += xi
-        np.add(near, own, out=z)
-        if lam and z.min() <= 0.0:
-            raise PositivityError(step * dt)
-    return z.copy()
-
-
-def solve_additive(config: SimConfig, seeds: Sequence[int]) -> Trajectory:
-    """Heat equation plus discretised space-time white noise, from flat.
-
-    One member per seed, each on its own noise stream; ``final`` is
-    ``(len(seeds), n_x)``.  ``config.lam`` is not used.
-    """
-    return Trajectory(_explicit_steps(config, seeds, 0.0), config)
+            increments -= counterterms[lo:lo + rows]
+            increments *= lam
+            np.exp(increments, out=increments)
+        for j in range(rows):
+            row, check = block[:, j], j == rows - 1
+            yield (row, None, check) if lam else (None, row, check)
 
 
 def solve_hopf_cole(config: SimConfig, seeds: Sequence[int]) -> Trajectory:
-    """Exponentiated multiplicative heat equation from flat, Ito stepping.
+    """The Hopf-Cole reference from flat: ``log(z) / lam`` for the Ito
+    equation ``dz = z'' + lam z xi`` with discretised space-time white noise
+    ``xi``, or at ``lam = 0`` the additive equation ``dh = h'' + xi``.
 
-    One member per seed, each on the noise stream :func:`solve_additive`
-    gives it, integrated in one ``(len(seeds), n_x)`` array; the height is
-    ``log(z) / lam``.  For ``lam = 0`` this is the additive equation.
-    Positivity of the exponentiated field is asserted at every step.
+    One member per seed, each on its own normal stream, integrated in one
+    ``(len(seeds), n_x)`` array by ``_solve_forced``: a sub-step of ``m``
+    config steps multiplies ``z`` by ``exp(lam sqrt(m) amp xi - m lam^2
+    amp^2 / 2)`` between its two half flows, with ``amp^2 = dt / dx``
+    (see ``_normal_forcing``; ``config.ell`` and ``config.v_h`` are not
+    used).  The implicit multiplier ``M = (I - dt Laplacian)^-1`` inverts a
+    nonsingular M-matrix, so every power of it is entrywise positive and
+    ``z`` stays positive.  The batch is checked for blow-up once per block
+    of ``NORMAL_BLOCK_BYTES`` normals and at the end.
     """
-    lam = config.lam
-    z = _explicit_steps(config, seeds, lam)
-    return Trajectory(np.log(z) / lam if lam else z, config)
+    if not len(seeds):
+        raise ValueError("empty batch")
+    lam = np.full((len(seeds), 1), float(config.lam))
+    final = _solve_forced(config, lam, np.zeros_like(lam), _normal_forcing(config, seeds),
+                          np.zeros((len(seeds), config.n_x)))
+    return Trajectory(final, config)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +466,7 @@ def ensemble_renormalised(
 
 def ensemble_hopf_cole(config: SimConfig, n_members: int,
                        master_seed: int) -> np.ndarray:
+    """``n_members`` reference heights at ``T``, on seeds drawn from ``master_seed``."""
     seeds = [_child_seed(master_seed, 7, m) for m in range(n_members)]
     return solve_hopf_cole(config, seeds).final
 

@@ -92,7 +92,9 @@ def split_renormalised(config, samples, h0):
 
 def stepped_hopf_cole(config, seeds):
     """The explicit Ito step as first written, one ``(n_x,)`` normal draw
-    per member and step from the member's own stream."""
+    per member and config step from the member's own stream.  The split
+    reference converges to it as ``n_x`` grows; for ``lam != 0`` it asserts
+    positivity at every step, which it can lose on coarse grids."""
     n_x, dt, lam = config.n_x, config.step, config.lam
     dx = 1.0 / n_x
     amp = math.sqrt(dt / dx)
@@ -104,7 +106,52 @@ def stepped_hopf_cole(config, seeds):
         xi = np.stack([rng.standard_normal(n_x) for rng in rngs])
         lap = (z.take(right, axis=1) - 2 * z + z.take(left, axis=1)) / (dx * dx)
         z = z + dt * lap + (lam * z * amp * xi if lam else amp * xi)
+        if lam and z.min() <= 0.0:
+            raise ArithmeticError("the explicit step lost positivity")
     return np.log(z) / lam if lam else z
+
+
+def split_hopf_cole(config, seeds):
+    """The reference's Strang step as first written: half the implicit flow,
+    the Ito-exact factor ``exp(lam S - m lam^2 amp^2 / 2)`` of one normal
+    draw per member and sub-step of ``m`` config steps, ``S = sqrt(m) amp
+    xi`` (or ``S`` added at ``lam = 0``), and the other half, each half its
+    own transform pair."""
+    n_x, dt, lam = config.n_x, config.step, config.lam
+    amp = math.sqrt(dt * n_x)
+    rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xADD])) for s in seeds]
+
+    def half(u, steps):
+        flow = sim._implicit_multiplier(n_x, dt) ** (steps / 2)
+        return np.fft.irfft(np.fft.rfft(u, axis=-1) * flow, n=n_x, axis=-1)
+
+    u = np.full((len(seeds), n_x), 1.0 if lam else 0.0)
+    for start in range(0, config.n_steps, sim.SPLIT_STEPS):
+        m = min(sim.SPLIT_STEPS, config.n_steps - start)
+        u = half(u, m)
+        increment = math.sqrt(m) * amp * np.stack([rng.standard_normal(n_x) for rng in rngs])
+        u = u * np.exp(lam * increment - m * lam ** 2 * amp ** 2 / 2) if lam else u + increment
+        u = half(u, m)
+    return np.log(u) / lam if lam else u
+
+
+def mode_powers(config, ks):
+    """``E|h_k(T)|^2 / n_x^2`` of the explicit and the split reference at
+    ``lam = 0``, from flat.  Both are linear in the noise, so each is the
+    white noise's variance ``amp^2 n_x`` per config step times a geometric
+    sum of the scheme's multiplier of mode ``k``: ``1 - dt sigma_k`` per
+    config step, and ``M_k^m`` per sub-step of ``m`` config steps, whose
+    noise lands after the first half."""
+    n_x, dt, n_steps = config.n_x, config.step, config.n_steps
+    variance = dt  # amp^2 n_x per config step, over n_x^2
+    ks = np.asarray(ks)
+    explicit_factor = 1.0 - dt * 4 * n_x ** 2 * np.sin(math.pi * ks / n_x) ** 2
+    explicit = variance * np.sum(explicit_factor[:, None] ** (2 * np.arange(n_steps)), axis=1)
+    lengths = np.diff(np.arange(0, n_steps, sim.SPLIT_STEPS), append=n_steps)
+    remaining = np.cumsum(lengths[::-1])[::-1]  # config steps from each sub-step on
+    multiplier = sim._implicit_multiplier(n_x, dt)[ks]
+    split = variance * np.sum(lengths * multiplier[:, None] ** (2 * remaining - lengths), axis=1)
+    return explicit, split
 
 
 def resampled_statistics(ensemble_a, ensemble_b, n_bootstrap, seed):
@@ -185,9 +232,9 @@ class TestBatches:
     def test_normal_blocks_do_not_change_the_draws(self, monkeypatch):
         config = small_config(lam=0.7)
         whole = sim.solve_hopf_cole(config, [11, 12]).final
-        # three steps per block, with a shorter block at the end
-        monkeypatch.setattr(sim, "NORMAL_BLOCK_BYTES", 8 * 2 * config.n_x * 3)
-        assert config.n_steps % 3 != 0
+        # four sub-steps per block, with a shorter block at the end
+        monkeypatch.setattr(sim, "NORMAL_BLOCK_BYTES", 8 * 2 * config.n_x * 4)
+        assert math.ceil(config.n_steps / sim.SPLIT_STEPS) % 4 != 0
         assert np.array_equal(sim.solve_hopf_cole(config, [11, 12]).final, whole)
 
     def test_ensembles_match_member_loops(self):
@@ -303,9 +350,35 @@ class TestAgainstSteppedOracles:
     @pytest.mark.parametrize("lam", [0.7, 0.0, -0.5])
     def test_hopf_cole_matches_the_stepped_loop(self, lam):
         config = small_config(lam=lam)
-        want = stepped_hopf_cole(config, [11, 12, 13])
+        # the last sub-step is shorter than the others
+        assert config.n_steps % sim.SPLIT_STEPS != 0
+        want = split_hopf_cole(config, [11, 12, 13])
         got = sim.solve_hopf_cole(config, [11, 12, 13]).final
         np.testing.assert_allclose(got, want, rtol=0, atol=self.RTOL * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n_x,budget", [(64, 5e-3), (128, 1e-3)])
+    def test_split_reference_keeps_the_explicit_mode_powers(self, n_x, budget):
+        # at lam = 0 the split and the explicit reference have the same law
+        # up to their multipliers: mode powers within 0.5 % for k <= 4 at
+        # n_x = 64 (0.38 % at k = 4) and 0.1 % at n_x = 128 (0.027 %)
+        config = sim.SimConfig(lam=0.0, eps=0.2, n_x=n_x, T=0.15)
+        explicit, split = mode_powers(config, [1, 2, 3, 4])
+        assert np.all(np.abs(split / explicit - 1) <= budget)
+        # and the gap is no rounding effect: it grows with the mode
+        assert np.all(np.diff(np.abs(split / explicit - 1)) > 0)
+
+    def test_reference_mode_powers_match_their_sums(self):
+        # Monte Carlo at lam = 0: each scheme's mode powers P_1..P_4 lie
+        # within 3 stderr of its own geometric sum
+        config = sim.SimConfig(lam=0.0, eps=0.2, n_x=64, T=0.05)
+        ks = [1, 2, 3, 4]
+        seeds = list(range(64))
+        for sums, heights in zip(mode_powers(config, ks),
+                                 (stepped_hopf_cole(config, seeds),
+                                  sim.solve_hopf_cole(config, seeds).final)):
+            power = np.abs(np.fft.rfft(heights, axis=-1)[:, ks]) ** 2 / config.n_x ** 2
+            stderr = power.std(axis=0, ddof=1) / math.sqrt(len(seeds))
+            assert np.all(np.abs(power.mean(axis=0) - sums) <= 3 * stderr)
 
     def test_renormalised_tends_to_the_semi_implicit_scheme(self):
         # the splitting and the semi-implicit dx^2/4 scheme discretise one
@@ -396,15 +469,53 @@ class TestFailures:
         t_row = row * spoilt.grid.dt
         assert abs(alone.value.time - t_row) < (sim.SPLIT_STEPS + 1) * config.step
 
-    def test_one_non_positive_member_fails_the_batch(self):
+    def test_member_that_loses_positivity_explicitly_ends_finite(self):
+        # seed 1 drives the explicit step below zero at lam = 2, n_x = 16;
+        # every power of the implicit multiplier is entrywise positive, so
+        # the split reference keeps it, alone and inside a batch
         config = sim.SimConfig(lam=2.0, eps=0.2, n_x=16, T=0.05)
-        sim.solve_hopf_cole(config, [0])
-        sim.solve_hopf_cole(config, [2])
-        with pytest.raises(sim.PositivityError) as alone:
-            sim.solve_hopf_cole(config, [1])
-        with pytest.raises(sim.PositivityError) as batch:
-            sim.solve_hopf_cole(config, [0, 1, 2])
-        assert batch.value.time == alone.value.time
+        with pytest.raises(ArithmeticError, match="positivity"):
+            stepped_hopf_cole(config, [1])
+        alone = sim.solve_hopf_cole(config, [1]).final
+        batch = sim.solve_hopf_cole(config, [0, 1, 2]).final
+        assert np.all(np.isfinite(batch))
+        assert np.array_equal(batch[1], alone[0])
+
+    @pytest.mark.parametrize("lam", [0.7, 0.0])
+    def test_non_finite_reference_member_fails_at_its_block(self, monkeypatch, lam):
+        # one NaN in seed 12's normals at sub-step 5 spoils its member, and
+        # the check at the last sub-step of the block raises: the byte budget
+        # gives four sub-steps per block to three members (sub-step 7) and
+        # twelve to one (sub-step 11)
+        config = small_config(lam=lam)
+        spoilt_row, spoilt_seed = 5, 12
+        real_rng = np.random.default_rng
+
+        class Spoilt:
+            def __init__(self, rng):
+                self.rng, self.drawn = rng, 0
+
+            def standard_normal(self, out):
+                self.rng.standard_normal(out=out)
+                if 0 <= spoilt_row - self.drawn < len(out):
+                    out[spoilt_row - self.drawn, 5] = math.nan
+                self.drawn += len(out)
+
+        def rng(seed):
+            spoilt = list(seed.entropy) == [spoilt_seed, 0xADD]
+            return Spoilt(real_rng(seed)) if spoilt else real_rng(seed)
+
+        monkeypatch.setattr(sim, "NORMAL_BLOCK_BYTES", 8 * 3 * config.n_x * 4)
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        starts = np.arange(0, config.n_steps, sim.SPLIT_STEPS)
+        assert len(starts) == 21
+        sim.solve_hopf_cole(config, [11, 13])
+        with pytest.raises(sim.BlowupError) as batch:
+            sim.solve_hopf_cole(config, [11, spoilt_seed, 13])
+        assert batch.value.time == starts[7] * config.step
+        with pytest.raises(sim.BlowupError) as alone:
+            sim.solve_hopf_cole(config, [spoilt_seed])
+        assert alone.value.time == starts[11] * config.step
 
 
 class TestExactBehaviour:
@@ -447,6 +558,27 @@ class TestExactBehaviour:
         assert np.max(np.abs(plus.final)) > 0.05
         assert np.array_equal(minus.final, -plus.final)
 
+    def test_one_transform_pair_per_sub_step(self, monkeypatch):
+        # both solvers take ceil(n_steps / SPLIT_STEPS) + 1 rfft and irfft
+        # calls per solve, whatever the batch
+        model = default_asymmetric_model()
+        configs = [small_config(lam=0.8, ell=ELL, v_h=0.3), small_config(lam=0.0, v_h=0.3)]
+        noises = [fields(model, c, (1, 2)) for c in configs]
+        calls = {"rfft": 0, "irfft": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(np.fft, name), **kw):
+                calls[_name] += 1
+                return _f(*args, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+        want = math.ceil(configs[0].n_steps / sim.SPLIT_STEPS) + 1
+        for solve in (lambda: sim.solve_renormalised(configs, noises),
+                      lambda: sim.solve_renormalised(configs[0], noises[0][0]),
+                      lambda: sim.solve_hopf_cole(configs[0], [11, 12, 13]),
+                      lambda: sim.solve_hopf_cole(configs[1], [11])):
+            calls.update(rfft=0, irfft=0)
+            solve()
+            assert calls == {"rfft": want, "irfft": want}
+
     def test_default_step_is_stable_and_ends_at_T(self):
         # the step has no other source, so nothing else enforces these
         for n_x in (16, 32, 64, 128, 256, 512):
@@ -456,13 +588,14 @@ class TestExactBehaviour:
                 assert abs(config.n_steps * config.step - T) <= 4 * math.ulp(T), (n_x, T)
 
     def test_hopf_cole_tends_to_additive_linearly_in_lam(self):
+        additive = sim.solve_hopf_cole(sim.SimConfig(lam=0.0, eps=0.2, n_x=32, T=0.05),
+                                       [21]).final
         gaps = []
         for lam in (0.2, 0.1, 0.05):
             config = sim.SimConfig(lam=lam, eps=0.2, n_x=32, T=0.05)
             hc = sim.solve_hopf_cole(config, [21]).final
-            add = sim.solve_additive(config, [21]).final
-            gaps.append(np.sqrt(np.mean((hc - add) ** 2)))
-        scale = np.sqrt(np.mean(sim.solve_additive(config, [21]).final ** 2))
+            gaps.append(np.sqrt(np.mean((hc - additive) ** 2)))
+        scale = np.sqrt(np.mean(additive ** 2))
         assert gaps[0] < 0.2 * scale
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 1.7 < coarse / fine < 2.3
