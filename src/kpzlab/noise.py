@@ -17,7 +17,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,6 +125,9 @@ class PoissonNoiseModel:
     ):
         if not 0 < mu < math.inf:
             raise ValueError("intensity must be finite and positive")
+        if not (np.isfinite([astuple(t) for t in terms]).all()
+                and np.isfinite(np.asarray(marks, dtype=float)).all()):
+            raise ValueError("bump terms and marks must be finite")
         probs = np.array([p for p, _ in marks], dtype=float)
         if abs(probs.sum() - 1.0) > 1e-12 or (probs < 0).any():
             raise ValueError("mark probabilities must be a distribution")
@@ -581,16 +584,11 @@ class PairingWindows:
         return self.model.mu * self.model.mark_moment(n) * self.window_integral(j, n)
 
 
-def sample_pairings(
-    model: PoissonNoiseModel,
-    eps: float,
-    windows: PairingWindows,
-    n_samples: int,
-    seed: int,
-) -> np.ndarray:
+def sample_pairings(windows: PairingWindows, n_samples: int, seed: int) -> np.ndarray:
     """Matrix of pairings ``zeta_eps(eta_j)`` over independent cloud draws.
 
-    Row ``i`` is one cloud on ``[s_grid[0], s_grid[-1]] x [0, strip)``.
+    The model and the scale are those the windows were built for.  Row
+    ``i`` is one cloud on ``[s_grid[0], s_grid[-1]] x [0, strip)``.
     The random stream holds the ``n_samples`` Poisson point counts first,
     then, point by point in row order, the point's uniforms: ``s``, ``y``
     and, when the model has more than one mark, the mark's.  Rows are
@@ -600,6 +598,7 @@ def sample_pairings(
     :meth:`PairingWindows.interpolate` call for all windows, which finds
     the points' cells and weights once and shares them across the windows.
     """
+    model = windows.model
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC10D]))
     s_lo, s_hi = windows.s_grid[0], windows.s_grid[-1]
     lam = model.mu * (s_hi - s_lo) * windows.strip
@@ -784,7 +783,7 @@ def clt_check(
 
     eps_fine = min(eps_list)
     windows = PairingWindows(model, eps_fine, etas, t_window)
-    pairings = sample_pairings(model, eps_fine, windows, n_samples, seed)
+    pairings = sample_pairings(windows, n_samples, seed)
     cov, cov_err = joint_second_cumulants(pairings)
 
     orders = (3, 4)
@@ -793,7 +792,7 @@ def clt_check(
         # sample_pairings draws the same cloud whatever the number of
         # windows, so column 0 matches windows built for eta_cos alone
         w = windows if eps == eps_fine else PairingWindows(model, eps, [eta_cos], t_window)
-        draws = sample_pairings(model, eps, w, max(200, n_samples // 10), seed + 1 + i)
+        draws = sample_pairings(w, max(200, n_samples // 10), seed + 1 + i)
         for n in orders:
             exact = w.exact_cumulant(n, 0)
             est = empirical_cumulants(draws[:, 0], n)

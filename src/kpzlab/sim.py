@@ -108,6 +108,10 @@ class SimConfig:
             raise ValueError(f"T must be finite and positive, got {self.T}")
         if self.n_x < 2 or self.n_x & (self.n_x - 1):
             raise ValueError(f"n_x must be a power of two >= 2, got {self.n_x}")
+        if not math.isfinite(self.v_h):
+            raise ValueError(f"v_h must be finite, got {self.v_h}")
+        if len(self.ell) != 5 or not all(math.isfinite(e) for e in self.ell):
+            raise ValueError(f"ell must be five finite constants, got {self.ell}")
 
     @property
     def step(self) -> float:

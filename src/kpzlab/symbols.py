@@ -236,7 +236,14 @@ def build_symbol_set() -> list[tuple[Symbol, LabelValue]]:
     symbols are materialised slightly beyond ``sigma`` so that products
     with the most negative element cannot be missed.  Only finitely many
     symbols lie below these bounds (the equation is subcritical), so the
-    closure stops after finitely many rounds.
+    worklist empties.
+
+    Worklist invariant: every product of two current derivative-sector
+    members below the bound is in the right-hand-side sector, and every
+    right-hand-side symbol whose integration images are not yet added is
+    on the worklist.  A new derivative-sector member is multiplied only
+    with the members present when it enters, itself included, so each
+    unordered pair is formed once.
     """
     sigma = Fraction(2)
     psi_hom = -Fraction(1, 2) - KAPPA_BAR
@@ -253,36 +260,31 @@ def build_symbol_set() -> list[tuple[Symbol, LabelValue]]:
             k0 += 1
         return out
 
-    u_prime: set[Symbol] = set(polys_below(up_bound))
-    v_set: set[Symbol] = {XI}
-    u_set: set[Symbol] = set(polys_below(sigma))
-
-    grew = True
-    while grew:
-        ranked = [(a, _hom_value(a)) for a in sorted(u_prime, key=Symbol.sort_key)]
-        new_v = {
-            product(a, b)
-            for (a, ha), (b, hb) in itertools.combinations_with_replacement(ranked, 2)
-            if ha + hb < up_bound
-        }
-        grew = len(new_v - v_set) > 0
-        v_set |= new_v
-        new_up = set()
-        new_u = set()
-        for tau in v_set:
-            img = dinteg(tau)
-            if not img.is_zero() and _hom_value(img) < up_bound:
-                new_up.add(img)
-            img = integ(tau)
-            if not img.is_zero() and _hom_value(img) < sigma:
-                new_u.add(img)
-        grew = grew or (new_up - u_prime) or (new_u - u_set)
-        u_prime |= new_up
-        u_set |= new_u
+    u_prime = {a: _hom_value(a) for a in polys_below(up_bound)}
+    v_set = {XI} | {
+        product(a, b)
+        for (a, ha), (b, hb) in itertools.combinations_with_replacement(u_prime.items(), 2)
+        if ha + hb < up_bound
+    }
+    u_set = set(polys_below(sigma))
+    work = list(v_set)
+    while work:
+        tau = work.pop()
+        img = integ(tau)
+        if not img.is_zero() and _hom_value(img) < sigma:
+            u_set.add(img)
+        img = dinteg(tau)
+        if img.is_zero() or img in u_prime or (h := _hom_value(img)) >= up_bound:
+            continue
+        u_prime[img] = h
+        for b, hb in u_prime.items():
+            if h + hb < up_bound and (new := product(img, b)) not in v_set:
+                v_set.add(new)
+                work.append(new)
 
     everything = {
         tau
-        for tau in (u_set | u_prime | v_set)
+        for tau in u_set | v_set | u_prime.keys()
         if _hom_value(tau) < sigma
     }
     return sorted(
@@ -442,18 +444,16 @@ class CatalogEntry:
         return not self.eps_leftover.is_zero()
 
 
-def _g(text: str) -> PartialGraph:
-    return parse_partial_graph(text)
-
-
 _ETA_COMP = str(Fraction(5, 2) - ETA)   # the far-side split label 5/2 - eta
 _ETA_STR = str(ETA)
 
-_CATALOG_SOURCES: dict[Symbol, list[tuple[str, int, Fraction, LabelValue, str]]] = {}
+#: Each supported symbol's entries, their graphs parsed once at import.
+_CATALOG: dict[Symbol, list[CatalogEntry]] = {}
 
 
 def _entry(symbol, text, mult=1, lam=Fraction(0), leftover=LabelValue(), tag=""):
-    _CATALOG_SOURCES.setdefault(symbol, []).append((text, mult, lam, leftover, tag))
+    _CATALOG.setdefault(symbol, []).append(
+        CatalogEntry(symbol, parse_partial_graph(text), mult, lam, leftover, tag))
 
 
 HALF = Fraction(1, 2)
@@ -727,24 +727,14 @@ edge c t label 2-1d
 """, 1, Fraction(0), LabelValue(1, -1),
        "deterministic fourth-cumulant remainder after cancellation")
 
-_CATALOG_SOURCES[XI] = []  # handled by direct scaling of the cumulant bound
+_CATALOG[XI] = []  # handled by direct scaling of the cumulant bound
 
 
 def graph_catalog(tau: Symbol) -> list[CatalogEntry]:
     """The labelled bound graphs attached to one supported symbol."""
-    if tau not in _CATALOG_SOURCES:
+    if tau not in _CATALOG:
         raise KeyError(f"no catalog for symbol {tau}")
-    return [
-        CatalogEntry(
-            symbol=tau,
-            graph=_g(text),
-            multiplicity=mult,
-            lambda_power_per_copy=lam,
-            eps_leftover=leftover,
-            tag=tag,
-        )
-        for text, mult, lam, leftover, tag in _CATALOG_SOURCES[tau]
-    ]
+    return list(_CATALOG[tau])
 
 
 # ---------------------------------------------------------------------------

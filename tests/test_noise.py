@@ -89,10 +89,19 @@ class TestModel:
         ([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], {"marks": ((1.0, 0.0),)}, "E\\[a\\^2\\]"),
         ([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], {"mu": float("nan")}, "intensity"),
         ([BumpTerm(1.0, 0.0, -0.5, 0.0, -0.5)], {}, "half-widths"),
-    ], ids=["zero-marks", "nan-intensity", "negative-half-widths"])
+        ([BumpTerm(math.nan, 0.0, 0.5, 0.0, 0.5)], {}, "finite"),
+        ([BumpTerm(1.0, math.nan, 0.5, 0.0, 0.5)], {}, "finite"),
+        ([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], {"marks": ((0.5, 1.0), (0.5, math.inf))}, "finite"),
+        ([BumpTerm(1.0, 0.0, 0.5, 0.0, math.inf)], {}, "finite"),
+        ([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], {"marks": ((math.nan, 1.0), (1.0, 1.0))}, "finite"),
+    ], ids=["zero-marks", "nan-intensity", "negative-half-widths", "nan-amplitude",
+            "nan-centre", "inf-mark", "inf-half-width", "nan-probability"])
     def test_bad_model_raises_value_error(self, terms, kwargs, match):
         # zero marks, a NaN intensity and negative half-widths whose product
-        # still gives the bump a positive integral
+        # still gives the bump a positive integral; a NaN amplitude, a NaN
+        # centre, an infinite mark and an infinite half-width gave an all-NaN
+        # model, t_reach = nan, zero amplitudes and int_phi = nan, and a NaN
+        # probability passes the distribution check
         with pytest.raises(ValueError, match=match):
             PoissonNoiseModel(terms, **kwargs)
 
@@ -199,7 +208,7 @@ class TestOraclesAndEstimates:
         eps = 0.05
         eta_cos, eta_sin = make_test_functions((0.02, 0.18))
         w = PairingWindows(model, eps, [eta_cos], (0.02, 0.18))
-        draws = sample_pairings(model, eps, w, 3000, seed=21)
+        draws = sample_pairings(w, 3000, seed=21)
         est = empirical_cumulants(draws[:, 0], 2)
         exact = w.exact_cumulant(2, 0)
         assert abs(est.estimate - exact) <= 3 * est.stderr
@@ -209,7 +218,7 @@ class TestOraclesAndEstimates:
         eps = 0.1
         eta_cos, _ = make_test_functions((0.02, 0.18))
         w = PairingWindows(model, eps, [eta_cos], (0.02, 0.18))
-        draws = sample_pairings(model, eps, w, 4000, seed=22)
+        draws = sample_pairings(w, 4000, seed=22)
         est = empirical_cumulants(draws[:, 0], 3)
         exact = w.exact_cumulant(3, 0)
         assert abs(est.estimate - exact) <= 3 * est.stderr
@@ -251,7 +260,7 @@ class TestOraclesAndEstimates:
         eps = 0.05
         eta_cos, eta_sin = make_test_functions((0.02, 0.18))
         w = PairingWindows(model, eps, [eta_cos, eta_sin], (0.02, 0.18))
-        draws = sample_pairings(model, eps, w, 2000, seed=30)
+        draws = sample_pairings(w, 2000, seed=30)
         for j in range(2):
             est = empirical_cumulants(draws[:, j], 1)
             assert abs(est.estimate) <= 4 * est.stderr
@@ -441,10 +450,10 @@ class TestSamplePairings:
         # at mu = 2 the default block splits the rows; at mu = 0.006 many are empty
         lam = mu * (w.s_grid[-1] - w.s_grid[0]) * w.strip
         assert n * lam > 2 * noise.POINT_BLOCK or math.exp(-lam) > 0.3
-        default = sample_pairings(model, eps, w, n, seed=4)
+        default = sample_pairings(w, n, seed=4)
         for block in (1, 37, 10 ** 9):
             monkeypatch.setattr(noise, "POINT_BLOCK", block)
-            assert np.array_equal(sample_pairings(model, eps, w, n, seed=4), default)
+            assert np.array_equal(sample_pairings(w, n, seed=4), default)
 
     def test_matches_one_interpolation_per_window(self, monkeypatch):
         # skew bump, two marks and a shear, in blocks of a few rows each
@@ -453,7 +462,7 @@ class TestSamplePairings:
         w = PairingWindows(model, eps, list(make_test_functions((0.02, 0.18))),
                            (0.02, 0.18), v_h=0.7)
         monkeypatch.setattr(noise, "POINT_BLOCK", 50)
-        got = sample_pairings(model, eps, w, n, seed)
+        got = sample_pairings(w, n, seed)
 
         # the documented stream: all counts, then each point's s, y and mark uniforms
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC10D]))
@@ -485,7 +494,7 @@ class TestSamplePairings:
             return eta_cos(t, np.zeros(np.shape(x)))
 
         w = PairingWindows(model, eps, [bump], (0.02, 0.18))
-        draws = sample_pairings(model, eps, w, 10_000, seed=0)
+        draws = sample_pairings(w, 10_000, seed=0)
         for n in (2, 3):
             est = empirical_cumulants(draws[:, 0], n)
             exact = w.exact_cumulant(n, 0)
@@ -498,7 +507,7 @@ class TestSamplePairings:
         w = PairingWindows(model, eps, list(make_test_functions((0.02, 0.18))), (0.02, 0.18))
         tracemalloc.start()
         try:
-            sample_pairings(model, eps, w, 4000, seed=1)
+            sample_pairings(w, 4000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -523,7 +532,7 @@ class TestCltCheck:
         # the finest scale's rows, drawn on windows built for eta_cos alone
         eta_cos, _ = make_test_functions(t_window)
         w = PairingWindows(model, 0.05, [eta_cos], t_window)
-        draws = sample_pairings(model, 0.05, w, 200, seed + 3)
+        draws = sample_pairings(w, 200, seed + 3)
         for key, n in (("third_cumulant", 3), ("fourth_cumulant", 4)):
             est = empirical_cumulants(draws[:, 0], n)
             exact = w.exact_cumulant(n, 0)
@@ -544,7 +553,7 @@ class TestCltCheck:
     def test_exponent_approaches_three_on_finer_scales(self, monkeypatch):
         # the exponent rests on exact cumulants only, so the draws are stubbed
         monkeypatch.setattr(noise, "sample_pairings",
-                            lambda model, eps, w, n, seed: np.zeros((n, len(w.windows))))
+                            lambda w, n, seed: np.zeros((n, len(w.windows))))
         report = clt_check(default_even_model(), (0.1, 0.05, 0.025), n_samples=200)
         assert abs(report["fourth_cumulant_exponent"] - 3.0) <= 0.005
 

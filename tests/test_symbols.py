@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from kpzlab.symbols import (
     RenormMap,
     apply_generator,
     apply_renorm_map,
+    Symbol,
     build_symbol_set,
     certify_symbol,
     dinteg,
@@ -110,6 +112,66 @@ class TestSymbolSet:
         for tau, hom in build_symbol_set():
             assert hom == homogeneity(tau)
             assert (hom.q, hom.r) == oracle_homogeneity(tau), tau
+
+    def test_worklist_matches_round_based_closure(self):
+        expected = round_based_symbol_set()
+        assert len(expected) == 226
+        assert build_symbol_set() == expected
+
+
+def round_based_symbol_set():
+    """The closure as a least fixed point computed in rounds: each round
+    forms every pair product of the derivative sector again, then applies
+    both integration maps to the whole right-hand-side sector, until a
+    round adds nothing."""
+    sigma = Fraction(2)
+    up_bound = sigma + Fraction(1, 2) + KAPPA_BAR
+
+    def value(tau):
+        return homogeneity(tau).eval_at(KAPPA_BAR)
+
+    def polys_below(bound):
+        out = []
+        k0 = 0
+        while 2 * k0 < bound:
+            k1 = 0
+            while 2 * k0 + k1 < bound:
+                out.append(poly(k0, k1))
+                k1 += 1
+            k0 += 1
+        return out
+
+    u_prime = set(polys_below(up_bound))
+    v_set = {XI}
+    u_set = set(polys_below(sigma))
+    grew = True
+    while grew:
+        ranked = [(a, value(a)) for a in sorted(u_prime, key=Symbol.sort_key)]
+        new_v = {
+            product(a, b)
+            for (a, ha), (b, hb) in itertools.combinations_with_replacement(ranked, 2)
+            if ha + hb < up_bound
+        }
+        grew = len(new_v - v_set) > 0
+        v_set |= new_v
+        new_up = set()
+        new_u = set()
+        for tau in v_set:
+            img = dinteg(tau)
+            if not img.is_zero() and value(img) < up_bound:
+                new_up.add(img)
+            img = integ(tau)
+            if not img.is_zero() and value(img) < sigma:
+                new_u.add(img)
+        grew = grew or (new_up - u_prime) or (new_u - u_set)
+        u_prime |= new_up
+        u_set |= new_u
+
+    everything = {tau for tau in u_set | u_prime | v_set if value(tau) < sigma}
+    return sorted(
+        ((tau, homogeneity(tau)) for tau in everything),
+        key=lambda pair: (pair[1].eval_at(KAPPA_BAR), str(pair[0])),
+    )
 
 
 def oracle_homogeneity(tau) -> tuple[Fraction, Fraction]:
@@ -230,6 +292,15 @@ class TestCatalog:
 
     def test_noise_catalog_empty(self):
         assert graph_catalog(XI) == []
+
+    def test_graphs_parsed_once(self):
+        for tau in SUPPORTED_SYMBOLS:
+            first, second = graph_catalog(tau), graph_catalog(tau)
+            assert first is not second
+            assert all(a.graph is b.graph for a, b in zip(first, second, strict=True))
+        # a caller's list is its own
+        graph_catalog(SQUARE).clear()
+        assert len(graph_catalog(SQUARE)) == 1
 
     def test_quad_chain_catalog_size(self):
         entries = graph_catalog(QUAD_CHAIN)
