@@ -473,6 +473,10 @@ class PairingWindows:
         t_support: tuple[float, float],
         v_h: float = 0.0,
     ):
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {eps}")
+        if not -math.inf < t_support[0] < t_support[1] < math.inf:
+            raise ValueError(f"t_support must be finite and increasing, got {t_support}")
         self.model = model
         self.eps = eps
         self.v_h = v_h
@@ -667,40 +671,31 @@ def _k_statistic(x: np.ndarray, order: int) -> float:
     raise ValueError("cumulant estimates implemented for orders 1..4")
 
 
-def empirical_cumulants(
-    samples: np.ndarray, order: int, n_batches: int = 20
-) -> CumulantEstimate:
-    """k-statistic cumulant estimate with batch-means standard error."""
-    x = np.asarray(samples, dtype=float).ravel()
+def _batch_means(x: np.ndarray, statistic: Callable):
+    """``statistic`` of the rows of ``x`` and its batch-means standard error
+    over 20 consecutive batches of ``len(x) // 20`` rows."""
+    n_batches = 20
     if len(x) < 100:
         raise ValueError("need at least 100 samples")
+    batch = len(x) // n_batches
+    stack = np.stack([statistic(x[i * batch: (i + 1) * batch]) for i in range(n_batches)])
+    return statistic(x), stack.std(axis=0, ddof=1) / math.sqrt(n_batches)
+
+
+def empirical_cumulants(samples: np.ndarray, order: int) -> CumulantEstimate:
+    """k-statistic cumulant estimate with batch-means standard error."""
+    x = np.asarray(samples, dtype=float).ravel()
     if order > 4:
         raise ValueError("cumulant estimates implemented up to order 4")
-    value = _k_statistic(x, order)
-    batch = len(x) // n_batches
-    stats = [
-        _k_statistic(x[i * batch: (i + 1) * batch], order)
-        for i in range(n_batches)
-    ]
-    stderr = float(np.std(stats, ddof=1) / math.sqrt(n_batches))
-    return CumulantEstimate(order, value, stderr, len(x))
+    value, stderr = _batch_means(x, lambda b: _k_statistic(b, order))
+    return CumulantEstimate(order, value, float(stderr), len(x))
 
 
 def joint_second_cumulants(samples: np.ndarray):
-    """Covariance matrix of pairing columns with 20-batch-means errors."""
-    n_batches = 20
+    """Covariance matrix of pairing columns with batch-means errors."""
     x = np.asarray(samples, dtype=float)
-    n, k = x.shape
-    if n < 100:
-        raise ValueError("need at least 100 samples")
-    cov = np.cov(x, rowvar=False, ddof=1).reshape(k, k)
-    batch = n // n_batches
-    stack = np.stack([
-        np.cov(x[i * batch: (i + 1) * batch], rowvar=False, ddof=1).reshape(k, k)
-        for i in range(n_batches)
-    ])
-    err = stack.std(axis=0, ddof=1) / math.sqrt(n_batches)
-    return cov, err
+    k = x.shape[1]
+    return _batch_means(x, lambda b: np.cov(b, rowvar=False, ddof=1).reshape(k, k))
 
 
 # ---------------------------------------------------------------------------

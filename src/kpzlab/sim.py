@@ -115,17 +115,20 @@ class SimConfig:
 
     @property
     def step(self) -> float:
-        """The config step: the largest ``<= dx^2/4`` that divides ``T`` evenly.
+        """The config step: the largest ``<= dx^2/4`` that divides ``T`` into
+        whole sub-steps of ``SPLIT_STEPS`` config steps each.
 
-        Both solvers split ``SPLIT_STEPS`` config steps per sub-step, and the
-        linear flow of a solve is the implicit multiplier of this step raised
-        to ``n_steps``.  The renormalised solver reads its noise rows at each
-        config step; the reference draws one normal row per sub-step, with
-        the variance of the white noise over its config steps.
+        That is ``T / (SPLIT_STEPS * ceil(T / (SPLIT_STEPS * dx^2/4)))``, so
+        ``n_steps`` is a multiple of ``SPLIT_STEPS`` and every sub-step of
+        both solvers has the same length.  The linear flow of a solve is the
+        implicit multiplier of this step raised to ``n_steps``.  The
+        renormalised solver reads its noise rows at each config step; the
+        reference draws one normal row per sub-step, with the variance of the
+        white noise over its config steps.
         """
         dx = 1.0 / self.n_x
-        steps = int(math.ceil(self.T / (dx * dx / 4.0)))
-        return self.T / steps
+        sub_steps = math.ceil(self.T / (SPLIT_STEPS * dx * dx / 4.0))
+        return self.T / (SPLIT_STEPS * sub_steps)
 
     @property
     def n_steps(self) -> int:
@@ -147,11 +150,13 @@ class Trajectory:
 def noise_grid_for(config: SimConfig) -> GridSpec:
     """Noise grid resolving the bump at the configured scale.
 
-    It has at least 512 cells, doubled until ``dx <= eps/8``, and time
-    slices no further apart than ``eps^2/8``.
+    It has at least 512 cells and at least the solver's ``n_x``, doubled
+    until ``dx <= eps/8``, and time slices no further apart than
+    ``eps^2/8``.  Both counts are powers of two, so the solver grid divides
+    it.
     """
     eps = config.eps
-    nx_noise = 512
+    nx_noise = max(512, config.n_x)
     while 1.0 / nx_noise > eps / 8:
         nx_noise *= 2
     nt = int(math.ceil(config.T / (eps * eps / 8.0))) + 1
@@ -178,13 +183,6 @@ def _coarse_noise(sample: FieldSample, config: SimConfig) -> np.ndarray:
     return values.reshape(values.shape[0], n_x, factor).mean(axis=2)
 
 
-def _substeps(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """First config step and length of each sub-step: ``SPLIT_STEPS`` config
-    steps each, the last one shorter when they do not divide ``n_steps``."""
-    starts = np.arange(0, n_steps, SPLIT_STEPS)
-    return starts, np.diff(starts, append=n_steps)
-
-
 def _solve_forced(
     config: SimConfig,
     lam: np.ndarray,
@@ -198,9 +196,9 @@ def _solve_forced(
     supplies only the grid and the step.  A member with ``lam != 0`` is
     stepped in ``u = exp(lam h)``, which solves the linear equation
     ``du = u'' - v_h u' + lam (f - v_v) u``; a member with ``lam = 0`` is
-    stepped in ``u = h``.  A sub-step of ``m`` config steps (see
-    ``_substeps``) is ``u <- M^(m/2) (A M^(m/2) u + B)``.  ``M`` is the
-    implicit multiplier of one config step times the exact transport phase
+    stepped in ``u = h``.  A sub-step of ``m = SPLIT_STEPS`` config steps
+    is ``u <- M^(m/2) (A M^(m/2) u + B)``.  ``M`` is the implicit
+    multiplier of one config step times the exact transport phase
     ``exp(-2 pi i k v_h dt)`` (1 at the Nyquist mode, which the lattice
     cannot shift), so the linear part of a solve is exactly ``M^n_steps``.
 
@@ -225,7 +223,6 @@ def _solve_forced(
     """
     n_x = config.n_x
     dt = config.step
-    starts, lengths = _substeps(config.n_steps)
     k = np.arange(n_x // 2 + 1)
     k[-1] = 0  # the Nyquist mode is a standing wave on the lattice: no transport
     mult = _implicit_multiplier(n_x, dt)
@@ -236,26 +233,22 @@ def _solve_forced(
         return power * np.exp(-2j * math.pi * k * v_h * (p * dt)) if v_h.any() else power
 
     hopf = lam != 0
-    between = flow(SPLIT_STEPS)  # the merged halves of two full sub-steps
-    last = len(starts) - 1
+    half = flow(SPLIT_STEPS / 2)
+    between = flow(SPLIT_STEPS)  # the merged halves of two sub-steps
+    n_sub = config.n_steps // SPLIT_STEPS
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.where(hopf, np.exp(lam * h0), h0)
-        spectrum = np.fft.rfft(u, axis=-1) * flow(lengths[0] / 2)
-        for j, (start, (mul, add, check)) in enumerate(zip(starts.tolist(), forcing)):
+        spectrum = np.fft.rfft(u, axis=-1) * half
+        for j, (mul, add, check) in enumerate(forcing):
             np.fft.irfft(spectrum, n=n_x, axis=-1, out=u)
             if mul is not None:
                 u *= mul
             if add is not None:
                 u += add
             if check and _blown(u, hopf):
-                raise BlowupError(start * dt)
+                raise BlowupError(j * SPLIT_STEPS * dt)
             np.fft.rfft(u, axis=-1, out=spectrum)
-            if j < last - 1:
-                spectrum *= between
-            elif j == last - 1:
-                spectrum *= flow((lengths[j] + lengths[last]) / 2)
-            else:
-                spectrum *= flow(lengths[j] / 2)
+            spectrum *= between if j < n_sub - 1 else half
         np.fft.irfft(spectrum, n=n_x, axis=-1, out=u)
         if _blown(u, hopf):
             raise BlowupError(config.T)
@@ -276,17 +269,13 @@ def _field_forcing(config: SimConfig, lam: np.ndarray, v_v: np.ndarray,
     previous one's, found beforehand; in between the same buffers are
     yielded unchecked.
     """
-    n_steps, dt = config.n_steps, config.step
-    starts, lengths = _substeps(n_steps)
-    times = np.arange(n_steps) * dt
-    # each group's rows, one line of SPLIT_STEPS per sub-step, -1 past the end
-    windows = []
-    for coarse, dt_noise in groups:
-        window = np.full((len(starts), SPLIT_STEPS), -1)
-        window.reshape(-1)[:n_steps] = np.minimum((times / dt_noise).astype(np.int64),
-                                                  len(coarse) - 1)
-        windows.append(window)
-    fresh = np.ones(len(starts), dtype=bool)
+    dt = config.step
+    times = np.arange(config.n_steps) * dt
+    # each group's rows, one line of SPLIT_STEPS per sub-step
+    windows = [np.minimum((times / dt_noise).astype(np.int64),
+                          len(coarse) - 1).reshape(-1, SPLIT_STEPS)
+               for coarse, dt_noise in groups]
+    fresh = np.ones(len(windows[0]), dtype=bool)
     fresh[1:] = np.any([(w[1:] != w[:-1]).any(axis=1) for w in windows], axis=0)
     targets = np.cumsum([0] + [coarse.shape[1] for coarse, _ in groups])
     hopf = lam != 0
@@ -295,8 +284,8 @@ def _field_forcing(config: SimConfig, lam: np.ndarray, v_v: np.ndarray,
     for j, new_rows in enumerate(fresh.tolist()):
         if new_rows:
             for w, (coarse, _), lo, hi in zip(windows, groups, targets, targets[1:]):
-                total[lo:hi] = sum(coarse[r] for r in w[j, :lengths[j]].tolist())
-            total -= lengths[j] * v_v
+                total[lo:hi] = sum(coarse[r] for r in w[j].tolist())
+            total -= SPLIT_STEPS * v_v
             total *= dt
             np.exp(lam * total, out=mul)
             if add is not None:
@@ -383,9 +372,9 @@ def solve_renormalised(
 def _normal_forcing(config: SimConfig, seeds: Sequence[int]):
     """``(A, B, check)`` per sub-step for the reference, one member per seed.
 
-    Over a sub-step of ``m`` config steps the white noise of amplitude
-    ``amp = sqrt(dt / dx)`` per config step sums to ``sqrt(m) amp xi``, with
-    one standard-normal row ``xi`` per member from the stream
+    Over a sub-step of ``m = SPLIT_STEPS`` config steps the white noise of
+    amplitude ``amp = sqrt(dt / dx)`` per config step sums to ``sqrt(m) amp
+    xi``, with one standard-normal row ``xi`` per member from the stream
     ``SeedSequence([seed, 0xADD])``.  The increment is
     ``S = sqrt(m) amp xi - m dt v_v`` with ``v_v = lam / (2 dx)``, so that
     ``A = exp(lam S) = exp(lam sqrt(m) amp xi - m lam^2 amp^2 / 2)`` is the
@@ -396,21 +385,20 @@ def _normal_forcing(config: SimConfig, seeds: Sequence[int]):
     block's last sub-step.
     """
     n_x, dt, lam = config.n_x, config.step, config.lam
-    _, lengths = _substeps(config.n_steps)
-    amp = math.sqrt(dt * n_x)
-    scales = (np.sqrt(lengths) * amp)[:, None]
-    counterterms = (lengths * dt * (lam * n_x / 2))[:, None]
+    n_sub = config.n_steps // SPLIT_STEPS
+    scale = math.sqrt(SPLIT_STEPS * dt * n_x)
+    counterterm = SPLIT_STEPS * dt * (lam * n_x / 2)
     rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xADD])) for s in seeds]
     k = max(1, NORMAL_BLOCK_BYTES // (8 * len(rngs) * n_x))
     block = np.empty((len(rngs), k, n_x))
-    for lo in range(0, len(lengths), k):
-        rows = min(k, len(lengths) - lo)
+    for lo in range(0, n_sub, k):
+        rows = min(k, n_sub - lo)
         for rng, out in zip(rngs, block):
             rng.standard_normal(out=out[:rows])
         increments = block[:, :rows]
-        increments *= scales[lo:lo + rows]
+        increments *= scale
         if lam:
-            increments -= counterterms[lo:lo + rows]
+            increments -= counterterm
             increments *= lam
             np.exp(increments, out=increments)
         for j in range(rows):
@@ -424,14 +412,15 @@ def solve_hopf_cole(config: SimConfig, seeds: Sequence[int]) -> Trajectory:
     ``xi``, or at ``lam = 0`` the additive equation ``dh = h'' + xi``.
 
     One member per seed, each on its own normal stream, integrated in one
-    ``(len(seeds), n_x)`` array by ``_solve_forced``: a sub-step of ``m``
-    config steps multiplies ``z`` by ``exp(lam sqrt(m) amp xi - m lam^2
-    amp^2 / 2)`` between its two half flows, with ``amp^2 = dt / dx``
-    (see ``_normal_forcing``; ``config.ell`` and ``config.v_h`` are not
-    used).  The implicit multiplier ``M = (I - dt Laplacian)^-1`` inverts a
-    nonsingular M-matrix, so every power of it is entrywise positive and
-    ``z`` stays positive.  The batch is checked for blow-up once per block
-    of ``NORMAL_BLOCK_BYTES`` normals and at the end.
+    ``(len(seeds), n_x)`` array by ``_solve_forced``: a sub-step of
+    ``m = SPLIT_STEPS`` config steps multiplies ``z`` by
+    ``exp(lam sqrt(m) amp xi - m lam^2 amp^2 / 2)`` between its two half
+    flows, with ``amp^2 = dt / dx`` (see ``_normal_forcing``; ``config.ell``
+    and ``config.v_h`` are not used).  The implicit multiplier
+    ``M = (I - dt Laplacian)^-1`` inverts a nonsingular M-matrix, so every
+    power of it is entrywise positive and ``z`` stays positive.  The batch
+    is checked for blow-up once per block of ``NORMAL_BLOCK_BYTES`` normals
+    and at the end.
     """
     if not len(seeds):
         raise ValueError("empty batch")

@@ -252,7 +252,7 @@ class TestOraclesAndEstimates:
         ])
         w = PairingWindows(model, eps, [eta_cos], (0.05, 0.25))
         exact = w.exact_cumulant(2, 0)
-        est = empirical_cumulants(vals, 2, n_batches=10)
+        est = empirical_cumulants(vals, 2)
         assert abs(est.estimate - exact) <= 4 * est.stderr
 
     def test_window_mean_subtraction(self):
@@ -320,6 +320,19 @@ class TestPairingWindows:
             monkeypatch.setattr(noise, "WINDOW_ROW_BLOCK", block)
             got = PairingWindows(model, 0.2, etas, (0.02, 0.18), v_h=0.7).windows
             assert all(np.array_equal(a, b) for a, b in zip(got, whole))
+
+    @pytest.mark.parametrize("eps,t_support", [
+        (0.0, (0.02, 0.18)), (-0.1, (0.02, 0.18)), (math.nan, (0.02, 0.18)),
+        (math.inf, (0.02, 0.18)), (0.2, (0.18, 0.02)), (0.2, (0.1, 0.1)),
+        (0.2, (math.nan, 0.18)), (0.2, (0.02, math.inf)),
+    ])
+    def test_bad_scale_or_support_rejected(self, eps, t_support):
+        # eps = 0 divided by zero, a negative eps asked for negative
+        # dimensions, a NaN one failed to convert to an integer and a
+        # decreasing support raised IndexError
+        eta_cos, _ = make_test_functions((0.02, 0.18))
+        with pytest.raises(ValueError, match="eps|t_support"):
+            PairingWindows(default_even_model(), eps, [eta_cos], t_support)
 
     @pytest.mark.parametrize("eps", [0.29, 0.3, 0.31])
     def test_y_grid_tiles_strip(self, eps):

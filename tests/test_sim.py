@@ -328,17 +328,17 @@ class TestAgainstSteppedOracles:
     RTOL = 1e-10
 
     def test_renormalised_matches_the_stepped_loop(self):
+        # at T = 0.021 a noise row lasts 17.6 config steps, so rows change
+        # inside sub-steps; at T = 0.02 it would last exactly 21
         model = default_asymmetric_model()
-        configs = [small_config(eps=0.2, lam=0.8, ell=ELL, v_h=0.3),
-                   small_config(eps=0.1, lam=-1.3, ell=ELL, v_h=-0.2),
-                   small_config(eps=0.1, lam=0.0, ell=ELL, v_h=0.5)]
+        configs = [small_config(eps=0.2, lam=0.8, ell=ELL, v_h=0.3, T=0.021),
+                   small_config(eps=0.1, lam=-1.3, ell=ELL, v_h=-0.2, T=0.021),
+                   small_config(eps=0.1, lam=0.0, ell=ELL, v_h=0.5, T=0.021)]
         x = np.arange(32) / 32
         h0 = 0.1 * np.cos(2 * math.pi * x)
         noises = [fields(model, configs[0], (1, 2, 3)), fields(model, configs[1], (4, 5)),
                   fields(model, configs[2], (6,))]
         batch = sim.solve_renormalised(configs, noises, h0)
-        # the last sub-step is shorter than the others
-        assert configs[0].n_steps % sim.SPLIT_STEPS != 0
         for config, samples, trajectory in zip(configs, noises, batch):
             rows_per_step = samples[0].grid.dt / config.step
             assert rows_per_step != round(rows_per_step)
@@ -350,8 +350,6 @@ class TestAgainstSteppedOracles:
     @pytest.mark.parametrize("lam", [0.7, 0.0, -0.5])
     def test_hopf_cole_matches_the_stepped_loop(self, lam):
         config = small_config(lam=lam)
-        # the last sub-step is shorter than the others
-        assert config.n_steps % sim.SPLIT_STEPS != 0
         want = split_hopf_cole(config, [11, 12, 13])
         got = sim.solve_hopf_cole(config, [11, 12, 13]).final
         np.testing.assert_allclose(got, want, rtol=0, atol=self.RTOL * np.max(np.abs(want)))
@@ -580,12 +578,32 @@ class TestExactBehaviour:
             assert calls == {"rfft": want, "irfft": want}
 
     def test_default_step_is_stable_and_ends_at_T(self):
-        # the step has no other source, so nothing else enforces these
+        # the step has no other source, so nothing else enforces these; the
+        # sub-steps are whole and as many as the largest step <= dx^2/4
+        # that divides T would give, so no solve takes more FFT calls
         for n_x in (16, 32, 64, 128, 256, 512):
             for T in (0.02, 0.15, 0.25, 1 / 3):
                 config = sim.SimConfig(n_x=n_x, T=T)
                 assert config.step <= (1.0 / n_x) ** 2 / 4, (n_x, T)
                 assert abs(config.n_steps * config.step - T) <= 4 * math.ulp(T), (n_x, T)
+                assert config.n_steps % sim.SPLIT_STEPS == 0, (n_x, T)
+                steps = math.ceil(T / ((1.0 / n_x) ** 2 / 4))
+                assert (config.n_steps // sim.SPLIT_STEPS
+                        == math.ceil(steps / sim.SPLIT_STEPS)), (n_x, T)
+
+    def test_noise_grid_covers_the_solver_grid(self):
+        # 512 noise cells at eps = 0.2 on every solver grid up to 512; a
+        # 1,024-cell solver grid once raised "noise grid must be a multiple
+        # of the solver grid"
+        for n_x in (16, 64, 512):
+            assert sim.noise_grid_for(small_config(n_x=n_x)).nx == 512
+        config = small_config(n_x=1024, T=0.002)
+        grid = sim.noise_grid_for(config)
+        assert grid.nx == 1024
+        final = sim.solve_renormalised(
+            config, sample_field(default_even_model(), config.eps, grid, 1)).final
+        assert final.shape == (1024,)
+        assert np.all(np.isfinite(final)) and np.max(np.abs(final)) > 0
 
     def test_hopf_cole_tends_to_additive_linearly_in_lam(self):
         additive = sim.solve_hopf_cole(sim.SimConfig(lam=0.0, eps=0.2, n_x=32, T=0.05),
