@@ -1,6 +1,6 @@
 """Interface growth on the circle: the counterterm equation and the log-transform reference.
 
-Two solvers live here, on one step loop.  The renormalised equation
+Two equations are solved here, on one step loop.  The renormalised equation
 ``dh = h'' + lam h'^2 - v_h h' + f - v_v``, driven by a sampled shot-noise
 field ``f``, is with smooth noise exactly the log-transform of the linear
 equation ``dz = z'' - v_h z' + lam (f - v_v) z`` for ``z = exp(lam h)``
@@ -10,14 +10,17 @@ and transport as one Fourier multiplier, the forcing as a pointwise
 exponential, and ``h`` itself, with additive forcing, at ``lam = 0``.  The
 reference is the Hopf-Cole solution ``log(z) / lam`` of the multiplicative
 stochastic heat equation ``dz = z'' + lam z xi`` in the Ito sense, with
-discretised space-time white noise ``xi``.  It is stepped the same way,
-forced by one normal row per member and sub-step: its Ito correction is a
-constant counterterm, and at ``lam = 0`` it is the additive equation.
+discretised space-time white noise ``xi``.  It is the same equation forced
+by one normal row per member and sub-step, with no transport: its Ito
+correction is a constant counterterm, and at ``lam = 0`` it is the additive
+equation.
 
-Both solve a batch of members as one ``(B, n_x)`` array.  The renormalised
-solver also takes several configurations that share ``n_x`` and ``T``
-(noise scales, couplings, counterterms), each with its own batch of
-fields, and integrates them all in one loop.
+``solve_renormalised`` integrates one ``(B, n_x)`` array of members.  The
+members may come from several configurations that share ``n_x`` and ``T``
+(noise scales, couplings, counterterms), each with its own batch: sampled
+fields, or a ``WhiteNoise`` batch of reference members.  So the reference
+is one more batch of the one loop, and a study solves its reference and
+every scale in one loop.
 
 Both run on the config step ``dt <= dx^2/4`` and take ``SPLIT_STEPS`` of
 them per sub-step: an inverse and a forward FFT and a few elementwise
@@ -44,12 +47,11 @@ from .noise import FieldSample, GridSpec, PoissonNoiseModel, draw_cloud, field_f
 __all__ = [
     "SimConfig",
     "Trajectory",
+    "WhiteNoise",
     "BlowupError",
     "renormalised_coefficients_closed_form",
     "solve_renormalised",
     "solve_hopf_cole",
-    "ensemble_renormalised",
-    "ensemble_hopf_cole",
     "compare_statistics",
     "convergence_study",
     "noise_grid_for",
@@ -147,6 +149,20 @@ class Trajectory:
     config: SimConfig
 
 
+@dataclass(frozen=True)
+class WhiteNoise:
+    """A batch of Hopf-Cole reference members for ``solve_renormalised``.
+
+    One member per seed, driven by discretised space-time white noise from
+    its own normal stream (see ``_normal_forcing``).  Its configuration
+    gives ``n_x``, ``T`` and ``lam``; the counterterm is the Ito correction
+    ``lam / (2 dx)``, there is no transport, and ``ell`` and ``v_h`` are not
+    read.
+    """
+
+    seeds: Sequence[int]
+
+
 def noise_grid_for(config: SimConfig) -> GridSpec:
     """Noise grid resolving the bump at the configured scale.
 
@@ -206,20 +222,24 @@ def _solve_forced(
     or ``B = 0``, and ``check`` where the batch is to be checked.  With the
     sub-step's increment ``S``, ``A = exp(lam S)`` and ``B = 0``, or
     ``A = 1`` and ``B = S`` at ``lam = 0``: ``S = dt (F - m v_v)`` for a
-    field's rows ``F`` summed over the sub-step (``_field_forcing``), and
-    ``S = sqrt(m) amp xi - m dt v_v`` for the reference's normal row ``xi``,
-    ``amp^2 = dt / dx``, whose Ito correction is the constant counterterm
-    ``v_v = lam / (2 dx)`` (``_normal_forcing``).
+    field's rows ``F`` summed over the sub-step, and ``S = sqrt(m) amp xi -
+    m dt v_v`` for a reference member's normal row ``xi``, ``amp^2 = dt /
+    dx``, whose Ito correction is the constant counterterm ``v_v = lam / (2
+    dx)`` (``_normal_forcing``).  ``_field_forcing`` fills the row block of
+    each group of members.
 
-    Consecutive half powers merge, so a sub-step is one irfft, one
-    multiply, an add if some member has ``lam = 0``, one rfft and one
-    multiply on preallocated buffers.  Where ``check`` is set, and at the
-    end, a ``lam != 0`` member's ``u`` must be finite and positive, and a
-    ``lam = 0`` member's finite and at most ``BLOWUP_THRESHOLD`` in size, or
-    ``BlowupError`` is raised at that sub-step's time.  Every operation acts
-    elementwise or row by row, so each member is integrated bit for bit as
-    it would be alone; a dense circulant matmul would be faster, but BLAS
-    gives rows that change with the batch size.
+    Consecutive half powers merge, so a sub-step is one irfft, a multiply
+    if some member has ``lam != 0``, an add if some member has ``lam = 0``,
+    one rfft and one multiply on preallocated buffers.  Where ``check`` is
+    set, and at the end, a ``lam != 0`` member's ``u`` must be finite and
+    positive, and a ``lam = 0`` member's finite and at most
+    ``BLOWUP_THRESHOLD`` in size, or ``BlowupError`` is raised at that
+    sub-step's time.  The whole batch is checked wherever any group asks,
+    so a blown reference member may be reported at an earlier check in a
+    joint batch than alone.  Every operation acts elementwise or row by
+    row, so each member is integrated bit for bit as it would be alone; a
+    dense circulant matmul would be faster, but BLAS gives rows that change
+    with the batch size.
     """
     n_x = config.n_x
     dt = config.step
@@ -258,39 +278,57 @@ def _solve_forced(
 
 
 def _field_forcing(config: SimConfig, lam: np.ndarray, v_v: np.ndarray,
-                   groups: Sequence[tuple[np.ndarray, float]]):
-    """``(A, B, check)`` per sub-step for members driven by noise fields.
+                   groups: Sequence[tuple]):
+    """``(A, B, check)`` per sub-step for a batch of field and white-noise groups.
 
     ``lam`` and ``v_v`` are ``(B, 1)`` member columns.  Each group is
-    ``(coarse, dt_noise)`` with ``coarse`` of shape ``(rows, B_g, n_x)``; it
-    forces the next B_g members, at config step ``s`` by its row
-    ``min(int(s * dt / dt_noise), rows - 1)``.  ``A`` and ``B`` are formed
-    again, and checked, only at the sub-steps whose rows differ from the
-    previous one's, found beforehand; in between the same buffers are
-    yielded unchecked.
+    ``(source, B_g)`` and forces the next B_g members, through their row
+    block of one ``A`` and one ``B`` buffer that start at 1 and 0.
+
+    A field group's source is ``(coarse, dt_noise)`` with ``coarse`` of shape
+    ``(rows, B_g, n_x)``; at config step ``s`` it forces by its row
+    ``min(int(s * dt / dt_noise), rows - 1)``.  Its block is formed again,
+    and checked, only at the sub-steps whose field rows differ from the
+    previous one's, found beforehand; in between it is left as it is.  A
+    white-noise group's source is a ``_normal_forcing`` stream, whose rows
+    are copied into its block at every sub-step and checked where the
+    stream asks.  ``check`` is set wherever any group asks.
     """
     dt = config.step
+    targets = np.cumsum([0] + [size for _, size in groups])
+    blocks = [(source, lo, hi) for (source, _), lo, hi in zip(groups, targets, targets[1:])]
+    fields = [(source, lo, hi) for source, lo, hi in blocks if isinstance(source, tuple)]
+    streams = [(source, lo, hi) for source, lo, hi in blocks if not isinstance(source, tuple)]
     times = np.arange(config.n_steps) * dt
-    # each group's rows, one line of SPLIT_STEPS per sub-step
+    # each field group's rows, one line of SPLIT_STEPS per sub-step
     windows = [np.minimum((times / dt_noise).astype(np.int64),
                           len(coarse) - 1).reshape(-1, SPLIT_STEPS)
-               for coarse, dt_noise in groups]
-    fresh = np.ones(len(windows[0]), dtype=bool)
-    fresh[1:] = np.any([(w[1:] != w[:-1]).any(axis=1) for w in windows], axis=0)
-    targets = np.cumsum([0] + [coarse.shape[1] for coarse, _ in groups])
+               for (coarse, dt_noise), _, _ in fields]
+    fresh = np.zeros(config.n_steps // SPLIT_STEPS, dtype=bool)
+    if fields:
+        fresh[0] = True
+        fresh[1:] = np.any([(w[1:] != w[:-1]).any(axis=1) for w in windows], axis=0)
     hopf = lam != 0
-    total = np.empty((targets[-1], config.n_x))
-    mul, add = np.empty_like(total), (None if hopf.all() else np.empty_like(total))
-    for j, new_rows in enumerate(fresh.tolist()):
-        if new_rows:
-            for w, (coarse, _), lo, hi in zip(windows, groups, targets, targets[1:]):
-                total[lo:hi] = sum(coarse[r] for r in w[j].tolist())
-            total -= SPLIT_STEPS * v_v
-            total *= dt
-            np.exp(lam * total, out=mul)
-            if add is not None:
-                np.multiply(total, ~hopf, out=add)
-        yield mul, add, new_rows
+    mul = np.ones((targets[-1], config.n_x))
+    add = None if hopf.all() else np.zeros_like(mul)
+    yielded = mul if hopf.any() else None
+    for j, check in enumerate(fresh.tolist()):
+        if check:
+            for w, ((coarse, _), lo, hi) in zip(windows, fields):
+                total = sum(coarse[r] for r in w[j].tolist())
+                total -= SPLIT_STEPS * v_v[lo:hi]
+                total *= dt
+                np.exp(lam[lo:hi] * total, out=mul[lo:hi])
+                if add is not None:
+                    np.multiply(total, ~hopf[lo:hi], out=add[lo:hi])
+        for stream, lo, hi in streams:
+            a, b, asks = next(stream)
+            if a is not None:
+                mul[lo:hi] = a
+            if b is not None:
+                add[lo:hi] = b
+            check = check or asks
+        yield yielded, add, check
 
 
 def _blown(u: np.ndarray, hopf: np.ndarray) -> bool:
@@ -301,15 +339,20 @@ def _blown(u: np.ndarray, hopf: np.ndarray) -> bool:
 
 
 def _forcing_group(config: SimConfig, noise):
-    """One configuration's ``(coarse, dt_noise)`` and whether it is a lone member.
+    """One configuration's ``(source, B_g)`` group and whether it is a lone member.
 
-    A lone member (one ``FieldSample``, or no noise) keeps no member axis in
-    its heights.
+    A field batch's source is ``(coarse, dt_noise)``, a ``WhiteNoise``
+    batch's its ``_normal_forcing`` stream.  A lone member (one
+    ``FieldSample``, or no noise) keeps no member axis in its heights.
     """
     if noise is None:
-        return (np.zeros((1, 1, config.n_x)), config.T), True
+        return ((np.zeros((1, 1, config.n_x)), config.T), 1), True
     if isinstance(noise, FieldSample):
-        return (_coarse_noise(noise, config)[:, None], noise.grid.dt), True
+        return ((_coarse_noise(noise, config)[:, None], noise.grid.dt), 1), True
+    if isinstance(noise, WhiteNoise):
+        if not len(noise.seeds):
+            raise ValueError("empty batch")
+        return (_normal_forcing(config, noise.seeds), len(noise.seeds)), False
     grid, members = None, []
     for sample in noise:
         if grid is not None and sample.grid != grid:
@@ -319,15 +362,15 @@ def _forcing_group(config: SimConfig, noise):
         del sample  # drop the fine field before the next one is made
     if not members:
         raise ValueError("empty batch")
-    return (np.stack(members, axis=1), grid.dt), False
+    return ((np.stack(members, axis=1), grid.dt), len(members)), False
 
 
 def solve_renormalised(
     config: SimConfig | Sequence[SimConfig],
-    noise: FieldSample | Iterable | None,
+    noise: FieldSample | Iterable | WhiteNoise | None,
     h0: np.ndarray | None = None,
 ) -> Trajectory | list[Trajectory]:
-    """Integrate the counterterm equation driven by sampled fields.
+    """Integrate the counterterm equation driven by sampled fields or white noise.
 
     For one ``config``, ``noise`` is one ``FieldSample`` or an iterable of
     them, one per member.  A batch of B members is integrated as one
@@ -335,13 +378,17 @@ def solve_renormalised(
     cell-averaged onto the solver grid as it arrives, so one fine field at
     most is held at a time.  The noise is piecewise constant between its
     own time slices; ``noise=None`` runs the deterministic part only.
+    ``noise`` may also be a ``WhiteNoise`` batch: the Hopf-Cole reference,
+    one member per seed (see ``solve_hopf_cole``).
 
     For a sequence of configs sharing ``n_x`` and ``T``, ``noise`` holds one
     such batch per config, and every member of every config is integrated
     in one step loop, each with its own coupling, counterterms and noise
-    grid.  The result is one ``Trajectory`` per config, each equal to the
-    config's own solve.  ``h0`` is the start of every member, one profile
-    of shape ``(n_x,)``; any other shape raises ``ValueError``.
+    grid: one solve, one transform pair per sub-step, however many batches
+    and of whichever kind.  The result is one ``Trajectory`` per config,
+    each equal to the config's own solve.  ``h0`` is the start of every
+    member, one profile of shape ``(n_x,)``; any other shape raises
+    ``ValueError``.
     """
     single = isinstance(config, SimConfig)
     configs = [config] if single else list(config)
@@ -355,14 +402,16 @@ def solve_renormalised(
     if h0.shape != (n_x,):
         raise ValueError(f"h0 has shape {h0.shape}, want one profile of shape ({n_x},)")
     groups, lone = zip(*(_forcing_group(c, b) for c, b in zip(configs, batches)))
-    sizes = [coarse.shape[1] for coarse, _ in groups]
+    sizes = [size for _, size in groups]
 
     def column(values):
         return np.repeat(values, sizes)[:, None]
 
     lam = column([c.lam for c in configs])
+    v_h = column([0.0 if isinstance(b, WhiteNoise) else c.v_h
+                  for c, b in zip(configs, batches)])
     forcing = _field_forcing(configs[0], lam, column([c.v_v for c in configs]), groups)
-    final = _solve_forced(configs[0], lam, column([c.v_h for c in configs]), forcing,
+    final = _solve_forced(configs[0], lam, v_h, forcing,
                           np.broadcast_to(h0, (sum(sizes), n_x)))
     out = [Trajectory(h[0] if one else h, c) for c, one, h
            in zip(configs, lone, np.split(final, np.cumsum(sizes)[:-1]))]
@@ -370,7 +419,7 @@ def solve_renormalised(
 
 
 def _normal_forcing(config: SimConfig, seeds: Sequence[int]):
-    """``(A, B, check)`` per sub-step for the reference, one member per seed.
+    """``(A, B, check)`` rows per sub-step of a white-noise group, one member per seed.
 
     Over a sub-step of ``m = SPLIT_STEPS`` config steps the white noise of
     amplitude ``amp = sqrt(dt / dx)`` per config step sums to ``sqrt(m) amp
@@ -411,57 +460,19 @@ def solve_hopf_cole(config: SimConfig, seeds: Sequence[int]) -> Trajectory:
     equation ``dz = z'' + lam z xi`` with discretised space-time white noise
     ``xi``, or at ``lam = 0`` the additive equation ``dh = h'' + xi``.
 
-    One member per seed, each on its own normal stream, integrated in one
-    ``(len(seeds), n_x)`` array by ``_solve_forced``: a sub-step of
-    ``m = SPLIT_STEPS`` config steps multiplies ``z`` by
-    ``exp(lam sqrt(m) amp xi - m lam^2 amp^2 / 2)`` between its two half
+    This is ``solve_renormalised(config, WhiteNoise(seeds))``: one member
+    per seed, each on its own normal stream, in one ``(len(seeds), n_x)``
+    array.  A sub-step of ``m = SPLIT_STEPS`` config steps multiplies ``z``
+    by ``exp(lam sqrt(m) amp xi - m lam^2 amp^2 / 2)`` between its two half
     flows, with ``amp^2 = dt / dx`` (see ``_normal_forcing``; ``config.ell``
     and ``config.v_h`` are not used).  The implicit multiplier
     ``M = (I - dt Laplacian)^-1`` inverts a nonsingular M-matrix, so every
-    power of it is entrywise positive and ``z`` stays positive.  The batch
-    is checked for blow-up once per block of ``NORMAL_BLOCK_BYTES`` normals
-    and at the end.
+    power of it is entrywise positive and ``z`` stays positive.  Alone, the
+    batch is checked for blow-up once per block of ``NORMAL_BLOCK_BYTES``
+    normals and at the end; in a joint ``solve_renormalised`` call it is
+    also checked wherever a field group asks.
     """
-    if not len(seeds):
-        raise ValueError("empty batch")
-    lam = np.full((len(seeds), 1), float(config.lam))
-    final = _solve_forced(config, lam, np.zeros_like(lam), _normal_forcing(config, seeds),
-                          np.zeros((len(seeds), config.n_x)))
-    return Trajectory(final, config)
-
-
-# ---------------------------------------------------------------------------
-# Ensembles
-# ---------------------------------------------------------------------------
-
-def _child_seed(*key: int) -> int:
-    return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
-
-
-def ensemble_renormalised(
-    model: PoissonNoiseModel,
-    configs: Sequence[SimConfig],
-    clouds: Sequence,
-) -> list[np.ndarray]:
-    """Final height profiles of one ensemble per config, solved as one batch.
-
-    The configs share ``n_x`` and ``T``.  Member m of every config is driven
-    by the field made from ``clouds[m]`` (a ``draw_cloud`` result that
-    covers every configured scale), and each config's ensemble is a
-    ``(len(clouds), n_x)`` array.
-    """
-    def fields(c: SimConfig):
-        grid = noise_grid_for(c)
-        return (field_from_cloud(model, c.eps, grid, cloud, c.v_h) for cloud in clouds)
-
-    return [t.final for t in solve_renormalised(configs, [fields(c) for c in configs])]
-
-
-def ensemble_hopf_cole(config: SimConfig, n_members: int,
-                       master_seed: int) -> np.ndarray:
-    """``n_members`` reference heights at ``T``, on seeds drawn from ``master_seed``."""
-    seeds = [_child_seed(master_seed, 7, m) for m in range(n_members)]
-    return solve_hopf_cole(config, seeds).final
+    return solve_renormalised(config, WhiteNoise(seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +565,34 @@ def convergence_study(
     """Distances to the log-transform reference across noise scales.
 
     ``constants[eps]`` supplies the five counterterms per scale.  Member
-    clouds are shared across scales (coupling), every scale is solved in one
-    batch (they share ``n_x`` and ``T``), the reference ensemble is drawn
-    once, and the distances are expected to weakly decrease as the scale
-    refines.
+    clouds are shared across scales (coupling), and the reference ensemble,
+    ``n_members`` ``WhiteNoise`` members on seeds drawn from
+    ``master_seed``, is drawn once.  The reference and every scale are
+    solved in one ``solve_renormalised`` call (they share ``n_x`` and
+    ``T``), and the distances are expected to weakly decrease as the scale
+    refines.  Bad input (no scale, fewer than two members, a scale without
+    five finite counterterms) raises ``ValueError`` before any cloud is
+    drawn.
     """
+    if not len(eps_list):
+        raise ValueError("want one noise scale or more")
+    if n_members < 2:
+        raise ValueError(f"want two or more members, got {n_members}")
     eps_list = sorted(eps_list, reverse=True)
-    eps_min = min(eps_list)
+    configs = []
+    for eps in eps_list:
+        if eps not in constants:
+            raise ValueError(f"no counterterms for eps={eps}")
+        ell = np.asarray(constants[eps], dtype=float)
+        if ell.shape != (5,) or not np.isfinite(ell).all():
+            raise ValueError(f"want five finite counterterms for eps={eps}, "
+                             f"got {constants[eps]!r}")
+        ell = tuple(ell.tolist())
+        transport, _ = renormalised_coefficients_closed_form(ell, lam)
+        configs.append(SimConfig(lam=lam, eps=eps, n_x=n_x, T=T, ell=ell, v_h=-transport))
+    eps_min = eps_list[-1]
+    ref_config = SimConfig(lam=lam, eps=eps_min, n_x=n_x, T=T)
+
     t_reach = model.t_reach
     rng_master = np.random.SeedSequence([master_seed, 0xC10])
     clouds = [
@@ -569,15 +601,14 @@ def convergence_study(
         for child in rng_master.spawn(n_members)
     ]
 
-    ref_config = SimConfig(lam=lam, eps=eps_min, n_x=n_x, T=T)
-    reference = ensemble_hopf_cole(ref_config, n_members, master_seed)
+    def fields(c: SimConfig):
+        grid = noise_grid_for(c)
+        return (field_from_cloud(model, c.eps, grid, cloud, c.v_h) for cloud in clouds)
 
-    transport = {eps: renormalised_coefficients_closed_form(constants[eps], lam)[0]
-                 for eps in eps_list}
-    configs = [SimConfig(lam=lam, eps=eps, n_x=n_x, T=T, ell=tuple(constants[eps]),
-                         v_h=-transport[eps])
-               for eps in eps_list]
-    ensembles = ensemble_renormalised(model, configs, clouds)
+    seeds = [int(np.random.SeedSequence([master_seed, 7, m]).generate_state(1)[0])
+             for m in range(n_members)]
+    *ensembles, reference = (t.final for t in solve_renormalised(
+        [*configs, ref_config], [*map(fields, configs), WhiteNoise(seeds)]))
     rows = [{"eps": eps, **compare_statistics(ensemble, reference, seed=master_seed)}
             for eps, ensemble in zip(eps_list, ensembles)]
 

@@ -13,8 +13,10 @@ from kpzlab.noise import (
     clt_check,
     default_asymmetric_model,
     default_even_model,
+    draw_cloud,
     empirical_cumulants,
     eta_inner_products,
+    field_from_cloud,
     joint_second_cumulants,
     make_test_functions,
     sample_field,
@@ -173,6 +175,50 @@ class TestFieldSampling:
         err = np.std(prods_far, ddof=1) / math.sqrt(len(prods_far))
         assert near > 10 * abs(err)        # adjacent cells strongly correlated
         assert abs(far) < 4 * err + 1e-12  # half a period away: independent
+
+
+def add_at_field(model, eps, grid, cloud, v_h):
+    """``field_from_cloud`` as first written: every point's bump scattered
+    onto the grid by ``np.add.at``, point after point, in one pass."""
+    s_all, y_all, a_all = cloud
+    keep = ((s_all >= -model.t_reach) & (s_all <= grid.T / eps ** 2 + model.t_reach)
+            & (np.abs(y_all) <= 0.5 / eps))
+    s, y, a = s_all[keep], y_all[keep], a_all[keep]
+    values = np.zeros((grid.nt, grid.nx))
+    t_hat, dt_hat, dx_hat = grid.times() / eps ** 2, grid.dt / eps ** 2, grid.dx / eps
+    shift = v_h * grid.times() / eps
+    n_rows = int(2 * model.t_reach / dt_hat) + 2
+    n_cols = int(2 * model.x_reach / dx_hat) + 2
+    i0 = np.ceil((s - model.t_reach - t_hat[0]) / dt_hat).astype(int)
+    rows = i0[:, None] + np.arange(n_rows)[None, :]
+    valid = (rows >= 0) & (rows < grid.nt)
+    rows = np.clip(rows, 0, grid.nt - 1)
+    pos = (y[:, None] + shift[rows]) / dx_hat
+    cols = np.ceil(pos - model.x_reach / dx_hat).astype(int)[:, :, None] + np.arange(n_cols)
+    vals = (a[:, None, None] * model.phi((t_hat[rows] - s[:, None])[:, :, None],
+                                         cols * dx_hat - pos[:, :, None] * dx_hat)
+            * valid[:, :, None])
+    np.add.at(values, (rows[:, :, None], np.mod(cols, grid.nx)), vals)
+    mean = model.mu * model.mark_moment(1) * model.int_phi
+    return (values - mean) * eps ** (-1.5)
+
+
+@pytest.mark.parametrize("make_model,eps,v_h", [
+    (default_even_model, 0.2, 0.0), (default_even_model, 0.1, 0.0),
+    (default_asymmetric_model, 0.1, 0.0), (default_asymmetric_model, 0.2, 0.7),
+])
+def test_field_matches_the_add_at_scatter_bit_for_bit(make_model, eps, v_h):
+    # each cloud fits one chunk of points, so the chunk's bincount adds every
+    # cell's terms in the order of the point-by-point scatter
+    model = make_model()
+    grid = GridSpec(0.15, int(math.ceil(0.15 / (eps * eps / 8))) + 1, 512)
+    cloud = draw_cloud(model, np.random.default_rng(5), -model.t_reach,
+                       grid.T / eps ** 2 + model.t_reach, 0.5 / eps)
+    assert len(cloud[0]) > 15
+    got = field_from_cloud(model, eps, grid, cloud, v_h).values
+    want = add_at_field(model, eps, grid, cloud, v_h)
+    assert np.any(want != want[0, 0])
+    assert np.array_equal(got, want)
 
 
 def pair_field(sample, eta):

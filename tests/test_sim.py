@@ -238,22 +238,26 @@ class TestBatches:
         assert np.array_equal(sim.solve_hopf_cole(config, [11, 12]).final, whole)
 
     def test_ensembles_match_member_loops(self):
+        # a batch of fields made from clouds as they arrive and a WhiteNoise
+        # batch, solved together, give each member's own solve
         model = default_even_model()
         config = small_config(ell=ELL, v_h=0.2)
         grid = sim.noise_grid_for(config)
         rng = np.random.default_rng(0)
         clouds = [draw_cloud(model, rng, -1.0, config.T / config.eps ** 2 + 1.0,
                              0.5 / config.eps) for _ in range(3)]
-        (by_cloud,) = sim.ensemble_renormalised(model, [config], clouds)
-        assert by_cloud.shape == (3, config.n_x)
+        by_cloud, reference = sim.solve_renormalised(
+            [config, config],
+            [(field_from_cloud(model, config.eps, grid, c, config.v_h) for c in clouds),
+             sim.WhiteNoise([21, 22])])
+        assert by_cloud.final.shape == (3, config.n_x)
         for m in range(3):
             noise = field_from_cloud(model, config.eps, grid, clouds[m], config.v_h)
-            assert np.array_equal(by_cloud[m],
+            assert np.array_equal(by_cloud.final[m],
                                   sim.solve_renormalised(config, noise).final)
-        reference = sim.ensemble_hopf_cole(config, 2, master_seed=9)
-        for m in range(2):
-            seed = int(np.random.SeedSequence([9, 7, m]).generate_state(1)[0])
-            assert np.array_equal(reference[m],
+        assert reference.final.shape == (2, config.n_x)
+        for m, seed in enumerate((21, 22)):
+            assert np.array_equal(reference.final[m],
                                   sim.solve_hopf_cole(config, [seed]).final[0])
 
     def test_mismatched_or_empty_batches_rejected(self):
@@ -265,7 +269,7 @@ class TestBatches:
         with pytest.raises(ValueError, match="empty"):
             sim.solve_hopf_cole(config, [])
         with pytest.raises(ValueError, match="empty"):
-            sim.ensemble_renormalised(model, [config], [])
+            sim.solve_renormalised([config, config], [samples, sim.WhiteNoise([])])
         grid = sim.noise_grid_for(config)
         finer = sample_field(model, config.eps, GridSpec(grid.T, grid.nt, 2 * grid.nx), 3)
         with pytest.raises(ValueError, match="different noise grids"):
@@ -295,17 +299,32 @@ class TestBatches:
             assert np.array_equal(trajectory.final, single.final)
 
     def test_config_batch_of_ensembles_matches_per_config_calls(self):
+        # fields of shared clouds at two scales and reference members at two
+        # couplings, in one solve, match one solve per config
         model = default_asymmetric_model()
         configs = [small_config(eps=0.2, lam=0.8, ell=ELL, v_h=0.3),
-                   small_config(eps=0.1, lam=0.0, v_h=0.3)]
+                   small_config(eps=0.1, lam=0.0, v_h=0.3),
+                   small_config(lam=0.7, ell=ELL, v_h=0.5), small_config(lam=0.0)]
         rng = np.random.default_rng(1)
         clouds = [draw_cloud(model, rng, -model.t_reach, 0.02 / 0.1 ** 2 + model.t_reach,
                              0.5 / 0.1) for _ in range(3)]
-        by_cloud = sim.ensemble_renormalised(model, configs, clouds)
-        for config, cloud_run in zip(configs, by_cloud):
-            assert cloud_run.shape == (3, config.n_x)
-            assert np.array_equal(cloud_run,
-                                  sim.ensemble_renormalised(model, [config], clouds)[0])
+
+        def batch(config):
+            grid = sim.noise_grid_for(config)
+            return [field_from_cloud(model, config.eps, grid, cloud, config.v_h)
+                    for cloud in clouds]
+
+        batches = [batch(configs[0]), batch(configs[1]),
+                   sim.WhiteNoise([11, 12]), sim.WhiteNoise([13])]
+        joint = sim.solve_renormalised(configs, batches)
+        assert [t.final.shape for t in joint] == [(3, 32), (3, 32), (2, 32), (1, 32)]
+        for config, noise, trajectory in zip(configs, batches, joint):
+            assert np.array_equal(trajectory.final,
+                                  sim.solve_renormalised(config, noise).final)
+        # a white-noise member has no transport and no ell: v_h and ell of
+        # its config are not read
+        assert np.array_equal(joint[2].final, sim.solve_hopf_cole(small_config(lam=0.7),
+                                                                   [11, 12]).final)
 
     def test_config_batch_needs_one_grid_and_horizon(self):
         model = default_even_model()
@@ -514,6 +533,33 @@ class TestFailures:
         with pytest.raises(sim.BlowupError) as alone:
             sim.solve_hopf_cole(config, [spoilt_seed])
         assert alone.value.time == starts[11] * config.step
+        # beside a field batch the check of a fresh field row comes first
+        # (sub-step 5 here), but no check before the NaN's sub-step sees it
+        field = sample_field(default_even_model(), 0.2, sim.noise_grid_for(config), 1)
+        with pytest.raises(sim.BlowupError) as joint:
+            sim.solve_renormalised([small_config(), config],
+                                   [field, sim.WhiteNoise([11, spoilt_seed, 13])])
+        assert starts[spoilt_row] * config.step <= joint.value.time < batch.value.time
+
+    @pytest.mark.parametrize("eps_list,n_members,constants", [
+        ((), 3, {}), ((0.2,), 1, {0.2: ELL}), ((0.2, 0.1), 3, {0.2: ELL}),
+        ((0.2,), 3, {0.2: ELL[:4]}), ((0.2,), 3, {0.2: ELL + (0.0,)}),
+        ((0.2,), 3, {0.2: (math.nan,) + ELL[1:]}), ((0.2,), 3, {0.2: ELL[:2] + (math.inf,) + ELL[3:]}),
+        ((0.2,), 3, {0.2: 0.3}), ((0.2,), 3, {0.2: "abcde"}),
+    ], ids=["no-scale", "one-member", "missing-scale", "four-constants", "six-constants",
+            "nan-constant", "inf-constant", "scalar-constants", "string-constants"])
+    def test_bad_study_input_fails_before_any_work(self, monkeypatch, eps_list, n_members,
+                                                   constants):
+        # these gave a KeyError after the reference solve, a ValueError after
+        # every solve, or an unpacking error in the counterterm closed form
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began before the input was checked")
+
+        monkeypatch.setattr(sim, "draw_cloud", no_work)
+        monkeypatch.setattr(sim, "_solve_forced", no_work)
+        with pytest.raises(ValueError):
+            sim.convergence_study(default_even_model(), eps_list, constants,
+                                  n_members=n_members, n_x=32, T=0.02)
 
 
 class TestExactBehaviour:
@@ -557,8 +603,9 @@ class TestExactBehaviour:
         assert np.array_equal(minus.final, -plus.final)
 
     def test_one_transform_pair_per_sub_step(self, monkeypatch):
-        # both solvers take ceil(n_steps / SPLIT_STEPS) + 1 rfft and irfft
-        # calls per solve, whatever the batch
+        # both solvers take n_steps / SPLIT_STEPS + 1 rfft and irfft calls per
+        # solve, whatever the batch, and a study solves its reference and
+        # every scale in one of them
         model = default_asymmetric_model()
         configs = [small_config(lam=0.8, ell=ELL, v_h=0.3), small_config(lam=0.0, v_h=0.3)]
         noises = [fields(model, c, (1, 2)) for c in configs]
@@ -568,14 +615,54 @@ class TestExactBehaviour:
                 calls[_name] += 1
                 return _f(*args, **kw)
             monkeypatch.setattr(np.fft, name, counted)
-        want = math.ceil(configs[0].n_steps / sim.SPLIT_STEPS) + 1
+        want = configs[0].n_steps // sim.SPLIT_STEPS + 1
         for solve in (lambda: sim.solve_renormalised(configs, noises),
                       lambda: sim.solve_renormalised(configs[0], noises[0][0]),
                       lambda: sim.solve_hopf_cole(configs[0], [11, 12, 13]),
-                      lambda: sim.solve_hopf_cole(configs[1], [11])):
+                      lambda: sim.solve_hopf_cole(configs[1], [11]),
+                      lambda: sim.solve_renormalised(configs, [noises[0], sim.WhiteNoise([11])])):
             calls.update(rfft=0, irfft=0)
             solve()
             assert calls == {"rfft": want, "irfft": want}
+        # the statistics take transforms too, so count only the solver's
+        solves, real_solve = [], sim._solve_forced
+
+        def counted_solve(*args):
+            calls.update(rfft=0, irfft=0)
+            final = real_solve(*args)
+            solves.append(dict(calls))
+            return final
+
+        monkeypatch.setattr(sim, "_solve_forced", counted_solve)
+        sim.convergence_study(model, (0.2, 0.1), {0.2: ELL, 0.1: ELL}, n_members=2,
+                              n_x=32, T=0.02, lam=0.8)
+        assert solves == [{"rfft": want, "irfft": want}]
+
+    def test_study_rows_match_separate_solves(self):
+        # the one joint solve of a study gives the rows of a reference solve
+        # and one solve per scale on the same seeds and clouds; the transport
+        # of ELL makes v_h != 0, so the reference rows take the phase factor 1
+        model = default_even_model()
+        eps_list, n_members, lam, seed = (0.2, 0.1), 3, 0.8, 5
+        study = sim.convergence_study(model, eps_list, {0.2: ELL, 0.1: ELL},
+                                      n_members=n_members, n_x=32, T=0.02, lam=lam,
+                                      master_seed=seed)
+        children = np.random.SeedSequence([seed, 0xC10]).spawn(n_members)
+        clouds = [draw_cloud(model, np.random.default_rng(child), -model.t_reach,
+                             0.02 / 0.1 ** 2 + model.t_reach, 0.5 / 0.1) for child in children]
+        seeds = [int(np.random.SeedSequence([seed, 7, m]).generate_state(1)[0])
+                 for m in range(n_members)]
+        reference = sim.solve_hopf_cole(small_config(eps=0.1, lam=lam), seeds).final
+        rows = []
+        for eps in eps_list:
+            v_h = -sim.renormalised_coefficients_closed_form(ELL, lam)[0]
+            config = small_config(eps=eps, lam=lam, ell=ELL, v_h=v_h)
+            assert config.v_h != 0
+            grid = sim.noise_grid_for(config)
+            ensemble = sim.solve_renormalised(
+                config, [field_from_cloud(model, eps, grid, cloud, v_h) for cloud in clouds]).final
+            rows.append({"eps": eps, **sim.compare_statistics(ensemble, reference, seed=seed)})
+        assert study["rows"] == rows
 
     def test_default_step_is_stable_and_ends_at_T(self):
         # the step has no other source, so nothing else enforces these; the
