@@ -356,7 +356,10 @@ def field_from_cloud(
 
     n_rows = int(2 * model.t_reach / dt_hat) + 2
     n_cols = int(2 * model.x_reach / dx_hat) + 2
-    chunk = max(1, 4_000_000 // max(1, n_rows * n_cols))
+    # a chunk builds several float and int temporaries of chunk * n_rows *
+    # n_cols elements; 2^18 of them keeps each at 2 MB, and the per-chunk
+    # NumPy calls are still few next to the elementwise work
+    chunk = max(1, (1 << 18) // max(1, n_rows * n_cols))
     for start in range(0, len(s), chunk):
         sl = slice(start, start + chunk)
         sc, yc, ac = s[sl], y[sl], a[sl]

@@ -37,7 +37,9 @@ scale-convergence study that drives them across a list of noise scales.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,7 +53,6 @@ __all__ = [
     "BlowupError",
     "renormalised_coefficients_closed_form",
     "solve_renormalised",
-    "solve_hopf_cole",
     "compare_statistics",
     "convergence_study",
     "noise_grid_for",
@@ -153,14 +154,28 @@ class Trajectory:
 class WhiteNoise:
     """A batch of Hopf-Cole reference members for ``solve_renormalised``.
 
-    One member per seed, driven by discretised space-time white noise from
-    its own normal stream (see ``_normal_forcing``).  Its configuration
-    gives ``n_x``, ``T`` and ``lam``; the counterterm is the Ito correction
-    ``lam / (2 dx)``, there is no transport, and ``ell`` and ``v_h`` are not
-    read.
+    The reference is ``log(z) / lam`` for the Ito equation ``dz = z'' + lam z
+    xi`` from flat, with discretised space-time white noise ``xi``, or at
+    ``lam = 0`` the additive equation ``dh = h'' + xi``: one member per seed,
+    each on its own normal stream ``SeedSequence([seed, 0xADD])``.  Its
+    configuration gives ``n_x``, ``T`` and ``lam``; ``ell`` and ``v_h`` are
+    not read, and there is no transport.  A sub-step of ``m = SPLIT_STEPS``
+    config steps multiplies ``z`` between its two half flows by the Ito-exact
+    factor ``exp(lam sqrt(m) amp xi - m lam^2 amp^2 / 2)``, with one
+    standard-normal row ``xi`` per member and ``amp^2 = dt / dx``: the Ito
+    correction is the constant counterterm ``v_v = lam / (2 dx)``.  The
+    implicit multiplier ``M = (I - dt Laplacian)^-1`` inverts a nonsingular
+    M-matrix, so every power of it is entrywise positive and ``z`` stays
+    positive.  The seeds must be a non-empty sequence of non-negative ints.
     """
 
     seeds: Sequence[int]
+
+    def __post_init__(self):
+        if not (isinstance(self.seeds, (Sequence, np.ndarray)) and len(self.seeds)
+                and all(isinstance(s, numbers.Integral) and s >= 0 for s in self.seeds)):
+            raise ValueError("want a non-empty sequence of non-negative int seeds, "
+                             f"got {self.seeds!r}")
 
 
 def noise_grid_for(config: SimConfig) -> GridSpec:
@@ -203,7 +218,9 @@ def _solve_forced(
     config: SimConfig,
     lam: np.ndarray,
     v_h: np.ndarray,
-    forcing: Iterable[tuple[np.ndarray | None, np.ndarray | None, bool]],
+    mul: np.ndarray,
+    add: np.ndarray,
+    checks: Iterable[bool],
     h0: np.ndarray,
 ) -> np.ndarray:
     """Strang splitting of a ``(B, n_x)`` batch; the final heights.
@@ -218,23 +235,20 @@ def _solve_forced(
     ``exp(-2 pi i k v_h dt)`` (1 at the Nyquist mode, which the lattice
     cannot shift), so the linear part of a solve is exactly ``M^n_steps``.
 
-    ``forcing`` yields ``(A, B, check)`` per sub-step, ``None`` for ``A = 1``
-    or ``B = 0``, and ``check`` where the batch is to be checked.  With the
-    sub-step's increment ``S``, ``A = exp(lam S)`` and ``B = 0``, or
-    ``A = 1`` and ``B = S`` at ``lam = 0``: ``S = dt (F - m v_v)`` for a
-    field's rows ``F`` summed over the sub-step, and ``S = sqrt(m) amp xi -
-    m dt v_v`` for a reference member's normal row ``xi``, ``amp^2 = dt /
-    dx``, whose Ito correction is the constant counterterm ``v_v = lam / (2
-    dx)`` (``_normal_forcing``).  ``_field_forcing`` fills the row block of
-    each group of members.
+    ``mul`` and ``add`` are the ``(B, n_x)`` buffers of ``A`` and ``B``: with
+    a member's increment ``S`` over the sub-step, ``A = exp(lam S)`` and
+    ``B = 0``, or ``A = 1`` and ``B = S`` at ``lam = 0``.  Each batch's
+    generator (``_field_rows``, ``_normal_rows``) keeps its own row block of
+    both current, and ``checks`` advances every generator once per sub-step
+    and yields whether any of them asks for a check.
 
     Consecutive half powers merge, so a sub-step is one irfft, a multiply
     if some member has ``lam != 0``, an add if some member has ``lam = 0``,
-    one rfft and one multiply on preallocated buffers.  Where ``check`` is
-    set, and at the end, a ``lam != 0`` member's ``u`` must be finite and
+    one rfft and one multiply on preallocated buffers.  Where a check is
+    asked, and at the end, a ``lam != 0`` member's ``u`` must be finite and
     positive, and a ``lam = 0`` member's finite and at most
     ``BLOWUP_THRESHOLD`` in size, or ``BlowupError`` is raised at that
-    sub-step's time.  The whole batch is checked wherever any group asks,
+    sub-step's time.  The whole batch is checked wherever any batch asks,
     so a blown reference member may be reported at an earlier check in a
     joint batch than alone.  Every operation acts elementwise or row by
     row, so each member is integrated bit for bit as it would be alone; a
@@ -253,13 +267,15 @@ def _solve_forced(
         return power * np.exp(-2j * math.pi * k * v_h * (p * dt)) if v_h.any() else power
 
     hopf = lam != 0
+    mul = mul if hopf.any() else None  # A = 1 throughout
+    add = None if hopf.all() else add  # B = 0 throughout
     half = flow(SPLIT_STEPS / 2)
     between = flow(SPLIT_STEPS)  # the merged halves of two sub-steps
     n_sub = config.n_steps // SPLIT_STEPS
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.where(hopf, np.exp(lam * h0), h0)
         spectrum = np.fft.rfft(u, axis=-1) * half
-        for j, (mul, add, check) in enumerate(forcing):
+        for j, check in enumerate(checks):
             np.fft.irfft(spectrum, n=n_x, axis=-1, out=u)
             if mul is not None:
                 u *= mul
@@ -277,58 +293,36 @@ def _solve_forced(
     return u
 
 
-def _field_forcing(config: SimConfig, lam: np.ndarray, v_v: np.ndarray,
-                   groups: Sequence[tuple]):
-    """``(A, B, check)`` per sub-step for a batch of field and white-noise groups.
+def _field_rows(config: SimConfig, coarse: np.ndarray, dt_noise: float,
+                mul: np.ndarray, add: np.ndarray):
+    """Keep a field batch's rows of ``A`` (``mul``) or ``B`` (``add``) current.
 
-    ``lam`` and ``v_v`` are ``(B, 1)`` member columns.  Each group is
-    ``(source, B_g)`` and forces the next B_g members, through their row
-    block of one ``A`` and one ``B`` buffer that start at 1 and 0.
-
-    A field group's source is ``(coarse, dt_noise)`` with ``coarse`` of shape
-    ``(rows, B_g, n_x)``; at config step ``s`` it forces by its row
-    ``min(int(s * dt / dt_noise), rows - 1)``.  Its block is formed again,
-    and checked, only at the sub-steps whose field rows differ from the
-    previous one's, found beforehand; in between it is left as it is.  A
-    white-noise group's source is a ``_normal_forcing`` stream, whose rows
-    are copied into its block at every sub-step and checked where the
-    stream asks.  ``check`` is set wherever any group asks.
+    ``coarse`` holds the batch's cell-averaged noise rows, ``(rows, B_g,
+    n_x)``, ``dt_noise`` apart; at config step ``s`` they force by row
+    ``min(int(s * dt / dt_noise), rows - 1)``, so a sub-step's increment
+    is ``S = dt (F - m v_v)`` for its rows ``F`` summed.  The block is
+    formed again only at the sub-steps whose rows differ from the previous
+    sub-step's, and the generator yields per sub-step whether it did so,
+    which is where the batch is checked; in between the block is left as it
+    is.
     """
-    dt = config.step
-    targets = np.cumsum([0] + [size for _, size in groups])
-    blocks = [(source, lo, hi) for (source, _), lo, hi in zip(groups, targets, targets[1:])]
-    fields = [(source, lo, hi) for source, lo, hi in blocks if isinstance(source, tuple)]
-    streams = [(source, lo, hi) for source, lo, hi in blocks if not isinstance(source, tuple)]
+    dt, lam = config.step, config.lam
     times = np.arange(config.n_steps) * dt
-    # each field group's rows, one line of SPLIT_STEPS per sub-step
-    windows = [np.minimum((times / dt_noise).astype(np.int64),
-                          len(coarse) - 1).reshape(-1, SPLIT_STEPS)
-               for (coarse, dt_noise), _, _ in fields]
-    fresh = np.zeros(config.n_steps // SPLIT_STEPS, dtype=bool)
-    if fields:
-        fresh[0] = True
-        fresh[1:] = np.any([(w[1:] != w[:-1]).any(axis=1) for w in windows], axis=0)
-    hopf = lam != 0
-    mul = np.ones((targets[-1], config.n_x))
-    add = None if hopf.all() else np.zeros_like(mul)
-    yielded = mul if hopf.any() else None
+    # the rows of each sub-step, one line of SPLIT_STEPS per sub-step
+    windows = np.minimum((times / dt_noise).astype(np.int64),
+                         len(coarse) - 1).reshape(-1, SPLIT_STEPS)
+    fresh = np.ones(len(windows), dtype=bool)
+    fresh[1:] = (windows[1:] != windows[:-1]).any(axis=1)
     for j, check in enumerate(fresh.tolist()):
         if check:
-            for w, ((coarse, _), lo, hi) in zip(windows, fields):
-                total = sum(coarse[r] for r in w[j].tolist())
-                total -= SPLIT_STEPS * v_v[lo:hi]
-                total *= dt
-                np.exp(lam[lo:hi] * total, out=mul[lo:hi])
-                if add is not None:
-                    np.multiply(total, ~hopf[lo:hi], out=add[lo:hi])
-        for stream, lo, hi in streams:
-            a, b, asks = next(stream)
-            if a is not None:
-                mul[lo:hi] = a
-            if b is not None:
-                add[lo:hi] = b
-            check = check or asks
-        yield yielded, add, check
+            total = sum(coarse[r] for r in windows[j].tolist())
+            total -= SPLIT_STEPS * config.v_v
+            total *= dt
+            if lam:
+                np.exp(lam * total, out=mul)
+            else:
+                add[...] = total
+        yield check
 
 
 def _blown(u: np.ndarray, hopf: np.ndarray) -> bool:
@@ -338,21 +332,54 @@ def _blown(u: np.ndarray, hopf: np.ndarray) -> bool:
                        | ~np.isfinite(u)))
 
 
-def _forcing_group(config: SimConfig, noise):
-    """One configuration's ``(source, B_g)`` group and whether it is a lone member.
+def _normal_rows(config: SimConfig, seeds: Sequence[int], mul: np.ndarray, add: np.ndarray):
+    """Keep a ``WhiteNoise`` batch's rows of ``A`` (``mul``) or ``B`` (``add``) current.
 
-    A field batch's source is ``(coarse, dt_noise)``, a ``WhiteNoise``
-    batch's its ``_normal_forcing`` stream.  A lone member (one
-    ``FieldSample``, or no noise) keeps no member axis in its heights.
+    Each sub-step's rows are ``exp(lam S)``, or ``S`` at ``lam = 0``, with
+    ``S = sqrt(m) amp xi - m dt v_v``, so that ``exp(lam S)`` is the Ito
+    factor of ``WhiteNoise``.  Each member's stream fills a block of k rows at once, which yields the same
+    numbers as k separate ``(n_x,)`` draws, and the block is turned into
+    rows elementwise, so they do not depend on k.  The generator asks for a
+    check at each block's last sub-step: alone, the batch is checked once
+    per ``NORMAL_BLOCK_BYTES`` of normals and at the end.
     """
-    if noise is None:
-        return ((np.zeros((1, 1, config.n_x)), config.T), 1), True
-    if isinstance(noise, FieldSample):
-        return ((_coarse_noise(noise, config)[:, None], noise.grid.dt), 1), True
+    n_x, dt, lam = config.n_x, config.step, config.lam
+    n_sub = config.n_steps // SPLIT_STEPS
+    scale = math.sqrt(SPLIT_STEPS * dt * n_x)
+    counterterm = SPLIT_STEPS * dt * (lam * n_x / 2)
+    rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xADD])) for s in seeds]
+    k = max(1, NORMAL_BLOCK_BYTES // (8 * len(rngs) * n_x))
+    block = np.empty((len(rngs), k, n_x))
+    target = mul if lam else add
+    for lo in range(0, n_sub, k):
+        rows = min(k, n_sub - lo)
+        for rng, draws in zip(rngs, block):
+            rng.standard_normal(out=draws[:rows])
+        increments = block[:, :rows]
+        increments *= scale
+        if lam:
+            increments -= counterterm
+            increments *= lam
+            np.exp(increments, out=increments)
+        for j in range(rows):
+            target[...] = block[:, j]
+            yield j == rows - 1
+
+
+def _batch(config: SimConfig, noise):
+    """One config's ``(rows, B_g, lone)``.
+
+    ``rows(mul, add)`` starts the generator of the batch's row block,
+    ``B_g`` is its member count, and a lone member (one ``FieldSample``, or
+    no noise, a zero field of one row) keeps no member axis in its heights.
+    """
     if isinstance(noise, WhiteNoise):
-        if not len(noise.seeds):
-            raise ValueError("empty batch")
-        return (_normal_forcing(config, noise.seeds), len(noise.seeds)), False
+        return partial(_normal_rows, config, noise.seeds), len(noise.seeds), False
+    if noise is None:
+        return partial(_field_rows, config, np.zeros((1, 1, config.n_x)), config.T), 1, True
+    if isinstance(noise, FieldSample):
+        coarse = _coarse_noise(noise, config)[:, None]
+        return partial(_field_rows, config, coarse, noise.grid.dt), 1, True
     grid, members = None, []
     for sample in noise:
         if grid is not None and sample.grid != grid:
@@ -362,7 +389,7 @@ def _forcing_group(config: SimConfig, noise):
         del sample  # drop the fine field before the next one is made
     if not members:
         raise ValueError("empty batch")
-    return ((np.stack(members, axis=1), grid.dt), len(members)), False
+    return partial(_field_rows, config, np.stack(members, axis=1), grid.dt), len(members), False
 
 
 def solve_renormalised(
@@ -379,7 +406,7 @@ def solve_renormalised(
     most is held at a time.  The noise is piecewise constant between its
     own time slices; ``noise=None`` runs the deterministic part only.
     ``noise`` may also be a ``WhiteNoise`` batch: the Hopf-Cole reference,
-    one member per seed (see ``solve_hopf_cole``).
+    one member per seed.
 
     For a sequence of configs sharing ``n_x`` and ``T``, ``noise`` holds one
     such batch per config, and every member of every config is integrated
@@ -401,8 +428,8 @@ def solve_renormalised(
     h0 = np.zeros(n_x) if h0 is None else np.asarray(h0, dtype=float)
     if h0.shape != (n_x,):
         raise ValueError(f"h0 has shape {h0.shape}, want one profile of shape ({n_x},)")
-    groups, lone = zip(*(_forcing_group(c, b) for c, b in zip(configs, batches)))
-    sizes = [size for _, size in groups]
+    rows, sizes, lone = zip(*(_batch(c, b) for c, b in zip(configs, batches)))
+    edges = np.cumsum((0,) + sizes)
 
     def column(values):
         return np.repeat(values, sizes)[:, None]
@@ -410,69 +437,13 @@ def solve_renormalised(
     lam = column([c.lam for c in configs])
     v_h = column([0.0 if isinstance(b, WhiteNoise) else c.v_h
                   for c, b in zip(configs, batches)])
-    forcing = _field_forcing(configs[0], lam, column([c.v_v for c in configs]), groups)
-    final = _solve_forced(configs[0], lam, v_h, forcing,
-                          np.broadcast_to(h0, (sum(sizes), n_x)))
+    mul, add = np.ones((edges[-1], n_x)), np.zeros((edges[-1], n_x))
+    checks = map(any, zip(*(start(mul[lo:hi], add[lo:hi])
+                            for start, lo, hi in zip(rows, edges, edges[1:]))))
+    final = _solve_forced(configs[0], lam, v_h, mul, add, checks, np.broadcast_to(h0, mul.shape))
     out = [Trajectory(h[0] if one else h, c) for c, one, h
-           in zip(configs, lone, np.split(final, np.cumsum(sizes)[:-1]))]
+           in zip(configs, lone, np.split(final, edges[1:-1]))]
     return out[0] if single else out
-
-
-def _normal_forcing(config: SimConfig, seeds: Sequence[int]):
-    """``(A, B, check)`` rows per sub-step of a white-noise group, one member per seed.
-
-    Over a sub-step of ``m = SPLIT_STEPS`` config steps the white noise of
-    amplitude ``amp = sqrt(dt / dx)`` per config step sums to ``sqrt(m) amp
-    xi``, with one standard-normal row ``xi`` per member from the stream
-    ``SeedSequence([seed, 0xADD])``.  The increment is
-    ``S = sqrt(m) amp xi - m dt v_v`` with ``v_v = lam / (2 dx)``, so that
-    ``A = exp(lam S) = exp(lam sqrt(m) amp xi - m lam^2 amp^2 / 2)`` is the
-    Ito-exact factor; at ``lam = 0``, ``B = S``.  Each stream fills a block
-    of k rows at once, which yields the same numbers as k separate
-    ``(n_x,)`` draws, and the block is turned into ``A`` or ``B``
-    elementwise, so the rows do not depend on k.  ``check`` is set at each
-    block's last sub-step.
-    """
-    n_x, dt, lam = config.n_x, config.step, config.lam
-    n_sub = config.n_steps // SPLIT_STEPS
-    scale = math.sqrt(SPLIT_STEPS * dt * n_x)
-    counterterm = SPLIT_STEPS * dt * (lam * n_x / 2)
-    rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xADD])) for s in seeds]
-    k = max(1, NORMAL_BLOCK_BYTES // (8 * len(rngs) * n_x))
-    block = np.empty((len(rngs), k, n_x))
-    for lo in range(0, n_sub, k):
-        rows = min(k, n_sub - lo)
-        for rng, out in zip(rngs, block):
-            rng.standard_normal(out=out[:rows])
-        increments = block[:, :rows]
-        increments *= scale
-        if lam:
-            increments -= counterterm
-            increments *= lam
-            np.exp(increments, out=increments)
-        for j in range(rows):
-            row, check = block[:, j], j == rows - 1
-            yield (row, None, check) if lam else (None, row, check)
-
-
-def solve_hopf_cole(config: SimConfig, seeds: Sequence[int]) -> Trajectory:
-    """The Hopf-Cole reference from flat: ``log(z) / lam`` for the Ito
-    equation ``dz = z'' + lam z xi`` with discretised space-time white noise
-    ``xi``, or at ``lam = 0`` the additive equation ``dh = h'' + xi``.
-
-    This is ``solve_renormalised(config, WhiteNoise(seeds))``: one member
-    per seed, each on its own normal stream, in one ``(len(seeds), n_x)``
-    array.  A sub-step of ``m = SPLIT_STEPS`` config steps multiplies ``z``
-    by ``exp(lam sqrt(m) amp xi - m lam^2 amp^2 / 2)`` between its two half
-    flows, with ``amp^2 = dt / dx`` (see ``_normal_forcing``; ``config.ell``
-    and ``config.v_h`` are not used).  The implicit multiplier
-    ``M = (I - dt Laplacian)^-1`` inverts a nonsingular M-matrix, so every
-    power of it is entrywise positive and ``z`` stays positive.  Alone, the
-    batch is checked for blow-up once per block of ``NORMAL_BLOCK_BYTES``
-    normals and at the end; in a joint ``solve_renormalised`` call it is
-    also checked wherever a field group asks.
-    """
-    return solve_renormalised(config, WhiteNoise(seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +493,9 @@ def compare_statistics(
 
     Observables: mean profile, variance profile, two-point covariance
     (RMS distances over space) and the Kolmogorov distance of the height
-    law at a fixed point.  Both ensembles need two members or more and
-    the bootstrap two resamples or more, or no stderr exists.
+    law at a fixed point.  Both ensembles are ``(m, n_x)`` arrays of two
+    members or more and the bootstrap takes two resamples or more, or no
+    stderr exists.
 
     The resample indices come from one draw of shape ``(R, na + nb)``;
     row r holds resample r's indices into ``a`` then ``b``, the same
@@ -532,6 +504,9 @@ def compare_statistics(
     ``(R, m, n_x)`` stacks, R resamples per block of at most
     ``BOOTSTRAP_BLOCK_BYTES``.
     """
+    if np.ndim(ensemble_a) != 2 or np.ndim(ensemble_b) != 2:
+        raise ValueError(f"want (m, n_x) ensembles of two or more members, got shapes "
+                         f"{np.shape(ensemble_a)} and {np.shape(ensemble_b)}")
     if ensemble_a.shape[1] != ensemble_b.shape[1]:
         raise ValueError("ensembles live on different grids")
     na, nb = len(ensemble_a), len(ensemble_b)

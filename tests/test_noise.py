@@ -221,6 +221,30 @@ def test_field_matches_the_add_at_scatter_bit_for_bit(make_model, eps, v_h):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("v_h", [0.0, 0.7])
+def test_multi_chunk_field_matches_the_add_at_scatter(monkeypatch, v_h):
+    # at 25 times the even model's intensity a cloud holds several chunks of
+    # points, and the chunks' sums add each cell's terms in another order
+    # than the point-by-point scatter: equal to rounding
+    even, eps = default_even_model(), 0.2
+    model = PoissonNoiseModel(even.terms, mu=25.0, marks=even.marks)
+    grid = GridSpec(0.15, int(math.ceil(0.15 / (eps * eps / 8))) + 1, 512)
+    cloud = draw_cloud(model, np.random.default_rng(6), -model.t_reach,
+                       grid.T / eps ** 2 + model.t_reach, 0.5 / eps)
+    chunks, bincount = [], np.bincount
+
+    def counted(*args, **kwargs):
+        chunks.append(args[0].size)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    got = field_from_cloud(model, eps, grid, cloud, v_h).values
+    monkeypatch.undo()
+    assert len(chunks) >= 3
+    want = add_at_field(model, eps, grid, cloud, v_h)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def pair_field(sample, eta):
     """Grid quadrature of ``<field, eta>`` (trapezoid in t, periodic in x)."""
     tt = sample.grid.times()[:, None]

@@ -222,20 +222,21 @@ class TestBatches:
     @pytest.mark.parametrize("lam", [0.7, 0.0])
     def test_hopf_cole_batch_matches_single_solves(self, lam):
         config = small_config(lam=lam)
-        batch = sim.solve_hopf_cole(config, [11, 12, 13])
+        batch = sim.solve_renormalised(config, sim.WhiteNoise([11, 12, 13]))
         assert batch.final.shape == (3, config.n_x)
         for b, seed in enumerate((11, 12, 13)):
-            single = sim.solve_hopf_cole(config, [seed])
+            single = sim.solve_renormalised(config, sim.WhiteNoise([seed]))
             assert single.final.shape == (1, config.n_x)
             assert np.array_equal(batch.final[b], single.final[0])
 
     def test_normal_blocks_do_not_change_the_draws(self, monkeypatch):
         config = small_config(lam=0.7)
-        whole = sim.solve_hopf_cole(config, [11, 12]).final
+        whole = sim.solve_renormalised(config, sim.WhiteNoise([11, 12])).final
         # four sub-steps per block, with a shorter block at the end
         monkeypatch.setattr(sim, "NORMAL_BLOCK_BYTES", 8 * 2 * config.n_x * 4)
         assert math.ceil(config.n_steps / sim.SPLIT_STEPS) % 4 != 0
-        assert np.array_equal(sim.solve_hopf_cole(config, [11, 12]).final, whole)
+        again = sim.solve_renormalised(config, sim.WhiteNoise([11, 12])).final
+        assert np.array_equal(again, whole)
 
     def test_ensembles_match_member_loops(self):
         # a batch of fields made from clouds as they arrive and a WhiteNoise
@@ -258,7 +259,7 @@ class TestBatches:
         assert reference.final.shape == (2, config.n_x)
         for m, seed in enumerate((21, 22)):
             assert np.array_equal(reference.final[m],
-                                  sim.solve_hopf_cole(config, [seed]).final[0])
+                                  sim.solve_renormalised(config, sim.WhiteNoise([seed])).final[0])
 
     def test_mismatched_or_empty_batches_rejected(self):
         model = default_even_model()
@@ -266,10 +267,11 @@ class TestBatches:
         samples = fields(model, config, (1, 2))
         with pytest.raises(ValueError, match="empty"):
             sim.solve_renormalised(config, [])
-        with pytest.raises(ValueError, match="empty"):
-            sim.solve_hopf_cole(config, [])
-        with pytest.raises(ValueError, match="empty"):
-            sim.solve_renormalised([config, config], [samples, sim.WhiteNoise([])])
+        # a WhiteNoise batch checks its seeds when made: an int failed at
+        # len(), and floats or a negative seed only at the first draw
+        for seeds in ([], 7, [1.5], [-1], "abc", [[1, 2]], np.ones(3)):
+            with pytest.raises(ValueError, match="non-empty sequence of non-negative int"):
+                sim.WhiteNoise(seeds)
         grid = sim.noise_grid_for(config)
         finer = sample_field(model, config.eps, GridSpec(grid.T, grid.nt, 2 * grid.nx), 3)
         with pytest.raises(ValueError, match="different noise grids"):
@@ -323,8 +325,8 @@ class TestBatches:
                                   sim.solve_renormalised(config, noise).final)
         # a white-noise member has no transport and no ell: v_h and ell of
         # its config are not read
-        assert np.array_equal(joint[2].final, sim.solve_hopf_cole(small_config(lam=0.7),
-                                                                   [11, 12]).final)
+        alone = sim.solve_renormalised(small_config(lam=0.7), sim.WhiteNoise([11, 12]))
+        assert np.array_equal(joint[2].final, alone.final)
 
     def test_config_batch_needs_one_grid_and_horizon(self):
         model = default_even_model()
@@ -370,7 +372,7 @@ class TestAgainstSteppedOracles:
     def test_hopf_cole_matches_the_stepped_loop(self, lam):
         config = small_config(lam=lam)
         want = split_hopf_cole(config, [11, 12, 13])
-        got = sim.solve_hopf_cole(config, [11, 12, 13]).final
+        got = sim.solve_renormalised(config, sim.WhiteNoise([11, 12, 13])).final
         np.testing.assert_allclose(got, want, rtol=0, atol=self.RTOL * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("n_x,budget", [(64, 5e-3), (128, 1e-3)])
@@ -392,7 +394,7 @@ class TestAgainstSteppedOracles:
         seeds = list(range(64))
         for sums, heights in zip(mode_powers(config, ks),
                                  (stepped_hopf_cole(config, seeds),
-                                  sim.solve_hopf_cole(config, seeds).final)):
+                                  sim.solve_renormalised(config, sim.WhiteNoise(seeds)).final)):
             power = np.abs(np.fft.rfft(heights, axis=-1)[:, ks]) ** 2 / config.n_x ** 2
             stderr = power.std(axis=0, ddof=1) / math.sqrt(len(seeds))
             assert np.all(np.abs(power.mean(axis=0) - sums) <= 3 * stderr)
@@ -469,9 +471,10 @@ class TestFailures:
         # leaves a finite u = 0 that only the positivity check sees; at
         # lam = 0 the heights pass BLOWUP_THRESHOLD.  Each time the check in
         # the first sub-step the row forces raises, alone and inside a
-        # config batch alike
+        # config batch alike, also beside a batch on the coarser eps = 0.2
+        # noise grid, whose rows change at other sub-steps
         model = default_even_model()
-        config = small_config(lam=lam)
+        config = small_config(lam=lam, eps=0.1)
         good, spoilt = fields(model, config, (1, 2))
         row = 3
         values = spoilt.values.copy()
@@ -480,9 +483,12 @@ class TestFailures:
         sim.solve_renormalised(config, [good, spoilt])
         with pytest.raises(sim.BlowupError) as alone:
             sim.solve_renormalised(config, bad)
-        with pytest.raises(sim.BlowupError) as batch:
-            sim.solve_renormalised([small_config(lam=0.8), config], [[good], [good, bad]])
-        assert batch.value.time == alone.value.time
+        coarser = small_config(lam=0.8, eps=0.2)
+        for partner, partner_noise in ((small_config(lam=0.8, eps=0.1), [good]),
+                                       (coarser, fields(model, coarser, (3,)))):
+            with pytest.raises(sim.BlowupError) as batch:
+                sim.solve_renormalised([partner, config], [partner_noise, [good, bad]])
+            assert batch.value.time == alone.value.time
         t_row = row * spoilt.grid.dt
         assert abs(alone.value.time - t_row) < (sim.SPLIT_STEPS + 1) * config.step
 
@@ -493,8 +499,8 @@ class TestFailures:
         config = sim.SimConfig(lam=2.0, eps=0.2, n_x=16, T=0.05)
         with pytest.raises(ArithmeticError, match="positivity"):
             stepped_hopf_cole(config, [1])
-        alone = sim.solve_hopf_cole(config, [1]).final
-        batch = sim.solve_hopf_cole(config, [0, 1, 2]).final
+        alone = sim.solve_renormalised(config, sim.WhiteNoise([1])).final
+        batch = sim.solve_renormalised(config, sim.WhiteNoise([0, 1, 2])).final
         assert np.all(np.isfinite(batch))
         assert np.array_equal(batch[1], alone[0])
 
@@ -526,12 +532,12 @@ class TestFailures:
         monkeypatch.setattr(np.random, "default_rng", rng)
         starts = np.arange(0, config.n_steps, sim.SPLIT_STEPS)
         assert len(starts) == 21
-        sim.solve_hopf_cole(config, [11, 13])
+        sim.solve_renormalised(config, sim.WhiteNoise([11, 13]))
         with pytest.raises(sim.BlowupError) as batch:
-            sim.solve_hopf_cole(config, [11, spoilt_seed, 13])
+            sim.solve_renormalised(config, sim.WhiteNoise([11, spoilt_seed, 13]))
         assert batch.value.time == starts[7] * config.step
         with pytest.raises(sim.BlowupError) as alone:
-            sim.solve_hopf_cole(config, [spoilt_seed])
+            sim.solve_renormalised(config, sim.WhiteNoise([spoilt_seed]))
         assert alone.value.time == starts[11] * config.step
         # beside a field batch the check of a fresh field row comes first
         # (sub-step 5 here), but no check before the NaN's sub-step sees it
@@ -618,8 +624,8 @@ class TestExactBehaviour:
         want = configs[0].n_steps // sim.SPLIT_STEPS + 1
         for solve in (lambda: sim.solve_renormalised(configs, noises),
                       lambda: sim.solve_renormalised(configs[0], noises[0][0]),
-                      lambda: sim.solve_hopf_cole(configs[0], [11, 12, 13]),
-                      lambda: sim.solve_hopf_cole(configs[1], [11]),
+                      lambda: sim.solve_renormalised(configs[0], sim.WhiteNoise([11, 12, 13])),
+                      lambda: sim.solve_renormalised(configs[1], sim.WhiteNoise([11])),
                       lambda: sim.solve_renormalised(configs, [noises[0], sim.WhiteNoise([11])])):
             calls.update(rfft=0, irfft=0)
             solve()
@@ -652,7 +658,8 @@ class TestExactBehaviour:
                              0.02 / 0.1 ** 2 + model.t_reach, 0.5 / 0.1) for child in children]
         seeds = [int(np.random.SeedSequence([seed, 7, m]).generate_state(1)[0])
                  for m in range(n_members)]
-        reference = sim.solve_hopf_cole(small_config(eps=0.1, lam=lam), seeds).final
+        reference = sim.solve_renormalised(small_config(eps=0.1, lam=lam),
+                                           sim.WhiteNoise(seeds)).final
         rows = []
         for eps in eps_list:
             v_h = -sim.renormalised_coefficients_closed_form(ELL, lam)[0]
@@ -693,12 +700,12 @@ class TestExactBehaviour:
         assert np.all(np.isfinite(final)) and np.max(np.abs(final)) > 0
 
     def test_hopf_cole_tends_to_additive_linearly_in_lam(self):
-        additive = sim.solve_hopf_cole(sim.SimConfig(lam=0.0, eps=0.2, n_x=32, T=0.05),
-                                       [21]).final
+        additive = sim.solve_renormalised(sim.SimConfig(lam=0.0, eps=0.2, n_x=32, T=0.05),
+                                          sim.WhiteNoise([21])).final
         gaps = []
         for lam in (0.2, 0.1, 0.05):
             config = sim.SimConfig(lam=lam, eps=0.2, n_x=32, T=0.05)
-            hc = sim.solve_hopf_cole(config, [21]).final
+            hc = sim.solve_renormalised(config, sim.WhiteNoise([21])).final
             gaps.append(np.sqrt(np.mean((hc - additive) ** 2)))
         scale = np.sqrt(np.mean(additive ** 2))
         assert gaps[0] < 0.2 * scale
@@ -762,11 +769,14 @@ class TestStatistics:
         assert np.max(np.abs(cov - loop)) <= 1e-12 * np.max(np.abs(loop))
 
     @pytest.mark.parametrize("members,n_bootstrap", [((6, 1), 200), ((1, 6), 200),
-                                                     ((6, 6), 1), ((6, 6), 0)])
+                                                     ((6, 6), 1), ((6, 6), 0),
+                                                     (((16,), 6), 200), ((6, (2, 6, 16)), 200)])
     def test_too_few_members_or_resamples_rejected(self, members, n_bootstrap):
-        # the bootstrap stderr was NaN here, with a degrees-of-freedom warning
+        # the bootstrap stderr was NaN here, with a degrees-of-freedom
+        # warning; a lone member's (n_x,) heights gave an IndexError and a
+        # stack of ensembles a concatenation error
         rng = np.random.default_rng(2)
-        a, b = (rng.standard_normal((m, 16)) for m in members)
+        a, b = (rng.standard_normal(m if isinstance(m, tuple) else (m, 16)) for m in members)
         with pytest.raises(ValueError, match="two or more"):
             sim.compare_statistics(a, b, n_bootstrap=n_bootstrap)
 
