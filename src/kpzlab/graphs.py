@@ -24,7 +24,6 @@ Labels like ``2+1d`` mean ``2 + delta``; ``5/2-1d`` means ``5/2 - delta``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -114,16 +113,17 @@ class LabelValue:
 
     @staticmethod
     def parse(text: str) -> "LabelValue":
-        """Parse ``<q>``, ``<q>+<r>d`` or ``<q>-<r>d``."""
+        """Parse ``<q>``, ``<q>+<r>d`` or ``<q>-<r>d``; each part may have an exponent."""
         body = text.strip().replace(" ", "")
         if not body:
             raise ValueError("empty label")
         # split off a trailing ...±...d part if present
         if body.endswith("d"):
             core = body[:-1]
-            # find the sign that separates q from r (skip a leading sign)
+            # find the sign that separates q from r (skip a leading sign
+            # and an exponent's sign)
             for pos in range(len(core) - 1, 0, -1):
-                if core[pos] in "+-" and core[pos - 1] not in "+-/":
+                if core[pos] in "+-" and core[pos - 1] not in "+-/eE":
                     q_part, sign, r_part = core[:pos], core[pos], core[pos + 1 :]
                     break
             else:
@@ -479,7 +479,7 @@ def iter_contractions(H: PartialGraph, p: int) -> Iterator[ContractedGraph]:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism machinery (isomorphism classes of graphs and contractions)
+# Isomorphism machinery: one search gives canonical keys and automorphisms
 # ---------------------------------------------------------------------------
 
 def _graph_data(graph) -> tuple[dict, list]:
@@ -501,12 +501,12 @@ def _graph_data(graph) -> tuple[dict, list]:
     return colors, edges
 
 
-def canonical_key(graph) -> tuple:
-    """A canonical encoding equal for two graphs iff they are isomorphic.
+def _search(graph) -> tuple[tuple, list[list]]:
+    """The least leaf encoding of the isomorphism search, and every leaf order reaching it.
 
-    Isomorphisms must preserve vertex kinds, edge labels, edge multiplicity
-    and the star-edge flag.  Refinement-plus-individualisation; exact (the
-    branch step tries every vertex of the first ambiguous colour class).
+    Refinement-plus-individualisation from the vertex kinds; the branch
+    step tries every vertex of the first ambiguous colour class.  A leaf
+    order lists the vertices by their (discrete) colours.
     """
     colors, edges = _graph_data(graph)
     vertices = sorted(colors)
@@ -516,7 +516,6 @@ def canonical_key(graph) -> tuple:
         incident[v].append((key, u))
 
     def refine(col: dict) -> dict:
-        col = dict(col)
         while True:
             sig = {
                 v: (col[v], tuple(sorted((key, col[w]) for key, w in incident[v])))
@@ -537,7 +536,7 @@ def canonical_key(graph) -> tuple:
         )
         return (tuple(colors[v] for v in order), tuple(rec))
 
-    best: list[tuple | None] = [None]
+    found: list = [None]  # the least encoding so far, then every order reaching it
 
     def search(col: dict) -> None:
         groups: dict[int, list] = {}
@@ -547,8 +546,10 @@ def canonical_key(graph) -> tuple:
         if not ambiguous:
             order = sorted(vertices, key=lambda v: col[v])
             enc = encode(order)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
+            if found[0] is None or enc < found[0]:
+                found[:] = [enc]
+            if enc == found[0]:
+                found.append(order)
             return
         target = min(ambiguous)
         fresh = max(col.values()) + 1
@@ -557,40 +558,27 @@ def canonical_key(graph) -> tuple:
             child[v] = fresh
             search(refine(child))
 
-    base = {v: 0 for v in vertices}
-    # seed with the declared kinds so only kind-preserving maps compete
-    seed = {v: i for v in vertices
-            for i, kind in enumerate(sorted(set(colors.values())))
-            if colors[v] == kind}
-    search(refine(seed))
-    assert best[0] is not None
-    return best[0]
+    kinds = sorted(set(colors.values()))
+    search(refine({v: kinds.index(colors[v]) for v in vertices}))
+    return found[0], found[1:]
+
+
+def canonical_key(graph) -> tuple:
+    """A canonical encoding equal for two graphs iff they are isomorphic.
+
+    Isomorphisms must preserve vertex kinds, edge labels, edge multiplicity
+    and the star-edge flag.  Exact: the least leaf encoding of the search.
+    """
+    return _search(graph)[0]
 
 
 def automorphisms(graph: PartialGraph) -> list[dict]:
-    """All label/kind/star-preserving vertex bijections of a partial graph.
+    """All label/kind/star-preserving vertex bijections of a partial graph, identity first.
 
-    Brute force over kind-respecting permutations; fine for the small
-    graphs this package works with.
+    Refinement and individualisation commute with automorphisms, so each
+    automorphism maps the first leaf order of the search that reaches the
+    least encoding onto exactly one such order, and each such order gives
+    one automorphism: the map from the first order onto it.
     """
-    colors, edges = _graph_data(graph)
-    by_kind: dict[str, list] = {}
-    for v, k in sorted(colors.items()):
-        by_kind.setdefault(k, []).append(v)
-    edge_multiset = sorted(
-        (tuple(sorted((u, v))), key) for u, v, key in edges
-    )
-
-    out = []
-    kinds = sorted(by_kind)
-    pools = [list(itertools.permutations(by_kind[k])) for k in kinds]
-    for combo in itertools.product(*pools):
-        mapping = {}
-        for k, perm in zip(kinds, combo):
-            mapping.update(dict(zip(by_kind[k], perm)))
-        mapped = sorted(
-            (tuple(sorted((mapping[u], mapping[v]))), key) for u, v, key in edges
-        )
-        if mapped == edge_multiset:
-            out.append(mapping)
-    return out
+    orders = _search(graph)[1]
+    return [dict(zip(orders[0], order)) for order in orders]

@@ -713,6 +713,8 @@ def make_test_functions(
 ) -> tuple[Callable, Callable]:
     """L2-orthonormal smooth pair: time bump times cos / sin of ``2 pi x``."""
     t_lo, t_hi = t_window
+    if not -math.inf < t_lo < t_hi < math.inf:
+        raise ValueError(f"t_support must be finite and increasing, got {t_window}")
     mid = 0.5 * (t_lo + t_hi)
     half = 0.5 * (t_hi - t_lo)
     nodes, weights = _gauss_legendre(200, -1.0, 1.0)

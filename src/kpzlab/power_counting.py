@@ -8,16 +8,18 @@ vertices first donate their collapse factor to incident edges through an
 allocation rule, and the resulting labels ``a_e`` must satisfy the same
 two kinds of inequalities subset by subset.
 
-All four conditions run on one exact integer scan.  Labels ``q + r*delta``
-are scaled to a common denominator, one zeta transform of int64 rows gives
-the weight inside every vertex subset (bitmask), and the weight meeting a
-subset is the total less the weight inside its complement.  Weights that
-could leave int64 raise ``OverflowError``; a scan of more than
-``SUBSET_WORK_CAP`` work items raises ``cumulants.SizeLimitError`` before
-anything is built.  Conditions A and B report every failing subset, sorted
-by (size, names); ``check_contracted`` reports the smallest failing subset
-of each condition, and builds what the contractions of one source graph
-share once, into a cached template that holds no results.
+All four conditions read one exact integer scan.  A graph's labels ``q +
+r*delta`` are scaled to a common denominator and merged per vertex pair;
+one zeta transform of the int64 rows gives the weight inside every vertex
+subset (bitmask), and the weight meeting a subset is the total less the
+weight inside its complement.  Each condition is then a mask predicate on
+these rows, with one "not strictly below" and one "not strictly above"
+test.  Weights that could leave int64 raise ``OverflowError``; a scan of
+more than ``SUBSET_WORK_CAP`` work items raises ``cumulants.SizeLimitError``
+before anything is built.  Conditions A and B report every failing subset,
+sorted by (size, names); ``check_contracted`` reports the smallest failing
+subset of each condition, and builds what the contractions of one source
+graph share once, into a cached template that holds no results.
 """
 
 from __future__ import annotations
@@ -209,27 +211,43 @@ def _check_scan_size(nv: int) -> None:
         )
 
 
-def _check_int64(denom: int, *bounds: int) -> None:
-    """Raise ``OverflowError`` unless every scaled bound fits in int64."""
-    if max(bounds) > _INT64_MAX:
+def _scan(nv: int, denom: int, merged: dict[int, Sequence[int]], slack: int):
+    """The integer subset scan of a graph's merged edges, shared by all four conditions.
+
+    ``merged`` maps each edge's two-vertex mask to its integer rows (q, r
+    and any extra row) at the common denominator ``denom``.  Unless the q
+    row's absolute sum plus ``slack`` (what a condition may subtract from
+    it), the r row's and ``|s| * nv`` fit in int64 it raises
+    ``OverflowError``.  Returns every mask, its size, its inside rows (one
+    zeta pass) and its meeting (q, r) rows: the total less the rows inside
+    its complement ``2**nv - 1 - m``, read by reversing.
+    """
+    rows = list(zip(*merged.values()))
+    if max(sum(map(abs, rows[0])) + slack, sum(map(abs, rows[1])),
+           int(S_DIM * denom) * nv) > _INT64_MAX:
         raise OverflowError(
             f"labels scaled by their common denominator {denom} overflow int64"
         )
-
-
-def _zeta_inside_sums(nv: int, bits: list[int], *rows: list[int]) -> np.ndarray:
-    """One row per input row: for every vertex subset (bitmask), the weight inside it.
-
-    ``bits[j]`` is the two-vertex mask of the j-th edge; no two edges share one.
-    """
-    out = np.zeros((len(rows), 1 << nv), dtype=np.int64)
-    out[:, bits] = rows
+    inside = np.zeros((len(rows), 1 << nv), dtype=np.int64)
+    inside[:, list(merged)] = rows
     # subset-sum (zeta) transform of all rows at once: a row's length is a
     # multiple of every block, so the blocks never straddle two rows
     for bit in range(nv):
-        view = out.reshape(-1, 2, 1 << bit)
+        view = inside.reshape(-1, 2, 1 << bit)
         view[:, 1] += view[:, 0]
-    return out
+    masks = np.arange(1 << nv, dtype=np.int64)
+    return (masks, np.bitwise_count(masks).astype(np.int64), inside,
+            inside[:2, -1:] - inside[:2, ::-1])
+
+
+def _not_below(q: np.ndarray, r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Where ``q + r*delta`` is not strictly below ``rhs``."""
+    return (q > rhs) | ((q == rhs) & (r >= 0))
+
+
+def _not_above(q: np.ndarray, r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Where ``q + r*delta`` is not strictly above ``rhs``."""
+    return (q < rhs) | ((q == rhs) & (r <= 0))
 
 
 def _witness(mask: int, names: Sequence[str], lhs_q: np.ndarray, lhs_r: np.ndarray,
@@ -243,19 +261,19 @@ def _witness(mask: int, names: Sequence[str], lhs_q: np.ndarray, lhs_r: np.ndarr
     )
 
 
-def _partial_sums(H: PartialGraph, values: Sequence[Fraction]):
+def _partial_scan(H: PartialGraph, values: Sequence[Fraction]):
     """The integer subset scan of ``H``, shared by conditions A and B.
 
     Vertex ``i`` is ``names[i]``, the names in sorted order, so a mask
     lists its subset as a witness reports it.  Labels and ``values`` are
     scaled to their common denominator ``denom``.  Returns ``names``,
     ``denom``, the scaled values, every mask, and per mask its size, its
-    internals, its externals and (q, r, count) zeta rows: the label weight
-    inside it and the externals whose one edge lies inside it.  A scan of
-    more than ``SUBSET_WORK_CAP`` work items raises ``SizeLimitError``
-    before anything is built; unless the label sums less the largest value
-    once per external, and ``|s| * #vertices``, fit in int64 it raises
-    ``OverflowError``.
+    internals, its externals, its (q, r, count) inside rows (the label
+    weight inside it and the externals whose one edge lies inside it) and
+    its meeting (q, r) rows.  A scan of more than ``SUBSET_WORK_CAP`` work
+    items raises ``SizeLimitError`` before anything is built; unless the
+    label sums less the largest value once per external, and ``|s| *
+    #vertices``, fit in int64 it raises ``OverflowError``.
     """
     names = tuple(sorted(H.vertex_ids))
     nv = len(names)
@@ -271,13 +289,10 @@ def _partial_sums(H: PartialGraph, values: Sequence[Fraction]):
         sums[1] += int(e.label.r * denom)
         sums[2] += "external" in (kinds[e.u], kinds[e.v])
     scaled = [int(x * denom) for x in values]
-    qs, rs, kept = zip(*merged.values())
-    _check_int64(denom, sum(map(abs, qs)) + max(scaled) * len(H.external_ids),
-                 sum(map(abs, rs)), int(S_DIM * denom) * nv)
-    masks = np.arange(1 << nv, dtype=np.int64)
+    masks, sizes, inside, meet = _scan(nv, denom, merged, max(scaled) * len(H.external_ids))
     counts = [np.bitwise_count(masks & sum(bit[v] for v in vs)).astype(np.int64)
-              for vs in (names, H.internal_ids, H.external_ids)]
-    return names, denom, scaled, masks, *counts, *_zeta_inside_sums(nv, list(merged), qs, rs, kept)
+              for vs in (H.internal_ids, H.external_ids)]
+    return names, denom, scaled, masks, sizes, *counts, inside, meet
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +330,8 @@ def check_condition_A(H: PartialGraph) -> ConditionReport:
     # every c_e case, at index n + (n_ext + 1) * (same + 2 * origin)
     cases = [(n, same, origin) for origin in (False, True) for same in (False, True)
              for n in range(n_ext + 1)]
-    names, denom, c_e, masks, sizes, n_in, n_ex, inside_q, inside_r, kept = \
-        _partial_sums(H, [c_e_weight_value(*case) for case in cases])
+    names, denom, c_e, masks, sizes, n_in, n_ex, (inside_q, inside_r, kept), _ = \
+        _partial_scan(H, [c_e_weight_value(*case) for case in cases])
     bit = {v: 1 << i for i, v in enumerate(names)}
     neighbour = {v: H.incident(v)[0].other(v) for v in H.external_ids}
     pairs = [bit[a] | bit[b] for a, b in itertools.combinations(H.external_ids, 2)
@@ -325,7 +340,7 @@ def check_condition_A(H: PartialGraph) -> ConditionReport:
     origin = (masks & bit[H.origin]) != 0
     lhs_q = inside_q - np.array(c_e)[n_ex + (n_ext + 1) * (same + 2 * origin)] * kept
     rhs = int(S_DIM * denom) * (n_in - (n_in == sizes))
-    bad = (sizes >= 2) & (n_in > 0) & ((lhs_q > rhs) | ((lhs_q == rhs) & (inside_r >= 0)))
+    bad = (sizes >= 2) & (n_in > 0) & _not_below(lhs_q, inside_r, rhs)
     return _partial_report(H, "local-integrability", bad, names, lhs_q, inside_r, rhs, denom)
 
 
@@ -340,16 +355,11 @@ def check_condition_B(H: PartialGraph) -> ConditionReport:
     meeting a subset is the total less the weight inside its complement.
     Witnesses, size cap and int64 guard are those of ``check_condition_A``.
     """
-    names, denom, (half_s,), masks, sizes, n_in, n_ex, inside_q, inside_r, _ = \
-        _partial_sums(H, [S_DIM / 2])
-    # the complement of mask m is 2**nv - 1 - m, read by reversing
-    meet_q = inside_q[-1] - inside_q[::-1]
-    meet_r = inside_r[-1] - inside_r[::-1]
+    names, denom, (half_s,), masks, sizes, n_in, n_ex, _, (meet_q, meet_r) = \
+        _partial_scan(H, [S_DIM / 2])
     rhs = half_s * (2 * n_in + n_ex)
     starred = sum(1 << names.index(v) for v in (H.origin, H.star))
-    bad = ((masks & starred) == 0) & (sizes >= 1) & (
-        (meet_q < rhs) | ((meet_q == rhs) & (meet_r <= 0))
-    )
+    bad = ((masks & starred) == 0) & (sizes >= 1) & _not_above(meet_q, meet_r, rhs)
     return _partial_report(H, "large-scale-decay", bad, names, meet_q, meet_r, rhs, denom)
 
 
@@ -440,6 +450,19 @@ def _build_template(H: PartialGraph, p: int) -> _SourceTemplate:
     )
 
 
+def _class_groups(cls: frozenset, slots: dict) -> dict[int, tuple[int, int, int]]:
+    """A glued class's slots by neighbour index: (edge count, q sum, r sum).
+
+    ``slots`` is a template's slot table.
+    """
+    groups: dict[int, tuple[int, int, int]] = {}
+    for slot in cls:
+        n, q, r = slots[slot]
+        count, q_sum, r_sum = groups.get(n, (0, 0, 0))
+        groups[n] = (count + 1, q_sum + q, r_sum + r)
+    return groups
+
+
 def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionReport:
     """Both subset conditions on the merged contracted graph.
 
@@ -457,12 +480,10 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
     slots by neighbour, takes the rule's values group by group in the order
     of the neighbours' names (the values ``kpz_allocation`` gives), and
     rescales every merged weight to the lowest denominator that makes them
-    all integers.  Unless every subset sum and ``|s| * #vertices`` then fit
-    in int64 it raises ``OverflowError``.  Otherwise the merged weights
-    fill one int64 array with a q row and an r row, and one zeta pass over
-    both rows gives every vertex subset's inside weight at once.  A scan of
-    more than ``SUBSET_WORK_CAP`` work items raises ``SizeLimitError``
-    before anything is built.
+    all integers.  Both conditions then read the shared subset scan.  A
+    scan of more than ``SUBSET_WORK_CAP`` work items raises
+    ``SizeLimitError`` before anything is built, and weights that leave
+    int64 raise ``OverflowError``.
     """
     H, p, classes = G.source, G.p, G.classes
     n_fixed = 1 + p * len(H.internal_ids)
@@ -473,47 +494,27 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
     if (sum(map(len, classes)) != len(t.slots)
             or len(frozenset().union(*classes)) != len(t.slots)):
         raise KeyError(f"the classes of {H.name}[p={p}] do not glue every external once")
-    # (pair bit, q and r at t.denom, edge count, rule's value) per merged ex-edge
+    # (pair bit, edge count, q and r at t.denom, rule's value) per merged ex-edge
     ex_edges = []
     denom = t.denom
     for i, cls in enumerate(classes):
-        groups: dict[int, list[int]] = {}
-        for slot in cls:
-            n, q, r = t.slots[slot]
-            group = groups.get(n)
-            if group is None:
-                groups[n] = [1, q, r]
-            else:
-                group[0] += 1
-                group[1] += q
-                group[2] += r
+        groups = _class_groups(cls, t.slots)
         order = sorted(groups, key=t.rank.__getitem__)
         values = rule.group_values([groups[n][0] for n in order])
         x = 1 << (n_fixed + i)
         for n, value in zip(order, values):
-            count, q, r = groups[n]
-            ex_edges.append((x | 1 << n, q, r, count, value))
+            ex_edges.append((x | 1 << n, *groups[n], value))
             denom = lcm(denom, value.denominator)
     k = denom // t.denom
-    bits = [bit for bit, _, _ in t.inner] + [e[0] for e in ex_edges]
-    qs = [q * k for _, q, _ in t.inner] + [
-        q * k - count * b.numerator * (denom // b.denominator)
-        for _, q, _, count, b in ex_edges]
-    rs = [r * k for _, _, r in t.inner] + [e[2] * k for e in ex_edges]
-    common = gcd(denom, *qs, *rs)
+    merged = {bit: (q * k, r * k) for bit, q, r in t.inner}
+    for bit, count, q, r, b in ex_edges:
+        merged[bit] = (q * k - count * b.numerator * (denom // b.denominator), r * k)
+    common = gcd(denom, *itertools.chain.from_iterable(merged.values()))
     if common > 1:
         denom //= common
-        qs = [q // common for q in qs]
-        rs = [r // common for r in rs]
+        merged = {bit: (q // common, r // common) for bit, (q, r) in merged.items()}
+    masks, sizes, (inside_q, inside_r), (meet_q, meet_r) = _scan(nv, denom, merged, 0)
     s_scaled = int(S_DIM * denom)
-    _check_int64(denom, sum(map(abs, qs)), sum(map(abs, rs)), s_scaled * nv)
-
-    inside_q, inside_r = _zeta_inside_sums(nv, bits, qs, rs)
-    total_q, total_r = int(inside_q[-1]), int(inside_r[-1])
-
-    masks = np.arange(1 << nv, dtype=np.uint64)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-
     names = t.names + G.ex_vertices
     witnesses: list[Witness] = []
 
@@ -523,26 +524,20 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
 
     # condition 1: strict upper bound on interior weight, |S| >= 2
     rhs1 = s_scaled * (sizes - 1)
-    bad1 = (sizes >= 2) & (
-        (inside_q > rhs1) | ((inside_q == rhs1) & (inside_r >= 0))
-    )
+    bad1 = (sizes >= 2) & _not_below(inside_q, inside_r, rhs1)
     if bad1.any():
         witnesses.append(_witness(smallest(bad1), names, inside_q, inside_r, rhs1, denom,
                                   "glued-local-integrability"))
-
-    # condition 2: strict lower bound on meeting weight, S avoiding the stars;
-    # the complement of mask m is 2**nv - 1 - m, read by reversing
-    meet_q = total_q - inside_q[::-1]
-    meet_r = total_r - inside_r[::-1]
+    # condition 2: strict lower bound on meeting weight, S avoiding the stars
     rhs2 = s_scaled * sizes
-    eligible = ((masks & np.uint64(t.star_mask)) == 0) & (sizes >= 1)
-    bad2 = eligible & ((meet_q < rhs2) | ((meet_q == rhs2) & (meet_r <= 0)))
+    bad2 = ((masks & t.star_mask) == 0) & (sizes >= 1) & _not_above(meet_q, meet_r, rhs2)
     if bad2.any():
         witnesses.append(_witness(smallest(bad2), names, meet_q, meet_r, rhs2, denom,
                                   "glued-large-scale-decay"))
 
     n_free = nv - (1 + p)  # the origin and each copy's star are starred
-    alpha = LabelValue(Fraction(s_scaled * n_free - total_q, denom), Fraction(-total_r, denom))
+    alpha = LabelValue(Fraction(s_scaled * n_free - int(inside_q[-1]), denom),
+                       Fraction(-int(inside_r[-1]), denom))
     return ConditionReport(
         graph=f"{H.name}[p={p}]",
         condition="glued-graph",
@@ -555,18 +550,6 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
 # ---------------------------------------------------------------------------
 # Admissibility of an allocation rule
 # ---------------------------------------------------------------------------
-
-def _class_profile(cls: frozenset, slots: dict) -> dict[int, int]:
-    """Edge multiplicities of a glued class, keyed by neighbour index.
-
-    ``slots`` is a template's slot table.
-    """
-    profile: dict[int, int] = {}
-    for slot in cls:
-        n = slots[slot][0]
-        profile[n] = profile.get(n, 0) + 1
-    return profile
-
 
 def _profile_checks(rule: KPZAllocationRule, mults: tuple[int, ...]) -> list[str]:
     """Budget identity and subset floor for one vertex profile."""
@@ -642,7 +625,8 @@ def check_admissible(
         slots = _template(H, p).slots
         for G in iter_contractions(H, p):
             n_contractions += 1
-            profiles = [_class_profile(cls, slots) for cls in G.classes]
+            profiles = [{n: group[0] for n, group in _class_groups(cls, slots).items()}
+                        for cls in G.classes]
             for prof in profiles:
                 key = tuple(sorted(prof.values()))
                 if key in seen_single:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,13 +7,16 @@ import pytest
 from kpzlab.cumulants import SizeLimitError, iter_wick_partitions
 from kpzlab.graphs import (
     ContractedGraph,
+    GraphEdge,
     GraphParseError,
     LabelValue,
+    PartialGraph,
     automorphisms,
     canonical_key,
     iter_contractions,
     parse_partial_graph,
 )
+from kpzlab.symbols import SUPPORTED_SYMBOLS, graph_catalog
 
 PAIR_SOURCE = """\
 # two kernel legs from one internal vertex
@@ -61,6 +65,10 @@ class TestLabelValue:
         assert LabelValue.parse("1d") == LabelValue(0, 1)
         assert LabelValue.parse("0") == LabelValue(0, 0)
         assert LabelValue.parse("3+2d") == LabelValue(3, 2)
+        # an exponent's sign does not split q from r
+        assert LabelValue.parse("1e-3d") == LabelValue(0, Fraction(1, 1000))
+        assert LabelValue.parse("2+1e-3d") == LabelValue(2, Fraction(1, 1000))
+        assert LabelValue.parse("1e-3+1d") == LabelValue(Fraction(1, 1000), 1)
 
     def test_str_round_trip(self):
         rng = random.Random(2)
@@ -208,7 +216,53 @@ edge u a1 label 2+1d
                 assert not (e.u in ex and e.v in ex)
 
 
+def permutation_automorphisms(H):
+    """Every kind-respecting vertex permutation that maps the edge multiset onto itself."""
+    by_kind = {}
+    for v, k in sorted(H.kinds):
+        by_kind.setdefault(k, []).append(v)
+    edges = sorted((tuple(sorted((e.u, e.v))), str(e.label), e.distinguished) for e in H.edges)
+    out = []
+    for combo in itertools.product(*(itertools.permutations(vs) for vs in by_kind.values())):
+        mapping = {v: w for vs, perm in zip(by_kind.values(), combo) for v, w in zip(vs, perm)}
+        mapped = sorted((tuple(sorted((mapping[e.u], mapping[e.v]))), str(e.label), e.distinguished)
+                        for e in H.edges)
+        if mapped == edges:
+            out.append(mapping)
+    return out
+
+
+def renamed(H, rng):
+    """``H`` with fresh vertex names drawn so that their sorted order is another one."""
+    pool = [a + b for a in "0auvwx" for b in ["", *"0auvwx"]]
+    name = dict(zip(H.vertex_ids, rng.sample(pool, len(H.kinds))))
+    while sorted(H.vertex_ids, key=name.get) == sorted(H.vertex_ids):
+        name = dict(zip(H.vertex_ids, rng.sample(pool, len(H.kinds))))
+    return PartialGraph(
+        name=H.name,
+        kinds=tuple((name[v], k) for v, k in H.kinds),
+        edges=tuple(GraphEdge(name[e.u], name[e.v], e.label, e.distinguished) for e in H.edges),
+    )
+
+
 class TestIsomorphism:
+    def test_automorphisms_match_permutation_scan(self, pair_graph, chain_graph):
+        # the search's automorphisms, as a set of maps, equal the brute-force
+        # scan on every catalog graph and on renamed copies
+        catalog = [entry.graph for tau in SUPPORTED_SYMBOLS for entry in graph_catalog(tau)]
+        rng = random.Random(5)
+        cases = [pair_graph, chain_graph] + catalog
+        cases += [renamed(H, rng) for H in cases for _ in range(3)]
+        nontrivial = 0
+        for H in cases:
+            found = automorphisms(H)
+            want = permutation_automorphisms(H)
+            assert found[0] == {v: v for v in H.vertex_ids}
+            assert len(found) == len({frozenset(m.items()) for m in found})
+            assert {frozenset(m.items()) for m in found} == {frozenset(m.items()) for m in want}
+            nontrivial += len(want) > 1
+        assert len(catalog) == 19 and nontrivial > 0
+
     def test_automorphisms_pair(self, pair_graph):
         # swapping the two externals is the only non-trivial symmetry
         assert len(automorphisms(pair_graph)) == 2

@@ -651,3 +651,16 @@ class TestCltCheck:
     def test_fewer_than_three_scales_rejected(self, eps_list):
         with pytest.raises(ValueError, match="3 distinct scales"):
             clt_check(default_even_model(), eps_list)
+
+    @pytest.mark.parametrize("t_window", [
+        (0.1, 0.1), (0.18, 0.02), (0.02, math.nan), (math.nan, 0.18), (0.02, math.inf),
+    ])
+    @pytest.mark.parametrize("build", [
+        make_test_functions,
+        lambda t_window: clt_check(default_even_model(), (0.2, 0.1, 0.05), t_window=t_window),
+    ], ids=["make_test_functions", "clt_check"])
+    def test_bad_window_rejected(self, build, t_window):
+        # an empty window divided by zero, a reversed one took the root of a
+        # negative norm, and a NaN one returned NaN functions
+        with pytest.raises(ValueError, match="t_support must be finite and increasing"):
+            build(t_window)
