@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from collections import OrderedDict
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,8 +41,7 @@ def test_tensor_grid_matches_pointwise(kernel, method, monkeypatch):
     def no_pointwise(*args, **kwargs):
         raise AssertionError("a tensor grid was evaluated point by point")
 
-    # points would go through FITPACK's ``ev`` or through the cell blocks
-    monkeypatch.setattr(kernel.shape, "ev", no_pointwise)
+    # points would go through the shape's point evaluation
     monkeypatch.setattr(kernels._BlockSpline, "__call__", no_pointwise)
     got = getattr(kernel, method)(t, x)
     scale = np.max(np.abs(want))
@@ -48,7 +51,7 @@ def test_tensor_grid_matches_pointwise(kernel, method, monkeypatch):
 
 @pytest.mark.parametrize("method", TENSOR_METHODS + ["correction_dx", "dx"])
 def test_non_monotone_axis_falls_back_to_pointwise(kernel, method):
-    # the spline's grid evaluation rejects unsorted axes, so only the
+    # a tensor grid's support block is found by sorted search, so only the
     # pointwise route can give these values
     t = np.random.default_rng(3).permutation(T_AXIS)[:, None]
     x = X_AXIS[None, :]
@@ -221,14 +224,24 @@ def test_scalar_calls_match_array_calls(kernel, method):
     assert np.array_equal(f(t[:, None], x[:, None])[:, 0], together)
 
 
+def _fitpack(spline):
+    """FITPACK's interpolating bicubic spline through a block spline's nodes
+    and values: the oracle of its fit."""
+    return RectBivariateSpline(spline.t_nodes, spline.x_nodes, spline.values,
+                               kx=3, ky=3, s=0)
+
+
 def test_shape_blocks_match_fitpack(kernel):
     """Point evaluations of the annulus shape and of its x-derivative read the
     shape's cell blocks for x >= 0 through its evenness.  They agree with
-    FITPACK's ``ev`` to rounding, not bit for bit: at random points, at every
-    knot, 1e-9 either side of each cell edge and on the box's edges.  Off the
-    box both are 0."""
+    FITPACK's ``ev`` of the same nodes and values to rounding, not bit for
+    bit: at random points, at every knot, 1e-9 either side of each cell edge
+    and on the box's edges.  Off the box both are 0."""
     box = kernels.SHAPE_BOX
-    t_knots, x_knots = (np.unique(k) for k in kernel.shape.get_knots())
+    fitpack = _fitpack(kernel.shape)
+    t_knots, x_knots = (np.unique(k) for k in fitpack.get_knots())
+    assert np.array_equal(t_knots, kernel.shape.t_knots)
+    assert np.array_equal(x_knots[x_knots >= kernel.shape.x_knots[0]], kernel.shape.x_knots)
     step = 1e-9
     t_edges = np.concatenate([t_knots - step, t_knots + step])
     x_edges = np.concatenate([x_knots - step, x_knots + step])
@@ -242,16 +255,35 @@ def test_shape_blocks_match_fitpack(kernel):
     inside = (t >= 0) & (t <= box) & (np.abs(x) <= box)
     assert 0 < inside[:4000].sum() < 4000 and inside[4000 + t_knots.size * x_knots.size:].any()
     for got, dy in ((value, 0), (slope, 1)):
-        want = kernel.shape.ev(t[inside], x[inside], dy=dy)
+        want = fitpack.ev(t[inside], x[inside], dy=dy)
         scale = np.max(np.abs(want))
         assert scale > 1.0
         np.testing.assert_allclose(got[inside], want, rtol=0, atol=1e-12 * scale)
         assert np.all(got[~inside] == 0.0)
 
 
+# a grid with several t nodes per t cell goes along x first; one with about
+# one t node per t cell and many x nodes per x cell goes along t first
+@pytest.mark.parametrize("n_t, n_x", [(301, 403), (40, 1000)])
+def test_shape_grid_matches_fitpack(kernel, n_t, n_x):
+    """The shape on a sorted tensor grid, read by the blocks' separable grid
+    evaluation through ``|x|``, agrees with FITPACK's grid evaluation of the
+    same nodes and values to rounding; off the box it is 0."""
+    box = kernels.SHAPE_BOX
+    t = np.concatenate([[-0.03], np.linspace(0.0, box, n_t), [1.05]])
+    x = np.concatenate([[-1.1], np.linspace(-box, box, n_x), [1.1]])
+    got = kernel._shape_eval(t[:, None], x[None, :])
+    want = _fitpack(kernel.shape)(t[1:-1], x[1:-1])
+    scale = np.max(np.abs(want))
+    assert scale > 1.0
+    np.testing.assert_allclose(got[1:-1, 1:-1], want, rtol=0, atol=1e-12 * scale)
+    assert np.all(got[[0, -1]] == 0.0) and np.all(got[:, [0, -1]] == 0.0)
+
+
 def _loop_annulus_shape(nt, nx):
     """The annulus quadratic program with its difference operator built by a
-    scalar loop over cell edges, one cut heat kernel call per edge."""
+    scalar loop over cell edges, one cut heat kernel call per edge, solved by
+    ``spsolve``; returns the spline's node axes and node values."""
     t_cells = (np.arange(nt) + 0.5) / nt
     x_cells = (np.arange(nx) + 0.5) * 1.01 / nx
     dt_c = 1.0 / nt
@@ -305,15 +337,16 @@ def _loop_annulus_shape(nt, nx):
     x_grid = np.concatenate([[-1.02], -x_cells[::-1], x_cells, [1.02]])
     data = np.hstack([np.zeros((data.shape[0], 1)), data[:, ::-1], data,
                       np.zeros((data.shape[0], 1))])
-    return RectBivariateSpline(t_grid, x_grid, data, kx=3, ky=3, s=0)
+    return t_grid, x_grid, data
 
 
 def test_optimal_annulus_shape_matches_edge_loop():
     target = -kernels._plateau_moments()
-    got = kernels._optimal_annulus_shape(target, nt=30, nx=44).get_coeffs()
-    want = _loop_annulus_shape(30, 44).get_coeffs()
+    got = kernels._optimal_annulus_shape(target, nt=30, nx=44)
+    t_grid, x_grid, want = _loop_annulus_shape(30, 44)
+    assert np.array_equal(got.t_nodes, t_grid) and np.array_equal(got.x_nodes, x_grid)
     assert np.count_nonzero(want) > 100
-    np.testing.assert_allclose(got, want, rtol=1e-10,
+    np.testing.assert_allclose(got.values, want, rtol=1e-10,
                                atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -523,7 +556,7 @@ def test_sheared_leg_table_matches_product_rule(kernel, sheared_leg_table):
                        (0.32, 0.32), (0.96, 0.48), (2.0, -1.04)])     # after both
     assert [(term.t_center, term.t_halfwidth) for term in model.terms] == \
         [(-0.1, 0.15), (0.1, 0.15)]
-    t_nodes, x_nodes = (np.unique(k) for k in table.spline.get_knots())
+    t_nodes, x_nodes = table.spline.t_knots, table.spline.x_knots
     assert np.all(np.min(np.abs(probes[:, :1] - t_nodes), axis=1) < 1e-9)
     assert np.all(np.min(np.abs(probes[:, 1:] - x_nodes), axis=1) < 1e-9)
     got = table.ev(probes)
@@ -536,8 +569,7 @@ def test_unsheared_leg_table_keeps_the_tensor_grid_path(kernel, monkeypatch):
     def no_pointwise(*args, **kwargs):
         raise AssertionError("the leg table evaluated the kernel point by point")
 
-    # points would go through FITPACK's ``ev`` or through the cell blocks
-    monkeypatch.setattr(kernel.shape, "ev", no_pointwise)
+    # points would go through the shape's point evaluation
     monkeypatch.setattr(kernels._BlockSpline, "__call__", no_pointwise)
     table = kernels.LegTable(default_asymmetric_model(), kernel, 0.5)
     monkeypatch.undo()  # the table itself reads its cell blocks
@@ -595,13 +627,17 @@ def test_leg_node_values_match_per_node_loop(kernel, make_model, shear):
 
 
 def test_leg_table_ev_is_the_spline_inside_its_box(leg_table, sheared_leg_table):
-    """``ev`` reads the FITPACK spline from its own cell coefficients, so it
-    agrees with ``spline.ev`` to rounding, not bit for bit: at random
-    points, at every knot, just either side of each cell edge and on the
-    box's four edges.  Off the box it is 0."""
+    """``ev`` reads the not-a-knot spline from its own cell coefficients, so
+    it agrees with FITPACK's ``ev`` of the same nodes and values to
+    rounding, not bit for bit: at random points, at every knot, just either
+    side of each cell edge and on the box's four edges.  Off the box it is
+    0."""
     rng = np.random.default_rng(5)
     for table in (leg_table, sheared_leg_table):
-        t_knots, x_knots = (np.unique(k) for k in table.spline.tck[:2])
+        fitpack = _fitpack(table.spline)
+        t_knots, x_knots = (np.unique(k) for k in fitpack.tck[:2])
+        assert np.array_equal(t_knots, table.spline.t_knots)
+        assert np.array_equal(x_knots, table.spline.x_knots)
         t_knots = t_knots[np.abs(t_knots) <= table.t_max]
         x_knots = x_knots[np.abs(x_knots) <= table.x_max]
         step = 1e-9
@@ -621,14 +657,33 @@ def test_leg_table_ev_is_the_spline_inside_its_box(leg_table, sheared_leg_table)
         got = table.ev(np.stack([t, x], axis=1))
         inside = (np.abs(t) <= table.t_max) & (np.abs(x) <= table.x_max)
         assert inside[4000:].all() and 0 < inside[:4000].sum() < 4000
-        scale = np.max(np.abs(table.spline(t_knots, x_knots)))
-        np.testing.assert_allclose(got[inside], table.spline.ev(t[inside], x[inside]),
+        scale = np.max(np.abs(fitpack(t_knots, x_knots)))
+        np.testing.assert_allclose(got[inside], fitpack.ev(t[inside], x[inside]),
                                    rtol=0, atol=1e-12 * scale)
         assert np.all(got[~inside] == 0.0)
         if table is leg_table:  # the even model's table is odd in x
             mirrored = table.ev(np.stack([t, -x], axis=1))
             np.testing.assert_allclose(mirrored, -got, rtol=1e-9, atol=1e-15)
     assert leg_table.ev(np.zeros((3, 5, 2))).shape == (3, 5)
+
+
+@pytest.mark.parametrize("eps, shear", [(-0.25, 0.0), (0.0, 0.0), (float("inf"), 0.0),
+                                        (float("nan"), 0.0), (0.25, float("nan"))])
+def test_leg_table_rejects_bad_scales(kernel, monkeypatch, eps, shear):
+    # a negative eps built a table of x_max = -2.5 that read 0 everywhere,
+    # eps = 0 divided by zero, an infinite eps failed in a reshape, and a
+    # NaN reported a NaN kernel point; each is refused before any work
+    def no_work(*args):
+        raise AssertionError("the table's nodes were evaluated")
+
+    monkeypatch.setattr(kernels, "_leg_node_values", no_work)
+    monkeypatch.setattr(kernels, "_LEG_TABLE_CACHE", OrderedDict())
+    model = default_even_model()
+    with pytest.raises(ValueError):
+        kernels.LegTable(model, kernel, eps, shear)
+    with pytest.raises(ValueError):
+        kernels.get_leg_table(model, kernel, eps, shear)
+    assert not kernels._LEG_TABLE_CACHE
 
 
 def test_leg_table_cache_evicts_least_recently_used(monkeypatch):
@@ -795,3 +850,28 @@ def test_chat_fixed_point_on_skew_model(kernel):
     assert np.isfinite(c) and 0 < err < 0.1
     # both estimates have the same budget, so the same stderr
     assert abs(c - value) <= 4.0 * np.sqrt(2.0) * err, (c, value, err)
+
+
+def test_constants_path_imports_no_scipy():
+    # scipy is only the tests' oracle: with it blocked, a fresh process
+    # builds the kernel and a sheared leg table and computes all six
+    # constants, and no scipy module is ever loaded
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from kpzlab import kernels, noise\n"
+        "kernel = kernels.build_truncated_kernel()\n"
+        "table = kernels.LegTable(noise.default_asymmetric_model(), kernel, 0.5, 0.3)\n"
+        "assert np.all(np.isfinite(table.ev(np.array([(0.0, 0.1), (1.0, 0.5)]))))\n"
+        "model = noise.default_even_model()\n"
+        "for name in kernels.CONSTANT_NAMES:\n"
+        "    value, err = kernels.compute_constant(name, model, kernel, 0.25, mc_budget=2000)\n"
+        "    assert np.isfinite(value) and np.isfinite(err)\n"
+        "print(*sorted(name for name, module in sys.modules.items() if module is not None))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(kernels.__file__).resolve().parents[1]))
+    loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env=env, check=True).stdout.split())
+    assert "kpzlab.kernels" in loaded
+    assert not {name for name in loaded if name.split(".")[0] == "scipy"}

@@ -379,6 +379,22 @@ class TestPairingWindows:
                            (0.02, 0.18), v_h=0.7)
         assert np.allclose(w.windows[0], eps ** 1.5 * model.int_phi, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("power", [1, 2, 3, 4])
+    def test_window_integral_matches_pow_form(self, power):
+        # the powers are taken by multiplication; the shifted cosine gives a
+        # window with negative entries, where numpy's W ** n is slow, and
+        # odd powers that do not cancel
+        eta_cos, _ = make_test_functions((0.02, 0.18))
+        w = PairingWindows(default_even_model(), 0.2,
+                           [lambda t, x: eta_cos(t, x) + 0.5 * eta_cos(t, 0.0)], (0.02, 0.18))
+        W = w.windows[0]
+        assert W.min() < 0 < W.max()
+        want = float(np.sum(W ** power) * w.ds * w.dy)
+        assert abs(want) > 1e-6
+        assert w.window_integral(0, power) == pytest.approx(want, rel=1e-13, abs=0)
+        with pytest.raises(ValueError):
+            w.window_integral(0, 0)
+
     @pytest.mark.parametrize("make_model", [default_even_model, default_asymmetric_model])
     def test_row_blocks_do_not_change_the_windows(self, monkeypatch, make_model):
         model = make_model()
