@@ -356,9 +356,6 @@ class ContractionEdge:
     kind: str  # "distinguished" | "internal" | "external"
     copy: int
 
-    def endpoints(self) -> frozenset:
-        return frozenset((self.u, self.v))
-
     def touches(self, vertex: str) -> bool:
         return vertex == self.u or vertex == self.v
 
@@ -434,10 +431,6 @@ class ContractedGraph:
                     copy=copy,
                 ))
         return tuple(out)
-
-    def degree(self, vertex: str) -> int:
-        """Degree counting multi-edges."""
-        return sum(1 for e in self.edge_list() if e.touches(vertex))
 
 
 def _sorted_classes(classes: Iterable[frozenset]) -> tuple[frozenset, ...]:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import PoissonNoiseModel, smooth_bump, smooth_bump_dx, _gauss_legendre
+from .noise import (PoissonNoiseModel, smooth_bump, smooth_bump_dx, _check_scale,
+                    _gauss_legendre)
 
 __all__ = [
     "parabolic_norm",
@@ -107,8 +108,8 @@ TOUCH_UP_POWERS = (
     (0, 2), (1, 2),
     (0, 3),
 )
-#: The annulus shape is zero off ``0 <= t <= SHAPE_BOX``, ``|x| <= SHAPE_BOX``:
-#: its spline is padded with zeros out to this box.
+#: The annulus shape's spline is padded with zeros out to ``t``, ``|x| =
+#: SHAPE_BOX``; the kernel's support lies inside this box.
 SHAPE_BOX = 1.02
 
 
@@ -139,33 +140,33 @@ def _cut_heat_dx(t, x, rho):
 
 
 def _is_tensor_grid(t, x):
-    """A sorted column ``t`` of shape (n, 1) and a sorted row ``x`` (1, m)."""
-    return (t.ndim == 2 and x.ndim == 2 and t.shape[1] == 1 and x.shape[0] == 1
-            and np.all(np.diff(t[:, 0]) >= 0) and np.all(np.diff(x[0]) >= 0))
+    """A column ``t`` of shape (n, 1) and a row ``x`` of shape (1, m), in any order."""
+    return t.ndim == 2 and x.ndim == 2 and t.shape[1] == 1 and x.shape[0] == 1
 
 
 def _on_support(t, x, f):
     """``f(t, x, rho)`` where the kernel can be non-zero, and 0 elsewhere.
 
     Every part of the kernel is exactly 0 where ``t <= 0`` or ``rho >=
-    SUPPORT``.  On a sorted tensor grid (see ``_is_tensor_grid``) ``f``
-    takes the grid's block ``0 < t < SUPPORT^2``, ``|x| < SUPPORT``, as a
-    column and a row; any other input is broadcast and flattened, and ``f``
-    takes only the points with ``t > 0`` and ``rho < SUPPORT``.  So an
-    infinite ``t`` or ``x`` gives 0, and NaN raises ``ValueError``.
+    SUPPORT``.  On a tensor grid (see ``_is_tensor_grid``) ``f`` takes the
+    grid's support block, the rows with ``0 < t < SUPPORT^2`` and the
+    columns with ``|x| < SUPPORT``, as a column and a row; any other input
+    is broadcast and flattened, and ``f`` takes only the points with ``t >
+    0`` and ``rho < SUPPORT``.  Either way ``f`` sees only points inside
+    ``SHAPE_BOX``.  So an infinite ``t`` or ``x`` gives 0, and NaN raises
+    ``ValueError``.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     if np.isnan(t).any() or np.isnan(x).any():
         raise ValueError("the kernel is not defined at NaN t or x")
     if _is_tensor_grid(t, x):
-        tc, xr = t[:, 0], x[0]
-        rows = slice(np.searchsorted(tc, 0.0, "right"), np.searchsorted(tc, SUPPORT ** 2))
-        cols = slice(np.searchsorted(xr, -SUPPORT, "right"), np.searchsorted(xr, SUPPORT))
-        out = np.zeros((len(tc), len(xr)))
-        if rows.start < rows.stop and cols.start < cols.stop:
+        rows = (t[:, 0] > 0) & (t[:, 0] < SUPPORT ** 2)
+        cols = np.abs(x[0]) < SUPPORT
+        out = np.zeros((len(rows), len(cols)))
+        if rows.any() and cols.any():
             tb, xb = t[rows], x[:, cols]
-            out[rows, cols] = f(tb, xb, parabolic_norm(tb, xb))
+            out[np.ix_(rows, cols)] = f(tb, xb, parabolic_norm(tb, xb))
         return out
     tt, xx = np.broadcast_arrays(t, x)
     shape = tt.shape
@@ -183,8 +184,8 @@ class TruncatedKernel:
     """Compactly supported kernel agreeing with the heat kernel near 0.
 
     The annulus correction has two parts: a smooth tabulated shape (the
-    energy-optimal annulus content, a bicubic spline that is zero off the
-    box ``SHAPE_BOX``, clipped by the mask) and a small polynomial touch-up,
+    energy-optimal annulus content, a bicubic spline padded with zeros out
+    to the box ``SHAPE_BOX``, clipped by the mask) and a small polynomial touch-up,
     one coefficient of ``corrections`` per term of ``TOUCH_UP_POWERS``,
     enforcing the moment identities exactly.
 
@@ -193,11 +194,11 @@ class TruncatedKernel:
     are exactly 0 where ``t <= 0`` (the heat kernel and the mask's time step
     vanish) or ``rho >= SUPPORT`` (the cutoff and the mask's outer step
     vanish); the correction is exactly 0 where ``rho <= PLATEAU`` as well.
-    ``value``, ``correction``, ``correction_dx`` and ``dx`` each hand one
-    formula in ``(t, x, rho)`` to ``_on_support``, which evaluates it on a
-    sorted tensor grid's support block, or else on the live points only,
-    and gives 0 elsewhere; ``dx`` adds the correction's derivative only on
-    its live points with ``rho > PLATEAU``.
+    ``value``, ``correction`` and ``dx`` each hand one formula in ``(t, x,
+    rho)`` to ``_on_support``, which evaluates it on a tensor grid's support
+    block, or else on the live points only, and gives 0 elsewhere; ``dx``
+    adds the correction's derivative only on its live points with ``rho >
+    PLATEAU``.  The shape is read only there.
     """
 
     corrections: tuple[float, ...]
@@ -216,11 +217,6 @@ class TruncatedKernel:
         c = _smooth_step(t / MASK_T)
         return a, b, c
 
-    def mask(self, t, x):
-        t = np.asarray(t, dtype=float)
-        a, b, c = self._mask_parts(t, parabolic_norm(t, x))
-        return a * b * c
-
     def _mask_and_dx(self, t, x, rho):
         """The mask and its x-derivative at ``t > 0``, from one evaluation of
         the mask's parts."""
@@ -233,38 +229,21 @@ class TruncatedKernel:
 
     # -- the annulus shape ---------------------------------------------------
     def _shape_eval(self, t, x, dx=False):
-        """The annulus shape (with ``dx``, also its x-derivative), zero off its box.
+        """The annulus shape (with ``dx``, also its x-derivative) at support
+        points that ``_on_support`` has picked.
 
         The shape's cell blocks cover ``x >= 0`` (151 x 220 cells, 4.3 MB),
         and every input is read through ``|x|`` and the shape's evenness.
-        On a sorted tensor grid (see ``_is_tensor_grid``) the shape itself
-        is read on its in-box block by the blocks' separable grid
-        evaluation, about 8 ms for a 256 x 2,860 block of the kernel build
-        on a 2-vCPU x86 host.  Every other input, and every derivative, is
-        read point by point, on the points inside the box only: the shape
-        and its x-derivative together take about 0.2 us a point.
+        A 2-D input is a tensor grid's support block, read by the blocks'
+        separable grid evaluation, about 8 ms for a 256 x 2,860 block of
+        the kernel build on a 2-vCPU x86 host.  A 1-D input is read point by
+        point: the shape and its x-derivative together take about 0.2 us a
+        point.
         """
-        if not dx and _is_tensor_grid(t, x):
-            out = np.zeros(np.broadcast(t, x).shape)
-            tc, xr = t[:, 0], x[0]
-            i0, i1 = np.searchsorted(tc, 0.0), np.searchsorted(tc, SHAPE_BOX, "right")
-            j0 = np.searchsorted(xr, -SHAPE_BOX)
-            j1 = np.searchsorted(xr, SHAPE_BOX, "right")
-            if i0 < i1 and j0 < j1:
-                out[i0:i1, j0:j1] = self.shape.grid(tc[i0:i1], np.abs(xr[j0:j1]))
-            return out
-        shape = np.broadcast(t, x).shape
-        tt, xx = (a.ravel() for a in np.broadcast_arrays(t, x))
-        inside = np.flatnonzero((tt >= 0) & (tt <= SHAPE_BOX) & (np.abs(xx) <= SHAPE_BOX))
-        xi = xx[inside]
-        got = self.shape(tt[inside], np.abs(xi), dx)
-        out = np.zeros(tt.size)
-        out[inside] = got[0] if dx else got
-        if not dx:
-            return out.reshape(shape)
-        out_dx = np.zeros(tt.size)
-        out_dx[inside] = got[1] * np.sign(xi)
-        return out.reshape(shape), out_dx.reshape(shape)
+        if t.ndim == 2:
+            return self.shape.grid(t[:, 0], np.abs(x[0]))
+        got = self.shape(t, np.abs(x), dx)
+        return (got[0], got[1] * np.sign(x)) if dx else got
 
     # -- the correction --------------------------------------------------------
     @functools.cached_property
@@ -312,9 +291,6 @@ class TruncatedKernel:
         poly_dx += x * self._touch_ups(t, x, table_dx)
         mask, mask_dx = self._mask_and_dx(t, x, rho)
         return poly_dx * mask + poly * mask_dx
-
-    def correction_dx(self, t, x):
-        return _on_support(t, x, self._correction_dx_at)
 
     def value(self, t, x):
         """The kernel, with one parabolic norm for the cutoff and the mask.
@@ -514,13 +490,13 @@ def _touch_up_system(shape, cells):
     Returns the moments against ``{1, t, x^2}`` of the correction with no
     touch-up, and the (3, len(TOUCH_UP_POWERS)) moments of the masked
     touch-up terms ``t^p x^(2q)``.  Each block evaluates the mask and the
-    shape once for both.
+    shape once for both.  The knot cells lie within the shape's knots, and
+    the mask is exactly 0 off the kernel's support.
     """
-    raw = TruncatedKernel((0.0,) * len(TOUCH_UP_POWERS), shape)
-
     def masked_shape_and_mask(t, x):
-        mask = raw.mask(t, x)
-        return raw._shape_eval(t, x) * mask, mask
+        a, b, c = TruncatedKernel._mask_parts(t, parabolic_norm(t, x))
+        mask = a * b * c
+        return shape.grid(t[:, 0], np.abs(x[0])) * mask, mask
 
     plain, touch_up = _knot_cell_moments(masked_shape_and_mask, cells,
                                          ((0, 0),), TOUCH_UP_POWERS)
@@ -547,7 +523,7 @@ def build_truncated_kernel() -> TruncatedKernel:
     sweep and a 3 x 3 Schur complement, the shape is fitted by one 1-D
     not-a-knot solve per axis straight into its cell blocks, and the blocks
     are read on tensor grids throughout, all with numpy alone.  On a 2-vCPU
-    x86 host the build takes 0.55-0.65 s and peaks near 92 MB of resident
+    x86 host the build takes 0.55-0.65 s and peaks near 84 MB of resident
     memory, numpy's import included.
     """
     target = -_plateau_moments()
@@ -767,13 +743,13 @@ class LegTable:
     whole bump, and rows inside it integrate s over [s_lo, t] only, in
     sigma = sqrt(t - s), where the kernel's small-time peak ``1/sigma`` meets
     ``ds = 2 sigma dsigma``.  After the support each s node makes one kernel
-    call, on a tensor grid whose sorted row holds ``x - y`` for every y node,
-    and contracts it with the y weights.  Inside the support each y node
-    evaluates the kernel on one sorted sigma column for all support rows;
-    with a shear the x-shift varies along that column, so it is evaluated
-    point by point, with the annulus shape read from its cell blocks.  At
-    eps = 0.25 on a 2-vCPU x86 host the build takes
-    about 0.3-0.4 s for ``default_even_model`` and 0.6-0.7 s for
+    call, on a tensor grid whose row holds ``x - y`` for every y node, and
+    contracts it with the y weights.  Inside the support each y node
+    evaluates the kernel on one sigma column for all support rows, a tensor
+    grid with the x row; with a shear the x-shift varies along that column,
+    so it is evaluated point by point, with the annulus shape read from its
+    cell blocks.  At eps = 0.25 on a 2-vCPU x86 host the build takes about
+    0.3-0.4 s for ``default_even_model`` and 0.6-0.7 s for
     ``default_asymmetric_model`` at shear 0.3.
 
     Accuracy at eps = 0.25, against a 400-node product rule split at s = t:
@@ -840,28 +816,24 @@ def _leg_node_values(model: PoissonNoiseModel, kernel: TruncatedKernel, eps: flo
             # K(t, .) vanishes unless 0 < t < SUPPORT^2 (rho >= sqrt t)
             tt = eps ** 2 * (t_axis - sn)
             rows = after & (tt > 0) & (tt < SUPPORT ** 2)
-            # one row of x - y for all y nodes, sorted into a tensor grid
-            xs = (x_axis[None, :] - (y_nodes[:, None] + shear * sn)).ravel()
-            order = np.argsort(xs)
-            k = np.empty((np.count_nonzero(rows), xs.size))
-            k[:, order] = kernel.value(tt[rows, None], eps * xs[None, order])
+            # one row of x - y for all y nodes: a tensor grid with the rows
+            xs = (x_axis[None, :] - (y_nodes[:, None] + shear * sn)).reshape(1, -1)
+            k = kernel.value(tt[rows, None], eps * xs)
             values[rows] += sw * eps * np.einsum(
                 "y,ryx->rx", y_w, k.reshape(len(k), len(y_nodes), -1))
         # rows inside the support: s = t - sigma^2 on [s_lo, t]; all rows
-        # share one sigma column, sorted so an unsheared call is a tensor grid
+        # share one sigma column, so an unsheared call is a tensor grid
         inside = np.flatnonzero((t_axis > s_lo) & (t_axis < s_hi))
         reach = np.sqrt(t_axis[inside] - s_lo)[:, None]
         sigma = reach * u
         s = t_axis[inside, None] - sigma ** 2
         weight = eps * term.amplitude * 2.0 * sigma * reach * wu \
             * smooth_bump((s - term.t_center) / term.t_halfwidth)
-        order = np.argsort(sigma, axis=None)
-        tau = (eps * sigma.ravel()[order, None]) ** 2
-        shift = shear * s.ravel()[order, None] if shear else 0.0
+        tau = (eps * sigma.reshape(-1, 1)) ** 2
+        shift = shear * s.reshape(-1, 1) if shear else 0.0
         for yn, yw in zip(y_nodes, y_w):
             xs = x_axis[None, :] - (yn + shift)
-            k = np.empty((sigma.size, len(x_axis)))
-            k[order] = kernel.value(tau, eps * xs)
+            k = kernel.value(tau, eps * xs)
             values[inside] += yw * np.einsum(
                 "rk,rkx->rx", weight, k.reshape(*sigma.shape, -1))
     return values
@@ -1083,12 +1055,9 @@ def evaluate_diagram(
     """
     import zlib
 
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    _check_scale(eps, v_h)
     if budget < 2:
         raise ValueError(f"budget must be at least 2 samples, got {budget!r}")
-    if not math.isfinite(v_h):
-        raise ValueError(f"v_h must be finite, got {v_h!r}")
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, zlib.crc32(diagram.name.encode())])
     )
@@ -1196,8 +1165,15 @@ def chat_fixed_point(
 
     Common random numbers across iterations (the same seed regenerates the
     same sample paths) make the iteration a deterministic contraction of a
-    fixed Monte-Carlo approximation of the map.
+    fixed Monte-Carlo approximation of the map.  Raises ``ValueError``,
+    before any work, unless ``tol`` is finite and positive and ``max_iter``
+    is at least 1, and ``RuntimeError`` if no iterate is within ``tol`` of
+    the last.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     c = 0.0
     for iteration in range(1, max_iter + 1):
         nxt, _ = evaluate_diagram(

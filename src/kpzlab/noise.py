@@ -318,6 +318,15 @@ def draw_cloud(
     return s, y, a
 
 
+def _check_scale(eps: float, v_h: float = 0.0) -> None:
+    """Raise ``ValueError`` unless ``eps`` is finite and positive and ``v_h``
+    is finite."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    if not math.isfinite(v_h):
+        raise ValueError(f"v_h must be finite, got {v_h!r}")
+
+
 def field_from_cloud(
     model: PoissonNoiseModel,
     eps: float,
@@ -333,7 +342,11 @@ def field_from_cloud(
     and ``dt <= eps^2/8``).  Each chunk of points is summed onto the grid by
     one ``bincount`` on the flat cell index, in point order, so a cloud of
     one chunk gives the sums of a point-by-point scatter bit for bit.
+
+    Raises ``ValueError``, before any work, unless ``eps`` is finite and
+    positive and ``v_h`` is finite.
     """
+    _check_scale(eps, v_h)
     if grid.dx > eps / 8 + 1e-12:
         raise ValueError(f"grid dx={grid.dx:.5g} too coarse for eps={eps}")
     if grid.dt > eps * eps / 8 + 1e-12:
@@ -396,8 +409,10 @@ def sample_field(
 
     The cloud covers exactly the strip and time span that
     ``field_from_cloud`` reads; the field is in the rest frame
-    (``v_h = 0``).
+    (``v_h = 0``).  Raises ``ValueError``, before any work, unless ``eps``
+    is finite and positive.
     """
+    _check_scale(eps)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF1E1D]))
     cloud = draw_cloud(model, rng, -model.t_reach, grid.T / eps ** 2 + model.t_reach,
                        (1.0 / eps) / 2)
@@ -469,6 +484,9 @@ class PairingWindows:
     The y grid tiles the periodic strip ``[0, 1/eps)``: ``n_y`` cells of
     width ``dy = (1/eps) / n_y``, the fewest no wider than ``min_hx /
     WINDOW_RESOLUTION``; the s grid has spacing ``min_ht / WINDOW_RESOLUTION``.
+
+    Raises ``ValueError``, before any work, unless ``eps`` is finite and
+    positive, ``v_h`` is finite and ``t_support`` is finite and increasing.
     """
 
     def __init__(
@@ -479,8 +497,7 @@ class PairingWindows:
         t_support: tuple[float, float],
         v_h: float = 0.0,
     ):
-        if not 0 < eps < math.inf:
-            raise ValueError(f"eps must be finite and positive, got {eps}")
+        _check_scale(eps, v_h)
         if not -math.inf < t_support[0] < t_support[1] < math.inf:
             raise ValueError(f"t_support must be finite and increasing, got {t_support}")
         self.model = model

@@ -46,6 +46,11 @@ edge w a3 label 2+1d
 """
 
 
+def contracted_degree(graph, vertex):
+    """Degree of ``vertex`` in a contracted graph, counting multi-edges."""
+    return sum(1 for e in graph.edge_list() if e.touches(vertex))
+
+
 @pytest.fixture
 def pair_graph():
     return parse_partial_graph(PAIR_SOURCE)
@@ -199,15 +204,15 @@ edge u a1 label 2+1d
         cons = list(iter_contractions(pair_graph, 2))
         full = [c for c in cons if len(c.classes) == 1][0]
         ex = full.ex_vertices[0]
-        assert full.degree(ex) == 4
+        assert contracted_degree(full, ex) == 4
         # in-vertex degrees match the source internal degrees
         for v in full.in_vertices:
-            assert full.degree(v) == 3
+            assert contracted_degree(full, v) == 3
 
     def test_degrees_equal_class_sizes(self, chain_graph):
         for c in iter_contractions(chain_graph, 2):
             for i, cls in enumerate(c.classes):
-                assert c.degree(c.ex_vertex(i)) == len(cls)
+                assert contracted_degree(c, c.ex_vertex(i)) == len(cls)
 
     def test_no_edge_between_ex_vertices(self, chain_graph):
         for c in iter_contractions(chain_graph, 3):

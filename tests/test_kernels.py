@@ -49,15 +49,21 @@ def test_tensor_grid_matches_pointwise(kernel, method, monkeypatch):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("method", TENSOR_METHODS + ["correction_dx", "dx"])
-def test_non_monotone_axis_falls_back_to_pointwise(kernel, method):
-    # a tensor grid's support block is found by sorted search, so only the
-    # pointwise route can give these values
-    t = np.random.default_rng(3).permutation(T_AXIS)[:, None]
-    x = X_AXIS[None, :]
-    want = _pointwise(kernel, method, t, x)
-    np.testing.assert_allclose(getattr(kernel, method)(t, x), want, rtol=1e-12,
-                               atol=1e-12 * np.max(np.abs(want)))
+@pytest.mark.parametrize("method", TENSOR_METHODS + ["dx"])
+def test_permuted_grid_is_a_tensor_grid(kernel, method, monkeypatch):
+    # any column and row is a tensor grid, sorted or not: a permuted grid
+    # gives the sorted grid's values, permuted, bit for bit
+    rng = np.random.default_rng(3)
+    rows, cols = rng.permutation(len(T_AXIS)), rng.permutation(len(X_AXIS))
+    f = getattr(kernel, method)
+    want = f(T_AXIS[:, None], X_AXIS[None, :])[np.ix_(rows, cols)]
+    assert np.count_nonzero(want) > want.size // 10
+    if method in TENSOR_METHODS:
+        def no_pointwise(*args, **kwargs):
+            raise AssertionError("a tensor grid was evaluated point by point")
+
+        monkeypatch.setattr(kernels._BlockSpline, "__call__", no_pointwise)
+    assert np.array_equal(f(T_AXIS[rows, None], X_AXIS[None, cols]), want)
 
 
 # The heat kernel and its x-derivative, 0 where t <= 0: the oracles of the
@@ -86,13 +92,23 @@ def heat_kernel_dx(t, x):
     return out
 
 
+def _on_live_points(formula, t, x, rho):
+    """A private formula of the correction on the live points ``t > 0``,
+    ``rho < SUPPORT``, where the annulus shape is read, and 0 elsewhere."""
+    live = (t > 0) & (rho < kernels.SUPPORT)
+    out = np.zeros(t.shape)
+    out[live] = formula(t[live], x[live], rho[live])
+    return out
+
+
 def _dense_dx(kernel, t, x):
-    """``dx`` with every term evaluated at every point."""
+    """``dx`` with the cut heat kernel's terms evaluated at every point, and
+    the correction's at every live point."""
     rho = kernels.parabolic_norm(t, x)
     rr = np.where(rho > 0, rho, 1.0)
     return (heat_kernel_dx(t, x) * kernels._chi(rho)
             + heat_kernel(t, x) * kernels._chi_d(rho) * (x * x * x / rr ** 3)
-            + kernel._correction_dx_at(t, x, rho))
+            + _on_live_points(kernel._correction_dx_at, t, x, rho))
 
 
 def test_dx_is_the_x_derivative_of_value(kernel):
@@ -175,7 +191,7 @@ def test_value_and_correction_on_points_evaluate_only_the_support(kernel, monkey
     x = np.concatenate([edges[:, 1], x])
     rho = kernels.parabolic_norm(t, x)
     live = (t > 0) & (rho < kernels.SUPPORT)
-    correction = kernel._correction_at(t, x, rho)
+    correction = _on_live_points(kernel._correction_at, t, x, rho)
     wants = {"value": heat_kernel(t, x) * kernels._chi(rho) + correction,
              "correction": correction}
 
@@ -191,7 +207,7 @@ def test_value_and_correction_on_points_evaluate_only_the_support(kernel, monkey
         assert np.count_nonzero(got) > len(t) // 5
 
 
-@pytest.mark.parametrize("method", TENSOR_METHODS + ["correction_dx", "dx"])
+@pytest.mark.parametrize("method", TENSOR_METHODS + ["dx"])
 def test_infinite_points_give_zero_and_nan_raises(kernel, method):
     f = getattr(kernel, method)
     inf, nan = np.inf, np.nan
@@ -199,7 +215,7 @@ def test_infinite_points_give_zero_and_nan_raises(kernel, method):
     x = np.array([0.0, 0.3, inf, -inf, inf, -inf, 0.1, 1e200, 0.2])
     got = f(t, x)
     assert np.all(got[:-1] == 0.0) and got[-1] != 0.0
-    # a sorted tensor grid with infinite ends: only its one finite point is live
+    # a tensor grid with infinite ends: only its one finite point is live
     grid = f(np.array([[-inf], [0.5], [inf]]), np.array([[-inf, 0.2, inf]]))
     np.testing.assert_allclose(grid, np.diag([0.0, got[-1], 0.0]), rtol=1e-12, atol=0)
     for bad_t, bad_x in [(nan, 0.2), (0.5, nan), (np.array([0.5, nan]), 0.2),
@@ -209,7 +225,7 @@ def test_infinite_points_give_zero_and_nan_raises(kernel, method):
             f(bad_t, bad_x)
 
 
-@pytest.mark.parametrize("method", TENSOR_METHODS + ["correction_dx", "dx"])
+@pytest.mark.parametrize("method", TENSOR_METHODS + ["dx"])
 def test_scalar_calls_match_array_calls(kernel, method):
     # rho is taken on the flattened points, so a 0-d call runs the same
     # vectorised power as an array call; with rho taken on 0-d inputs about
@@ -235,8 +251,8 @@ def test_shape_blocks_match_fitpack(kernel):
     """Point evaluations of the annulus shape and of its x-derivative read the
     shape's cell blocks for x >= 0 through its evenness.  They agree with
     FITPACK's ``ev`` of the same nodes and values to rounding, not bit for
-    bit: at random points, at every knot, 1e-9 either side of each cell edge
-    and on the box's edges.  Off the box both are 0."""
+    bit: inside the box, at random points, at every knot, 1e-9 either side
+    of each cell edge and on the box's edges."""
     box = kernels.SHAPE_BOX
     fitpack = _fitpack(kernel.shape)
     t_knots, x_knots = (np.unique(k) for k in fitpack.get_knots())
@@ -250,34 +266,32 @@ def test_shape_blocks_match_fitpack(kernel):
     rng = np.random.default_rng(12)
     t = np.concatenate([rng.uniform(-0.1, 1.1, 4000)] + [g[0].ravel() for g in grids])
     x = np.concatenate([rng.uniform(-1.1, 1.1, 4000)] + [g[1].ravel() for g in grids])
-    value, slope = kernel._shape_eval(t, x, dx=True)
-    assert np.array_equal(kernel._shape_eval(t, x), value)
     inside = (t >= 0) & (t <= box) & (np.abs(x) <= box)
     assert 0 < inside[:4000].sum() < 4000 and inside[4000 + t_knots.size * x_knots.size:].any()
-    for got, dy in ((value, 0), (slope, 1)):
-        want = fitpack.ev(t[inside], x[inside], dy=dy)
+    t, x = t[inside], x[inside]
+    value, slope = kernel.shape(t, np.abs(x), dx=True)
+    assert np.array_equal(kernel.shape(t, np.abs(x)), value)
+    for got, dy in ((value, 0), (slope * np.sign(x), 1)):
+        want = fitpack.ev(t, x, dy=dy)
         scale = np.max(np.abs(want))
         assert scale > 1.0
-        np.testing.assert_allclose(got[inside], want, rtol=0, atol=1e-12 * scale)
-        assert np.all(got[~inside] == 0.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
 # a grid with several t nodes per t cell goes along x first; one with about
 # one t node per t cell and many x nodes per x cell goes along t first
 @pytest.mark.parametrize("n_t, n_x", [(301, 403), (40, 1000)])
 def test_shape_grid_matches_fitpack(kernel, n_t, n_x):
-    """The shape on a sorted tensor grid, read by the blocks' separable grid
-    evaluation through ``|x|``, agrees with FITPACK's grid evaluation of the
-    same nodes and values to rounding; off the box it is 0."""
+    """The shape on a tensor grid inside the box, read by the blocks'
+    separable grid evaluation through ``|x|``, agrees with FITPACK's grid
+    evaluation of the same nodes and values to rounding."""
     box = kernels.SHAPE_BOX
-    t = np.concatenate([[-0.03], np.linspace(0.0, box, n_t), [1.05]])
-    x = np.concatenate([[-1.1], np.linspace(-box, box, n_x), [1.1]])
-    got = kernel._shape_eval(t[:, None], x[None, :])
-    want = _fitpack(kernel.shape)(t[1:-1], x[1:-1])
+    t, x = np.linspace(0.0, box, n_t), np.linspace(-box, box, n_x)
+    got = kernel.shape.grid(t, np.abs(x))
+    want = _fitpack(kernel.shape)(t, x)
     scale = np.max(np.abs(want))
     assert scale > 1.0
-    np.testing.assert_allclose(got[1:-1, 1:-1], want, rtol=0, atol=1e-12 * scale)
-    assert np.all(got[[0, -1]] == 0.0) and np.all(got[:, [0, -1]] == 0.0)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
 def _loop_annulus_shape(nt, nx):
@@ -436,8 +450,13 @@ def test_touch_up_system_matches_two_pass_route(kernel):
     shape_moments, touch_up = kernels._touch_up_system(kernel.shape, cells)
     want = _two_pass_knot_cell_moments(raw.correction, cells)[:, 0]
     assert np.array_equal(shape_moments, want) and np.all(want != 0)
+
+    def mask(t, x):
+        a, b, c = kernels.TruncatedKernel._mask_parts(t, kernels.parabolic_norm(t, x))
+        return a * b * c
+
     assert np.array_equal(touch_up, _two_pass_knot_cell_moments(
-        raw.mask, cells, kernels.TOUCH_UP_POWERS))
+        mask, cells, kernels.TOUCH_UP_POWERS))
     assert touch_up.shape == (3, len(kernels.TOUCH_UP_POWERS))
     # the post-solve check's pass on the finished kernel
     (check,) = kernels._knot_cell_moments(lambda t, x: (kernel.correction(t, x),),
@@ -614,8 +633,8 @@ def _per_node_leg_values(model, kernel, eps, shear, t_axis, x_axis):
 @pytest.mark.parametrize("make_model, shear", [(default_even_model, 0.0),
                                                (default_asymmetric_model, 0.3)])
 def test_leg_node_values_match_per_node_loop(kernel, make_model, shear):
-    """One kernel call per s node on a sorted tensor grid covering every y
-    node gives the per-node loop's values to rounding."""
+    """One kernel call per s node on a tensor grid covering every y node
+    gives the per-node loop's values to rounding."""
     model = make_model()
     t_axis = kernels._graded_axis(4.0, 1.0 / EPS ** 2 + model.t_reach + 1.0, 0.08, 1.10)
     x_axis = kernels._graded_axis(4.0, 1.0 / EPS + model.x_reach + 1.0, 0.08, 1.10)
@@ -835,6 +854,21 @@ def test_bad_eps_or_budget_raises_value_error(kernel, eps, budget, v_h):
     # the first iterate shears by 4 lam^2 * 0, which is NaN for a non-finite lam
     with pytest.raises(ValueError):
         kernels.chat_fixed_point(model, kernel, eps, lam=v_h or 1.0, mc_budget=budget)
+
+
+@pytest.mark.parametrize("tol, max_iter, match", [
+    (0.0, 50, "tol"), (-1.0, 50, "tol"), (float("nan"), 50, "tol"), (1e-6, 0, "max_iter")])
+def test_chat_fixed_point_rejects_bad_tolerance(kernel, monkeypatch, tol, max_iter, match):
+    # a tolerance that is not positive iterated to the cap, building a leg
+    # table per iterate on a skew model, and raised "no fixed point" even
+    # where the first iterate was one; max_iter = 0 raised RuntimeError
+    def no_work(*args, **kwargs):
+        raise AssertionError("an iterate was evaluated")
+
+    monkeypatch.setattr(kernels, "evaluate_diagram", no_work)
+    with pytest.raises(ValueError, match=match):
+        kernels.chat_fixed_point(default_even_model(), kernel, 0.25, tol=tol,
+                                 max_iter=max_iter)
 
 
 def test_chat_fixed_point_on_skew_model(kernel):

@@ -129,6 +129,36 @@ class TestFieldSampling:
         with pytest.raises(ValueError, match="too coarse"):
             sample_field(model, 0.1, GridSpec(0.05, 200, 16), seed=1)
 
+    @pytest.mark.parametrize("builder, eps, v_h", [
+        ("field_from_cloud", 0.1, math.nan), ("field_from_cloud", 0.1, math.inf),
+        ("field_from_cloud", 0.1, -math.inf), ("field_from_cloud", math.nan, 0.0),
+        ("field_from_cloud", math.inf, 0.0), ("sample_field", math.nan, 0.0),
+        ("sample_field", math.inf, 0.0), ("PairingWindows", 0.2, math.nan),
+        ("PairingWindows", 0.2, math.inf),
+    ])
+    def test_bad_eps_or_v_h_rejected_before_any_work(self, monkeypatch, builder, eps, v_h):
+        # a non-finite v_h gave a field of finite garbage with a cast warning,
+        # or all-NaN windows; eps = nan failed to convert to an integer and
+        # eps = inf divided by zero
+        model = default_even_model()
+        grid = self.make_grid(0.1)
+        cloud = draw_cloud(model, np.random.default_rng(0), -model.t_reach, 5.0, 5.0)
+        eta_cos, _ = make_test_functions((0.02, 0.18))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was done before the inputs were checked")
+
+        monkeypatch.setattr(noise, "draw_cloud", no_work)
+        monkeypatch.setattr(PoissonNoiseModel, "phi", no_work)
+        build = {
+            "field_from_cloud": lambda: field_from_cloud(model, eps, grid, cloud, v_h),
+            "sample_field": lambda: sample_field(model, eps, grid, seed=1),
+            "PairingWindows": lambda: PairingWindows(model, eps, [no_work], (0.02, 0.18), v_h),
+        }[builder]
+        match = "v_h must be finite" if math.isfinite(eps) else "eps must be finite and positive"
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_empty_cloud_is_zero(self):
         model = PoissonNoiseModel([BumpTerm(1.0, 0.0, 0.5, 0.0, 0.5)], mu=1e-9)
         eps = 0.1
