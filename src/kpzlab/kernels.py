@@ -60,37 +60,29 @@ def parabolic_norm(t, x):
 _STEP_FLOOR = 1 / 745.14
 
 
-def _smooth_step(v):
+def _smooth_step(v, slope=False):
     """C-infinity step ``a / (a + b)``, ``a = exp(-1/v)``, ``b = exp(-1/(1-v))``.
 
     The result is exactly 0.0 for ``v <= _STEP_FLOOR`` and exactly 1.0 for
     ``v >= 1``, so the exponentials are taken only between; NaN stays NaN.
+    With ``slope``, also returns the derivative from the same band and the
+    same two exponentials: exactly 0.0 off (``_STEP_FLOOR``, 1) and at NaN.
     """
     v = np.asarray(v, dtype=float)
     flat = v.ravel()
     out = (flat >= 1).astype(float)
-    band = np.flatnonzero(~((flat <= _STEP_FLOOR) | (flat >= 1)))
+    band = np.flatnonzero(~((flat <= _STEP_FLOOR) | (flat >= 1)))  # NaN is in it
     u = flat[band]
     a = np.exp(-1.0 / u)
     b = np.exp(-1.0 / (1.0 - u))
     out[band] = a / (a + b)
-    return out.reshape(v.shape)
-
-
-def _smooth_step_d(v):
-    """Derivative of :func:`_smooth_step`: exactly 0.0 off
-    (``_STEP_FLOOR``, 1), where the exponentials are not taken."""
-    v = np.asarray(v, dtype=float)
-    flat = v.ravel()
-    out = np.zeros(flat.shape)
-    band = np.flatnonzero((flat > _STEP_FLOOR) & (flat < 1))
-    u = flat[band]
-    a = np.exp(-1.0 / u)
-    b = np.exp(-1.0 / (1.0 - u))
+    if not slope:
+        return out.reshape(v.shape)
     ap = a / u ** 2
     bp = -b / (1.0 - u) ** 2
-    out[band] = (ap * b - a * bp) / (a + b) ** 2
-    return out.reshape(v.shape)
+    d = np.zeros(flat.shape)
+    d[band] = np.where(np.isnan(u), 0.0, (ap * b - a * bp) / (a + b) ** 2)
+    return out.reshape(v.shape), d.reshape(v.shape)
 
 
 #: The parabolic radii of the cutoff: the kernel is the heat kernel where
@@ -113,13 +105,13 @@ TOUCH_UP_POWERS = (
 SHAPE_BOX = 1.02
 
 
-def _chi(rho):
-    """The cutoff: 1 for ``rho <= PLATEAU``, 0 for ``rho >= SUPPORT``."""
-    return _smooth_step((SUPPORT - rho) / (SUPPORT - PLATEAU))
-
-
-def _chi_d(rho):
-    return -_smooth_step_d((SUPPORT - rho) / (SUPPORT - PLATEAU)) / (SUPPORT - PLATEAU)
+def _chi(rho, slope=False):
+    """The cutoff: 1 for ``rho <= PLATEAU``, 0 for ``rho >= SUPPORT``; with
+    ``slope``, also its derivative in ``rho``."""
+    got = _smooth_step((SUPPORT - rho) / (SUPPORT - PLATEAU), slope)
+    if not slope:
+        return got
+    return got[0], -got[1] / (SUPPORT - PLATEAU)
 
 
 def _cut_heat_dx(t, x, rho):
@@ -135,8 +127,8 @@ def _cut_heat_dx(t, x, rho):
     slope = np.where(np.isinf(slope), 0.0, slope)  # where the Gaussian is 0
     root = np.sqrt(4 * math.pi * t)
     rr = np.where(rho > 0, rho, 1.0)  # rho is 0 where t * t and x^4 underflow
-    return slope * gauss / root * _chi(rho) \
-        + gauss / root * _chi_d(rho) * (x * x * x / rr ** 3)
+    cut, cut_d = _chi(rho, slope=True)
+    return slope * gauss / root * cut + gauss / root * cut_d * (x * x * x / rr ** 3)
 
 
 def _is_tensor_grid(t, x):
@@ -198,7 +190,10 @@ class TruncatedKernel:
     rho)`` to ``_on_support``, which evaluates it on a tensor grid's support
     block, or else on the live points only, and gives 0 elsewhere; ``dx``
     adds the correction's derivative only on its live points with ``rho >
-    PLATEAU``.  The shape is read only there.
+    PLATEAU``.  The shape is read only there.  Each smooth step of the
+    cutoff and the mask is taken once per point: with ``slope``,
+    ``_smooth_step`` returns the step's derivative from the same
+    exponentials, and ``_chi`` and ``_mask_parts`` pass the flag through.
     """
 
     corrections: tuple[float, ...]
@@ -207,25 +202,19 @@ class TruncatedKernel:
     #: for ``x >= 0``
     shape: "_BlockSpline"
 
-    # -- the annulus mask and its x-derivative ------------------------------
+    # -- the annulus mask ---------------------------------------------------
     @staticmethod
-    def _mask_parts(t, rho):
+    def _mask_parts(t, rho, slope=False):
         """The mask's inner, outer and small-time steps; the last is taken of
-        the unbroadcast ``t``, so a tensor grid pays for one column of it."""
-        a = _smooth_step((rho - PLATEAU) / MASK_IN)
-        b = _smooth_step((SUPPORT - rho) / MASK_OUT)
+        the unbroadcast ``t``, so a tensor grid pays for one column of it.
+        With ``slope``, also the inner and outer steps' derivatives in
+        ``rho``, each from the same call as its step."""
+        a = _smooth_step((rho - PLATEAU) / MASK_IN, slope)
+        b = _smooth_step((SUPPORT - rho) / MASK_OUT, slope)
         c = _smooth_step(t / MASK_T)
-        return a, b, c
-
-    def _mask_and_dx(self, t, x, rho):
-        """The mask and its x-derivative at ``t > 0``, from one evaluation of
-        the mask's parts."""
-        a, b, c = self._mask_parts(t, rho)
-        da = _smooth_step_d((rho - PLATEAU) / MASK_IN) / MASK_IN
-        db = -_smooth_step_d((SUPPORT - rho) / MASK_OUT) / MASK_OUT
-        rr = np.where(rho > 0, rho, 1.0)
-        drho_dx = x * x * x / rr ** 3
-        return a * b * c, (da * b + a * db) * c * drho_dx
+        if not slope:
+            return a, b, c
+        return a[0], b[0], c, a[1] / MASK_IN, -b[1] / MASK_OUT
 
     # -- the annulus shape ---------------------------------------------------
     def _shape_eval(self, t, x, dx=False):
@@ -289,8 +278,10 @@ class TruncatedKernel:
         poly, poly_dx = self._shape_eval(t, x, dx=True)
         poly += self._touch_ups(t, x, table)
         poly_dx += x * self._touch_ups(t, x, table_dx)
-        mask, mask_dx = self._mask_and_dx(t, x, rho)
-        return poly_dx * mask + poly * mask_dx
+        a, b, c, da, db = self._mask_parts(t, rho, slope=True)
+        rr = np.where(rho > 0, rho, 1.0)
+        mask_dx = (da * b + a * db) * c * (x * x * x / rr ** 3)
+        return poly_dx * (a * b * c) + poly * mask_dx
 
     def value(self, t, x):
         """The kernel, with one parabolic norm for the cutoff and the mask.
@@ -643,16 +634,35 @@ class Diagram:
 
     Kernel edges ``(end, start)`` contribute ``K'(pos[end] - pos[start])``;
     a blob of order n has a centre variable and n legs, each contributing
-    the bump-smeared kernel at ``pos[target] - centre``.  The sampling plan
-    lists, for each integration variable, the anchor variables whose
-    neighbourhoods carry the integrand's mass.
+    the bump-smeared kernel at ``pos[target] - centre``.
+
+    The sampling ``plan`` lists, for each integration variable, the anchor
+    variables whose neighbourhoods carry the integrand's mass.  It is
+    derived from the graph: each vertex, in declaration order, is anchored
+    at the variables placed before it (``"0"`` first) that share a kernel
+    edge or a blob with it, in placement order, so each vertex must share
+    one with an earlier variable; then each blob centre ``w{b}`` is
+    anchored at its distinct targets, in order.  ``evaluate_diagram``
+    divides by the exact density of whatever plan it samples, so any plan
+    gives an unbiased estimate; the plan only shapes the variance.
     """
 
     name: str
     vertices: tuple[str, ...]
     kernel_edges: tuple[tuple[str, str], ...]
     blobs: tuple[tuple[int, tuple[str, ...]], ...]
-    plan: tuple[tuple[str, tuple[str, ...]], ...]
+
+    @functools.cached_property
+    def plan(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        links = [set(edge) for edge in self.kernel_edges] \
+            + [set(targets) for _, targets in self.blobs]
+        placed, plan = ["0"], []
+        for v in self.vertices:
+            plan.append((v, tuple(p for p in placed
+                                  if any({v, p} <= link for link in links))))
+            placed.append(v)
+        return tuple(plan) + tuple((f"w{b}", tuple(dict.fromkeys(targets)))
+                                   for b, (_, targets) in enumerate(self.blobs))
 
     @property
     def eps_power(self) -> float:
@@ -668,65 +678,44 @@ DIAGRAMS: dict[str, Diagram] = {
         vertices=(),
         kernel_edges=(),
         blobs=((2, ("0", "0")),),
-        plan=(("w0", ("0",)),),
     ),
     "chat": Diagram(
         name="chat",
         vertices=("y",),
         kernel_edges=(("0", "y"),),
         blobs=((2, ("0", "y")),),
-        plan=(("y", ("0",)), ("w0", ("0", "y"))),
     ),
     "C1": Diagram(
         name="C1",
         vertices=("y",),
         kernel_edges=(("0", "y"),),
         blobs=((3, ("0", "y", "y")),),
-        plan=(("y", ("0",)), ("w0", ("0", "y"))),
     ),
     "C21": Diagram(
         name="C21",
         vertices=("m", "t"),
         kernel_edges=(("0", "m"), ("m", "t")),
         blobs=((2, ("0", "t")), (2, ("t", "m"))),
-        plan=(
-            ("m", ("0",)),
-            ("t", ("0", "m")),
-            ("w0", ("0", "t")),
-            ("w1", ("t", "m")),
-        ),
     ),
     "C22": Diagram(
         name="C22",
         vertices=("m", "t"),
         kernel_edges=(("0", "m"), ("m", "t")),
         blobs=((4, ("m", "0", "t", "t")),),
-        plan=(("m", ("0",)), ("t", ("0", "m")), ("w0", ("m", "0", "t"))),
     ),
     "C31": Diagram(
         name="C31",
         vertices=("l", "r"),
         kernel_edges=(("0", "l"), ("0", "r")),
         blobs=((2, ("l", "r")), (2, ("l", "r"))),
-        plan=(
-            ("l", ("0",)),
-            ("r", ("0", "l")),
-            ("w0", ("l", "r")),
-            ("w1", ("l", "r")),
-        ),
     ),
     "C32": Diagram(
         name="C32",
         vertices=("l", "r"),
         kernel_edges=(("0", "l"), ("0", "r")),
         blobs=((4, ("l", "r", "l", "r")),),
-        plan=(("l", ("0",)), ("r", ("0", "l")), ("w0", ("l", "r"))),
     ),
 }
-
-
-def _khat2(kernel: TruncatedKernel, eps: float, pts: np.ndarray) -> np.ndarray:
-    return eps ** 2 * kernel.dx(eps ** 2 * pts[:, 0], eps * pts[:, 1])
 
 
 #: Gauss-Legendre nodes per bump axis of the leg table's smearing integral.
@@ -774,8 +763,7 @@ class LegTable:
 
     def __init__(self, model: PoissonNoiseModel, kernel: TruncatedKernel,
                  eps: float, shear: float = 0.0):
-        if not (math.isfinite(eps) and eps > 0):
-            raise ValueError(f"eps must be finite and positive, got {eps!r}")
+        _check_scale(eps)
         if not math.isfinite(shear):
             raise ValueError(f"shear must be finite, got {shear!r}")
         t_max = 1.0 / eps ** 2 + model.t_reach + 1.0
@@ -1091,18 +1079,15 @@ def evaluate_diagram(
         s_arr = scales[rng.integers(0, n_scales, size=n)]
         pos: dict[str, np.ndarray] = {"0": np.zeros((n, 2))}
         for var, anchor_names in diagram.plan:
-            anchors = [pos[a] for a in anchor_names]
-            pick = rng.integers(0, len(anchors), size=n)
-            base = anchors[0].copy()
-            for i in range(1, len(anchors)):
-                sel = pick == i
-                base[sel] = anchors[i][sel]
-            pos[var] = base + _sample_single_scale(rng, s_arr)
+            pick = rng.integers(0, len(anchor_names), size=n)
+            anchors = np.stack([pos[a] for a in anchor_names])
+            pos[var] = anchors[pick, np.arange(n)] + _sample_single_scale(rng, s_arr)
         q_total = _mixture_pdf(diagram.plan, pos, scales)
 
         vals = np.ones(n)
         for end, start in diagram.kernel_edges:
-            vals = vals * _khat2(kernel, eps, pos[end] - pos[start])
+            t, x = (pos[end] - pos[start]).T
+            vals = vals * (eps ** 2 * kernel.dx(eps ** 2 * t, eps * x))
         for b, (order, targets) in enumerate(diagram.blobs):
             centre = pos[f"w{b}"]
             # a target listed twice is one leg, read once

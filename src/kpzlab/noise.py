@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
@@ -253,7 +254,11 @@ def default_asymmetric_model() -> PoissonNoiseModel:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Space-time grid on [0, T] x [0, 1) with uniform steps."""
+    """Space-time grid on [0, T] x [0, 1) with uniform steps.
+
+    Raises ``ValueError`` unless ``T`` is finite and positive and the counts
+    are integers with ``nt >= 2`` and ``nx >= 1``.
+    """
 
     T: float
     nt: int
@@ -262,10 +267,10 @@ class GridSpec:
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise ValueError(f"horizon T must be finite and positive, got {self.T}")
-        if self.nt < 2:
-            raise ValueError(f"need nt >= 2 time slices, got {self.nt}")
-        if self.nx < 1:
-            raise ValueError(f"need nx >= 1 cells, got {self.nx}")
+        if not isinstance(self.nt, numbers.Integral) or self.nt < 2:
+            raise ValueError(f"need an integer nt >= 2 time slices, got {self.nt!r}")
+        if not isinstance(self.nx, numbers.Integral) or self.nx < 1:
+            raise ValueError(f"need an integer nx >= 1 cells, got {self.nx!r}")
 
     @property
     def dt(self) -> float:

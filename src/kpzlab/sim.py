@@ -44,7 +44,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .noise import FieldSample, GridSpec, PoissonNoiseModel, draw_cloud, field_from_cloud
+from .noise import (FieldSample, GridSpec, PoissonNoiseModel, _check_scale, draw_cloud,
+                    field_from_cloud)
 
 __all__ = [
     "SimConfig",
@@ -93,7 +94,12 @@ def renormalised_coefficients_closed_form(ell: Sequence, lam) -> tuple:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Discretisation and physics parameters for one run."""
+    """Discretisation and physics parameters for one run.
+
+    Raises ``ValueError`` unless ``lam``, ``v_h`` and the five ``ell`` are
+    finite, ``eps`` and ``T`` are finite and positive, and ``n_x`` is an
+    integer power of two, at least 2.
+    """
 
     lam: float = 1.0
     eps: float = 0.1
@@ -105,14 +111,12 @@ class SimConfig:
     def __post_init__(self):
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam}")
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        _check_scale(self.eps, self.v_h)
         if not 0 < self.T < math.inf:
             raise ValueError(f"T must be finite and positive, got {self.T}")
-        if self.n_x < 2 or self.n_x & (self.n_x - 1):
-            raise ValueError(f"n_x must be a power of two >= 2, got {self.n_x}")
-        if not math.isfinite(self.v_h):
-            raise ValueError(f"v_h must be finite, got {self.v_h}")
+        if not isinstance(self.n_x, numbers.Integral) or self.n_x < 2 \
+                or self.n_x & (self.n_x - 1):
+            raise ValueError(f"n_x must be a power of two >= 2, got {self.n_x!r}")
         if len(self.ell) != 5 or not all(math.isfinite(e) for e in self.ell):
             raise ValueError(f"ell must be five finite constants, got {self.ell}")
 

@@ -106,8 +106,9 @@ def _dense_dx(kernel, t, x):
     the correction's at every live point."""
     rho = kernels.parabolic_norm(t, x)
     rr = np.where(rho > 0, rho, 1.0)
-    return (heat_kernel_dx(t, x) * kernels._chi(rho)
-            + heat_kernel(t, x) * kernels._chi_d(rho) * (x * x * x / rr ** 3)
+    chi, chi_d = kernels._chi(rho, slope=True)
+    return (heat_kernel_dx(t, x) * chi
+            + heat_kernel(t, x) * chi_d * (x * x * x / rr ** 3)
             + _on_live_points(kernel._correction_dx_at, t, x, rho))
 
 
@@ -403,12 +404,20 @@ STEP_POINTS = np.concatenate([
 ])
 
 
+def _smooth_step_d(v):
+    """The step's derivative: the slope that the step returns with its value."""
+    value, slope = kernels._smooth_step(v, slope=True)
+    assert np.array_equal(value, kernels._smooth_step(v), equal_nan=True)
+    return slope
+
+
 @pytest.mark.parametrize("step, dense", [(kernels._smooth_step, _dense_smooth_step),
-                                         (kernels._smooth_step_d, _dense_smooth_step_d)])
+                                         (_smooth_step_d, _dense_smooth_step_d)])
 def test_banded_steps_match_dense_form(step, dense):
     # In the dense form 1 / 5e-324 overflows and, in the derivative, 0 / 0
     # gives NaN at tiny positive v.  The banded form takes no exponential
     # below _STEP_FLOOR, where exp(-1/v) is 0, and returns exact 0 there.
+    # The derivative is exact 0 at NaN as well, where the step stays NaN.
     def want_of(v):
         with np.errstate(over="ignore", invalid="ignore"):
             want = dense(v)
@@ -806,6 +815,25 @@ def test_proposal_density_matches_dense_form(s):
         assert np.array_equal(grid_rows[k], _dense_pdf_single_scale(grid, scale))
     row = rows[list(scales).index(s)]
     assert 0 < np.count_nonzero(row) < len(pts)
+
+
+# The sampling plans as they were written out by hand, one per diagram.
+WRITTEN_PLANS = {
+    "C0": (("w0", ("0",)),),
+    "chat": (("y", ("0",)), ("w0", ("0", "y"))),
+    "C1": (("y", ("0",)), ("w0", ("0", "y"))),
+    "C21": (("m", ("0",)), ("t", ("0", "m")), ("w0", ("0", "t")), ("w1", ("t", "m"))),
+    "C22": (("m", ("0",)), ("t", ("0", "m")), ("w0", ("m", "0", "t"))),
+    "C31": (("l", ("0",)), ("r", ("0", "l")), ("w0", ("l", "r")), ("w1", ("l", "r"))),
+    "C32": (("l", ("0",)), ("r", ("0", "l")), ("w0", ("l", "r"))),
+}
+
+
+@pytest.mark.parametrize("name", WRITTEN_PLANS)
+def test_plans_derive_from_the_graph(name):
+    diagram = kernels.DIAGRAMS[name]
+    assert diagram.plan == WRITTEN_PLANS[name]
+    assert diagram.plan is diagram.plan  # derived once
 
 
 @pytest.mark.parametrize("name, reads", [("C0", 1), ("C1", 2), ("C21", 4),

@@ -116,11 +116,12 @@ class TestFieldSampling:
 
     @pytest.mark.parametrize("T, nt, nx", [
         (0.0, 10, 8), (-1.0, 10, 8), (math.nan, 10, 8), (math.inf, 10, 8),
-        (0.05, 1, 8), (0.05, 0, 8), (0.05, 10, 0),
+        (0.05, 1, 8), (0.05, 0, 8), (0.05, 10, 0), (0.05, 10.5, 8), (0.05, 10, 8.0),
     ])
     def test_degenerate_grid_rejected(self, T, nt, nx):
         # nt = 1 and nx = 0 divided by zero in dt and dx; a T that is not
-        # finite and positive gave negative or nan times
+        # finite and positive gave negative or nan times; a count that is
+        # not an integer was accepted and failed later inside numpy
         with pytest.raises(ValueError):
             GridSpec(T, nt, nx)
 

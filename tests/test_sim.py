@@ -726,6 +726,7 @@ class TestExactBehaviour:
         dict(T=-1.0), dict(T=0.0), dict(T=math.nan), dict(T=math.inf),
         dict(eps=0.0), dict(eps=-0.1), dict(eps=math.nan), dict(eps=math.inf),
         dict(lam=math.nan), dict(lam=-math.inf), dict(n_x=0), dict(n_x=1), dict(n_x=48),
+        dict(n_x=256.0),
         dict(v_h=math.nan), dict(v_h=math.inf), dict(ell=(0.0, math.nan, 0.0, 0.0, 0.0)),
         dict(ell=(math.inf,) + (0.0,) * 4), dict(ell=(0.0,) * 4), dict(ell=(0.0,) * 6),
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
@@ -733,7 +734,8 @@ class TestExactBehaviour:
         # T=-1 gave n_steps=-4096 and returned h0 as the final heights;
         # T=0 and n_x=0 divided by zero; eps=0 doubled the noise grid until
         # an OverflowError; a non-finite v_h or a NaN in ell blew up at t=0
-        # in the solver, and four constants failed at the first v_v read
+        # in the solver, and four constants failed at the first v_v read;
+        # n_x = 256.0 raised TypeError from its power-of-two test
         with pytest.raises(ValueError):
             sim.SimConfig(**bad)
 
