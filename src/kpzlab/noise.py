@@ -151,6 +151,9 @@ class PoissonNoiseModel:
         )
         self.mu = float(mu)
         self.marks = tuple((float(p), float(a)) for p, a in marks)
+        self._amps = np.array([a for _, a in self.marks])
+        self._cdf = np.cumsum([p for p, _ in self.marks])
+        self._cdf[-1] = 1.0  # a rounded sum below 1 would index past the marks
         self.name = name
         self.int_phi = raw_int * scale
         self.t_reach = max(abs(t.t_center) + t.t_halfwidth for t in self.terms)
@@ -165,6 +168,10 @@ class PoissonNoiseModel:
 
     def mark_moment(self, n: int) -> float:
         return sum(p * a ** n for p, a in self.marks)
+
+    def _marks_at(self, u: np.ndarray) -> np.ndarray:
+        """Marks at uniforms ``u`` in [0, 1): the cdf inverted, as ``Generator.choice`` does."""
+        return self._amps[np.searchsorted(self._cdf, u, "right")]
 
     @property
     def x_even(self) -> bool:
@@ -298,28 +305,33 @@ class FieldSample:
     v_h: float
 
 
-def draw_cloud(
-    model: PoissonNoiseModel,
-    rng: np.random.Generator,
-    t_lo: float,
-    t_hi: float,
-    half_width: float,
-):
-    """A marked Poisson cloud ``(s, y, a)`` on ``[t_lo, t_hi] x [-half_width, half_width]``.
+def _cloud_box(model: PoissonNoiseModel, eps: float, T: float):
+    """``(t_lo, t_hi, half_width)`` of the cloud points a field on ``[0, T]``
+    at scale ``eps`` reads: see :func:`draw_cloud`."""
+    return -model.t_reach, T / eps ** 2 + model.t_reach, 0.5 / eps
 
-    Restricting a uniform cloud to a smaller strip is again uniform, so one
-    cloud on a master domain can feed fields at several scales.
+
+def draw_cloud(model: PoissonNoiseModel, rng: np.random.Generator, eps: float, T: float):
+    """A marked Poisson cloud ``(s, y, a)`` on the box a field on ``[0, T]`` at
+    scale ``eps`` reads: the times ``[-t_reach, T / eps^2 + t_reach]``, whose
+    bumps reach the rescaled span, and the strip ``|y| <= 1 / (2 eps)``.
+
+    Restricting a uniform cloud to a smaller box is again uniform, so a cloud
+    drawn at the finest scale feeds fields at every coarser one with the same
+    ``T``.  The stream holds the count, the ``s``, the ``y`` and, for a law of
+    several marks, one uniform per point.  Raises ``ValueError``, before any
+    draw, unless ``eps`` and ``T`` are finite and positive.
     """
+    _check_scale(eps)
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and positive, got {T}")
+    t_lo, t_hi, half_width = _cloud_box(model, eps, T)
     area = (t_hi - t_lo) * 2 * half_width
     n_pts = rng.poisson(model.mu * area)
     s = rng.uniform(t_lo, t_hi, n_pts)
     y = rng.uniform(-half_width, half_width, n_pts)
-    probs = np.array([p for p, _ in model.marks])
-    amps = np.array([a for _, a in model.marks])
-    if len(amps) == 1:
-        a = np.full(n_pts, amps[0])
-    else:
-        a = amps[rng.choice(len(amps), size=n_pts, p=probs)]
+    one_mark = len(model.marks) == 1
+    a = np.full(n_pts, model.marks[0][1]) if one_mark else model._marks_at(rng.random(n_pts))
     return s, y, a
 
 
@@ -341,12 +353,12 @@ def field_from_cloud(
 ) -> FieldSample:
     """Evaluate the rescaled field of a cloud on the grid.
 
-    Only the points of the strip of spatial width ``1/eps`` in unscaled
-    coordinates that reach the grid's time span are used; the strip is
-    extended periodically.  The grid must resolve the bump (``dx <= eps/8``
-    and ``dt <= eps^2/8``).  Each chunk of points is summed onto the grid by
-    one ``bincount`` on the flat cell index, in point order, so a cloud of
-    one chunk gives the sums of a point-by-point scatter bit for bit.
+    Only the points in the box that :func:`draw_cloud` draws at ``(eps,
+    grid.T)`` are used, and the strip is extended periodically.  The grid
+    must resolve the bump (``dx <= eps/8`` and ``dt <= eps^2/8``).  Each
+    chunk of points is summed onto the grid by one ``bincount`` on the flat
+    cell index, in point order, so a cloud of one chunk gives the sums of a
+    point-by-point scatter bit for bit.
 
     Raises ``ValueError``, before any work, unless ``eps`` is finite and
     positive and ``v_h`` is finite.
@@ -358,10 +370,8 @@ def field_from_cloud(
         raise ValueError(f"grid dt={grid.dt:.5g} too coarse for eps={eps}")
 
     s_all, y_all, a_all = cloud
-    W = 1.0 / eps
-    t_lo = -model.t_reach
-    t_hi = grid.T / eps ** 2 + model.t_reach
-    keep = (s_all >= t_lo) & (s_all <= t_hi) & (np.abs(y_all) <= W / 2)
+    t_lo, t_hi, half_width = _cloud_box(model, eps, grid.T)
+    keep = (s_all >= t_lo) & (s_all <= t_hi) & (np.abs(y_all) <= half_width)
     s, y, a = s_all[keep], y_all[keep], a_all[keep]
 
     values = np.zeros((grid.nt, grid.nx))
@@ -412,16 +422,15 @@ def sample_field(
 ) -> FieldSample:
     """Draw the rescaled field on the grid from a periodised Poisson cloud.
 
-    The cloud covers exactly the strip and time span that
-    ``field_from_cloud`` reads; the field is in the rest frame
-    (``v_h = 0``).  Raises ``ValueError``, before any work, unless ``eps``
-    is finite and positive.
+    The field is ``field_from_cloud`` of ``draw_cloud(model, rng, eps,
+    grid.T)`` on the stream ``SeedSequence([seed, 0xF1E1D])``, so the cloud
+    is the box the field reads; it is in the rest frame (``v_h = 0``).
+    Raises ``ValueError``, before any work, unless ``eps`` is finite and
+    positive.
     """
     _check_scale(eps)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF1E1D]))
-    cloud = draw_cloud(model, rng, -model.t_reach, grid.T / eps ** 2 + model.t_reach,
-                       (1.0 / eps) / 2)
-    return field_from_cloud(model, eps, grid, cloud)
+    return field_from_cloud(model, eps, grid, draw_cloud(model, rng, eps, grid.T))
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +514,7 @@ class PairingWindows:
         _check_scale(eps, v_h)
         if not -math.inf < t_support[0] < t_support[1] < math.inf:
             raise ValueError(f"t_support must be finite and increasing, got {t_support}")
+        etas = tuple(etas)  # read twice: once to allocate, once to fill
         self.model = model
         self.eps = eps
         self.v_h = v_h
@@ -607,24 +617,19 @@ class PairingWindows:
             column[outside] = 0.0
         return np.moveaxis(out, 0, -1)
 
-    def window_integral(self, j: int, power: int = 1) -> float:
-        """``int W_j^power`` by the grid's cell sums, for ``power >= 1``.
-
-        The power is taken by multiplication: numpy's ``W ** 3`` and ``W **
-        4`` take a slow path for negative entries, 24 ms each on the eps =
-        0.05 window (1,041 x 320) on a 2-vCPU x86 host, against under 1 ms.
-        """
-        if power < 1:
-            raise ValueError(f"power must be at least 1, got {power!r}")
-        W = self.windows[j]
-        Wn = W
-        for _ in range(power - 1):
-            Wn = Wn * W
-        return float(np.sum(Wn) * self.ds * self.dy)
-
     def exact_cumulant(self, n: int, j: int = 0) -> float:
-        """Exact cumulant of the pairing: ``mu E[a^n] int W_j^n``."""
-        return self.model.mu * self.model.mark_moment(n) * self.window_integral(j, n)
+        """The ``n``-th cumulant of the pairing with ``eta_j``, for ``n >= 1``.
+
+        Campbell's formula gives ``mu E[a^n] int W_j^n``; the integral is the
+        grid's cell sum.  The power is taken by multiplication: numpy's ``W
+        ** 3`` and ``W ** 4`` take a slow path for negative entries, 24 ms
+        each on the eps = 0.05 window (1,041 x 320) on a 2-vCPU x86 host,
+        against under 1 ms.
+        """
+        if n < 1:
+            raise ValueError(f"cumulant order must be at least 1, got {n!r}")
+        Wn = functools.reduce(np.multiply, [self.windows[j]] * n)
+        return self.model.mu * self.model.mark_moment(n) * float(np.sum(Wn) * self.ds * self.dy)
 
 
 def sample_pairings(windows: PairingWindows, n_samples: int, seed: int) -> np.ndarray:
@@ -640,19 +645,15 @@ def sample_pairings(windows: PairingWindows, n_samples: int, seed: int) -> np.nd
     used and never the numbers.  Each block makes one
     :meth:`PairingWindows.interpolate` call for all windows, which finds
     the points' cells and weights once and shares them across the windows.
+    Column ``j`` is centred by ``windows.exact_cumulant(1, j)``.
     """
     model = windows.model
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC10D]))
     s_lo, s_hi = windows.s_grid[0], windows.s_grid[-1]
     lam = model.mu * (s_hi - s_lo) * windows.strip
-    amps = np.array([a for _, a in model.marks])
-    cdf = np.cumsum([p for p, _ in model.marks])
-    cdf[-1] = 1.0  # a rounded sum below 1 would index past the marks
+    one_mark = len(model.marks) == 1
     n_eta = len(windows.windows)
-    means = np.array([
-        model.mu * model.mark_moment(1) * windows.window_integral(j)
-        for j in range(n_eta)
-    ])
+    means = np.array([windows.exact_cumulant(1, j) for j in range(n_eta)])
 
     counts = rng.poisson(lam, n_samples)
     ends = np.cumsum(counts)
@@ -661,10 +662,10 @@ def sample_pairings(windows: PairingWindows, n_samples: int, seed: int) -> np.nd
     while start < n_samples:
         first = int(ends[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, first + POINT_BLOCK, "right")))
-        u = rng.random((int(ends[stop - 1]) - first, 2 if len(amps) == 1 else 3))
+        u = rng.random((int(ends[stop - 1]) - first, 2 if one_mark else 3))
         s = s_lo + (s_hi - s_lo) * u[:, 0]
         y = windows.strip * u[:, 1]
-        a = amps[0] if len(amps) == 1 else amps[np.searchsorted(cdf, u[:, 2], "right")]
+        a = model.marks[0][1] if one_mark else model._marks_at(u[:, 2])
         # reduceat over the rows that hold points: their offsets increase strictly
         filled = counts[start:stop] > 0
         offsets = (ends[start:stop] - counts[start:stop] - first)[filled]
@@ -744,14 +745,14 @@ def joint_second_cumulants(samples: np.ndarray):
 def make_test_functions(
     t_window: tuple[float, float] = (0.02, 0.18)
 ) -> tuple[Callable, Callable]:
-    """L2-orthonormal smooth pair: time bump times cos / sin of ``2 pi x``."""
+    """L2-orthonormal smooth pair, by construction: an L2-normalised time bump
+    times ``sqrt(2)`` cos / sin of ``2 pi x``."""
     t_lo, t_hi = t_window
     if not -math.inf < t_lo < t_hi < math.inf:
         raise ValueError(f"t_support must be finite and increasing, got {t_window}")
     mid = 0.5 * (t_lo + t_hi)
     half = 0.5 * (t_hi - t_lo)
-    nodes, weights = _gauss_legendre(200, -1.0, 1.0)
-    norm2 = float(np.sum(smooth_bump(nodes) ** 2 * weights) * half)
+    norm2 = float(np.sum(smooth_bump(_BUMP_NODES) ** 2 * _BUMP_WEIGHTS) * half)
     amp = 1.0 / math.sqrt(norm2)
 
     def f(t):
@@ -766,21 +767,6 @@ def make_test_functions(
     return eta_cos, eta_sin
 
 
-def eta_inner_products(etas: Sequence[Callable], t_window):
-    """Grid quadrature (400 times by 256 cells) of the Gram matrix of the test functions."""
-    nt, nx = 400, 256
-    pad = 0.2 * (t_window[1] - t_window[0])
-    tt = np.linspace(t_window[0] - pad, t_window[1] + pad, nt)[:, None]
-    xx = (np.arange(nx) / nx)[None, :]
-    dt = tt[1, 0] - tt[0, 0]
-    vals = [eta(tt, xx) for eta in etas]
-    gram = np.empty((len(etas), len(etas)))
-    for i in range(len(etas)):
-        for j in range(len(etas)):
-            gram[i, j] = np.sum(vals[i] * vals[j]) * dt / nx
-    return gram
-
-
 def clt_check(
     model: PoissonNoiseModel,
     eps_list: Sequence[float],
@@ -790,18 +776,18 @@ def clt_check(
 ) -> dict:
     """Empirical central-limit report for the rescaled field.
 
-    At the smallest scale the covariance of the pairings against an
-    orthonormal pair is compared, within three batch-means standard
-    errors, with the pair's Gram matrix from :func:`eta_inner_products`
-    (the identity up to quadrature error).  Across the scale list the
-    third and fourth cumulants of the first test function are compared
-    with their exact values, and the decay exponent of the exact fourth
-    cumulant decides the verdict: ``kappa_n ~ eps^{3n/2 - 3}``, so 3 for
-    ``n = 4``.  The bump's smoothing corrects ``kappa_4`` at order
-    ``eps^2`` (``kappa_4 / eps^3`` is 12.41, 14.38, 14.76 and 14.85 on the
-    even model at eps = 0.2, 0.1, 0.05 and 0.025), so ``log kappa_4`` is
-    fitted on ``(1, log eps, eps^2)``, which needs at least three distinct
-    scales; a plain log-log slope gives 2.79 on (0.2, 0.1).
+    At the smallest scale the covariance of the pairings against the
+    orthonormal pair of :func:`make_test_functions` is compared, within
+    three batch-means standard errors, with its Gram matrix, the identity
+    (the report's ``gram``).  Across the scale list the third and fourth
+    cumulants of the first test function are compared with their exact
+    values, and the decay exponent of the exact fourth cumulant decides the
+    verdict: ``kappa_n ~ eps^{3n/2 - 3}``, so 3 for ``n = 4``.  The bump's
+    smoothing corrects ``kappa_4`` at order ``eps^2`` (``kappa_4 / eps^3``
+    is 12.41, 14.38, 14.76 and 14.85 on the even model at eps = 0.2, 0.1,
+    0.05 and 0.025), so ``log kappa_4`` is fitted on ``(1, log eps,
+    eps^2)``, which needs at least three distinct scales; a plain log-log
+    slope gives 2.79 on (0.2, 0.1).
 
     The third cumulant cannot decide it.  The first test function is a time
     bump times ``cos(2 pi x)``, so each window row ``W(s, .)`` is a smoothed
@@ -813,9 +799,8 @@ def clt_check(
     """
     if len(set(eps_list)) < 3:
         raise ValueError(f"need at least 3 distinct scales, got {list(eps_list)}")
-    eta_cos, eta_sin = make_test_functions(t_window)
-    etas = [eta_cos, eta_sin]
-    gram = eta_inner_products(etas, t_window)
+    etas = make_test_functions(t_window)
+    gram = np.eye(len(etas))
 
     eps_fine = min(eps_list)
     windows = PairingWindows(model, eps_fine, etas, t_window)
@@ -827,7 +812,7 @@ def clt_check(
     for i, eps in enumerate(sorted(eps_list, reverse=True)):
         # sample_pairings draws the same cloud whatever the number of
         # windows, so column 0 matches windows built for eta_cos alone
-        w = windows if eps == eps_fine else PairingWindows(model, eps, [eta_cos], t_window)
+        w = windows if eps == eps_fine else PairingWindows(model, eps, etas[:1], t_window)
         draws = sample_pairings(w, max(200, n_samples // 10), seed + 1 + i)
         for n in orders:
             exact = w.exact_cumulant(n, 0)
@@ -851,9 +836,7 @@ def clt_check(
         "covariance": cov.tolist(),
         "covariance_stderr": cov_err.tolist(),
         "gram": gram.tolist(),
-        "covariance_ok": bool(
-            np.all(np.abs(cov - gram) <= 3.0 * cov_err + 1e-12)
-        ),
+        "covariance_ok": bool(np.all(np.abs(cov - gram) <= 3.0 * cov_err + 1e-12)),
         "third_cumulant": rows[3],
         "fourth_cumulant": rows[4],
         "fourth_cumulant_exponent": float(slope),

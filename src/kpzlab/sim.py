@@ -73,8 +73,8 @@ BOOTSTRAP_BLOCK_BYTES = 1 << 20
 class BlowupError(RuntimeError):
     def __init__(self, t):
         self.time = t
-        super().__init__(f"solution blew up at t={t:.6g}: exp(lam h) not finite and "
-                         f"positive, or |h| beyond {BLOWUP_THRESHOLD:g} at lam = 0")
+        super().__init__(f"solution blew up at t={t:.6g}: exp(lam (h - mean h0)) not "
+                         f"finite and positive, or |h| beyond {BLOWUP_THRESHOLD:g} at lam = 0")
 
 
 def renormalised_coefficients_closed_form(ell: Sequence, lam) -> tuple:
@@ -229,15 +229,18 @@ def _solve_forced(
 ) -> np.ndarray:
     """Strang splitting of a ``(B, n_x)`` batch; the final heights.
 
-    ``lam`` and ``v_h`` are ``(B, 1)`` member columns, and ``config``
-    supplies only the grid and the step.  A member with ``lam != 0`` is
-    stepped in ``u = exp(lam h)``, which solves the linear equation
-    ``du = u'' - v_h u' + lam (f - v_v) u``; a member with ``lam = 0`` is
-    stepped in ``u = h``.  A sub-step of ``m = SPLIT_STEPS`` config steps
-    is ``u <- M^(m/2) (A M^(m/2) u + B)``.  ``M`` is the implicit
-    multiplier of one config step times the exact transport phase
-    ``exp(-2 pi i k v_h dt)`` (1 at the Nyquist mode, which the lattice
-    cannot shift), so the linear part of a solve is exactly ``M^n_steps``.
+    ``lam`` and ``v_h`` are ``(B, 1)`` member columns, ``h0`` is the start
+    profile of every member, and ``config`` supplies only the grid and the
+    step.  A member with ``lam != 0`` is stepped in ``u = exp(lam (h - c))``
+    for ``c`` the mean of ``h0``, which solves the linear equation ``du =
+    u'' - v_h u' + lam (f - v_v) u``: the equation is invariant under ``h
+    -> h + c``, and the shift keeps a flat start of any height in ``exp``'s
+    range.  A member with ``lam = 0`` is stepped in ``u = h``.  A sub-step
+    of ``m = SPLIT_STEPS`` config steps is ``u <- M^(m/2) (A M^(m/2) u +
+    B)``.  ``M`` is the implicit multiplier of one config step times the
+    exact transport phase ``exp(-2 pi i k v_h dt)`` (1 at the Nyquist mode,
+    which the lattice cannot shift), so the linear part of a solve is
+    exactly ``M^n_steps``.
 
     ``mul`` and ``add`` are the ``(B, n_x)`` buffers of ``A`` and ``B``: with
     a member's increment ``S`` over the sub-step, ``A = exp(lam S)`` and
@@ -277,7 +280,8 @@ def _solve_forced(
     between = flow(SPLIT_STEPS)  # the merged halves of two sub-steps
     n_sub = config.n_steps // SPLIT_STEPS
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.where(hopf, np.exp(lam * h0), h0)
+        c = h0.mean()
+        u = np.where(hopf, np.exp(lam * (h0 - c)), h0)
         spectrum = np.fft.rfft(u, axis=-1) * half
         for j, check in enumerate(checks):
             np.fft.irfft(spectrum, n=n_x, axis=-1, out=u)
@@ -293,7 +297,7 @@ def _solve_forced(
         if _blown(u, hopf):
             raise BlowupError(config.T)
     rows = hopf[:, 0]
-    u[rows] = np.log(u[rows]) / lam[rows]
+    u[rows] = np.log(u[rows]) / lam[rows] + c
     return u
 
 
@@ -444,7 +448,7 @@ def solve_renormalised(
     mul, add = np.ones((edges[-1], n_x)), np.zeros((edges[-1], n_x))
     checks = map(any, zip(*(start(mul[lo:hi], add[lo:hi])
                             for start, lo, hi in zip(rows, edges, edges[1:]))))
-    final = _solve_forced(configs[0], lam, v_h, mul, add, checks, np.broadcast_to(h0, mul.shape))
+    final = _solve_forced(configs[0], lam, v_h, mul, add, checks, h0)
     out = [Trajectory(h[0] if one else h, c) for c, one, h
            in zip(configs, lone, np.split(final, edges[1:-1]))]
     return out[0] if single else out
@@ -544,14 +548,14 @@ def convergence_study(
     """Distances to the log-transform reference across noise scales.
 
     ``constants[eps]`` supplies the five counterterms per scale.  Member
-    clouds are shared across scales (coupling), and the reference ensemble,
-    ``n_members`` ``WhiteNoise`` members on seeds drawn from
-    ``master_seed``, is drawn once.  The reference and every scale are
-    solved in one ``solve_renormalised`` call (they share ``n_x`` and
-    ``T``), and the distances are expected to weakly decrease as the scale
-    refines.  Bad input (no scale, fewer than two members, a scale without
-    five finite counterterms) raises ``ValueError`` before any cloud is
-    drawn.
+    clouds, drawn at the finest scale, are shared across scales (coupling),
+    and the reference ensemble, ``n_members`` ``WhiteNoise`` members on
+    seeds drawn from ``master_seed``, is drawn once.  The reference and
+    every scale are solved in one ``solve_renormalised`` call (they share
+    ``n_x`` and ``T``), and the distances are expected to weakly decrease
+    as the scale refines.  Bad input (no scale, fewer than two members, a
+    scale without five finite counterterms) raises ``ValueError`` before
+    any cloud is drawn.
     """
     if not len(eps_list):
         raise ValueError("want one noise scale or more")
@@ -572,13 +576,9 @@ def convergence_study(
     eps_min = eps_list[-1]
     ref_config = SimConfig(lam=lam, eps=eps_min, n_x=n_x, T=T)
 
-    t_reach = model.t_reach
     rng_master = np.random.SeedSequence([master_seed, 0xC10])
-    clouds = [
-        draw_cloud(model, np.random.default_rng(child), -t_reach,
-                   T / eps_min ** 2 + t_reach, 0.5 / eps_min)
-        for child in rng_master.spawn(n_members)
-    ]
+    clouds = [draw_cloud(model, np.random.default_rng(child), eps_min, T)
+              for child in rng_master.spawn(n_members)]
 
     def fields(c: SimConfig):
         grid = noise_grid_for(c)

@@ -15,7 +15,6 @@ from kpzlab.noise import (
     default_even_model,
     draw_cloud,
     empirical_cumulants,
-    eta_inner_products,
     field_from_cloud,
     joint_second_cumulants,
     make_test_functions,
@@ -143,7 +142,7 @@ class TestFieldSampling:
         # eps = inf divided by zero
         model = default_even_model()
         grid = self.make_grid(0.1)
-        cloud = draw_cloud(model, np.random.default_rng(0), -model.t_reach, 5.0, 5.0)
+        cloud = draw_cloud(model, np.random.default_rng(0), 0.1, grid.T)
         eta_cos, _ = make_test_functions((0.02, 0.18))
 
         def no_work(*args, **kwargs):
@@ -208,6 +207,60 @@ class TestFieldSampling:
         assert abs(far) < 4 * err + 1e-12  # half a period away: independent
 
 
+class TestDrawCloud:
+    @pytest.mark.parametrize("eps, T, match", [
+        (0.0, 0.05, "eps"), (-0.1, 0.05, "eps"), (math.nan, 0.05, "eps"),
+        (math.inf, 0.05, "eps"), (0.1, 0.0, "T"), (0.1, -1.0, "T"),
+        (0.1, math.nan, "T"), (0.1, math.inf, "T"),
+    ])
+    def test_bad_scale_or_horizon_rejected_before_any_draw(self, eps, T, match):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError("a draw was made before the inputs were checked")
+
+        with pytest.raises(ValueError, match=f"{match} must be finite and positive"):
+            draw_cloud(default_even_model(), NoDraws(), eps, T)
+
+    @pytest.mark.parametrize("make_model, eps, T", [
+        (default_even_model, 0.2, 0.05), (default_even_model, 0.1, 0.03),
+        (default_asymmetric_model, 0.15, 0.04),
+    ])
+    def test_field_keeps_every_drawn_point(self, monkeypatch, make_model, eps, T):
+        # the filter of field_from_cloud reads the box draw_cloud draws on:
+        # every drawn point reaches phi, and points just outside do not
+        model = make_model()
+        grid = GridSpec(T, int(math.ceil(T / (eps * eps / 8))) + 1, 512)
+        s, y, a = draw_cloud(model, np.random.default_rng(9), eps, T)
+        assert len(s) > 15
+        outside = ([-model.t_reach - 1e-9, 0.0, T / eps ** 2 + model.t_reach + 1e-9],
+                   [0.0, 0.5 / eps + 1e-9, 0.0])
+        cloud = (np.append(s, outside[0]), np.append(y, outside[1]), np.append(a, [1.0] * 3))
+        seen, phi = [], model.phi
+
+        def counted(t, x):
+            seen.append(len(t))
+            return phi(t, x)
+
+        monkeypatch.setattr(model, "phi", counted)
+        field_from_cloud(model, eps, grid, cloud)
+        assert sum(seen) == len(s)
+
+    def test_marks_keep_the_choice_stream(self):
+        # the cdf inversion draws one uniform per mark, as rng.choice did
+        model = PoissonNoiseModel(default_asymmetric_model().terms, mu=2.0, marks=TWO_MARKS)
+        eps, T = 0.2, 0.05
+        got = draw_cloud(model, np.random.default_rng(4), eps, T)
+        rng = np.random.default_rng(4)
+        t_lo, t_hi, half_width = -model.t_reach, T / eps ** 2 + model.t_reach, 0.5 / eps
+        n = rng.poisson(model.mu * (t_hi - t_lo) * 2 * half_width)
+        s = rng.uniform(t_lo, t_hi, n)
+        y = rng.uniform(-half_width, half_width, n)
+        probs, amps = np.array(TWO_MARKS).T
+        a = amps[rng.choice(len(amps), size=n, p=probs)]
+        assert n > 15 and len(set(a)) == 2
+        assert all(np.array_equal(g, w) for g, w in zip(got, (s, y, a)))
+
+
 def add_at_field(model, eps, grid, cloud, v_h):
     """``field_from_cloud`` as first written: every point's bump scattered
     onto the grid by ``np.add.at``, point after point, in one pass."""
@@ -243,8 +296,7 @@ def test_field_matches_the_add_at_scatter_bit_for_bit(make_model, eps, v_h):
     # cell's terms in the order of the point-by-point scatter
     model = make_model()
     grid = GridSpec(0.15, int(math.ceil(0.15 / (eps * eps / 8))) + 1, 512)
-    cloud = draw_cloud(model, np.random.default_rng(5), -model.t_reach,
-                       grid.T / eps ** 2 + model.t_reach, 0.5 / eps)
+    cloud = draw_cloud(model, np.random.default_rng(5), eps, grid.T)
     assert len(cloud[0]) > 15
     got = field_from_cloud(model, eps, grid, cloud, v_h).values
     want = add_at_field(model, eps, grid, cloud, v_h)
@@ -260,8 +312,7 @@ def test_multi_chunk_field_matches_the_add_at_scatter(monkeypatch, v_h):
     even, eps = default_even_model(), 0.2
     model = PoissonNoiseModel(even.terms, mu=25.0, marks=even.marks)
     grid = GridSpec(0.15, int(math.ceil(0.15 / (eps * eps / 8))) + 1, 512)
-    cloud = draw_cloud(model, np.random.default_rng(6), -model.t_reach,
-                       grid.T / eps ** 2 + model.t_reach, 0.5 / eps)
+    cloud = draw_cloud(model, np.random.default_rng(6), eps, grid.T)
     chunks, bincount = [], np.bincount
 
     def counted(*args, **kwargs):
@@ -367,9 +418,18 @@ class TestOraclesAndEstimates:
             assert abs(est.estimate) <= 4 * est.stderr
 
     def test_orthonormal_gram(self):
-        etas = make_test_functions((0.02, 0.18))
-        gram = eta_inner_products(list(etas), (0.02, 0.18))
-        assert np.allclose(gram, np.eye(2), atol=1e-3)
+        # oracle: the trapezoid rule on a 400 x 256 grid, independent of the
+        # 200-node rule that normalises the pair; both are spectrally exact
+        # for a smooth compactly supported time factor and a trigonometric
+        # space factor, so the Gram is the identity to rounding
+        t_window = (0.02, 0.18)
+        pad = 0.2 * (t_window[1] - t_window[0])
+        tt = np.linspace(t_window[0] - pad, t_window[1] + pad, 400)[:, None]
+        xx = (np.arange(256) / 256)[None, :]
+        vals = [eta(tt, xx) for eta in make_test_functions(t_window)]
+        gram = np.array([[np.sum(a * b) * (tt[1, 0] - tt[0, 0]) / 256 for b in vals]
+                         for a in vals])
+        assert np.allclose(gram, np.eye(2), rtol=0, atol=1e-12)
 
 
 def gauss_legendre_window(model, eps, eta, s, y, v_h, nodes=64):
@@ -412,19 +472,33 @@ class TestPairingWindows:
 
     @pytest.mark.parametrize("power", [1, 2, 3, 4])
     def test_window_integral_matches_pow_form(self, power):
-        # the powers are taken by multiplication; the shifted cosine gives a
-        # window with negative entries, where numpy's W ** n is slow, and
-        # odd powers that do not cancel
+        # exact_cumulant takes the powers of Campbell's int W^n by
+        # multiplication; the shifted cosine gives a window with negative
+        # entries, where numpy's W ** n is slow, and odd powers that do not
+        # cancel, and two marks give E[a^n] != 1
         eta_cos, _ = make_test_functions((0.02, 0.18))
-        w = PairingWindows(default_even_model(), 0.2,
+        model = PoissonNoiseModel(default_even_model().terms, mu=1.5, marks=TWO_MARKS)
+        w = PairingWindows(model, 0.2,
                            [lambda t, x: eta_cos(t, x) + 0.5 * eta_cos(t, 0.0)], (0.02, 0.18))
         W = w.windows[0]
         assert W.min() < 0 < W.max()
-        want = float(np.sum(W ** power) * w.ds * w.dy)
-        assert abs(want) > 1e-6
-        assert w.window_integral(0, power) == pytest.approx(want, rel=1e-13, abs=0)
+        integral = float(np.sum(W ** power) * w.ds * w.dy)
+        assert abs(integral) > 1e-6
+        want = model.mu * model.mark_moment(power) * integral
+        assert w.exact_cumulant(power, 0) == pytest.approx(want, rel=1e-13, abs=0)
         with pytest.raises(ValueError):
-            w.window_integral(0, 0)
+            w.exact_cumulant(0, 0)
+
+    def test_any_iterable_of_test_functions(self):
+        # an iterator was used up by allocating the windows, so none were
+        # filled and the windows held uninitialised memory
+        model = default_even_model()
+        etas = make_test_functions((0.02, 0.18))
+        want = PairingWindows(model, 0.2, list(etas), (0.02, 0.18)).windows
+        for given in (tuple(etas), iter(etas)):
+            got = PairingWindows(model, 0.2, given, (0.02, 0.18)).windows
+            assert len(got) == 2
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("make_model", [default_even_model, default_asymmetric_model])
     def test_row_blocks_do_not_change_the_windows(self, monkeypatch, make_model):
@@ -610,7 +684,7 @@ class TestSamplePairings:
         want = np.empty((n, 2))
         for j in range(2):
             values = a * w.interpolate([j], s, y)[..., 0]
-            mean = model.mu * model.mark_moment(1) * w.window_integral(j)
+            mean = w.exact_cumulant(1, j)
             want[:, j] = np.add.reduceat(values, offsets) - mean
         assert np.array_equal(got, want)
 

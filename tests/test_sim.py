@@ -34,8 +34,7 @@ def fields(model, config, seeds):
     grid = sim.noise_grid_for(config)
     eps = config.eps
     return [field_from_cloud(model, eps, grid,
-                             draw_cloud(model, np.random.default_rng(s), -model.t_reach,
-                                        grid.T / eps ** 2 + model.t_reach, 0.5 / eps),
+                             draw_cloud(model, np.random.default_rng(s), eps, grid.T),
                              config.v_h)
             for s in seeds]
 
@@ -245,8 +244,7 @@ class TestBatches:
         config = small_config(ell=ELL, v_h=0.2)
         grid = sim.noise_grid_for(config)
         rng = np.random.default_rng(0)
-        clouds = [draw_cloud(model, rng, -1.0, config.T / config.eps ** 2 + 1.0,
-                             0.5 / config.eps) for _ in range(3)]
+        clouds = [draw_cloud(model, rng, config.eps, config.T) for _ in range(3)]
         by_cloud, reference = sim.solve_renormalised(
             [config, config],
             [(field_from_cloud(model, config.eps, grid, c, config.v_h) for c in clouds),
@@ -308,8 +306,7 @@ class TestBatches:
                    small_config(eps=0.1, lam=0.0, v_h=0.3),
                    small_config(lam=0.7, ell=ELL, v_h=0.5), small_config(lam=0.0)]
         rng = np.random.default_rng(1)
-        clouds = [draw_cloud(model, rng, -model.t_reach, 0.02 / 0.1 ** 2 + model.t_reach,
-                             0.5 / 0.1) for _ in range(3)]
+        clouds = [draw_cloud(model, rng, 0.1, 0.02) for _ in range(3)]
 
         def batch(config):
             grid = sim.noise_grid_for(config)
@@ -580,6 +577,14 @@ class TestExactBehaviour:
         assert decay < 0.5
         assert np.max(np.abs(final - decay * h0)) < 1e-12
 
+    @pytest.mark.parametrize("lam, height", [(1.0, 710.0), (1.0, -750.0), (0.5, 1500.0)])
+    def test_flat_start_outside_exp_range_stays_put(self, lam, height):
+        # exp(lam h0) overflows or underflows to 0, which was reported as a
+        # blow-up at t = 0; the equation is invariant under h -> h + c
+        config = small_config(lam=lam)
+        final = sim.solve_renormalised(config, None, np.full(config.n_x, height)).final
+        assert np.allclose(final, height, rtol=1e-15, atol=0)
+
     def test_constant_counterterm_shifts_a_config_batch_exactly(self):
         # ell3 changes no gradient and passes the Fourier multiplier's
         # zero mode unchanged, so it moves every height by 2 lam^2 ell3 T
@@ -654,8 +659,8 @@ class TestExactBehaviour:
                                       n_members=n_members, n_x=32, T=0.02, lam=lam,
                                       master_seed=seed)
         children = np.random.SeedSequence([seed, 0xC10]).spawn(n_members)
-        clouds = [draw_cloud(model, np.random.default_rng(child), -model.t_reach,
-                             0.02 / 0.1 ** 2 + model.t_reach, 0.5 / 0.1) for child in children]
+        clouds = [draw_cloud(model, np.random.default_rng(child), 0.1, 0.02)
+                  for child in children]
         seeds = [int(np.random.SeedSequence([seed, 7, m]).generate_state(1)[0])
                  for m in range(n_members)]
         reference = sim.solve_renormalised(small_config(eps=0.1, lam=lam),
@@ -801,7 +806,6 @@ class TestNoiseSplit:
         grid = sim.noise_grid_for(small_config(eps=eps))
         sample = sample_field(model, eps, grid, 17)
         rng = np.random.default_rng(np.random.SeedSequence([17, 0xF1E1D]))
-        cloud = draw_cloud(model, rng, -model.t_reach,
-                           grid.T / eps ** 2 + model.t_reach, 0.5 / eps)
+        cloud = draw_cloud(model, rng, eps, grid.T)
         assert np.array_equal(sample.values,
                               field_from_cloud(model, eps, grid, cloud, v_h).values)
