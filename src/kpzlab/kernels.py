@@ -136,30 +136,22 @@ def _is_tensor_grid(t, x):
     return t.ndim == 2 and x.ndim == 2 and t.shape[1] == 1 and x.shape[0] == 1
 
 
-def _on_support(t, x, f):
-    """``f(t, x, rho)`` where the kernel can be non-zero, and 0 elsewhere.
-
-    Every part of the kernel is exactly 0 where ``t <= 0`` or ``rho >=
-    SUPPORT``.  On a tensor grid (see ``_is_tensor_grid``) ``f`` takes the
-    grid's support block, the rows with ``0 < t < SUPPORT^2`` and the
-    columns with ``|x| < SUPPORT``, as a column and a row; any other input
-    is broadcast and flattened, and ``f`` takes only the points with ``t >
-    0`` and ``rho < SUPPORT``.  Either way ``f`` sees only points inside
-    ``SHAPE_BOX``.  So an infinite ``t`` or ``x`` gives 0, and NaN raises
-    ``ValueError``.
-    """
+def _defined(t, x):
+    """``t`` and ``x`` as float arrays; NaN raises ``ValueError``."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     if np.isnan(t).any() or np.isnan(x).any():
         raise ValueError("the kernel is not defined at NaN t or x")
-    if _is_tensor_grid(t, x):
-        rows = (t[:, 0] > 0) & (t[:, 0] < SUPPORT ** 2)
-        cols = np.abs(x[0]) < SUPPORT
-        out = np.zeros((len(rows), len(cols)))
-        if rows.any() and cols.any():
-            tb, xb = t[rows], x[:, cols]
-            out[np.ix_(rows, cols)] = f(tb, xb, parabolic_norm(tb, xb))
-        return out
+    return t, x
+
+
+def _on_live_points(t, x, f):
+    """``f(t, x, rho)`` at the live points, and 0 elsewhere.
+
+    The inputs are broadcast and flattened, and ``f`` takes only the points
+    with ``t > 0`` and ``rho < SUPPORT``: every part of the kernel is
+    exactly 0 elsewhere.  So an infinite ``t`` or ``x`` gives 0.
+    """
     tt, xx = np.broadcast_arrays(t, x)
     shape = tt.shape
     tt, xx = tt.ravel(), xx.ravel()
@@ -169,6 +161,30 @@ def _on_support(t, x, f):
     out = np.zeros(rho.size)
     out[live] = f(tt[live], xx[live], rho[live])
     return out.reshape(shape)
+
+
+def _on_support(t, x, f):
+    """``f(t, x, rho)`` where the kernel can be non-zero, and 0 elsewhere,
+    for an ``f`` even in x down to the last bit.
+
+    On a tensor grid (see ``_is_tensor_grid``) the support block is the rows
+    with ``0 < t < SUPPORT^2`` and the columns with ``|x| < SUPPORT``, and
+    ``f`` takes its rows as a column and each distinct ``|x|`` among its
+    columns once, as a sorted row; the result is copied back to every
+    column.  Any other input goes to ``_on_live_points``.  Either way ``f``
+    sees only points inside ``SHAPE_BOX``.  NaN raises ``ValueError``.
+    """
+    t, x = _defined(t, x)
+    if not _is_tensor_grid(t, x):
+        return _on_live_points(t, x, f)
+    rows = (t[:, 0] > 0) & (t[:, 0] < SUPPORT ** 2)
+    cols = np.flatnonzero(np.abs(x[0]) < SUPPORT)
+    out = np.zeros((len(rows), x.shape[1]))
+    if rows.any() and cols.size:
+        mags, back = np.unique(np.abs(x[0, cols]), return_inverse=True)
+        tb, xb = t[rows], mags[None, :]
+        out[np.ix_(rows, cols)] = f(tb, xb, parabolic_norm(tb, xb))[:, back]
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,14 +202,16 @@ class TruncatedKernel:
     are exactly 0 where ``t <= 0`` (the heat kernel and the mask's time step
     vanish) or ``rho >= SUPPORT`` (the cutoff and the mask's outer step
     vanish); the correction is exactly 0 where ``rho <= PLATEAU`` as well.
-    ``value``, ``correction`` and ``dx`` each hand one formula in ``(t, x,
-    rho)`` to ``_on_support``, which evaluates it on a tensor grid's support
-    block, or else on the live points only, and gives 0 elsewhere; ``dx``
-    adds the correction's derivative only on its live points with ``rho >
-    PLATEAU``.  The shape is read only there.  Each smooth step of the
-    cutoff and the mask is taken once per point: with ``slope``,
-    ``_smooth_step`` returns the step's derivative from the same
-    exponentials, and ``_chi`` and ``_mask_parts`` pass the flag through.
+    ``value`` and ``correction``, even in x down to the last bit, each hand
+    one formula in ``(t, x, rho)`` to ``_on_support``, which evaluates it on
+    a tensor grid's support block once per distinct ``|x|``, or else on the
+    live points only, and gives 0 elsewhere.  ``dx``, odd in x, hands its
+    formula to ``_on_live_points`` for any input, and adds the correction's
+    derivative only on its live points with ``rho > PLATEAU``.  The shape is
+    read only there.  Each smooth step of the cutoff and the mask is taken
+    once per point: with ``slope``, ``_smooth_step`` returns the step's
+    derivative from the same exponentials, and ``_chi`` and ``_mask_parts``
+    pass the flag through.
     """
 
     corrections: tuple[float, ...]
@@ -224,7 +242,7 @@ class TruncatedKernel:
         The shape's cell blocks cover ``x >= 0`` (151 x 220 cells, 4.3 MB),
         and every input is read through ``|x|`` and the shape's evenness.
         A 2-D input is a tensor grid's support block, read by the blocks'
-        separable grid evaluation, about 8 ms for a 256 x 2,860 block of
+        separable grid evaluation, about 2 ms for a 64 x 2,860 block of
         the kernel build on a 2-vCPU x86 host.  A 1-D input is read point by
         point: the shape and its x-derivative together take about 0.2 us a
         point.
@@ -250,7 +268,7 @@ class TruncatedKernel:
         """``sum_q (sum_p table[q, p] t^p) x^(2q)`` by Horner's rule in t and
         in x^2.  The inner sums are taken of the unbroadcast t, so a tensor
         grid pays for one column of them, and the full-size sum is updated in
-        place: the kernel build passes blocks of 0.7M points."""
+        place: the kernel build passes blocks of 0.18M points."""
         x2 = x * x
         total = np.zeros(np.broadcast(t, x).shape)
         for row in table[::-1]:
@@ -307,13 +325,12 @@ class TruncatedKernel:
         blocks.
         """
         def formula(t, x, rho):
-            t, x = np.broadcast_arrays(t, x)  # a tensor-grid block is a column and a row
             out = _cut_heat_dx(t, x, rho)
             ring = rho > PLATEAU
             out[ring] += self._correction_dx_at(t[ring], x[ring], rho[ring])
             return out
 
-        return _on_support(t, x, formula)
+        return _on_live_points(*_defined(t, x), formula)
 
 
 def _plateau_moments():
@@ -444,10 +461,13 @@ def _knot_cells(shape: "_BlockSpline", n_sub: int):
     return cells(shape.t_knots) + cells(np.concatenate([[0.0], xk[xk > 0.0]]))
 
 
-#: t nodes per tensor-grid block of the knot-cell quadrature: the whole grid
-#: has about 5.6M points, and each full-size temporary of the mask would take
-#: 45 MB.
-KNOT_CELL_BLOCK = 256
+#: t nodes per tensor-grid block of the knot-cell quadrature.  Each full-size
+#: temporary of a 64 x 2,860 block takes 1.5 MB, within a 2 MB L2 cache.  At
+#: 256 rows it took 5.9 MB, the build was 20-40 % slower on a 2-vCPU x86
+#: host, and OpenBLAS split each ``g @ proj`` over its threads, which changed
+#: the touch-up coefficients' last bits with the thread count.  At 64 rows
+#: they are the same under 1, 2 and 4 threads.
+KNOT_CELL_BLOCK = 64
 
 
 def _knot_cell_moments(f, cells, *powers):
@@ -505,17 +525,18 @@ def build_truncated_kernel() -> TruncatedKernel:
 
     The build has four passes: the plateau moments by panelled Gauss rules;
     the annulus quadratic program; one walk over the 1,963 x 2,860 knot-cell
-    points that evaluates the mask and the shape once per block for both the
-    residual and the touch-up matrix; and, after the solve, one evaluation
-    of the finished kernel's correction on the same points to check the
-    moments, on the support block of each tensor grid only, with the
-    touch-ups summed by Horner's rule.  The mask's steps take exponentials
+    points, in blocks of ``KNOT_CELL_BLOCK`` t nodes, that evaluates the
+    mask and the shape once per block for both the residual and the
+    touch-up matrix; and, after the solve, one evaluation of the finished
+    kernel's correction on the same points to check the moments, on the
+    support block of each tensor grid only, with the touch-ups summed by
+    Horner's rule.  The mask's steps take exponentials
     only in their thin bands.  The quadratic program is solved by a Thomas
     sweep and a 3 x 3 Schur complement, the shape is fitted by one 1-D
     not-a-knot solve per axis straight into its cell blocks, and the blocks
     are read on tensor grids throughout, all with numpy alone.  On a 2-vCPU
-    x86 host the build takes 0.55-0.65 s and peaks near 84 MB of resident
-    memory, numpy's import included.
+    x86 host the build takes 0.4-0.55 s, under one OpenBLAS thread or two,
+    and peaks near 70 MB of resident memory, numpy's import included.
     """
     target = -_plateau_moments()
     shape = _optimal_annulus_shape(target)
@@ -733,13 +754,16 @@ class LegTable:
     sigma = sqrt(t - s), where the kernel's small-time peak ``1/sigma`` meets
     ``ds = 2 sigma dsigma``.  After the support each s node makes one kernel
     call, on a tensor grid whose row holds ``x - y`` for every y node, and
-    contracts it with the y weights.  Inside the support each y node
-    evaluates the kernel on one sigma column for all support rows, a tensor
-    grid with the x row; with a shear the x-shift varies along that column,
-    so it is evaluated point by point, with the annulus shape read from its
-    cell blocks.  At eps = 0.25 on a 2-vCPU x86 host the build takes about
-    0.3-0.4 s for ``default_even_model`` and 0.6-0.7 s for
-    ``default_asymmetric_model`` at shear 0.3.
+    contracts it with the y weights.  The x axis and the y rule are
+    symmetric, so for an unsheared term centred at x = 0 the row's columns
+    come in mirror pairs, and the kernel reads each pair once (see
+    ``_on_support``).  Inside the support each y node evaluates the kernel
+    on one sigma column for all support rows, a tensor grid with the x row;
+    with a shear the x-shift varies along that column, so it is evaluated
+    point by point, with the annulus shape read from its cell blocks.  At
+    eps = 0.25 on a 2-vCPU x86 host the build takes about 0.15-0.2 s for
+    ``default_even_model``, 0.25-0.3 s for it at shear 0.3, and 0.45-0.55 s
+    for ``default_asymmetric_model``, at shear 0 or 0.3.
 
     Accuracy at eps = 0.25, against a 400-node product rule split at s = t:
     for ``default_even_model`` the probes (0.3, 0.2), (0, 0.3), (-0.3, 0.2)
@@ -893,12 +917,12 @@ class _BlockSpline:
         Going along x first costs about ``16 * (t cells) * len(x)``, and
         along t first ``len(t) * (16 * (x cells) + len(x))`` with the
         result's transpose; the cheaper order is taken.  A kernel-build
-        block (256 t nodes in 20 cells by 2,860 x nodes) goes along x
-        first; a leg-table row block (58 t nodes in 47 cells by
-        2,326 x nodes) along t first.  The temporaries are one gathered
-        power the size of the (len(t), len(x)) result and the first pass's
-        four coefficients per node and cell: 0.23M values on a build block
-        against its 0.73M results.
+        block (64 t nodes in 6 cells by 2,860 x nodes) goes along x first;
+        a leg-table row block (58 t nodes in 47 cells by 1,163 distinct
+        ``|x|``) along t first.  The temporaries are one gathered power the
+        size of the (len(t), len(x)) result and the first pass's four
+        coefficients per node and cell: 0.07M values on a build block
+        against its 0.18M results.
         """
         i, ht = self._t_cells(t)
         j, hx = self._x_cells(x)

@@ -74,7 +74,8 @@ class BlowupError(RuntimeError):
     def __init__(self, t):
         self.time = t
         super().__init__(f"solution blew up at t={t:.6g}: exp(lam (h - mean h0)) not "
-                         f"finite and positive, or |h| beyond {BLOWUP_THRESHOLD:g} at lam = 0")
+                         f"finite and positive, or |h - mean h0| beyond "
+                         f"{BLOWUP_THRESHOLD:g} at lam = 0")
 
 
 def renormalised_coefficients_closed_form(ell: Sequence, lam) -> tuple:
@@ -254,7 +255,7 @@ def _solve_forced(
     one rfft and one multiply on preallocated buffers.  Where a check is
     asked, and at the end, a ``lam != 0`` member's ``u`` must be finite and
     positive, and a ``lam = 0`` member's finite and at most
-    ``BLOWUP_THRESHOLD`` in size, or ``BlowupError`` is raised at that
+    ``BLOWUP_THRESHOLD`` from ``c``, or ``BlowupError`` is raised at that
     sub-step's time.  The whole batch is checked wherever any batch asks,
     so a blown reference member may be reported at an earlier check in a
     joint batch than alone.  Every operation acts elementwise or row by
@@ -289,12 +290,12 @@ def _solve_forced(
                 u *= mul
             if add is not None:
                 u += add
-            if check and _blown(u, hopf):
+            if check and _blown(u, hopf, c):
                 raise BlowupError(j * SPLIT_STEPS * dt)
             np.fft.rfft(u, axis=-1, out=spectrum)
             spectrum *= between if j < n_sub - 1 else half
         np.fft.irfft(spectrum, n=n_x, axis=-1, out=u)
-        if _blown(u, hopf):
+        if _blown(u, hopf, c):
             raise BlowupError(config.T)
     rows = hopf[:, 0]
     u[rows] = np.log(u[rows]) / lam[rows] + c
@@ -333,10 +334,10 @@ def _field_rows(config: SimConfig, coarse: np.ndarray, dt_noise: float,
         yield check
 
 
-def _blown(u: np.ndarray, hopf: np.ndarray) -> bool:
-    """Some ``exp(lam h)`` row not finite and positive, or some ``h`` row
-    not finite or beyond ``BLOWUP_THRESHOLD``."""
-    return bool(np.any(np.where(hopf, u <= 0.0, np.abs(u) > BLOWUP_THRESHOLD)
+def _blown(u: np.ndarray, hopf: np.ndarray, c: float) -> bool:
+    """Some ``exp(lam (h - c))`` row not finite and positive, or some ``h``
+    row not finite or more than ``BLOWUP_THRESHOLD`` from ``c``."""
+    return bool(np.any(np.where(hopf, u <= 0.0, np.abs(u - c) > BLOWUP_THRESHOLD)
                        | ~np.isfinite(u)))
 
 

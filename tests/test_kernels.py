@@ -66,6 +66,49 @@ def test_permuted_grid_is_a_tensor_grid(kernel, method, monkeypatch):
     assert np.array_equal(f(T_AXIS[rows, None], X_AXIS[None, cols]), want)
 
 
+def test_tensor_grid_reads_each_distinct_abs_x_once(kernel, monkeypatch):
+    # value and correction are even in x down to the last bit, so a tensor
+    # grid's formula takes each distinct |x| of the support once, as a sorted
+    # row, and the result is copied back to every column: mirror pairs, 0
+    # and -0, repeats and columns off the support give the bits of the
+    # formula on each signed column alone.  Each distinct |x| lies in its
+    # own cell of the annulus shape, so every block is read along x first.
+    t = T_AXIS[:, None]
+    x = np.array([[0.3, -0.3, 0.0, -0.0, 0.3, 0.71, -0.95, 0.95, 1.2, -0.71, 0.3, -1.0]])
+    formulas = []
+    on_support = kernels._on_support
+
+    def capturing(t, x, f):
+        formulas.append(f)
+        return on_support(t, x, f)
+
+    monkeypatch.setattr(kernels, "_on_support", capturing)
+    seen = _record_formula(monkeypatch, "_correction_at")
+    rows = (t[:, 0] > 0) & (t[:, 0] < kernels.SUPPORT ** 2)
+    for method in TENSOR_METHODS:
+        formulas.clear()
+        seen.clear()
+        got = getattr(kernel, method)(t, x)
+        ((_, cx, _),) = seen
+        assert np.array_equal(cx, [[0.0, 0.3, 0.71, 0.95]])
+        (formula,) = formulas
+        alone = np.zeros(got.shape)
+        for j, xj in enumerate(x[0]):
+            if abs(xj) < kernels.SUPPORT:
+                col = np.array([[xj]])
+                rho = kernels.parabolic_norm(t[rows], col)
+                alone[rows, j] = formula(t[rows], col, rho)[:, 0]
+        assert np.array_equal(got, alone)
+        assert np.all(got[:, [0, 1, 4, 10]] == got[:, [0]])
+        assert np.count_nonzero(got[:, [0, 5, 6]]) > len(T_AXIS)
+    # dx is odd: it is not folded, and a tensor grid is read point by point
+    formulas.clear()
+    got = kernel.dx(t, x)
+    assert np.array_equal(got, _dense_dx(kernel, *np.broadcast_arrays(t, x)))
+    assert np.array_equal(got[:, 1], -got[:, 0]) and np.count_nonzero(got[:, 0]) > 10
+    assert not formulas
+
+
 # The heat kernel and its x-derivative, 0 where t <= 0: the oracles of the
 # kernel's cut heat part.  At tiny positive t, -x^2/(4t) and -x/(2t) may
 # overflow to -inf; the Gaussian is then exactly 0, and no value is NaN.
@@ -477,6 +520,21 @@ def _panels(lo, hi, n_panels, nodes):
     edges = np.linspace(lo, hi, n_panels + 1)
     pts, wts = zip(*(_gauss_legendre(nodes, a, b) for a, b in zip(edges[:-1], edges[1:])))
     return np.concatenate(pts), np.concatenate(wts)
+
+
+def test_build_does_not_depend_on_blas_threads():
+    # OpenBLAS split the knot-cell contractions of 256-row blocks over its
+    # threads, and the touch-up coefficients' last bits changed with the
+    # thread count
+    code = ("from kpzlab import kernels\n"
+            "print(*map(repr, kernels.build_truncated_kernel().corrections))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(kernels.__file__).resolve().parents[1]))
+    got = [[float(c) for c in subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(env, OPENBLAS_NUM_THREADS=str(threads))).stdout.split()]
+        for threads in (1, 2)]
+    assert len(got[0]) == len(kernels.TOUCH_UP_POWERS)
+    assert got[0] == got[1]
 
 
 def test_kernel_moment_identities(kernel):

@@ -54,6 +54,13 @@ def test_gauss_legendre_rule_is_cached_and_read_only(n, a, b):
     assert not any(arr.flags.writeable for arr in base)
 
 
+def test_bump_masses_are_the_200_node_sums():
+    # the masses are written out as literals; these are the sums they stand for
+    u, w = noise._gauss_legendre(200, -1.0, 1.0)
+    assert noise.BUMP_MASS == float(np.sum(smooth_bump(u) * w))
+    assert noise._BUMP_SQUARE_MASS == float(np.sum(smooth_bump(u) ** 2 * w))
+
+
 class TestModel:
     def test_normalisation(self):
         model = PoissonNoiseModel(default_even_model().terms, mu=2.0)

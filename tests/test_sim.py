@@ -577,10 +577,12 @@ class TestExactBehaviour:
         assert decay < 0.5
         assert np.max(np.abs(final - decay * h0)) < 1e-12
 
-    @pytest.mark.parametrize("lam, height", [(1.0, 710.0), (1.0, -750.0), (0.5, 1500.0)])
+    @pytest.mark.parametrize("lam, height", [(1.0, 710.0), (1.0, -750.0), (0.5, 1500.0),
+                                             (0.0, 2e6)])
     def test_flat_start_outside_exp_range_stays_put(self, lam, height):
         # exp(lam h0) overflows or underflows to 0, which was reported as a
-        # blow-up at t = 0; the equation is invariant under h -> h + c
+        # blow-up at t = 0; the equation is invariant under h -> h + c.  At
+        # lam = 0 the check read |h| beyond BLOWUP_THRESHOLD, not |h - c|
         config = small_config(lam=lam)
         final = sim.solve_renormalised(config, None, np.full(config.n_x, height)).final
         assert np.allclose(final, height, rtol=1e-15, atol=0)
