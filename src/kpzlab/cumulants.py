@@ -10,18 +10,19 @@ whose every block mixes at least two factors survive:
 
 ``iter_wick_partitions`` enumerates exactly those partitions, indexing the
 variables by ``IndexKey(copy, slot)``: ``copy`` numbers the Wick factors
-and ``slot`` the variables inside one factor.  Contractions of graphs
+and ``slot`` the variables inside one factor.  A partition is a tuple of
+blocks, each a tuple of keys in grid order (copy first, then slot), and
+the blocks come in the order of their first keys.  Contractions of graphs
 (``graphs.iter_contractions``) glue external vertices along them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
 from typing import Iterator, NamedTuple
 
 __all__ = [
     "IndexKey",
-    "SetPartition",
     "SizeLimitError",
     "GROUND_SET_CAP",
     "iter_wick_partitions",
@@ -42,36 +43,23 @@ class IndexKey(NamedTuple):
     slot: int
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of a finite set into non-empty disjoint blocks."""
-
-    blocks: tuple[frozenset, ...]
-
-    def __post_init__(self) -> None:
-        seen: set = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("partition blocks must be non-empty")
-            if seen & block:
-                raise ValueError("partition blocks must be disjoint")
-            seen |= block
-
-    @classmethod
-    def _trusted(cls, blocks: tuple[frozenset, ...]) -> "SetPartition":
-        """A partition from blocks known to be non-empty and disjoint, unchecked."""
-        partition = object.__new__(cls)
-        object.__setattr__(partition, "blocks", blocks)
-        return partition
+def _check_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def iter_wick_partitions(m: int, p: int) -> Iterator[SetPartition]:
+def iter_wick_partitions(m: int, p: int) -> Iterator[tuple[tuple[IndexKey, ...], ...]]:
     """Partitions of the ``m x p`` grid in which every block mixes copies.
 
     These are exactly the partitions surviving in the diagram formula:
     no block may consist of variables from a single Wick factor (in
-    particular no singletons).
+    particular no singletons).  Each is a tuple of blocks in restricted-
+    growth order, each block a tuple of keys in grid order.  A count that
+    is not an integer raises ``ValueError`` on the first ``next()``.
     """
+    _check_count("m", m)
+    _check_count("p", p)
     if m < 1 or p < 1:
         raise ValueError("m and p must be >= 1")
     keys = [IndexKey(copy=k, slot=i) for k in range(1, p + 1) for i in range(1, m + 1)]
@@ -89,13 +77,10 @@ def iter_wick_partitions(m: int, p: int) -> Iterator[SetPartition]:
     blocks: list[list[int]] = []       # element positions per block
     needy: list[bool] = []             # block currently single-copy?
 
-    def rec(i: int) -> Iterator[SetPartition]:
+    def rec(i: int) -> Iterator[tuple]:
         if i == n:
             if not any(needy):
-                # the blocks partition the grid by construction
-                yield SetPartition._trusted(tuple(
-                    frozenset(keys[j] for j in blk) for blk in blocks
-                ))
+                yield tuple(tuple(keys[j] for j in blk) for blk in blocks)
             return
         remaining = n - i
         deficit = sum(needy)

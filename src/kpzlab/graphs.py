@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .cumulants import iter_wick_partitions
 
@@ -433,13 +433,8 @@ class ContractedGraph:
         return tuple(out)
 
 
-def _sorted_classes(classes: Iterable[frozenset]) -> tuple[frozenset, ...]:
-    return tuple(sorted((frozenset(c) for c in classes),
-                        key=lambda c: sorted((copy, vid) for copy, vid in c)))
-
-
-#: One object per distinct glued class, and one per distinct sorted tuple of
-#: them, shared by every contraction that has it, including those of later
+#: One object per distinct glued class, and one per distinct tuple of them,
+#: shared by every contraction that has it, including those of later
 #: enumerations.  The slot cap bounds both: at most 2**cumulants.GROUND_SET_CAP
 #: classes, and one tuple per Wick partition of at most that many slots, per
 #: naming of the externals.
@@ -452,9 +447,11 @@ def iter_contractions(H: PartialGraph, p: int) -> Iterator[ContractedGraph]:
 
     One contraction per admissible gluing of the external vertices; glued
     classes must contain externals from at least two distinct copies.
-    Isomorphic duplicates are not removed.  More than
-    ``cumulants.GROUND_SET_CAP`` external slots over all copies raise
-    ``SizeLimitError`` on the first ``next()``.
+    Isomorphic duplicates are not removed.  The classes of a gluing come
+    in the order of ``iter_wick_partitions``' blocks: by their first
+    ``(copy, slot)``, where ``slot`` numbers the externals in declaration
+    order.  More than ``cumulants.GROUND_SET_CAP`` external slots over all
+    copies raise ``SizeLimitError`` on the first ``next()``.
     """
     if p < 2:
         raise ValueError("contractions need p >= 2")
@@ -462,12 +459,12 @@ def iter_contractions(H: PartialGraph, p: int) -> Iterator[ContractedGraph]:
     if not ext:
         yield ContractedGraph(source=H, p=p, classes=())
         return
-    for pt in iter_wick_partitions(len(ext), p):
+    for blocks in iter_wick_partitions(len(ext), p):
         classes = []
-        for block in pt.blocks:
+        for block in blocks:
             cls = frozenset((key.copy, ext[key.slot - 1]) for key in block)
             classes.append(_GLUED_CLASSES.setdefault(cls, cls))
-        gluing = _sorted_classes(classes)
+        gluing = tuple(classes)
         yield ContractedGraph(source=H, p=p, classes=_GLUINGS.setdefault(gluing, gluing))
 
 

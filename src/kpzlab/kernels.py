@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import (PoissonNoiseModel, smooth_bump, smooth_bump_dx, _check_scale,
-                    _gauss_legendre)
+from .noise import (PoissonNoiseModel, smooth_bump, smooth_bump_dx, _check_count,
+                    _check_scale, _gauss_legendre)
 
 __all__ = [
     "parabolic_norm",
@@ -1061,13 +1061,14 @@ def evaluate_diagram(
     parity, and ``(0, 0)`` is returned without sampling.  Each distinct leg
     is read from the ``LegTable`` once per sample.
 
-    Raises ``ValueError`` unless ``eps`` is finite and positive, ``budget``
-    is at least 2, the fewest samples that give a stderr, and ``v_h`` is
-    finite.
+    Raises ``ValueError``, before any work, unless ``eps`` is finite and
+    positive, ``budget`` is an integer of at least 2, the fewest samples
+    that give a stderr, and ``v_h`` is finite.
     """
     import zlib
 
     _check_scale(eps, v_h)
+    _check_count("budget", budget)
     if budget < 2:
         raise ValueError(f"budget must be at least 2 samples, got {budget!r}")
     rng = np.random.default_rng(
@@ -1152,6 +1153,7 @@ def compute_constant(
     """
     if name not in CONSTANT_NAMES:
         raise KeyError(f"unknown constant {name!r}; choose from {CONSTANT_NAMES}")
+    _check_count("mc_budget", mc_budget)
     value, err = evaluate_diagram(
         DIAGRAMS[name], model, kernel, eps, mc_budget, seed, v_h
     )
@@ -1176,11 +1178,12 @@ def chat_fixed_point(
     same sample paths) make the iteration a deterministic contraction of a
     fixed Monte-Carlo approximation of the map.  Raises ``ValueError``,
     before any work, unless ``tol`` is finite and positive and ``max_iter``
-    is at least 1, and ``RuntimeError`` if no iterate is within ``tol`` of
-    the last.
+    is an integer of at least 1, and ``RuntimeError`` if no iterate is
+    within ``tol`` of the last.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_count("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     c = 0.0

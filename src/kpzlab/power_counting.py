@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cumulants import SizeLimitError
+from .cumulants import SizeLimitError, _check_count
 from .graphs import (
     ContractedGraph,
     LabelValue,
@@ -613,8 +613,10 @@ def check_admissible(
     single pairwise identification of glued vertices the monotonicity and
     transfer bound.  The checks depend only on local edge-multiplicity
     profiles, which are cached, so the scan over all contractions is exact
-    but fast.  ``p_max < 2`` raises ``ValueError``: it leaves no gluing.
+    but fast.  ``p_max < 2`` raises ``ValueError``: it leaves no gluing;
+    so does a ``p_max`` that is not an integer.
     """
+    _check_count("p_max", p_max)
     if p_max < 2:
         raise ValueError("admissibility needs p_max >= 2")
     failures: list[str] = []

@@ -44,8 +44,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .noise import (FieldSample, GridSpec, PoissonNoiseModel, _check_scale, draw_cloud,
-                    field_from_cloud)
+from .noise import (FieldSample, GridSpec, PoissonNoiseModel, _check_count, _check_scale,
+                    draw_cloud, field_from_cloud)
 
 __all__ = [
     "SimConfig",
@@ -503,8 +503,8 @@ def compare_statistics(
     Observables: mean profile, variance profile, two-point covariance
     (RMS distances over space) and the Kolmogorov distance of the height
     law at a fixed point.  Both ensembles are ``(m, n_x)`` arrays of two
-    members or more and the bootstrap takes two resamples or more, or no
-    stderr exists.
+    members or more and ``n_bootstrap`` is an integer of two or more, or no
+    stderr exists; other input raises ``ValueError``.
 
     The resample indices come from one draw of shape ``(R, na + nb)``;
     row r holds resample r's indices into ``a`` then ``b``, the same
@@ -518,6 +518,7 @@ def compare_statistics(
                          f"{np.shape(ensemble_a)} and {np.shape(ensemble_b)}")
     if ensemble_a.shape[1] != ensemble_b.shape[1]:
         raise ValueError("ensembles live on different grids")
+    _check_count("n_bootstrap", n_bootstrap)
     na, nb = len(ensemble_a), len(ensemble_b)
     if min(na, nb) < 2 or n_bootstrap < 2:
         raise ValueError(f"want two or more members and resamples, got {na} and "
@@ -554,12 +555,13 @@ def convergence_study(
     seeds drawn from ``master_seed``, is drawn once.  The reference and
     every scale are solved in one ``solve_renormalised`` call (they share
     ``n_x`` and ``T``), and the distances are expected to weakly decrease
-    as the scale refines.  Bad input (no scale, fewer than two members, a
-    scale without five finite counterterms) raises ``ValueError`` before
-    any cloud is drawn.
+    as the scale refines.  Bad input (no scale, a member count that is not
+    an integer of two or more, a scale without five finite counterterms)
+    raises ``ValueError`` before any cloud is drawn.
     """
     if not len(eps_list):
         raise ValueError("want one noise scale or more")
+    _check_count("n_members", n_members)
     if n_members < 2:
         raise ValueError(f"want two or more members, got {n_members}")
     eps_list = sorted(eps_list, reverse=True)

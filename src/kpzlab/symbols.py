@@ -50,7 +50,6 @@ __all__ = [
     "build_symbol_set",
     "apply_generator",
     "generator_targets",
-    "RenormMap",
     "apply_renorm_map",
     "renormalised_coefficients",
     "CatalogEntry",
@@ -357,24 +356,10 @@ def apply_generator(i: int, tau: Symbol) -> dict[Symbol, Fraction]:
     return {ONE: Fraction(1)} if tau == generator_targets()[i] else {}
 
 
-@dataclass(frozen=True)
-class RenormMap:
-    """Constants attached to the five contraction generators."""
-
-    ell1: Fraction | float = 0
-    ell2: Fraction | float = 0
-    ell3: Fraction | float = 0
-    ell4: Fraction | float = 0
-    ell5: Fraction | float = 0
-
-    def constants(self) -> tuple:
-        return (self.ell1, self.ell2, self.ell3, self.ell4, self.ell5)
-
-
-def _apply_sum_of_generators(ell: RenormMap, combo: dict) -> dict:
+def _apply_sum_of_generators(ell: tuple, combo: dict) -> dict:
     out: dict[Symbol, object] = {}
     for tau, coeff in combo.items():
-        for i, li in enumerate(ell.constants(), start=1):
+        for i, li in enumerate(ell, start=1):
             if li == 0:
                 continue
             for sym, c in apply_generator(i, tau).items():
@@ -382,12 +367,16 @@ def _apply_sum_of_generators(ell: RenormMap, combo: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def apply_renorm_map(ell: RenormMap, combo: dict) -> dict:
+def apply_renorm_map(ell: tuple, combo: dict) -> dict:
     """``exp(-sum ell_i L_i)`` on a linear combination of symbols.
 
-    Every generator removes noises from a symbol, so the generator sum is
-    nilpotent and the exponential series terminates.
+    ``ell`` holds the five constants ``ell_1 .. ell_5`` of the contraction
+    generators; any other length raises ``ValueError``.  Every generator
+    removes noises from a symbol, so the generator sum is nilpotent and
+    the exponential series terminates.
     """
+    if len(ell) != 5:
+        raise ValueError(f"want five constants ell_1 .. ell_5, got {ell!r}")
     total: dict[Symbol, object] = dict(combo)
     current = _apply_sum_of_generators(ell, combo)
     sign = 1
@@ -403,13 +392,13 @@ def apply_renorm_map(ell: RenormMap, combo: dict) -> dict:
     return {k: v for k, v in total.items() if v != 0}
 
 
-def renormalised_coefficients(ell: RenormMap, lam) -> tuple:
+def renormalised_coefficients(ell: tuple, lam) -> tuple:
     """Transport and constant counterterms of the renormalised equation.
 
     Derived from the generator action on the expansion of the quadratic
     right-hand side: the unit-symbol coefficient gives the constant term
     and the bare-noise-derivative coefficient gives the transport term.
-    The solver uses the same map in closed form,
+    The solver uses the same map in closed form, with the same arguments,
     ``sim.renormalised_coefficients_closed_form``.
     """
     rhs = {

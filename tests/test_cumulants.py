@@ -6,8 +6,7 @@ from math import prod
 
 import pytest
 
-from kpzlab.cumulants import (GROUND_SET_CAP, IndexKey, SetPartition, SizeLimitError,
-                              iter_wick_partitions)
+from kpzlab.cumulants import GROUND_SET_CAP, IndexKey, SizeLimitError, iter_wick_partitions
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -153,12 +152,12 @@ class TestWickPartitions:
     def test_one_slot_two_copies(self):
         parts = list(iter_wick_partitions(1, 2))
         assert len(parts) == 1
-        assert parts[0].blocks == (frozenset({IndexKey(1, 1), IndexKey(2, 1)}),)
+        assert parts == [((IndexKey(1, 1), IndexKey(2, 1)),)]
 
     def test_two_by_two(self):
         parts = list(iter_wick_partitions(2, 2))
         assert len(parts) == 3
-        sizes = sorted(sorted(len(b) for b in p.blocks) for p in parts)
+        sizes = sorted(sorted(len(b) for b in p) for p in parts)
         assert sizes == [[2, 2], [2, 2], [4]]
 
     def test_single_copy_empty(self):
@@ -167,31 +166,19 @@ class TestWickPartitions:
     def test_matches_filtering(self):
         # every grid of at most 9 slots, where the deficit pruning cuts
         for m, p in [(m, p) for p in range(2, 10) for m in range(1, 9 // p + 1)]:
-            direct = [frozenset(pt.blocks) for pt in iter_wick_partitions(m, p)]
+            parts = list(iter_wick_partitions(m, p))
+            direct = [frozenset(map(frozenset, pt)) for pt in parts]
             filtered = {
                 frozenset(pi) for pi in iter_partitions(grid(m, p))
                 if all(len({key.copy for key in b}) >= 2 for b in pi)
             }
             assert len(direct) == len(set(direct))
             assert set(direct) == filtered
-
-    def test_enumeration_equals_validated_construction(self):
-        # the enumeration skips the public constructor's check; its blocks
-        # must pass that check and give equal, equally hashed partitions
-        for m, p in [(3, 3), (2, 4), (4, 2)]:
-            parts = list(iter_wick_partitions(m, p))
-            assert parts
-            for part in parts:
-                checked = SetPartition(part.blocks)
-                assert checked == part and hash(checked) == hash(part)
-                assert set().union(*part.blocks) == set(grid(m, p))
-
-    def test_public_constructor_still_checks(self):
-        a, b, c = IndexKey(1, 1), IndexKey(2, 1), IndexKey(3, 1)
-        with pytest.raises(ValueError, match="disjoint"):
-            SetPartition((frozenset({a, b}), frozenset({b, c})))
-        with pytest.raises(ValueError, match="non-empty"):
-            SetPartition((frozenset({a, b}), frozenset()))
+            # each key once; restricted-growth order: keys in grid order
+            # within a block, blocks in the order of their first keys
+            assert all(sum(map(len, pt)) == m * p for pt in parts)
+            assert all(list(b) == sorted(b) for pt in parts for b in pt)
+            assert all([b[0] for b in pt] == sorted(b[0] for b in pt) for pt in parts)
 
     def test_size_cap_fails_fast(self):
         for m, p in [(4, 4), (13, 1), (1, 13), (5, 3)]:
@@ -199,14 +186,14 @@ class TestWickPartitions:
             with pytest.raises(SizeLimitError, match=f"{m} slots x {p} copies"):
                 next(it)
         for m, p in [(4, 3), (3, 4), (6, 2), (2, 6)]:
-            assert next(iter_wick_partitions(m, p)).blocks
+            assert next(iter_wick_partitions(m, p))
 
 
 class TestDiagramFormula:
     def test_single_partition_case(self):
         value = Fraction(9, 2)
         table = {frozenset({IndexKey(1, 1), IndexKey(2, 1)}): value}
-        assert sum(prod(table[b] for b in pi.blocks)
+        assert sum(prod(table[frozenset(b)] for b in pi)
                    for pi in iter_wick_partitions(1, 2)) == value
 
     def test_gaussian_two_by_two(self):
@@ -215,7 +202,7 @@ class TestDiagramFormula:
         sigma2 = Fraction(3, 2)
         table = {frozenset(s): sigma2 if r == 2 else Fraction(0)
                  for r in range(2, 5) for s in itertools.combinations(grid(2, 2), r)}
-        assert sum(prod(table[b] for b in pi.blocks)
+        assert sum(prod(table[frozenset(b)] for b in pi)
                    for pi in iter_wick_partitions(2, 2)) == 2 * sigma2 * sigma2
 
     def test_gaussian_excludes_same_copy_pairs(self):
@@ -229,14 +216,14 @@ class TestDiagramFormula:
             table[frozenset({a1, b1})] * table[frozenset({a2, b2})]
             + table[frozenset({a1, b2})] * table[frozenset({a2, b1})]
         )
-        assert sum(prod(table[b] for b in pi.blocks)
+        assert sum(prod(table[frozenset(b)] for b in pi)
                    for pi in iter_wick_partitions(2, 2)) == expected
 
     @pytest.mark.parametrize("m,p", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)])
     def test_matches_bruteforce_exactly(self, m, p):
         rng = random.Random(100 * m + p)
         table = random_table(grid(m, p), rng, centred=True)
-        diagram = sum(prod(table[b] for b in pi.blocks) for pi in iter_wick_partitions(m, p))
+        diagram = sum(prod(table[frozenset(b)] for b in pi) for pi in iter_wick_partitions(m, p))
         factors = [wick_expand(frozenset(IndexKey(k, i) for i in range(1, m + 1)))
                    for k in range(1, p + 1)]
         assert diagram == wick_expectation(factors, table)

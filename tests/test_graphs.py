@@ -1,9 +1,15 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from kpzlab import graphs
 from kpzlab.cumulants import SizeLimitError, iter_wick_partitions
 from kpzlab.graphs import (
     ContractedGraph,
@@ -165,16 +171,51 @@ class TestContractions:
     def test_classes_match_partitions_and_are_shared(self, chain_graph):
         ext = chain_graph.external_ids
         first = list(iter_contractions(chain_graph, 3))
-        assert {frozenset(c.classes) for c in first} == {
-            frozenset(frozenset((k.copy, ext[k.slot - 1]) for k in block)
-                      for block in pt.blocks)
-            for pt in iter_wick_partitions(3, 3)
-        }
+        assert [c.classes for c in first] == [
+            tuple(frozenset((k.copy, ext[k.slot - 1]) for k in block) for block in blocks)
+            for blocks in iter_wick_partitions(3, 3)
+        ]
         second = list(iter_contractions(chain_graph, 3))
         assert first == second
         for a, b in zip(first, second):
             assert a.classes is b.classes
             assert all(x is y for x, y in zip(a.classes, b.classes))
+
+    def test_classes_follow_declaration_order(self):
+        # slot i is the i-th declared external, so with externals declared
+        # out of name order the classes still come in the blocks' order
+        declared = ("a3", "a1", "a2")
+        H = parse_partial_graph("".join(
+            line for line in CHAIN_SOURCE.splitlines(keepends=True)
+            if not line.endswith("external\n"))
+            + "".join(f"vertex {v} external\n" for v in declared))
+        assert H.external_ids == declared
+        assert [c.classes for c in iter_contractions(H, 3)] == [
+            tuple(frozenset((k.copy, declared[k.slot - 1]) for k in block) for block in blocks)
+            for blocks in iter_wick_partitions(3, 3)
+        ]
+
+    def test_gluings_do_not_depend_on_the_hash_seed(self):
+        # classes are frozensets, so an order taken from set iteration would
+        # change with PYTHONHASHSEED; the gluings and the checks on them may not
+        code = (
+            "import json\n"
+            "from kpzlab.graphs import iter_contractions\n"
+            "from kpzlab.power_counting import KPZAllocationRule, check_contracted\n"
+            "from kpzlab.symbols import QUAD_SPLIT, graph_catalog\n"
+            "H = next(e.graph for e in graph_catalog(QUAD_SPLIT)\n"
+            "         if e.graph.name == 'quad-split/loop')\n"
+            "rows = [([sorted(c) for c in G.classes],\n"
+            "         check_contracted(G, KPZAllocationRule()).to_record())\n"
+            "        for G in iter_contractions(H, 3)]\n"
+            "print(json.dumps(rows))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).resolve().parents[1]))
+        runs = [json.loads(subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(env, PYTHONHASHSEED=seed)).stdout) for seed in ("0", "1")]
+        assert len(runs[0]) == len(list(iter_wick_partitions(2, 3)))
+        assert runs[0] == runs[1]
 
     def test_single_external_graph(self):
         src = """\

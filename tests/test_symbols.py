@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from kpzlab import sim
 from kpzlab.graphs import LabelValue
 from kpzlab.symbols import (
@@ -18,7 +20,6 @@ from kpzlab.symbols import (
     SUPPORTED_SYMBOLS,
     TRIPLE,
     XI,
-    RenormMap,
     apply_generator,
     apply_renorm_map,
     Symbol,
@@ -220,7 +221,7 @@ class TestGenerators:
                     assert homogeneity(sym) == homogeneity(tau) - homogeneity(target)
 
     def test_nilpotency(self):
-        ell = RenormMap(1, 1, 1, 1, 1)
+        ell = (1, 1, 1, 1, 1)
         for tau in SUPPORTED_SYMBOLS[1:]:
             combo = {tau: Fraction(1)}
             for _ in range(3):
@@ -231,36 +232,42 @@ class TestGenerators:
 
 class TestRenormalisedEquation:
     def test_zero_map(self):
-        assert renormalised_coefficients(RenormMap(), Fraction(1)) == (0, 0)
+        assert renormalised_coefficients((0,) * 5, Fraction(1)) == (0, 0)
 
     def test_unit_constants(self):
-        transport, constant = renormalised_coefficients(
-            RenormMap(1, 1, 1, 1, 1), Fraction(1)
-        )
+        transport, constant = renormalised_coefficients((1, 1, 1, 1, 1), Fraction(1))
         assert transport == -4
         assert constant == -4  # -(1 + 2 + 4 + 1) + 4
 
     def test_transport_tracks_ell2(self):
         chat = Fraction(3, 7)
         lam = Fraction(2)
-        transport, _ = renormalised_coefficients(RenormMap(ell2=chat), lam)
+        transport, _ = renormalised_coefficients((0, chat, 0, 0, 0), lam)
         assert transport == -4 * lam ** 2 * chat
 
     def test_matches_closed_form_randomised(self):
         rng = random.Random(23)
         for _ in range(20):
-            ell = RenormMap(*(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                              for _ in range(5)))
+            ell = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5))
             lam = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            # the two routes take the same arguments
             assert renormalised_coefficients(ell, lam) == \
-                sim.renormalised_coefficients_closed_form(ell.constants(), lam)
+                sim.renormalised_coefficients_closed_form(ell, lam)
 
     def test_quadratic_term_from_second_generator(self):
         # the square of the substitution generator produces + 4 lam^3 ell2^2
-        ell = RenormMap(ell2=Fraction(1, 3))
+        ell = (0, Fraction(1, 3), 0, 0, 0)
         lam = Fraction(1)
         image = apply_renorm_map(ell, {QUAD_CHAIN: 4 * lam ** 3})
         assert image.get(ONE, 0) == 4 * lam ** 3 * Fraction(1, 9)
+
+    @pytest.mark.parametrize("ell", [(1, 1, 1, 1), (1, 1, 1, 1, 1, 1), ()])
+    def test_other_than_five_constants_rejected(self, ell):
+        # without the check a four-tuple would read as ell5 = 0
+        with pytest.raises(ValueError, match="five constants"):
+            apply_renorm_map(ell, {SQUARE: 1})
+        with pytest.raises(ValueError, match="five constants"):
+            renormalised_coefficients(ell, Fraction(1))
 
 
 class TestCatalog:
