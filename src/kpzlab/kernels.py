@@ -242,7 +242,7 @@ class TruncatedKernel:
         The shape's cell blocks cover ``x >= 0`` (151 x 220 cells, 4.3 MB),
         and every input is read through ``|x|`` and the shape's evenness.
         A 2-D input is a tensor grid's support block, read by the blocks'
-        separable grid evaluation, about 2 ms for a 64 x 2,860 block of
+        separable grid evaluation, about 1 ms for a 32 x 2,860 block of
         the kernel build on a 2-vCPU x86 host.  A 1-D input is read point by
         point: the shape and its x-derivative together take about 0.2 us a
         point.
@@ -268,7 +268,7 @@ class TruncatedKernel:
         """``sum_q (sum_p table[q, p] t^p) x^(2q)`` by Horner's rule in t and
         in x^2.  The inner sums are taken of the unbroadcast t, so a tensor
         grid pays for one column of them, and the full-size sum is updated in
-        place: the kernel build passes blocks of 0.18M points."""
+        place: the kernel build passes blocks of 0.09M points."""
         x2 = x * x
         total = np.zeros(np.broadcast(t, x).shape)
         for row in table[::-1]:
@@ -419,7 +419,8 @@ def _optimal_annulus_shape(target, nt: int = 150, nx: int = 220) -> "_BlockSplin
 
 
 def _thomas(lower, diag, upper, rhs):
-    """Solve tridiagonal systems along axis 0 by the Thomas algorithm.
+    """Solve tridiagonal systems along axis 0 by the Thomas algorithm, in
+    place: the float array ``rhs`` becomes the solution ``y``.
 
     Row ``i`` reads ``lower[i] y[i-1] + diag[i] y[i] + upper[i] y[i+1] =
     rhs[i]``; the coefficients broadcast against ``rhs``, whose trailing
@@ -427,7 +428,7 @@ def _thomas(lower, diag, upper, rhs):
     program's blocks are positive definite, and the not-a-knot systems are
     diagonally dominant apart from their end rows.
     """
-    y = np.array(rhs, dtype=float)
+    y = rhs
     pivots = [diag[0]]
     for i in range(1, len(y)):
         f = lower[i] / pivots[-1]
@@ -462,12 +463,16 @@ def _knot_cells(shape: "_BlockSpline", n_sub: int):
 
 
 #: t nodes per tensor-grid block of the knot-cell quadrature.  Each full-size
-#: temporary of a 64 x 2,860 block takes 1.5 MB, within a 2 MB L2 cache.  At
+#: temporary of a 32 x 2,860 block takes 0.73 MB, within a 2 MB L2 cache.  At
 #: 256 rows it took 5.9 MB, the build was 20-40 % slower on a 2-vCPU x86
 #: host, and OpenBLAS split each ``g @ proj`` over its threads, which changed
-#: the touch-up coefficients' last bits with the thread count.  At 64 rows
-#: they are the same under 1, 2 and 4 threads.
-KNOT_CELL_BLOCK = 64
+#: the touch-up coefficients' last bits with the thread count; at 32 and 64
+#: rows they are the same under 1, 2 and 4 threads.  glibc hands the top of
+#: its heap back to the system once it reaches twice the largest array yet
+#: freed from a mapping of its own; at 64 rows, once the shape's fit freed
+#: no 8 MB array, the build faulted its 1.5 MB temporaries in anew every
+#: block: 96,000 page faults instead of 7,000, and 0.1-0.25 s more.
+KNOT_CELL_BLOCK = 32
 
 
 def _knot_cell_moments(f, cells, *powers):
@@ -536,7 +541,7 @@ def build_truncated_kernel() -> TruncatedKernel:
     not-a-knot solve per axis straight into its cell blocks, and the blocks
     are read on tensor grids throughout, all with numpy alone.  On a 2-vCPU
     x86 host the build takes 0.4-0.55 s, under one OpenBLAS thread or two,
-    and peaks near 70 MB of resident memory, numpy's import included.
+    and peaks near 53 MB of resident memory, numpy's import included.
     """
     target = -_plateau_moments()
     shape = _optimal_annulus_shape(target)
@@ -612,30 +617,20 @@ def _pdf_scales(pts: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return rows.reshape((len(scales),) + pts.shape[:-1])
 
 
-#: Samples per block of ``_mixture_pdf``: its arrays hold one row per scale,
-#: so a block of them stays near 4 MB at the 7 scales of eps = 1/32.
-PDF_BLOCK = 65_536
-
-
 def _mixture_pdf(plan, pos: dict[str, np.ndarray], scales: np.ndarray) -> np.ndarray:
     """Proposal density of ``evaluate_diagram`` at the sampled positions.
 
     The equal-weight mixture over ``scales`` of the product over the plan's
-    variables of the mean over each variable's anchors, taken over blocks
-    of ``PDF_BLOCK`` samples.
+    variables of the mean over each variable's anchors.
     """
-    q = np.empty(len(pos["0"]))
-    for lo in range(0, len(q), PDF_BLOCK):
-        at = {name: p[lo:lo + PDF_BLOCK] for name, p in pos.items()}
-        term = np.full((len(scales), len(at["0"])), 1.0 / len(scales))
-        for var, (first, *others) in plan:
-            dens = _pdf_scales(at[var] - at[first], scales)
-            for a in others:
-                dens += _pdf_scales(at[var] - at[a], scales)
-            dens /= 1 + len(others)
-            term *= dens
-        q[lo:lo + PDF_BLOCK] = term.sum(axis=0)
-    return q
+    term = np.full((len(scales), len(pos["0"])), 1.0 / len(scales))
+    for var, (first, *others) in plan:
+        dens = _pdf_scales(pos[var] - pos[first], scales)
+        for a in others:
+            dens += _pdf_scales(pos[var] - pos[a], scales)
+        dens /= 1 + len(others)
+        term *= dens
+    return term.sum(axis=0)
 
 
 def dyadic_scales(eps: float) -> list[float]:
@@ -843,11 +838,20 @@ def _leg_node_values(model: PoissonNoiseModel, kernel: TruncatedKernel, eps: flo
             * smooth_bump((s - term.t_center) / term.t_halfwidth)
         tau = (eps * sigma.reshape(-1, 1)) ** 2
         shift = shear * s.reshape(-1, 1) if shear else 0.0
-        for yn, yw in zip(y_nodes, y_w):
-            xs = x_axis[None, :] - (yn + shift)
-            k = kernel.value(tau, eps * xs)
-            values[inside] += yw * np.einsum(
-                "rk,rkx->rx", weight, k.reshape(*sigma.shape, -1))
+        # unsheared, the columns x - y_m and x - y_(23-m) of mirrored y nodes
+        # hold the same |x| values: one call reads both, and the mirror's
+        # contraction is held until its turn
+        mirrored = not shear and np.array_equal(y_nodes, -y_nodes[::-1])
+        held = {}
+        for m, yw in enumerate(y_w):
+            if m not in held:
+                pair = [m, len(y_w) - 1 - m] if mirrored and 2 * m < len(y_w) - 1 else [m]
+                k = kernel.value(tau, eps * np.hstack([x_axis[None, :] - (y_nodes[i] + shift)
+                                                       for i in pair]))
+                for i, part in zip(pair, np.hsplit(k, len(pair))):
+                    held[i] = np.einsum("rk,rkx->rx", weight,
+                                        np.ascontiguousarray(part).reshape(*sigma.shape, -1))
+            values[inside] += yw * held.pop(m)
     return values
 
 
@@ -858,10 +862,14 @@ class _BlockSpline:
     The spline is the not-a-knot interpolant: the knots on each axis are its
     nodes without the second and the second-to-last, as in FITPACK's
     interpolating fit.  It is fitted by one 1-D not-a-knot solve per axis
-    (``_not_a_knot_pieces``), first along t and then along x, straight into
-    the blocks; the nodes and values are kept.  Blocks cover every t cell
-    and the x cells from the one holding ``x_from`` on (``t_knots`` and
-    ``x_knots`` are their knots); points must lie within those cells.
+    (``_not_a_knot_pieces``), first along t and then along x; the nodes and
+    values are kept.  Blocks cover every t cell and the x cells from the one
+    holding ``x_from`` on (``t_knots`` and ``x_knots`` are their knots);
+    points must lie within those cells.  The fit along x solves for the
+    slopes at every node but forms the pieces of the kept cells only, and
+    writes them straight into the one block array: the annulus shape's
+    half-line blocks (151 x 220 cells, 4.3 MB) are not formed at full
+    width and copied.
 
     A call reads flat points: an O(1) cell lookup per axis (``_CellLookup``)
     and a Horner evaluation of the point's block, about 110 ns a point on a
@@ -877,13 +885,13 @@ class _BlockSpline:
         self.t_knots, self.x_knots = t_knots, x_knots[first:]
         self._t_cells = _CellLookup(self.t_knots)
         self._x_cells = _CellLookup(self.x_knots)
-        # (m, t cell, x node), then (n, x cell, m, t cell)
-        along_t = _not_a_knot_pieces(t_nodes, values)
-        along_x = _not_a_knot_pieces(x_nodes, np.moveaxis(along_t, 2, 0))[:, first:]
-        # entry [n, m, i * (x cells) + j] is the coefficient of
-        # (t - t_knots[i])^m (x - x_knots[j])^n on cell (i, j)
-        self._blocks = np.ascontiguousarray(
-            along_x.transpose(0, 2, 3, 1).reshape(4, 4, -1))
+        # entry [n, m, i, j] is the coefficient of (t - t_knots[i])^m
+        # (x - x_knots[j])^n on cell (i, j); the fit along t gives [m, i, x node]
+        along_t = np.empty((4, len(t_knots) - 1, len(x_nodes)))
+        _not_a_knot_pieces(t_nodes, values, along_t)
+        blocks = np.empty((4, 4, len(t_knots) - 1, len(self.x_knots) - 1))
+        _not_a_knot_pieces(x_nodes, np.moveaxis(along_t, 2, 0), blocks.transpose(0, 3, 1, 2))
+        self._blocks = blocks.reshape(4, 4, -1)  # cell (i, j) at i * (x cells) + j
 
     def __call__(self, t: np.ndarray, x: np.ndarray, dx: bool = False):
         """The spline at flat points ``(t, x)``; with ``dx``, also its x-derivative."""
@@ -917,12 +925,12 @@ class _BlockSpline:
         Going along x first costs about ``16 * (t cells) * len(x)``, and
         along t first ``len(t) * (16 * (x cells) + len(x))`` with the
         result's transpose; the cheaper order is taken.  A kernel-build
-        block (64 t nodes in 6 cells by 2,860 x nodes) goes along x first;
+        block (32 t nodes in up to 4 cells by 2,860 x nodes) goes along x first;
         a leg-table row block (58 t nodes in 47 cells by 1,163 distinct
         ``|x|``) along t first.  The temporaries are one gathered power the
         size of the (len(t), len(x)) result and the first pass's four
-        coefficients per node and cell: 0.07M values on a build block
-        against its 0.18M results.
+        coefficients per node and cell: 0.05M values on a build block
+        against its 0.09M results.
         """
         i, ht = self._t_cells(t)
         j, hx = self._x_cells(x)
@@ -947,17 +955,19 @@ def _horner_rows(coeffs: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.ndar
     return out
 
 
-def _not_a_knot_pieces(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Local coefficients of the not-a-knot cubic interpolant along axis 0.
+def _not_a_knot_pieces(nodes: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+    """Local coefficients of the not-a-knot cubic interpolant along axis 0,
+    written into ``out``.
 
     ``values`` holds one column of node values per trailing index.  Entry
-    ``[k, i, ...]`` of the result is the coefficient of ``(v - knot_i)^k``
-    on knot cell ``i``, where the knots are the nodes without the second
-    and the second-to-last.  The node slopes solve the tridiagonal system
-    of C2 continuity with a continuous third derivative at the second and
-    second-to-last nodes; each node interval is then a cubic Hermite piece,
-    and the first and last knot cells take the pieces of their first node
-    intervals.
+    ``[k, i, ...]`` of ``out`` is the coefficient of ``(v - knot)^k`` on the
+    i-th of the last ``out.shape[1]`` knot cells, where the knots are the
+    nodes without the second and the second-to-last.  The node slopes solve
+    the tridiagonal system of C2 continuity with a continuous third
+    derivative at the second and second-to-last nodes, over every node; each
+    node interval is then a cubic Hermite piece, taken only for the cells
+    ``out`` keeps, and the first and last knot cells take the pieces of
+    their first node intervals.
     """
     h = np.diff(nodes).reshape((-1,) + (1,) * (values.ndim - 1))
     slope = np.diff(values, axis=0) / h
@@ -966,17 +976,16 @@ def _not_a_knot_pieces(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     lower = np.concatenate([h[:1], h[1:], reach_1[None]])
     diag = np.concatenate([h[1:2], 2.0 * (h[:-1] + h[1:]), h[-2:-1]])
     upper = np.concatenate([reach_0[None], h[:-1], h[:1]])
-    rhs = np.concatenate([
-        ((h[0] + 2.0 * reach_0) * h[1] * slope[:1] + h[0] ** 2 * slope[1:2]) / reach_0,
-        3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:]),
-        (h[-1] ** 2 * slope[-2:-1] + (2.0 * reach_1 + h[-1]) * h[-2] * slope[-1:]) / reach_1,
-    ])
-    s = _thomas(lower, diag, upper, rhs)
-    keep = np.r_[0, 2:len(h) - 1]
-    h, slope, s0, s1 = h[keep], slope[keep], s[keep], s[keep + 1]
-    return np.stack([values[keep], s0,
-                     (3.0 * slope - 2.0 * s0 - s1) / h,
-                     (s0 + s1 - 2.0 * slope) / (h * h)])
+    s = np.empty((len(nodes),) + values.shape[1:])  # the right side, then the slopes
+    s[0] = ((h[0] + 2.0 * reach_0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / reach_0
+    s[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+    s[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * reach_1 + h[-1]) * h[-2] * slope[-1]) / reach_1
+    _thomas(lower, diag, upper, s)
+    keep = np.r_[0, 2:len(h) - 1][len(h) - 2 - out.shape[1]:]
+    out[0], out[1] = values[keep], s[keep]
+    h, slope, s0, s1 = h[keep], slope[keep], out[1], s[keep + 1]
+    out[2] = (3.0 * slope - 2.0 * s0 - s1) / h
+    out[3] = (s0 + s1 - 2.0 * slope) / (h * h)
 
 
 class _CellLookup:
@@ -1039,8 +1048,12 @@ def get_leg_table(model: PoissonNoiseModel, kernel: TruncatedKernel,
     return _LEG_TABLE_CACHE[key][1]
 
 
-#: Samples drawn and weighted at once by ``evaluate_diagram``.
+#: Samples drawn at once by ``evaluate_diagram``.
 MC_CHUNK_SIZE = 500_000
+#: Samples weighed at once by ``evaluate_diagram``.  A block's scratch holds
+#: a row per scale; at 25,000 samples a ``constants`` process peaks near
+#: 59 MB, against 64 MB when each 50,000-sample chunk is weighed whole.
+PDF_BLOCK = 25_000
 
 
 def evaluate_diagram(
@@ -1102,27 +1115,32 @@ def evaluate_diagram(
         # one scale per sample, shared by every variable: coherent clusters
         # at any scale (the source of logarithmic divergences) are covered
         s_arr = scales[rng.integers(0, n_scales, size=n)]
-        pos: dict[str, np.ndarray] = {"0": np.zeros((n, 2))}
+        # one array holds the chunk's positions, a row per variable: as the
+        # largest array freed it keeps glibc's heap mapped (see KNOT_CELL_BLOCK)
+        pos = dict(zip(["0"] + [var for var, _ in diagram.plan],
+                       np.zeros((1 + len(diagram.plan), n, 2))))
         for var, anchor_names in diagram.plan:
             pick = rng.integers(0, len(anchor_names), size=n)
-            anchors = np.stack([pos[a] for a in anchor_names])
-            pos[var] = anchors[pick, np.arange(n)] + _sample_single_scale(rng, s_arr)
-        q_total = _mixture_pdf(diagram.plan, pos, scales)
-
-        vals = np.ones(n)
-        for end, start in diagram.kernel_edges:
-            t, x = (pos[end] - pos[start]).T
-            vals = vals * (eps ** 2 * kernel.dx(eps ** 2 * t, eps * x))
-        for b, (order, targets) in enumerate(diagram.blobs):
-            centre = pos[f"w{b}"]
-            # a target listed twice is one leg, read once
-            legs = {t: table.ev(pos[t] - centre) for t in dict.fromkeys(targets)}
-            for target in targets:
-                vals = vals * legs[target]
-
-        ok = q_total > 0
+            anchors = [pos[a] for a in anchor_names]
+            pos[var][:] = _sample_single_scale(rng, s_arr)
+            # a lone anchor takes no gather
+            pos[var] += anchors[0] if len(anchors) == 1 else np.choose(pick[:, None], anchors)
         w = np.zeros(n)
-        w[ok] = vals[ok] / q_total[ok]
+        for lo in range(0, n, PDF_BLOCK):
+            at = {name: p[lo:lo + PDF_BLOCK] for name, p in pos.items()}
+            q = _mixture_pdf(diagram.plan, at, scales)
+            vals = np.ones(len(q))
+            for end, start in diagram.kernel_edges:
+                t, x = (at[end] - at[start]).T
+                vals = vals * (eps ** 2 * kernel.dx(eps ** 2 * t, eps * x))
+            for b, (order, targets) in enumerate(diagram.blobs):
+                centre = at[f"w{b}"]
+                # a target listed twice is one leg, read once
+                legs = {t: table.ev(at[t] - centre) for t in dict.fromkeys(targets)}
+                for target in targets:
+                    vals = vals * legs[target]
+            ok = q > 0
+            w[lo:lo + PDF_BLOCK][ok] = vals[ok] / q[ok]
         sums += w.sum()
         sq_sums += (w * w).sum()
         count += n

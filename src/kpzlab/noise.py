@@ -362,9 +362,9 @@ def field_from_cloud(
     Only the points in the box that :func:`draw_cloud` draws at ``(eps,
     grid.T)`` are used, and the strip is extended periodically.  The grid
     must resolve the bump (``dx <= eps/8`` and ``dt <= eps^2/8``).  Each
-    chunk of points is summed onto the grid by one ``bincount`` on the flat
-    cell index, in point order, so a cloud of one chunk gives the sums of a
-    point-by-point scatter bit for bit.
+    chunk of points is scattered straight onto the grid by ``np.add.at``, in
+    point order, so any cloud gives the sums of a point-by-point scatter bit
+    for bit.
 
     Raises ``ValueError``, before any work, unless ``eps`` is finite and
     positive and ``v_h`` is finite.
@@ -391,9 +391,10 @@ def field_from_cloud(
     n_rows = int(2 * model.t_reach / dt_hat) + 2
     n_cols = int(2 * model.x_reach / dx_hat) + 2
     # a chunk builds several float and int temporaries of chunk * n_rows *
-    # n_cols elements; 2^18 of them keeps each at 2 MB, and the per-chunk
-    # NumPy calls are still few next to the elementwise work
-    chunk = max(1, (1 << 18) // max(1, n_rows * n_cols))
+    # n_cols stencil cells; 2^14 of them keeps each at 128 KB, in cache and
+    # on the heap, and the per-chunk NumPy calls are still few next to the
+    # elementwise work
+    chunk = max(1, (1 << 14) // max(1, n_rows * n_cols))
     for start in range(0, len(s), chunk):
         sl = slice(start, start + chunk)
         sc, yc, ac = s[sl], y[sl], a[sl]
@@ -413,7 +414,7 @@ def field_from_cloud(
             * valid_r[:, :, None]
         )
         flat = rows_c[:, :, None] * grid.nx + np.mod(cols, grid.nx)
-        values += np.bincount(flat.ravel(), vals.ravel(), values.size).reshape(values.shape)
+        np.add.at(values.reshape(-1), flat.ravel(), vals.ravel())  # a view of values
 
     mean = model.mu * model.mark_moment(1) * model.int_phi
     values = (values - mean) * eps ** (-1.5)

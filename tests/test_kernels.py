@@ -398,6 +398,34 @@ def _loop_annulus_shape(nt, nx):
     return t_grid, x_grid, data
 
 
+def _full_width_blocks(t_nodes, x_nodes, values, x_from):
+    """``_BlockSpline``'s blocks as first fitted: the pieces of every x cell,
+    then the cells from the one holding ``x_from`` on, copied contiguous."""
+    along_t = np.empty((4, len(t_nodes) - 3, len(x_nodes)))
+    kernels._not_a_knot_pieces(t_nodes, values, along_t)
+    along_x = np.empty((4, len(x_nodes) - 3, 4, len(t_nodes) - 3))
+    kernels._not_a_knot_pieces(x_nodes, np.moveaxis(along_t, 2, 0), along_x)
+    x_knots = np.delete(x_nodes, [1, -2])
+    first = max(np.searchsorted(x_knots, x_from, "right") - 1, 0)
+    return np.ascontiguousarray(along_x[:, first:].transpose(0, 2, 3, 1).reshape(4, 4, -1))
+
+
+@pytest.mark.parametrize("x_from", [-np.inf, -0.3, 0.0, 0.25])
+def test_half_line_blocks_are_the_full_fit_sliced(kernel, x_from):
+    """The fit along x forms only the kept cells' pieces, straight into the
+    blocks; they equal the full-width fit sliced at the first kept cell."""
+    rng = np.random.default_rng(3)
+    t_nodes = np.sort(rng.uniform(-1.0, 1.0, 23))
+    x_nodes = np.sort(rng.uniform(-1.0, 1.0, 31))
+    values = rng.standard_normal((23, 31))
+    got = kernels._BlockSpline(t_nodes, x_nodes, values, x_from)._blocks
+    assert np.array_equal(got, _full_width_blocks(t_nodes, x_nodes, values, x_from))
+    shape = kernel.shape
+    want = _full_width_blocks(shape.t_nodes, shape.x_nodes, shape.values, 0.0)
+    assert want.shape == (4, 4, 151 * 220)
+    assert np.array_equal(shape._blocks, want)
+
+
 def test_optimal_annulus_shape_matches_edge_loop():
     target = -kernels._plateau_moments()
     got = kernels._optimal_annulus_shape(target, nt=30, nx=44)
@@ -535,6 +563,38 @@ def test_build_does_not_depend_on_blas_threads():
         for threads in (1, 2)]
     assert len(got[0]) == len(kernels.TOUCH_UP_POWERS)
     assert got[0] == got[1]
+
+
+def test_knot_cell_block_size_leaves_the_corrections(monkeypatch):
+    # each block's g @ proj rows are the same numbers at 32 rows and at 64
+    got = []
+    for rows in (32, 64):
+        monkeypatch.setattr(kernels, "KNOT_CELL_BLOCK", rows)
+        got.append([c.hex() for c in kernels.build_truncated_kernel.__wrapped__().corrections])
+    assert got[0] == got[1]
+
+
+def test_scratch_memory_of_the_build_and_the_sampler(kernel, leg_table, monkeypatch):
+    """tracemalloc peaks above the start: the kernel build fits the annulus
+    shape straight into its half-line blocks (it peaked at 32.4 MB when the
+    fit stacked every x cell), and a 50,000-sample C21 weighs its samples in
+    blocks (15.8 MB when each chunk was weighed whole)."""
+    import tracemalloc
+
+    monkeypatch.setattr(kernels, "get_leg_table", lambda *args: leg_table)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for work in (kernels.build_truncated_kernel.__wrapped__,
+                     lambda: kernels.compute_constant("C21", default_even_model(), kernel,
+                                                      EPS, mc_budget=50_000, seed=3)):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            work()
+            peaks.append((tracemalloc.get_traced_memory()[1] - start) / 2 ** 20)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 22.0 and peaks[1] <= 13.0, peaks
 
 
 def test_kernel_moment_identities(kernel):
@@ -918,11 +978,19 @@ def test_each_distinct_leg_is_read_once_per_chunk(kernel, leg_table, monkeypatch
 
 def test_proposal_density_blocks_leave_the_estimate_unchanged(kernel, leg_table,
                                                               monkeypatch):
+    """Each chunk is drawn whole and weighed in blocks of ``PDF_BLOCK``
+    samples; its weights are summed once, so any block size gives the same
+    value and stderr, bit for bit: blocks of 1,000 divide the 50,000-sample
+    chunk, 24,576 leave a part block, and 10^6 hold it whole."""
     monkeypatch.setattr(kernels, "get_leg_table", lambda *args: leg_table)
-    args = (kernels.DIAGRAMS["C22"], default_even_model(), kernel, EPS, 600)
-    whole = kernels.evaluate_diagram(*args)
-    monkeypatch.setattr(kernels, "PDF_BLOCK", 250)  # two full blocks and a part
-    assert kernels.evaluate_diagram(*args) == whole
+    runs = {name: (kernels.DIAGRAMS[name], default_even_model(), kernel, EPS, 50_000)
+            for name in ("C21", "C31")}
+    whole = {name: kernels.evaluate_diagram(*args) for name, args in runs.items()}
+    assert all(err > 0 for _, err in whole.values())
+    for block in (1_000, 24_576, 10 ** 6):
+        monkeypatch.setattr(kernels, "PDF_BLOCK", block)
+        for name, args in runs.items():
+            assert kernels.evaluate_diagram(*args) == whole[name], (name, block)
 
 
 @pytest.mark.parametrize("eps, budget, v_h", [
