@@ -398,13 +398,49 @@ def _loop_annulus_shape(nt, nx):
     return t_grid, x_grid, data
 
 
+def _copying_thomas(lower, diag, upper, rhs):
+    """The Thomas solve on a copy of ``rhs``."""
+    y = np.array(rhs, dtype=float)
+    pivots = [diag[0]]
+    for i in range(1, len(y)):
+        f = lower[i] / pivots[-1]
+        pivots.append(diag[i] - f * upper[i - 1])
+        y[i] -= f * y[i - 1]
+    y[-1] /= pivots[-1]
+    for i in range(len(y) - 2, -1, -1):
+        y[i] -= upper[i] * y[i + 1]
+        y[i] /= pivots[i]
+    return y
+
+
+def _stacked_pieces(nodes, values):
+    """The not-a-knot pieces of every knot cell, stacked: the right side
+    concatenated, solved on a copy."""
+    h = np.diff(nodes).reshape((-1,) + (1,) * (values.ndim - 1))
+    slope = np.diff(values, axis=0) / h
+    reach_0, reach_1 = h[0] + h[1], h[-1] + h[-2]
+    lower = np.concatenate([h[:1], h[1:], reach_1[None]])
+    diag = np.concatenate([h[1:2], 2.0 * (h[:-1] + h[1:]), h[-2:-1]])
+    upper = np.concatenate([reach_0[None], h[:-1], h[:1]])
+    rhs = np.concatenate([
+        ((h[0] + 2.0 * reach_0) * h[1] * slope[:1] + h[0] ** 2 * slope[1:2]) / reach_0,
+        3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:]),
+        (h[-1] ** 2 * slope[-2:-1] + (2.0 * reach_1 + h[-1]) * h[-2] * slope[-1:]) / reach_1,
+    ])
+    s = _copying_thomas(lower, diag, upper, rhs)
+    keep = np.r_[0, 2:len(h) - 1]
+    h, slope, s0, s1 = h[keep], slope[keep], s[keep], s[keep + 1]
+    return np.stack([values[keep], s0,
+                     (3.0 * slope - 2.0 * s0 - s1) / h,
+                     (s0 + s1 - 2.0 * slope) / (h * h)])
+
+
 def _full_width_blocks(t_nodes, x_nodes, values, x_from):
-    """``_BlockSpline``'s blocks as first fitted: the pieces of every x cell,
-    then the cells from the one holding ``x_from`` on, copied contiguous."""
-    along_t = np.empty((4, len(t_nodes) - 3, len(x_nodes)))
-    kernels._not_a_knot_pieces(t_nodes, values, along_t)
-    along_x = np.empty((4, len(x_nodes) - 3, 4, len(t_nodes) - 3))
-    kernels._not_a_knot_pieces(x_nodes, np.moveaxis(along_t, 2, 0), along_x)
+    """``_BlockSpline``'s blocks fitted at full width: the stacked pieces of
+    every x cell, then the cells from the one holding ``x_from`` on, copied
+    contiguous."""
+    along_t = _stacked_pieces(t_nodes, values)
+    along_x = _stacked_pieces(x_nodes, np.moveaxis(along_t, 2, 0))
     x_knots = np.delete(x_nodes, [1, -2])
     first = max(np.searchsorted(x_knots, x_from, "right") - 1, 0)
     return np.ascontiguousarray(along_x[:, first:].transpose(0, 2, 3, 1).reshape(4, 4, -1))
@@ -981,10 +1017,11 @@ def test_proposal_density_blocks_leave_the_estimate_unchanged(kernel, leg_table,
     """Each chunk is drawn whole and weighed in blocks of ``PDF_BLOCK``
     samples; its weights are summed once, so any block size gives the same
     value and stderr, bit for bit: blocks of 1,000 divide the 50,000-sample
-    chunk, 24,576 leave a part block, and 10^6 hold it whole."""
+    chunk, 24,576 leave a part block, and 10^6 hold it whole.  C22's ``w0``
+    is drawn about three anchors, ``m``, ``0`` and ``t``."""
     monkeypatch.setattr(kernels, "get_leg_table", lambda *args: leg_table)
     runs = {name: (kernels.DIAGRAMS[name], default_even_model(), kernel, EPS, 50_000)
-            for name in ("C21", "C31")}
+            for name in ("C21", "C22", "C31")}
     whole = {name: kernels.evaluate_diagram(*args) for name, args in runs.items()}
     assert all(err > 0 for _, err in whole.values())
     for block in (1_000, 24_576, 10 ** 6):

@@ -311,18 +311,31 @@ def test_field_matches_the_add_at_scatter_bit_for_bit(make_model, eps, v_h):
 
 
 @pytest.mark.parametrize("v_h", [0.0, 0.7])
-def test_multi_chunk_field_matches_the_add_at_scatter(v_h):
-    # at 25 times the even model's intensity a cloud holds three chunks of
-    # 2^14 stencil cells or more, and each chunk is scattered straight onto
-    # the grid in point order: the point-by-point scatter's sums, bit for bit
+def test_multi_chunk_field_matches_the_add_at_scatter(monkeypatch, v_h):
+    # at 25 times the even model's intensity a cloud holds several chunks of
+    # points, and each chunk is scattered straight onto the grid in point
+    # order: the point-by-point scatter's sums, bit for bit
     even, eps = default_even_model(), 0.2
     model = PoissonNoiseModel(even.terms, mu=25.0, marks=even.marks)
     grid = GridSpec(0.15, int(math.ceil(0.15 / (eps * eps / 8))) + 1, 512)
     cloud = draw_cloud(model, np.random.default_rng(6), eps, grid.T)
-    n_rows = int(2 * model.t_reach / (grid.dt / eps ** 2)) + 2
-    n_cols = int(2 * model.x_reach / (grid.dx / eps)) + 2
-    assert len(cloud[0]) >= 3 * ((1 << 14) // (n_rows * n_cols))
+    chunks, add = [], np.add
+
+    class CountingAdd:
+        def at(self, *args):
+            chunks.append(args[1].size)
+            return add.at(*args)
+
+        def __call__(self, *args, **kwargs):
+            return add(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(add, name)
+
+    monkeypatch.setattr(np, "add", CountingAdd())
     got = field_from_cloud(model, eps, grid, cloud, v_h).values
+    monkeypatch.undo()
+    assert len(chunks) >= 3
     want = add_at_field(model, eps, grid, cloud, v_h)
     assert np.array_equal(got, want)
 
