@@ -242,10 +242,9 @@ class TruncatedKernel:
         The shape's cell blocks cover ``x >= 0`` (151 x 220 cells, 4.3 MB),
         and every input is read through ``|x|`` and the shape's evenness.
         A 2-D input is a tensor grid's support block, read by the blocks'
-        separable grid evaluation, about 1 ms for a 32 x 2,860 block of
-        the kernel build on a 2-vCPU x86 host.  A 1-D input is read point by
-        point: the shape and its x-derivative together take about 0.2 us a
-        point.
+        separable grid evaluation, about 1 ms for a 32 x 2,860 block on a
+        2-vCPU x86 host.  A 1-D input is read point by point: the shape and
+        its x-derivative together take about 0.2 us a point.
         """
         if t.ndim == 2:
             return self.shape.grid(t[:, 0], np.abs(x[0]))
@@ -268,7 +267,7 @@ class TruncatedKernel:
         """``sum_q (sum_p table[q, p] t^p) x^(2q)`` by Horner's rule in t and
         in x^2.  The inner sums are taken of the unbroadcast t, so a tensor
         grid pays for one column of them, and the full-size sum is updated in
-        place: the kernel build passes blocks of 0.09M points."""
+        place."""
         x2 = x * x
         total = np.zeros(np.broadcast(t, x).shape)
         for row in table[::-1]:
@@ -465,39 +464,14 @@ def _knot_cells(shape: "_BlockSpline", n_sub: int):
 #: t nodes per tensor-grid block of the knot-cell quadrature.  Each full-size
 #: temporary of a 32 x 2,860 block takes 0.73 MB, within a 2 MB L2 cache.  At
 #: 256 rows it took 5.9 MB, the build was 20-40 % slower on a 2-vCPU x86
-#: host, and OpenBLAS split each ``g @ proj`` over its threads, which changed
-#: the touch-up coefficients' last bits with the thread count; at 32 and 64
-#: rows they are the same under 1, 2 and 4 threads.  glibc hands the top of
-#: its heap back to the system once it reaches twice the largest array yet
-#: freed from a mapping of its own; at 64 rows, once the shape's fit freed
-#: no 8 MB array, the build faulted its 1.5 MB temporaries in anew every
-#: block: 96,000 page faults instead of 7,000, and 0.1-0.25 s more.
+#: host, and OpenBLAS split each block's contraction over its threads, which
+#: changed the touch-up coefficients' last bits with the thread count; at 32
+#: and 64 rows they are the same under 1, 2 and 4 threads.  glibc serves an
+#: array from a mapping of its own, faulted in anew each time, unless it is
+#: below the largest such array yet freed, and hands the top of its heap
+#: back to the system once that reaches twice this size; the build takes
+#: 8,300 page faults at 32 rows and 9,800 at 64.
 KNOT_CELL_BLOCK = 32
-
-
-def _knot_cell_moments(f, cells, *powers):
-    """``int t^p g(t, x) x^(2q) * {1, t, x^2}`` on the knot cells.
-
-    ``f(t, x)`` returns a tuple of arrays ``g``, and ``powers`` holds one
-    list of ``(p, q)`` per array; the result holds one (3, len(list)) array
-    per ``g``, one column per ``(p, q)``.  Each ``g`` is even in x, so the
-    half-line rule is doubled.  ``f`` is called once per tensor grid of
-    ``KNOT_CELL_BLOCK`` t nodes, and each ``g`` is contracted at once with
-    the x weights times the even powers of x.
-    """
-    tmid, twgt, xmid, xwgt = cells
-    projs = [(2.0 * xwgt)[:, None] * xmid[:, None] ** (2 * np.arange(max(q for _, q in pq) + 2))
-             for pq in powers]
-    rows = [[] for _ in powers]
-    for i in range(0, len(tmid), KNOT_CELL_BLOCK):
-        gs = f(tmid[i:i + KNOT_CELL_BLOCK, None], xmid[None, :])
-        for acc, g, proj in zip(rows, gs, projs):
-            acc.append(g @ proj)
-    return [np.array([[(twgt * tmid ** p) @ r[:, q],
-                       (twgt * tmid ** (p + 1)) @ r[:, q],
-                       (twgt * tmid ** p) @ r[:, q + 1]]
-                      for p, q in pq]).T
-            for pq, r in zip(powers, map(np.vstack, rows))]
 
 
 def _touch_up_system(shape, cells):
@@ -505,18 +479,32 @@ def _touch_up_system(shape, cells):
 
     Returns the moments against ``{1, t, x^2}`` of the correction with no
     touch-up, and the (3, len(TOUCH_UP_POWERS)) moments of the masked
-    touch-up terms ``t^p x^(2q)``.  Each block evaluates the mask and the
-    shape once for both.  The knot cells lie within the shape's knots, and
-    the mask is exactly 0 off the kernel's support.
+    touch-up terms ``t^p x^(2q)``.  Each tensor grid of ``KNOT_CELL_BLOCK``
+    t nodes evaluates the mask and the shape once for both, and each
+    product, even in x, is contracted with the doubled x weights times the
+    even powers of x.  The knot cells lie within the shape's knots, and the
+    mask is exactly 0 off the kernel's support.
     """
-    def masked_shape_and_mask(t, x):
-        a, b, c = TruncatedKernel._mask_parts(t, parabolic_norm(t, x))
+    tmid, twgt, xmid, xwgt = cells
+    proj = (2.0 * xwgt)[:, None] * xmid[:, None] ** (
+        2 * np.arange(max(q for _, q in TOUCH_UP_POWERS) + 2))
+    plain_proj = np.ascontiguousarray(proj[:, :2])
+    plain, touch_up = [], []
+    for i in range(0, len(tmid), KNOT_CELL_BLOCK):
+        t = tmid[i:i + KNOT_CELL_BLOCK, None]
+        a, b, c = TruncatedKernel._mask_parts(t, parabolic_norm(t, xmid[None, :]))
         mask = a * b * c
-        return shape.grid(t[:, 0], np.abs(x[0])) * mask, mask
+        plain.append((shape.grid(t[:, 0], xmid) * mask) @ plain_proj)
+        touch_up.append(mask @ proj)
 
-    plain, touch_up = _knot_cell_moments(masked_shape_and_mask, cells,
-                                         ((0, 0),), TOUCH_UP_POWERS)
-    return plain[:, 0], touch_up
+    def moments(rows, powers):
+        rows = np.vstack(rows)
+        return np.array([[(twgt * tmid ** p) @ rows[:, q],
+                          (twgt * tmid ** (p + 1)) @ rows[:, q],
+                          (twgt * tmid ** p) @ rows[:, q + 1]]
+                         for p, q in powers]).T
+
+    return moments(plain, ((0, 0),))[:, 0], moments(touch_up, TOUCH_UP_POWERS)
 
 
 @functools.cache
@@ -528,35 +516,29 @@ def build_truncated_kernel() -> TruncatedKernel:
     the actual interpolated shape) removes the residual exactly, so the
     moment identities hold to quadrature precision.
 
-    The build has four passes: the plateau moments by panelled Gauss rules;
-    the annulus quadratic program; one walk over the 1,963 x 2,860 knot-cell
-    points, in blocks of ``KNOT_CELL_BLOCK`` t nodes, that evaluates the
-    mask and the shape once per block for both the residual and the
-    touch-up matrix; and, after the solve, one evaluation of the finished
-    kernel's correction on the same points to check the moments, on the
-    support block of each tensor grid only, with the touch-ups summed by
-    Horner's rule.  The mask's steps take exponentials
-    only in their thin bands.  The quadratic program is solved by a Thomas
-    sweep and a 3 x 3 Schur complement, the shape is fitted by one 1-D
-    not-a-knot solve per axis straight into its cell blocks, and the blocks
-    are read on tensor grids throughout, all with numpy alone.  On a 2-vCPU
-    x86 host the build takes 0.4-0.55 s, under one OpenBLAS thread or two,
-    and peaks near 53 MB of resident memory, numpy's import included.
+    The build has three passes: the plateau moments by panelled Gauss
+    rules; the annulus quadratic program; and one walk over the 1,963 x
+    2,860 knot-cell points, in blocks of ``KNOT_CELL_BLOCK`` t nodes, that
+    evaluates the mask and the shape once per block for both the residual
+    and the touch-up matrix.  The solve is checked by the residual of the
+    system it solved; that the finished kernel's correction reproduces the
+    solved moments on the same points is a test.  The mask's steps take
+    exponentials only in their thin bands.  The quadratic program is solved
+    by a Thomas sweep and a 3 x 3 Schur complement, the shape is fitted by
+    one 1-D not-a-knot solve per axis straight into its cell blocks, and
+    the blocks are read on tensor grids, all with numpy alone.  On a 2-vCPU
+    x86 host the build takes 0.19-0.3 s, under one OpenBLAS thread or two,
+    and peaks near 52 MB of resident memory, numpy's import included.
     """
     target = -_plateau_moments()
     shape = _optimal_annulus_shape(target)
-    cells = _knot_cells(shape, 13)
-    shape_moments, L = _touch_up_system(shape, cells)
+    shape_moments, L = _touch_up_system(shape, _knot_cells(shape, 13))
     # the touch-up moments are on the same knot-aligned quadrature as the
     # shape's, so a single linear solve lands the residual
     coeff, *_ = np.linalg.lstsq(L, target - shape_moments, rcond=None)
-    kernel = TruncatedKernel(tuple(float(c) for c in coeff), shape)
-    (moments,) = _knot_cell_moments(lambda t, x: (kernel.correction(t, x),),
-                                    cells, ((0, 0),))
-    check = target - moments[:, 0]
-    if np.max(np.abs(check)) > 1e-10:
+    if not np.max(np.abs(target - (shape_moments + L @ coeff))) <= 1e-10:
         raise ValueError("moment solve did not converge")
-    return kernel
+    return TruncatedKernel(tuple(float(c) for c in coeff), shape)
 
 
 # ---------------------------------------------------------------------------

@@ -712,12 +712,16 @@ def _k_statistic(x: np.ndarray, order: int) -> float:
     raise ValueError("cumulant estimates implemented for orders 1..4")
 
 
+def _check_batchable(n_samples: int) -> None:
+    if n_samples < 100:
+        raise ValueError("need at least 100 samples")
+
+
 def _batch_means(x: np.ndarray, statistic: Callable):
     """``statistic`` of the rows of ``x`` and its batch-means standard error
     over 20 consecutive batches of ``len(x) // 20`` rows."""
     n_batches = 20
-    if len(x) < 100:
-        raise ValueError("need at least 100 samples")
+    _check_batchable(len(x))
     batch = len(x) // n_batches
     stack = np.stack([statistic(x[i * batch: (i + 1) * batch]) for i in range(n_batches)])
     return statistic(x), stack.std(axis=0, ddof=1) / math.sqrt(n_batches)
@@ -798,6 +802,7 @@ def clt_check(
     first window serves both the covariance and the cumulant draws.
     """
     _check_count("n_samples", n_samples)
+    _check_batchable(n_samples)
     if len(set(eps_list)) < 3:
         raise ValueError(f"need at least 3 distinct scales, got {list(eps_list)}")
     etas = make_test_functions(t_window)

@@ -423,8 +423,8 @@ def solve_renormalised(
     grid: one solve, one transform pair per sub-step, however many batches
     and of whichever kind.  The result is one ``Trajectory`` per config,
     each equal to the config's own solve.  ``h0`` is the start of every
-    member, one profile of shape ``(n_x,)``; any other shape raises
-    ``ValueError``.
+    member, one finite profile of shape ``(n_x,)``; any other shape or a
+    value that is not finite raises ``ValueError``.
     """
     single = isinstance(config, SimConfig)
     configs = [config] if single else list(config)
@@ -437,6 +437,8 @@ def solve_renormalised(
     h0 = np.zeros(n_x) if h0 is None else np.asarray(h0, dtype=float)
     if h0.shape != (n_x,):
         raise ValueError(f"h0 has shape {h0.shape}, want one profile of shape ({n_x},)")
+    if not np.all(np.isfinite(h0)):
+        raise ValueError("h0 must be finite")
     rows, sizes, lone = zip(*(_batch(c, b) for c, b in zip(configs, batches)))
     edges = np.cumsum((0,) + sizes)
 

@@ -261,6 +261,27 @@ edge u a1 label 2+1d
             for e in c.edge_list():
                 assert not (e.u in ex and e.v in ex)
 
+    def test_float_p_rejected_with_and_without_externals(self, chain_graph):
+        (flat,) = [entry.graph for tau in SUPPORTED_SYMBOLS for entry in graph_catalog(tau)
+                   if entry.graph.name == "quad-chain/flat-remainder"]
+        assert not flat.external_ids
+        for H in (flat, chain_graph):
+            with pytest.raises(ValueError, match="p must be an integer, got 2.5"):
+                next(iter_contractions(H, 2.5))
+
+    def test_interning_tables_are_bounded(self, pair_graph, chain_graph, monkeypatch):
+        cases = [(pair_graph, 4), (chain_graph, 2), (chain_graph, 3)]
+        want = [c for H, p in cases for c in iter_contractions(H, p)]
+        monkeypatch.setattr(graphs, "_INTERNED_MAX", 50)
+        monkeypatch.setattr(graphs, "_GLUINGS", {})
+        monkeypatch.setattr(graphs, "_GLUED_CLASSES", {})
+        got = []
+        for H, p in cases:
+            for c in iter_contractions(H, p):
+                assert len(graphs._GLUINGS) <= 50 and len(graphs._GLUED_CLASSES) <= 50
+                got.append(c)
+        assert len(got) > 50 * 50 and got == want
+
 
 def permutation_automorphisms(H):
     """Every kind-respecting vertex permutation that maps the edge multiset onto itself."""

@@ -574,10 +574,44 @@ def test_touch_up_system_matches_two_pass_route(kernel):
     assert np.array_equal(touch_up, _two_pass_knot_cell_moments(
         mask, cells, kernels.TOUCH_UP_POWERS))
     assert touch_up.shape == (3, len(kernels.TOUCH_UP_POWERS))
-    # the post-solve check's pass on the finished kernel
-    (check,) = kernels._knot_cell_moments(lambda t, x: (kernel.correction(t, x),),
-                                          cells, ((0, 0),))
-    assert np.array_equal(check, _two_pass_knot_cell_moments(kernel.correction, cells))
+
+
+def test_finished_kernel_reproduces_the_solved_moments(kernel):
+    # the production evaluator on the build's own 13-point knot cells, which
+    # the build itself checks only through the solved system's residual
+    cells = kernels._knot_cells(kernel.shape, 13)
+    moments = _two_pass_knot_cell_moments(kernel.correction, cells)[:, 0]
+    assert np.max(np.abs(moments + kernels._plateau_moments())) <= 1e-10, moments
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_unsolved_touch_up_is_refused(fill, monkeypatch):
+    def no_solve(L, rhs, rcond=None):
+        return np.full(L.shape[1], fill), None, None, None
+
+    monkeypatch.setattr(kernels.np.linalg, "lstsq", no_solve)
+    with pytest.raises(ValueError, match="moment solve did not converge"):
+        kernels.build_truncated_kernel.__wrapped__()
+
+
+def test_build_walks_the_knot_cells_once(monkeypatch):
+    # 1,963 t nodes in blocks of 32: one grid and one mask per block
+    calls = {"grid": 0, "mask": 0}
+    grid, mask_parts = kernels._BlockSpline.grid, kernels.TruncatedKernel._mask_parts
+
+    def counted_grid(self, t, x):
+        calls["grid"] += 1
+        return grid(self, t, x)
+
+    def counted_mask_parts(*args, **kw):
+        calls["mask"] += 1
+        return mask_parts(*args, **kw)
+
+    monkeypatch.setattr(kernels._BlockSpline, "grid", counted_grid)
+    monkeypatch.setattr(kernels.TruncatedKernel, "_mask_parts",
+                        staticmethod(counted_mask_parts))
+    kernels.build_truncated_kernel.__wrapped__()
+    assert calls == {"grid": 62, "mask": 62}
 
 
 def _panels(lo, hi, n_panels, nodes):

@@ -774,8 +774,13 @@ class TestCltCheck:
         report = clt_check(default_even_model(), (0.1, 0.05, 0.025), n_samples=200)
         assert abs(report["fourth_cumulant_exponent"] - 3.0) <= 0.005
 
-    def test_fewer_than_100_samples_rejected(self):
-        # batches of one row gave a nan stderr and covariance_ok False
+    def test_fewer_than_100_samples_rejected(self, monkeypatch):
+        # batches of one row gave a nan stderr and covariance_ok False; the
+        # floor is checked before any window is built
+        def no_windows(*args):
+            raise AssertionError("a PairingWindows was built")
+
+        monkeypatch.setattr(noise, "PairingWindows", no_windows)
         with pytest.raises(ValueError, match="100 samples"):
             clt_check(default_even_model(), (0.2, 0.1, 0.05), n_samples=30)
         with pytest.raises(ValueError, match="100 samples"):

@@ -218,6 +218,22 @@ class TestBatches:
             with pytest.raises(ValueError, match="h0 has shape"):
                 sim.solve_renormalised(config, None, bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_h0_refused_before_the_batches(self, bad, monkeypatch):
+        # it blew up "at t=0" once the batches were built
+        config = small_config()
+        batches = (fields(default_even_model(), config, (1,)), sim.WhiteNoise([11]))
+        h0 = np.zeros(config.n_x)
+        h0[3] = bad
+
+        def no_batch(*args):
+            raise AssertionError("a batch was built")
+
+        monkeypatch.setattr(sim, "_batch", no_batch)
+        for batch in batches:
+            with pytest.raises(ValueError, match="h0 must be finite"):
+                sim.solve_renormalised(config, batch, h0)
+
     @pytest.mark.parametrize("lam", [0.7, 0.0])
     def test_hopf_cole_batch_matches_single_solves(self, lam):
         config = small_config(lam=lam)
