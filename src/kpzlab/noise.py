@@ -444,19 +444,29 @@ def sample_field(
 # Exact pairing windows and the fast sampling path
 # ---------------------------------------------------------------------------
 
-#: Cloud points per block of :func:`sample_pairings`: small enough that a
-#: block's arrays stay in cache (blocks of 2^18 points lose most of the
-#: speed).  It sets the memory used, never the numbers.
-POINT_BLOCK = 1 << 16
+#: Cloud points per block of :func:`sample_pairings`, the 2^14 budget of
+#: :func:`field_from_cloud`'s chunks.  A block's point-sized arrays, about
+#: 140 bytes a point in all (2.2 MiB, tracemalloc), stay in cache, and glibc
+#: serves them from its heap, so a steady block maps no fresh pages.  At eps
+#: = 0.05 with two windows and 4,000 samples, a call took 0.38 s in blocks of
+#: 2^13 points, 0.35 s in blocks of 2^14 or 2^15 and 0.44 s in blocks of
+#: 2^16 (medians of 6 on a shared 2-vCPU x86 host), and a steady call
+#: faulted about 170, 290, 5,200 and 17,200 pages.  It sets the memory
+#: used, never the numbers.
+POINT_BLOCK = 1 << 14
 
 #: Window grid cells per narrowest bump half-width, in s and in y.
 WINDOW_RESOLUTION = 8
 
 #: Window rows of :class:`PairingWindows` built per pass.  A pass evaluates
-#: the test functions on the rows of the half-spacing grid those window rows
-#: need, so the grid is never held whole (11 MB per array for the even
-#: model at eps = 0.05).  It sets the memory used, never the numbers.
-WINDOW_ROW_BLOCK = 128
+#: the test functions only on the rows of the half-spacing grid G that no
+#: earlier pass did and carries the rest over, so G is never held whole (11
+#: MB per array for the even model at eps = 0.05) and each row of it is
+#: evaluated once whatever the pass size.  There, next to the two windows'
+#: 5.1 MiB, passes of 32 rows keep 2.1 MiB of scratch, 64 rows 3.5 MiB and
+#: 128 rows 6.2 MiB (tracemalloc), and all three build in 0.08 s.  It sets
+#: the memory used, never the work or the numbers.
+WINDOW_ROW_BLOCK = 32
 
 
 def _bump_taps(halfwidth: float, step: float) -> np.ndarray:
@@ -493,14 +503,18 @@ class PairingWindows:
     shear depends on ``sigma`` alone, so for every ``v_h`` the window is a
     separable correlation of ``G`` with the bump.  ``G`` is evaluated per
     term on a grid of half the window spacing, offset by the term's centre
-    and extended by its half-widths, on the rows that each block of
-    :data:`WINDOW_ROW_BLOCK` window rows needs; the 1-d bump taps
-    (:func:`_bump_taps`) are applied along y, then along s.  The taps sum to
-    the exact bump mass, so ``eta = 1`` gives ``eps^{3/2} int phi`` to
-    rounding.  Against a 64-node Gauss-Legendre product rule at eps = 0.2
-    and ``v_h`` = 0 or 0.7, the largest window error relative to the
-    largest window value is 2.7e-7 for :func:`default_even_model` and
-    2.7e-8 for :func:`default_asymmetric_model`.
+    and extended by its half-widths.  The 1-d bump taps (:func:`_bump_taps`)
+    are applied along y, then along s, in passes of :data:`WINDOW_ROW_BLOCK`
+    window rows.  Window rows ``[lo, hi)`` read the y-correlated rows ``[2
+    lo, 2 hi + len(taps_s) - 2)`` of ``G``, and the last ``len(taps_s) - 2``
+    of them are carried to the next pass, so each test function sees each
+    point of ``G`` once and every window is the same bits as with ``G``
+    built whole.  The taps sum to the exact bump mass, so ``eta = 1`` gives
+    ``eps^{3/2} int phi`` to rounding.  Against a 64-node Gauss-Legendre
+    product rule at eps = 0.2 and ``v_h`` = 0 or 0.7, the largest window
+    error relative to the largest window value is 2.7e-7 for
+    :func:`default_even_model` and 2.7e-8 for
+    :func:`default_asymmetric_model`.
 
     The y grid tiles the periodic strip ``[0, 1/eps)``: ``n_y`` cells of
     width ``dy = (1/eps) / n_y``, the fewest no wider than ``min_hx /
@@ -521,7 +535,7 @@ class PairingWindows:
         _check_scale(eps, v_h)
         if not -math.inf < t_support[0] < t_support[1] < math.inf:
             raise ValueError(f"t_support must be finite and increasing, got {t_support}")
-        etas = tuple(etas)  # read twice: once to allocate, once to fill
+        etas = tuple(etas)  # read more than once: to allocate and to fill
         self.model = model
         self.eps = eps
         self.v_h = v_h
@@ -540,7 +554,8 @@ class PairingWindows:
 
         prefactor = eps ** 1.5  # eps^{-3/2} amplitude times the eps^3 Jacobian
         n_s = len(self.s_grid)
-        sheared = []  # per term: weight, taps and the sigma and y points of G
+        n_pass = min(WINDOW_ROW_BLOCK, n_s)
+        sheared = []  # per term: weight, taps, the sigma and y points of G, row buffers
         for term in model.terms:
             taps_s = _bump_taps(term.t_halfwidth, ds / 2)
             taps_y = _bump_taps(term.x_halfwidth, self.dy / 2)
@@ -548,22 +563,27 @@ class PairingWindows:
             sigma = (self.s_grid[0] + term.t_center
                      + ds / 2 * np.arange(-reach_s, 2 * n_s - 1 + reach_s))
             y = term.x_center + self.dy / 2 * np.arange(-reach_y, 2 * n_y - 1 + reach_y)
-            sheared.append((term.amplitude * prefactor, taps_s, taps_y, sigma, y))
-        # window rows [lo, hi) need G's rows [2 lo, 2 hi - 2 + len(taps_s));
-        # every output element is the same sum as with G built whole
+            # per test function, the y-correlated rows of G that one pass reads
+            rows = [np.empty((2 * n_pass - 2 + len(taps_s), n_y)) for _ in etas]
+            sheared.append((term.amplitude * prefactor, taps_s, taps_y, sigma, y, rows))
+        # window rows [lo, hi) read G's rows [2 lo, 2 hi + halo), halo =
+        # len(taps_s) - 2; the first halo of them were the previous pass's last
         self.windows = [np.empty((n_s, n_y)) for _ in etas]
-        for lo in range(0, n_s, WINDOW_ROW_BLOCK):
-            hi = min(lo + WINDOW_ROW_BLOCK, n_s)
-            grids = []
-            for weight, taps_s, taps_y, sigma, y in sheared:
-                tt = eps ** 2 * sigma[2 * lo:2 * hi - 2 + len(taps_s), None]
+        for lo in range(0, n_s, n_pass):
+            hi = min(lo + n_pass, n_s)
+            parts = [[] for _ in etas]
+            for weight, taps_s, taps_y, sigma, y, rows in sheared:
+                halo = len(taps_s) - 2
+                carried = halo if lo else 0
+                tt = eps ** 2 * sigma[2 * lo + carried:2 * hi + halo, None]
                 xx = np.mod(eps * y[None, :] + v_h * tt, 1.0)
-                grids.append((weight, taps_s, taps_y, tt, xx))
-            for window, eta in zip(self.windows, etas):
-                window[lo:hi] = sum(
-                    weight * _correlate_halved(_correlate_halved(eta(tt, xx), taps_y, 1),
-                                               taps_s, 0)
-                    for weight, taps_s, taps_y, tt, xx in grids)
+                for part, buf, eta in zip(parts, rows, etas):
+                    if lo:
+                        buf[:halo] = buf[2 * n_pass:2 * n_pass + halo]
+                    buf[carried:2 * (hi - lo) + halo] = _correlate_halved(eta(tt, xx), taps_y, 1)
+                    part.append(weight * _correlate_halved(buf[:2 * (hi - lo) + halo], taps_s, 0))
+            for window, part in zip(self.windows, parts):
+                window[lo:hi] = sum(part)
 
     def interpolate(self, js: Sequence[int], s: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of the windows ``js`` at cloud points.
@@ -573,10 +593,10 @@ class PairingWindows:
         each other, and the result has one trailing column per index in
         ``js``.  One call finds the points' cells and weights once and
         shares them across its windows; each window's column is the same
-        bits as a call for it alone.
-        Memory grows with the points of one call; :func:`sample_pairings`
-        calls once per block of :data:`POINT_BLOCK` points, a size that
-        sets the memory used and never the values.
+        bits as a call for it alone.  Its scratch grows with the points of
+        one call: about 90 bytes a point for two windows, the result
+        included.  :func:`sample_pairings` calls it once per block of
+        :data:`POINT_BLOCK` points.
         """
         n_s, n_y = len(self.s_grid), len(self.y_grid)
         s, y = np.broadcast_arrays(s, y)
@@ -654,6 +674,13 @@ def sample_pairings(windows: PairingWindows, n_samples: int, seed: int) -> np.nd
     :meth:`PairingWindows.interpolate` call for all windows, which finds
     the points' cells and weights once and shares them across the windows.
     Column ``j`` is centred by ``windows.exact_cumulant(1, j)``.
+
+    In cache-sized blocks the sampling faults almost no pages: a steady
+    :func:`clt_check` round of the ``clt`` benchmark (eps down to 0.05,
+    4,000 samples) took about 10,500 minor faults with blocks of 2^16
+    points and passes of 128 window rows, and about 3,960 with 2^14 and 32;
+    the rest are the eps = 0.05 windows and the powers of
+    :meth:`PairingWindows.exact_cumulant`, both allocated anew each round.
     """
     _check_count("n_samples", n_samples)
     model = windows.model

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -395,13 +395,17 @@ class _SourceTemplate:
     inner: tuple[tuple[int, int, int], ...]
     #: (copy, external id) -> (neighbour's index, q, r) of the slot's edge
     slots: dict[tuple[int, str], tuple[int, int, int]]
+    #: glued class -> its neighbour profile, filled by :func:`_class_profile`
+    profiles: dict[frozenset, tuple] = field(default_factory=dict)
 
 
 #: Templates by ``(id(source), p)``.  Each keeps its source alive, so no
 #: other graph can take that id while it is cached.  A template holds a few
-#: hundred integers; beyond ``_TEMPLATE_CACHE_SIZE`` the oldest is dropped.
+#: hundred integers and the profiles of at most ``_PROFILE_CACHE_SIZE``
+#: glued classes; beyond ``_TEMPLATE_CACHE_SIZE`` the oldest is dropped.
 _TEMPLATES: dict[tuple[int, int], _SourceTemplate] = {}
 _TEMPLATE_CACHE_SIZE = 256
+_PROFILE_CACHE_SIZE = 2 ** 12
 
 
 def _template(H: PartialGraph, p: int) -> _SourceTemplate:
@@ -450,17 +454,26 @@ def _build_template(H: PartialGraph, p: int) -> _SourceTemplate:
     )
 
 
-def _class_groups(cls: frozenset, slots: dict) -> dict[int, tuple[int, int, int]]:
-    """A glued class's slots by neighbour index: (edge count, q sum, r sum).
+def _class_profile(t: _SourceTemplate, cls: frozenset):
+    """A glued class's slots grouped by neighbour: ``(counts, groups)``.
 
-    ``slots`` is a template's slot table.
+    ``groups`` maps each neighbour's index to its (edge count, q sum, r
+    sum), in the order of the neighbours' names, and ``counts`` lists the
+    edge counts in that order.  It depends on the class and the template
+    alone, so it is built once per template; a full table is emptied first.
     """
-    groups: dict[int, tuple[int, int, int]] = {}
-    for slot in cls:
-        n, q, r = slots[slot]
-        count, q_sum, r_sum = groups.get(n, (0, 0, 0))
-        groups[n] = (count + 1, q_sum + q, r_sum + r)
-    return groups
+    profile = t.profiles.get(cls)
+    if profile is None:
+        groups: dict[int, tuple[int, int, int]] = {}
+        for slot in cls:
+            n, q, r = t.slots[slot]
+            count, q_sum, r_sum = groups.get(n, (0, 0, 0))
+            groups[n] = (count + 1, q_sum + q, r_sum + r)
+        groups = {n: groups[n] for n in sorted(groups, key=t.rank.__getitem__)}
+        if len(t.profiles) >= _PROFILE_CACHE_SIZE:
+            t.profiles.clear()
+        profile = t.profiles[cls] = (tuple(count for count, _, _ in groups.values()), groups)
+    return profile
 
 
 def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionReport:
@@ -476,14 +489,15 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
     vertex layout, the internal edges of all copies merged into integer
     (q, r) sums at the common denominator of the source's labels, and for
     every external slot its neighbour and integer label.  The cache holds
-    only this structure, never a result.  A call groups each glued class's
-    slots by neighbour, takes the rule's values group by group in the order
-    of the neighbours' names (the values ``kpz_allocation`` gives), and
-    rescales every merged weight to the lowest denominator that makes them
-    all integers.  Both conditions then read the shared subset scan.  A
-    scan of more than ``SUBSET_WORK_CAP`` work items raises
-    ``SizeLimitError`` before anything is built, and weights that leave
-    int64 raise ``OverflowError``.
+    only this structure, never a result; each glued class's slots grouped
+    by neighbour join it the first time the class is met.  A call takes the
+    rule's values group by group in the order of the neighbours' names (the
+    values ``kpz_allocation`` gives), and rescales every merged weight to
+    the lowest denominator that makes them all integers.  Both conditions
+    then read the shared subset scan.  A scan of more than
+    ``SUBSET_WORK_CAP`` work items raises ``SizeLimitError`` before
+    anything is built, and weights that leave int64 raise
+    ``OverflowError``.
     """
     H, p, classes = G.source, G.p, G.classes
     n_fixed = 1 + p * len(H.internal_ids)
@@ -498,12 +512,10 @@ def check_contracted(G: ContractedGraph, rule: KPZAllocationRule) -> ConditionRe
     ex_edges = []
     denom = t.denom
     for i, cls in enumerate(classes):
-        groups = _class_groups(cls, t.slots)
-        order = sorted(groups, key=t.rank.__getitem__)
-        values = rule.group_values([groups[n][0] for n in order])
+        counts, groups = _class_profile(t, cls)
         x = 1 << (n_fixed + i)
-        for n, value in zip(order, values):
-            ex_edges.append((x | 1 << n, *groups[n], value))
+        for (n, sums), value in zip(groups.items(), rule.group_values(counts)):
+            ex_edges.append((x | 1 << n, *sums, value))
             denom = lcm(denom, value.denominator)
     k = denom // t.denom
     merged = {bit: (q * k, r * k) for bit, q, r in t.inner}
@@ -612,9 +624,12 @@ def check_admissible(
     glued vertex, the budget identity and the subset floor, and for every
     single pairwise identification of glued vertices the monotonicity and
     transfer bound.  The checks depend only on local edge-multiplicity
-    profiles, which are cached, so the scan over all contractions is exact
-    but fast.  ``p_max < 2`` raises ``ValueError``: it leaves no gluing;
-    so does a ``p_max`` that is not an integer.
+    profiles, so the scan over all contractions is exact but fast: each
+    glued class's profile is read from the template ``check_contracted``
+    shares, a class or ordered class pair met before is skipped, and each
+    distinct profile and pair of counts is checked once.  ``p_max < 2``
+    raises ``ValueError``: it leaves no gluing; so does a ``p_max`` that is
+    not an integer.
     """
     _check_count("p_max", p_max)
     if p_max < 2:
@@ -624,20 +639,26 @@ def check_admissible(
     seen_pair: set = set()
     n_contractions = 0
     for p in range(2, p_max + 1):
-        slots = _template(H, p).slots
+        t = _template(H, p)
+        known: set = set()  # classes and ordered class pairs already checked
         for G in iter_contractions(H, p):
             n_contractions += 1
-            profiles = [{n: group[0] for n, group in _class_groups(cls, slots).items()}
-                        for cls in G.classes]
-            for prof in profiles:
-                key = tuple(sorted(prof.values()))
+            for cls in G.classes:
+                if cls in known:
+                    continue
+                known.add(cls)
+                key = tuple(sorted(_class_profile(t, cls)[0]))
                 if key in seen_single:
                     continue
                 seen_single.add(key)
                 failures.extend(_profile_checks(rule, key))
-            for p1, p2 in itertools.combinations(profiles, 2):
-                keys = sorted(set(p1) | set(p2))
-                counts = tuple(sorted((p1.get(k, 0), p2.get(k, 0)) for k in keys))
+            for pair in itertools.combinations(G.classes, 2):
+                if pair in known:
+                    continue
+                known.add(pair)
+                g1, g2 = (_class_profile(t, cls)[1] for cls in pair)
+                counts = tuple(sorted((g1[n][0] if n in g1 else 0, g2[n][0] if n in g2 else 0)
+                                      for n in g1.keys() | g2.keys()))
                 if counts in seen_pair:
                     continue
                 seen_pair.add(counts)

@@ -515,15 +515,48 @@ class TestPairingWindows:
 
     @pytest.mark.parametrize("make_model", [default_even_model, default_asymmetric_model])
     def test_row_blocks_do_not_change_the_windows(self, monkeypatch, make_model):
+        # a pass carries its last len(taps_s) - 2 rows of G to the next, so
+        # every block size evaluates each test function on each point of G
+        # once and gives the windows of G built whole
         model = make_model()
         etas = make_test_functions((0.02, 0.18))
+        seen = [0, 0]
+
+        def counted(j):
+            def eta(t, x):
+                seen[j] += np.broadcast(t, x).size
+                return etas[j](t, x)
+            return eta
+
+        blocks = (1, 7, noise.WINDOW_ROW_BLOCK, 10 ** 9)
         monkeypatch.setattr(noise, "WINDOW_ROW_BLOCK", 10 ** 9)  # G built whole
-        whole = PairingWindows(model, 0.2, etas, (0.02, 0.18), v_h=0.7).windows
-        assert len(whole[0]) > 40
-        for block in (1, 7, 40):
+        whole = PairingWindows(model, 0.2, etas, (0.02, 0.18), v_h=0.7)
+        n_s, n_y = len(whole.s_grid), len(whole.y_grid)
+        assert n_s > 2 * blocks[2]
+        g_points = sum((2 * n_s - 1 + 2 * math.ceil(t.t_halfwidth / (whole.ds / 2)))
+                       * (2 * n_y - 1 + 2 * math.ceil(t.x_halfwidth / (whole.dy / 2)))
+                       for t in model.terms)
+        for block in blocks:
             monkeypatch.setattr(noise, "WINDOW_ROW_BLOCK", block)
-            got = PairingWindows(model, 0.2, etas, (0.02, 0.18), v_h=0.7).windows
-            assert all(np.array_equal(a, b) for a, b in zip(got, whole))
+            seen[:] = [0, 0]
+            got = PairingWindows(model, 0.2, [counted(0), counted(1)], (0.02, 0.18),
+                                 v_h=0.7).windows
+            assert seen == [g_points, g_points]
+            assert all(np.array_equal(a, b) for a, b in zip(got, whole.windows))
+
+    def test_build_memory_is_bounded(self):
+        # passes of WINDOW_ROW_BLOCK window rows keep the scratch next to the
+        # windows themselves (5.1 MiB) small; passes of 128 rows that
+        # evaluated their halo rows again took 4.5 MiB
+        model = default_even_model()
+        etas = make_test_functions((0.02, 0.18))
+        tracemalloc.start()
+        try:
+            w = PairingWindows(model, 0.05, etas, (0.02, 0.18))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(W.nbytes for W in w.windows) <= 3 * 2 ** 20
 
     @pytest.mark.parametrize("eps,t_support", [
         (0.0, (0.02, 0.18)), (-0.1, (0.02, 0.18)), (math.nan, (0.02, 0.18)),
@@ -728,7 +761,9 @@ class TestSamplePairings:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2 ** 20
+        # blocks of POINT_BLOCK = 2^14 points peak at about 2.2 MiB; blocks
+        # of 2^16 took 8.7 MiB
+        assert peak <= 4 * 2 ** 20
 
 
 class TestCltCheck:
@@ -766,6 +801,17 @@ class TestCltCheck:
         assert all(abs(row["exact"]) < 1e-12 for row in report["third_cumulant"])
         # the eps^2-corrected fit gives 3.019; a plain slope gave 2.875
         assert abs(report["fourth_cumulant_exponent"] - 3.0) <= 0.03
+
+    def test_block_sizes_do_not_change_the_report(self, monkeypatch):
+        # POINT_BLOCK and WINDOW_ROW_BLOCK set the memory used, never the numbers
+        model = default_even_model()
+        args = (model, (0.2, 0.1, 0.05))
+        kwargs = dict(n_samples=1000, seed=3, t_window=(0.02, 0.18))
+        want = clt_check(*args, **kwargs)
+        for point_block, row_block in ((1, 1), (10 ** 9, 10 ** 9)):
+            monkeypatch.setattr(noise, "POINT_BLOCK", point_block)
+            monkeypatch.setattr(noise, "WINDOW_ROW_BLOCK", row_block)
+            assert clt_check(*args, **kwargs) == want
 
     def test_exponent_approaches_three_on_finer_scales(self, monkeypatch):
         # the exponent rests on exact cumulants only, so the draws are stubbed

@@ -813,7 +813,55 @@ class TestContractedChecker:
                     assert check_contracted(G, KPZAllocationRule()).verdict
 
 
+def oracle_check_admissible(rule, H, p_max):
+    """``check_admissible`` read from each contraction's own edge list."""
+    failures, seen_single, seen_pair, n_contractions = [], set(), set(), 0
+    for p in range(2, p_max + 1):
+        for G in iter_contractions(H, p):
+            n_contractions += 1
+            edges = G.edge_list()
+            profiles = []
+            for v in G.ex_vertices:
+                profile: dict[str, int] = {}
+                for e in edges:
+                    if e.touches(v):
+                        other = e.v if e.u == v else e.u
+                        profile[other] = profile.get(other, 0) + 1
+                profiles.append(profile)
+            for profile in profiles:
+                key = tuple(sorted(profile.values()))
+                if key not in seen_single:
+                    seen_single.add(key)
+                    failures += power_counting._profile_checks(rule, key)
+            for p1, p2 in itertools.combinations(profiles, 2):
+                counts = tuple(sorted((p1.get(k, 0), p2.get(k, 0))
+                                      for k in p1.keys() | p2.keys()))
+                if counts not in seen_pair:
+                    seen_pair.add(counts)
+                    failures += power_counting._pair_checks(rule, list(counts))
+    return ConditionReport(
+        H.name, f"allocation-admissibility[p<={p_max}, {n_contractions} gluings]",
+        not failures, None,
+        tuple(Witness((m,), LabelValue(0), LabelValue(0), "admissibility") for m in failures))
+
+
 class TestAdmissibility:
+    @pytest.mark.parametrize("rule", [KPZAllocationRule(), BrokenRule()],
+                             ids=["kpz", "broken"])
+    def test_catalog_reports_match_the_edge_list_oracle(self, rule):
+        # the class profiles come from the templates check_contracted
+        # shares; p = 3 where a graph has at most 3 externals (at most
+        # 2,186 gluings), as in the certify benchmark
+        catalog = catalog_graphs()
+        assert len(catalog) == 19
+        broken = 0
+        for H in catalog.values():
+            p_max = 3 if len(H.external_ids) <= 3 else 2
+            report = check_admissible(rule, H, p_max)
+            assert report == oracle_check_admissible(rule, H, p_max)
+            broken += not report.verdict
+        assert (broken > 0) == isinstance(rule, BrokenRule)
+
     def test_kpz_rule_admissible(self, pair, chain):
         for H in (pair, chain):
             report = check_admissible(KPZAllocationRule(), H, p_max=3)
